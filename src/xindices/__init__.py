@@ -27,6 +27,7 @@ from .errors import (
     MissingGroupLabel,
     MissingStats,
     NegativeCitations,
+    NonFiniteWeight,
     NonPositiveMean,
     RankBasisUnsupported,
     XIndicesError,
@@ -59,7 +60,6 @@ from .kernel import (
     g_type_index,
     h_type_index,
 )
-from .oracles import naive_g_oracle, naive_h_oracle
 from .stats import (
     ReferenceStats,
     StatsEntry,
@@ -89,8 +89,6 @@ __all__ = [
     "h_type_index",
     "g_type_index",
     "first_crossing_index",
-    "naive_h_oracle",
-    "naive_g_oracle",
     "ReferenceStats",
     "StatsEntry",
     "estimate_stats",
@@ -119,6 +117,7 @@ __all__ = [
     "MissingGroupLabel",
     "MissingStats",
     "NonPositiveMean",
+    "NonFiniteWeight",
     "ZeroOrMissingVariance",
     "RankBasisUnsupported",
     "__version__",

@@ -1,8 +1,9 @@
 """Command-line surface: compute, nested, stats, validate.
 
 Exit codes: 0 success, 1 ingest or validation failure, 2 computation
-failure (missing stats, unusable variance, unsupported rank basis). Error
-messages go to stderr; reports go to stdout or --out.
+failure (missing stats, unusable variance, unsupported rank basis, citation
+totals beyond the float range). Error messages go to stderr; reports go to
+stdout or --out.
 """
 
 from __future__ import annotations
@@ -207,7 +208,11 @@ def cmd_nested(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 
-        result = nested_index(groups, inner=args.inner, ratio_type=args.type, jobs=args.jobs)
+        try:
+            result = nested_index(groups, inner=args.inner, ratio_type=args.type, jobs=args.jobs)
+        except XIndicesError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         echo = _config_echo(args, config)
         echo.update(
             {

@@ -106,6 +106,15 @@ class ZeroOrMissingVariance(ComputeError):
         )
 
 
+class NonFiniteWeight(ComputeError):
+    def __init__(self, label: str):
+        self.label = label
+        super().__init__(
+            f"ranked weight or ratio of {label!r} is not a finite number "
+            "(citation totals overflow the float range)"
+        )
+
+
 class RankBasisUnsupported(ComputeError):
     def __init__(self) -> None:
         super().__init__(

@@ -28,7 +28,6 @@ from .errors import (
 from .kernel import (
     IndexResult,
     RankedTable,
-    RankRow,
     first_crossing_index,
     kernel_index,
     rank_items,
@@ -184,11 +183,10 @@ def ivw_xd_index(
 
     variance_of = {item.label: v for item, v in kept}
     ranked = rank_items([item for item, _ in kept])
-    rows = tuple(
-        RankRow(r, item.label, item.weight, item.weight / (variance_of[item.label] * r))
-        for r, item in enumerate(ranked, start=1)
-    )
-    return first_crossing_index(RankedTable(rows), "ivw")
+    labels = [item.label for item in ranked]
+    weights = [item.weight for item in ranked]
+    ratios = [w / (variance_of[label] * r) for r, (label, w) in enumerate(ranked, start=1)]
+    return first_crossing_index(RankedTable.from_columns(labels, weights, ratios), "ivw")
 
 
 def xo_index(corpus: Corpus, ratio_type: str = "h", jobs: int = 1) -> IndexResult:

@@ -15,14 +15,25 @@ order), then a threshold rule over a per-rank ratio yields the index value:
 
 All comparisons are exact floating comparisons; ratios are plain divisions
 with no rounding, so a weight exactly equal to its rank qualifies.
+
+Tables are held in column form: a RankedTable keeps parallel labels,
+weights and ratios tuples, with ranks implicit as 1..n. Ranking is two
+stable C-keyed sorts, ratios and the value come from map/accumulate/
+compress passes, and the table invariants are checked by C-level passes,
+so no RankRow is built on the way to a report. The row view (RankRow
+tuples) is built on first read of RankedTable.rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from itertools import accumulate, compress, count, repeat
+from operator import ge, itemgetter, lt, mul, truediv
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import WeightedItem
+from .errors import NonFiniteWeight
 
 INDEX_KINDS = ("x", "xc", "xd", "xdf", "xdfn", "ivw", "xo", "nested")
 RATIO_TYPES = ("h", "g")
@@ -35,25 +46,88 @@ class RankRow(NamedTuple):
     ratio: float
 
 
-@dataclass(frozen=True)
+def _column(rows: Sequence[Sequence], field: int) -> tuple:
+    return tuple(map(itemgetter(field), rows))
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an exact Fraction beyond the float range
+        return False
+
+
 class RankedTable:
-    """Rank-ordered rows; ranks run 1..n and weights never increase."""
+    """Rank-ordered columns; ranks run 1..n and weights never increase.
 
-    rows: tuple[RankRow, ...]
+    RankedTable(rows) takes RankRow-shaped tuples; from_columns takes the
+    parallel columns the kernel produces. A weight or ratio outside the
+    float range raises NonFiniteWeight, since no report could print it.
+    """
 
-    def __post_init__(self) -> None:
-        prev_weight = None
-        for i, row in enumerate(self.rows, start=1):
-            if row.rank != i:
-                raise ValueError(f"ranks must be consecutive from 1; got {row.rank} at position {i}")
-            if row.weight < 0:
-                raise ValueError(f"negative weight at rank {i}")
-            if prev_weight is not None and row.weight > prev_weight:
-                raise ValueError(f"weights increase at rank {i}")
-            prev_weight = row.weight
+    __slots__ = ("labels", "weights", "ratios", "_rows")
+
+    def __init__(self, rows: Iterable[RankRow]):
+        rows = tuple(rows)
+        ranks, labels, weights, ratios = (_column(rows, field) for field in range(4))
+        if ranks != tuple(range(1, len(ranks) + 1)):
+            i = next(i for i, rank in enumerate(ranks, start=1) if rank != i)
+            raise ValueError(f"ranks must be consecutive from 1; got {ranks[i - 1]} at position {i}")
+        self._init(labels, weights, ratios, rows)
+
+    @classmethod
+    def from_columns(
+        cls, labels: Sequence[str], weights: Sequence[float], ratios: Sequence[float]
+    ) -> RankedTable:
+        table = cls.__new__(cls)
+        table._init(tuple(labels), tuple(weights), tuple(ratios), None)
+        return table
+
+    def _init(self, labels: tuple, weights: tuple, ratios: tuple, rows) -> None:
+        if not len(labels) == len(weights) == len(ratios):
+            raise ValueError("label, weight and ratio columns differ in length")
+        if any(map(lt, weights, repeat(0))):
+            i = next(i for i, w in enumerate(weights, start=1) if w < 0)
+            raise ValueError(f"negative weight at rank {i}")
+        if any(map(lt, weights, weights[1:])):
+            i = next(i for i in range(1, len(weights)) if weights[i - 1] < weights[i])
+            raise ValueError(f"weights increase at rank {i + 1}")
+        # The first weight is the largest, so an overflowed total shows there.
+        if weights and not _finite(weights[0]):
+            raise NonFiniteWeight(labels[0])
+        if ratios and not _finite(top := max(ratios)):
+            raise NonFiniteWeight(labels[ratios.index(top)])
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "_rows", rows)
+
+    @property
+    def rows(self) -> tuple[RankRow, ...]:
+        if self._rows is None:
+            rows = tuple(map(RankRow, count(1), self.labels, self.weights, self.ratios))
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("RankedTable is immutable")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.labels)
+
+    def _columns(self) -> tuple:
+        return (self.labels, self.weights, self.ratios)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RankedTable):
+            return NotImplemented
+        return self._columns() == other._columns()
+
+    def __hash__(self) -> int:
+        return hash(self._columns())
+
+    def __repr__(self) -> str:
+        return f"RankedTable(rows={self.rows!r})"
 
 
 @dataclass(frozen=True)
@@ -77,36 +151,38 @@ class IndexResult:
 def rank_items(items: Iterable[WeightedItem]) -> list[WeightedItem]:
     """Sort descending by weight, ties by label ascending.
 
-    The tie-break makes table output byte-reproducible; it cannot affect the
+    Two stable sorts keyed in C: by label, then by weight reversed (a
+    reversed stable sort keeps equal keys in their prior order). The
+    tie-break makes table output byte-reproducible; it cannot affect the
     index value, which depends on the weight multiset alone.
     """
-    return sorted(items, key=lambda it: (-it.weight, it.label))
+    ranked = sorted(items, key=itemgetter(0))
+    ranked.sort(key=itemgetter(1), reverse=True)
+    return ranked
+
+
+def _ranked_columns(items: Iterable[WeightedItem]) -> tuple[tuple, tuple]:
+    ranked = rank_items(items)
+    return _column(ranked, 0), _column(ranked, 1)
 
 
 def h_type_index(items: Iterable[WeightedItem], kind: str = "x") -> IndexResult:
-    ranked = rank_items(items)
-    rows = []
-    value = 0
-    for r, item in enumerate(ranked, start=1):
-        ratio = item.weight / r
-        rows.append(RankRow(r, item.label, item.weight, ratio))
-        if ratio >= 1.0:
-            value = r
-    return IndexResult(kind, "h", value, RankedTable(tuple(rows)))
+    labels, weights = _ranked_columns(items)
+    ranks = range(1, len(weights) + 1)
+    ratios = tuple(map(truediv, weights, ranks))
+    value = max(compress(ranks, map(ge, ratios, repeat(1.0))), default=0)
+    return IndexResult(kind, "h", value, RankedTable.from_columns(labels, weights, ratios))
 
 
 def g_type_index(items: Iterable[WeightedItem], kind: str = "x") -> IndexResult:
-    ranked = rank_items(items)
-    rows = []
-    value = 0
-    cumulative = 0  # int start keeps exact (rational) weights exact
-    for r, item in enumerate(ranked, start=1):
-        cumulative += item.weight
-        ratio = cumulative / (r * r)
-        rows.append(RankRow(r, item.label, item.weight, ratio))
-        if cumulative >= r * r:
-            value = r
-    return IndexResult(kind, "g", value, RankedTable(tuple(rows)))
+    labels, weights = _ranked_columns(items)
+    ranks = range(1, len(weights) + 1)
+    squares = tuple(map(mul, ranks, ranks))
+    # int start keeps exact (rational) weights exact; drop the start itself
+    cumulative = tuple(accumulate(weights, initial=0))[1:]
+    ratios = tuple(map(truediv, cumulative, squares))
+    value = max(compress(ranks, map(ge, cumulative, squares)), default=0)
+    return IndexResult(kind, "g", value, RankedTable.from_columns(labels, weights, ratios))
 
 
 def first_crossing_index(ranked: RankedTable, kind: str = "ivw") -> IndexResult:
@@ -115,12 +191,8 @@ def first_crossing_index(ranked: RankedTable, kind: str = "ivw") -> IndexResult:
     The caller chooses the ranking basis and fills the ratio column; this
     only scans for the first rank where the ratio drops below 1.
     """
-    value = len(ranked)
-    for row in ranked.rows:
-        if row.ratio < 1.0:
-            value = row.rank - 1
-            break
-    return IndexResult(kind, "h", value, ranked)
+    crossings = compress(count(), map(lt, ranked.ratios, repeat(1.0)))
+    return IndexResult(kind, "h", next(crossings, len(ranked)), ranked)
 
 
 def kernel_index(items: Iterable[WeightedItem], ratio_type: str, kind: str) -> IndexResult:

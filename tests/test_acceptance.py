@@ -21,8 +21,6 @@ from xindices import (
     g_type_index,
     h_type_index,
     ivw_xd_index,
-    naive_g_oracle,
-    naive_h_oracle,
     nested_index,
     parse_table,
     partition_by_group,
@@ -37,6 +35,7 @@ from xindices.cli import main
 from xindices.stats import ReferenceStats, StatsEntry
 
 from conftest import items, random_records, record
+from oracles import naive_g_oracle, naive_h_oracle
 
 
 @contextlib.contextmanager

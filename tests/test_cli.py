@@ -107,6 +107,31 @@ def test_compute_duplicate_id_exit_1(tmp_path, capsys):
     assert "duplicate" in err
 
 
+OVERFLOW = (
+    "id,citations,keywords,categories,institutions\n"
+    "p1,1e308,a,C,I1\n"
+    "p2,1e308,a,D,I1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--index", "x"),
+        ("compute", "--index", "xd", "--type", "g"),
+        ("nested", "--group-col", "institutions"),
+    ],
+)
+def test_overflowing_citation_totals_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "huge.csv"
+    path.write_text(OVERFLOW)
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "not a finite number" in err
+
+
 def test_ivw_without_stats_exit_2(toy_csv, capsys):
     code, _, err = run(capsys, "compute", "--input", toy_csv, "--index", "ivw")
     assert code == 2

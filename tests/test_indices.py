@@ -17,7 +17,6 @@ from xindices import (
     estimate_stats,
     h_type_index,
     ivw_xd_index,
-    naive_h_oracle,
     nested_index,
     partition_by_group,
     x_index,
@@ -31,6 +30,7 @@ from xindices.corpus import WeightedItem
 from xindices.stats import ReferenceStats, StatsEntry
 
 from conftest import random_records, record
+from oracles import naive_h_oracle
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -96,6 +96,22 @@ def test_xc_table_labels_are_pairs():
     corpus = build_corpus([record("p1", 3, keywords=("a",), categories=("c1", "c2"))])
     labels = [row.label for row in xc_index(corpus, "h").table.rows]
     assert labels == ["a@c1", "a@c2"]
+
+
+def test_xc_pairs_with_separator_in_labels_stay_apart():
+    # Both pairs render as "a@b@c"; they are still two items of 5.
+    corpus = build_corpus(
+        [
+            record("p1", 5, keywords=("a@b",), categories=("c",)),
+            record("p2", 5, keywords=("a",), categories=("b@c",)),
+        ]
+    )
+    result = xc_index(corpus, "h")
+    assert result.value == 2
+    assert [(row.label, row.weight) for row in result.table.rows] == [
+        ("a@b@c", 5.0),
+        ("a@b@c", 5.0),
+    ]
 
 
 # --- xd ---------------------------------------------------------------------

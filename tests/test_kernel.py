@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from xindices import (
+    NonFiniteWeight,
     RankedTable,
     RankRow,
+    WeightedItem,
     first_crossing_index,
     g_type_index,
     h_type_index,
-    naive_g_oracle,
-    naive_h_oracle,
 )
 from xindices.kernel import rank_items
 
 from conftest import items
+from oracles import naive_g_oracle, naive_h_oracle
 
 weight_lists = st.lists(
     st.one_of(
@@ -205,6 +208,41 @@ def test_ranked_table_rejects_increasing_weights():
 def test_ranked_table_rejects_rank_gap():
     with pytest.raises(ValueError):
         RankedTable((RankRow(2, "a", 1.0, 0.5),))
+
+
+def test_ranked_table_rejects_negative_weight():
+    with pytest.raises(ValueError, match="negative weight at rank 2"):
+        RankedTable((RankRow(1, "a", 1.0, 1.0), RankRow(2, "b", -1.0, -0.5)))
+
+
+def test_ranked_table_rows_and_columns_agree():
+    result = g_type_index(items(9, 4, 4))
+    table = result.table
+    assert table.labels == ("k000", "k001", "k002")
+    assert table.weights == (9.0, 4.0, 4.0)
+    assert RankedTable(table.rows) == table
+    assert hash(RankedTable(table.rows)) == hash(table)
+    assert len(table) == 3
+    with pytest.raises(AttributeError):
+        table.labels = ()
+
+
+def test_ranked_table_rejects_ragged_columns():
+    with pytest.raises(ValueError, match="differ in length"):
+        RankedTable.from_columns(("a", "b"), (2.0, 1.0), (2.0,))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (float("inf"), 3.0),  # an overflowed total ranks first
+        (1e308, 1e308),  # g-type: the cumulative weight overflows
+        (Fraction(10**400), 3),  # exact, but beyond the float range
+    ],
+)
+def test_non_finite_weights_raise_typed_error(weights):
+    with pytest.raises(NonFiniteWeight):
+        g_type_index([WeightedItem(f"k{i}", w) for i, w in enumerate(weights)])
 
 
 def test_rank_items_is_deterministic():

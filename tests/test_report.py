@@ -1,0 +1,125 @@
+"""Report rendering: pinned bytes, and the hand-laid JSON against json.dumps."""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from xindices import WeightedItem, g_type_index, h_type_index
+from xindices.cli import main
+from xindices.kernel import INDEX_KINDS
+from xindices.numfmt import format_number
+from xindices.report import Report
+
+from test_acceptance import _synthetic_csv
+
+# SHA-256 of `compute --index xc` reports on a 2 000-publication corpus,
+# recorded before the column-form kernel and renderer replaced the row-wise
+# ones. Report bytes are a promise: a change here needs a CHANGES.md entry.
+GOLDEN_XC = {
+    ("h", "json"): "96ad9e5b126b9979c8b6dd846977d4b6c6913e23d674383c56d37e594ad91f8e",
+    ("h", "csv"): "dc18bb207097b29fc5f56717d3e179479dd81251435b8bc3c339b06ad1ea9533",
+    ("h", "table"): "74cfe0a0efdb6cc7081cfacafacb5b444b76e836ea10ba1f48968d83aeb0cf56",
+    ("g", "json"): "575d004750d9f7a6d7b37d5a1cea53290f9ddb9369dd3705466c53f40282251f",
+}
+
+
+@pytest.mark.parametrize(("ratio_type", "fmt"), sorted(GOLDEN_XC))
+def test_xc_report_bytes_are_pinned(tmp_path, monkeypatch, ratio_type, fmt):
+    # Relative paths: the input path is echoed into the json config.
+    monkeypatch.chdir(tmp_path)
+    _synthetic_csv(tmp_path / "corpus.csv", 2_000, 4, 400, 30, 50, seed=2026)
+    code = main(
+        [
+            "compute", "--input", "corpus.csv", "--index", "xc", "--type", ratio_type,
+            "--format", fmt, "--out", "report",
+        ]
+    )
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "report").read_bytes()).hexdigest()
+    assert digest == GOLDEN_XC[ratio_type, fmt]
+
+
+# --- hand-laid renderers against row-wise references -------------------------
+
+awkward_labels = st.text(
+    alphabet=st.one_of(
+        st.characters(),
+        st.sampled_from('"\\\x00\x07\x1f\x7f\n\t\r  é中@;,'),
+    ),
+    max_size=12,
+)
+weights = st.one_of(
+    st.integers(min_value=0, max_value=10**6).map(float),
+    st.floats(min_value=0, max_value=1e300, allow_nan=False),
+    st.integers(min_value=10**16 - 3, max_value=10**18).map(float),
+    st.just(1e16),
+    st.fractions(min_value=0, max_value=10**6),
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | awkward_labels,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(awkward_labels, children, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def reports(draw):
+    entries = draw(st.lists(st.tuples(awkward_labels, weights), max_size=25))
+    kernel = draw(st.sampled_from((h_type_index, g_type_index)))
+    result = kernel([WeightedItem(*e) for e in entries], draw(st.sampled_from(INDEX_KINDS)))
+    return Report(
+        draw(awkward_labels),
+        draw(st.sampled_from(("compute", "nested"))),
+        result,
+        draw(st.dictionaries(awkward_labels, json_values, max_size=4)),
+        draw(st.lists(awkward_labels, max_size=3)),
+    )
+
+
+def _csv_from_rows(report: Report) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("rank", "label", "weight", "ratio"))
+    for row in report.result.table.rows:
+        writer.writerow([row.rank, row.label, format_number(row.weight), format_number(row.ratio)])
+    return out.getvalue()
+
+
+def _table_from_rows(report: Report) -> str:
+    cells = [["rank", "label", "weight", "ratio"]]
+    for row in report.result.table.rows:
+        cells.append([str(row.rank), row.label, format_number(row.weight), format_number(row.ratio)])
+    widths = [max(len(line[col]) for line in cells) for col in range(4)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in cells]
+    result = report.result
+    lines.extend(f"warning: {w}" for w in report.warnings)
+    return "\n".join([f"{result.kind}-index ({result.ratio_type}-type)", *lines, str(result.value)]) + "\n"
+
+
+@settings(deadline=None)
+@given(reports())
+def test_to_json_equals_indented_dumps_of_to_dict(report):
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n"
+
+
+@settings(deadline=None)
+@given(reports())
+def test_csv_and_table_equal_row_wise_rendering(report):
+    assert report.to_csv() == _csv_from_rows(report)
+    assert report.to_table() == _table_from_rows(report)
+
+
+def test_empty_table_and_envelope_layout():
+    report = Report("0.1.0", "compute", h_type_index([]), {}, [])
+    assert report.to_json() == (
+        '{\n  "version": "0.1.0",\n  "command": "compute",\n  "index": "x",\n'
+        '  "ratio_type": "h",\n  "value": 0,\n  "table": [],\n  "config": {},\n'
+        '  "warnings": []\n}\n'
+    )
