@@ -16,6 +16,7 @@ from .corpus import (
 from .errors import (
     AmbiguousSeparator,
     BadCitations,
+    BadEncoding,
     BadStatsRow,
     ComputeError,
     CorpusError,
@@ -27,6 +28,7 @@ from .errors import (
     MissingGroupLabel,
     MissingStats,
     NegativeCitations,
+    NonFiniteStats,
     NonFiniteWeight,
     NonPositiveMean,
     RankBasisUnsupported,
@@ -108,6 +110,7 @@ __all__ = [
     "ComputeError",
     "MissingColumn",
     "BadCitations",
+    "BadEncoding",
     "MalformedRow",
     "AmbiguousSeparator",
     "InvalidConfig",
@@ -118,6 +121,7 @@ __all__ = [
     "MissingStats",
     "NonPositiveMean",
     "NonFiniteWeight",
+    "NonFiniteStats",
     "ZeroOrMissingVariance",
     "RankBasisUnsupported",
     "__version__",

@@ -1,9 +1,9 @@
 """Command-line surface: compute, nested, stats, validate.
 
-Exit codes: 0 success, 1 ingest or validation failure, 2 computation
-failure (missing stats, unusable variance, unsupported rank basis, citation
-totals beyond the float range). Error messages go to stderr; reports go to
-stdout or --out.
+Exit codes: 0 success, 1 ingest or validation failure or an unwritable
+--out, 2 computation failure (missing stats, unusable variance, unsupported
+rank basis, citation totals or variances beyond the float range). Error
+messages go to stderr; reports go to stdout or --out.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import IO, Sequence
 
 from . import __version__
 from .corpus import build_corpus, partition_by_group
-from .errors import MissingStats, XIndicesError
+from .errors import ComputeError, MissingStats, XIndicesError
 from .indices import (
     ivw_xd_index,
     nested_index,
@@ -64,7 +64,9 @@ def _add_ingest_flags(parser: argparse.ArgumentParser) -> None:
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", default="json", choices=["json", "csv", "table"])
     parser.add_argument("--out", default=None, help="write the report to this file instead of stdout")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for per-group/per-category steps")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; every step currently runs serially"
+    )
 
 
 def _ingest_config(args: argparse.Namespace, group_col: str | None = None) -> IngestConfig:
@@ -124,12 +126,17 @@ def _config_echo(args: argparse.Namespace, config: IngestConfig) -> dict:
     }
 
 
-def _emit(args: argparse.Namespace, rendered: str) -> None:
-    if args.out:
+def _emit(args: argparse.Namespace, rendered: str) -> int:
+    if not args.out:
+        sys.stdout.write(rendered)
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _resolve_stats(args: argparse.Namespace, ref_stats: ReferenceStats | None, corpus) -> tuple[ReferenceStats, str]:
@@ -187,8 +194,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             return 2
 
         report = Report(__version__, "compute", result, echo, collector.messages)
-        _emit(args, report.render(args.format))
-        return 0
+        return _emit(args, report.render(args.format))
     finally:
         logger.removeHandler(collector)
 
@@ -224,8 +230,7 @@ def cmd_nested(args: argparse.Namespace) -> int:
             }
         )
         report = Report(__version__, "nested", result, echo, collector.messages)
-        _emit(args, report.render(args.format))
-        return 0
+        return _emit(args, report.render(args.format))
     finally:
         logger.removeHandler(collector)
 
@@ -239,7 +244,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    stats = estimate_stats(corpus, args.variance)
+    try:
+        stats = estimate_stats(corpus, args.variance)
+    except ComputeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for entry in stats.entries():
         if entry.n < SMALL_SAMPLE_THRESHOLD:
             print(
@@ -254,8 +263,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 "loaded back as reference stats",
                 file=sys.stderr,
             )
-    with open(args.out, "wb") as fh:
-        write_reference_stats(stats, fh)
+    try:
+        with open(args.out, "wb") as fh:
+            write_reference_stats(stats, fh)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

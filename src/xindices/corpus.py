@@ -1,16 +1,21 @@
 """Publication data model and the aggregation views every index is built on.
 
-A Corpus is immutable once built. All derived views (keyword totals, pair
-totals, category totals, per-category citation samples) are materialised at
-construction time and are pure functions of the publication multiset:
-contributions are accumulated over publications sorted by id, so permuting
-the input record list yields bitwise-identical views and index values.
+A Corpus is immutable once built. It validates its records eagerly; each
+derived view (keyword totals, per-category keyword totals, pair totals,
+category totals, per-category citation samples) is built on first read and
+cached, so a command pays only for the views its index reads. Views are
+pure functions of the publication multiset: contributions are accumulated
+over publications sorted by id, so permuting the input record list, or
+reading the views in another order, yields bitwise-identical views and
+index values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from functools import partial
+from operator import attrgetter, itemgetter
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateId, MissingGroupLabel, NegativeCitations
 
@@ -68,21 +73,24 @@ class WeightedItem(NamedTuple):
     weight: float
 
 
-def _sorted_items(totals: Mapping[str, float]) -> tuple[WeightedItem, ...]:
-    return tuple(WeightedItem(label, totals[label]) for label in sorted(totals))
+#: A view item in the plain form views are held in: (label, weight). The
+#: collector untracks plain tuples of a str and a float, but never a
+#: WeightedItem, so large views are kept as plain tuples.
+Item = tuple[str, float]
+
+#: The views Corpus.items() serves, each sorted by label.
+ITEM_VIEWS = ("keywords", "pairs", "categories", "categories_fractional")
+
+
+def _weighted(items: Iterable[Item]) -> list[WeightedItem]:
+    return list(map(WeightedItem._make, items))
 
 
 class Corpus:
-    """Immutable collection of publications plus precomputed aggregation views."""
+    """Immutable collection of publications; each aggregation view is built
+    on first read and cached."""
 
-    __slots__ = (
-        "publications",
-        "_keyword_totals",
-        "_pair_totals",
-        "_category_totals_whole",
-        "_category_totals_fractional",
-        "_category_samples",
-    )
+    __slots__ = ("publications", "_views")
 
     def __init__(self, records: Iterable[PublicationRecord]):
         publications = tuple(records)
@@ -94,52 +102,7 @@ class Corpus:
             if rec.citations < 0:
                 raise NegativeCitations(rec.id)
         object.__setattr__(self, "publications", publications)
-
-        # Canonical accumulation order: ids are unique, so sorting by id makes
-        # every float sum independent of input order.
-        ordered = sorted(publications, key=lambda r: r.id)
-
-        kw_totals: dict[str, float] = {}
-        pair_totals: dict[str, dict[str, float]] = {}  # category -> keyword -> total
-        cat_whole: dict[str, float] = {}
-        cat_frac: dict[str, float] = {}
-        samples: dict[str, list[float]] = {}
-        for rec in ordered:
-            cits = float(rec.citations)
-            for kw in rec.keywords:
-                kw_totals[kw] = kw_totals.get(kw, 0.0) + cits
-            divisor = len(rec.institutions) or 1
-            frac = cits / divisor
-            for cat in rec.categories:
-                cat_whole[cat] = cat_whole.get(cat, 0.0) + cits
-                cat_frac[cat] = cat_frac.get(cat, 0.0) + frac
-                samples.setdefault(cat, []).append(cits)
-                in_cat = pair_totals.get(cat)
-                if in_cat is None:
-                    in_cat = pair_totals[cat] = {}
-                for kw in rec.keywords:
-                    in_cat[kw] = in_cat.get(kw, 0.0) + cits
-
-        object.__setattr__(self, "_keyword_totals", _sorted_items(kw_totals))
-        # Keyed by category, then keyword, so "a@b" in "c" and "a" in "b@c"
-        # stay two items (both labelled "a@b@c", in accumulation order). All
-        # labels are made before any item so that the items sit together in
-        # memory: the garbage collector walks every item on each full
-        # collection, and items interleaved with their labels made
-        # partition_by_group measurably slower.
-        labels = [f"{kw}{PAIR_SEPARATOR}{cat}" for cat, in_cat in pair_totals.items() for kw in in_cat]
-        totals = [total for in_cat in pair_totals.values() for total in in_cat.values()]
-        by_label = sorted(range(len(labels)), key=labels.__getitem__)
-        object.__setattr__(
-            self, "_pair_totals", tuple(WeightedItem(labels[i], totals[i]) for i in by_label)
-        )
-        object.__setattr__(self, "_category_totals_whole", _sorted_items(cat_whole))
-        object.__setattr__(self, "_category_totals_fractional", _sorted_items(cat_frac))
-        object.__setattr__(
-            self,
-            "_category_samples",
-            {cat: tuple(samples[cat]) for cat in sorted(samples)},
-        )
+        object.__setattr__(self, "_views", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Corpus is immutable")
@@ -147,10 +110,31 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.publications)
 
+    def _view(self, name: str):
+        # Two threads reading a view first may both build it; the builds
+        # are equal and the later one is kept.
+        view = self._views.get(name)
+        if view is None:
+            view = self._views[name] = _BUILDERS[name](self)
+        return view
+
+    def items(self, view: str) -> tuple[Item, ...]:
+        """One of ITEM_VIEWS as plain (label, weight) tuples sorted by label:
+        the kernel input the index functions read. The *_totals methods
+        return the same values as WeightedItem lists."""
+        if view not in ITEM_VIEWS:
+            raise ValueError(f"unknown view {view!r}")
+        return self._view(view)
+
+    def keyword_items_by_category(self) -> dict[str, Collection[Item]]:
+        """Per category, the (keyword, in-category total) items of its
+        publications: the pair view before its labels are joined."""
+        return {cat: in_cat.items() for cat, in_cat in self._view("keywords_by_category").items()}
+
     def keyword_totals(self) -> list[WeightedItem]:
         """One item per distinct keyword; weight is the sum of citations of
         all publications listing it (full count replicated per keyword)."""
-        return list(self._keyword_totals)
+        return _weighted(self._view("keywords"))
 
     def pair_totals(self) -> list[WeightedItem]:
         """One item per distinct (keyword, category) pair; a publication
@@ -158,7 +142,7 @@ class Corpus:
         combination it carries. Labels read "keyword@category"; pairs whose
         labels coincide (a keyword or category containing "@") remain
         separate items."""
-        return list(self._pair_totals)
+        return _weighted(self._view("pairs"))
 
     def category_totals(self, mode: str = "whole") -> list[WeightedItem]:
         """One item per distinct category.
@@ -168,19 +152,84 @@ class Corpus:
         on the record), with divisor 1 when the institution list is empty.
         """
         if mode == "whole":
-            return list(self._category_totals_whole)
+            return _weighted(self._view("categories"))
         if mode == "fractional":
-            return list(self._category_totals_fractional)
+            return _weighted(self._view("categories_fractional"))
         raise ValueError(f"unknown counting mode {mode!r}")
 
     def category_samples(self) -> dict[str, list[float]]:
         """Per category, the multiset of whole citation counts of the
         publications tagged with it (input to the field-stats estimators)."""
-        return {cat: list(vals) for cat, vals in self._category_samples.items()}
+        return {cat: list(vals) for cat, vals in self._view("samples").items()}
+
+
+# View builders. Each accumulates over the publications sorted by id, so
+# every float sum is independent of input order and of which views were
+# read before it.
+
+
+def _by_id(corpus: Corpus) -> tuple[PublicationRecord, ...]:
+    # ids are unique, so this order is canonical
+    return tuple(sorted(corpus.publications, key=attrgetter("id")))
+
+
+def _totals(corpus: Corpus, field: str, fractional: bool = False) -> tuple[Item, ...]:
+    """Citations summed per label of the record field; with fractional,
+    each record's citations are divided by its number of institutions."""
+    totals: dict[str, float] = {}
+    for rec in corpus._view("by_id"):
+        cits = float(rec.citations)
+        if fractional:
+            cits = cits / (len(rec.institutions) or 1)
+        for label in getattr(rec, field):
+            totals[label] = totals.get(label, 0.0) + cits
+    return tuple(sorted(totals.items()))
+
+
+def _keywords_by_category(corpus: Corpus) -> dict[str, dict[str, float]]:
+    by_category: dict[str, dict[str, float]] = {}
+    for rec in corpus._view("by_id"):
+        cits = float(rec.citations)
+        for cat in rec.categories:
+            in_cat = by_category.get(cat)
+            if in_cat is None:
+                in_cat = by_category[cat] = {}
+            for kw in rec.keywords:
+                in_cat[kw] = in_cat.get(kw, 0.0) + cits
+    return by_category
+
+
+def _pairs(corpus: Corpus) -> tuple[Item, ...]:
+    # Keyed by category, then keyword, so "a@b" in "c" and "a" in "b@c"
+    # stay two items, both labelled "a@b@c", in accumulation order.
+    by_category = corpus._view("keywords_by_category")
+    labels = [f"{kw}{PAIR_SEPARATOR}{cat}" for cat, in_cat in by_category.items() for kw in in_cat]
+    totals = [total for in_cat in by_category.values() for total in in_cat.values()]
+    return tuple(sorted(zip(labels, totals), key=itemgetter(0)))
+
+
+def _samples(corpus: Corpus) -> dict[str, tuple[float, ...]]:
+    samples: dict[str, list[float]] = {}
+    for rec in corpus._view("by_id"):
+        cits = float(rec.citations)
+        for cat in rec.categories:
+            samples.setdefault(cat, []).append(cits)
+    return {cat: tuple(samples[cat]) for cat in sorted(samples)}
+
+
+_BUILDERS = {
+    "by_id": _by_id,
+    "keywords": partial(_totals, field="keywords"),
+    "keywords_by_category": _keywords_by_category,
+    "pairs": _pairs,
+    "categories": partial(_totals, field="categories"),
+    "categories_fractional": partial(_totals, field="categories", fractional=True),
+    "samples": _samples,
+}
 
 
 def build_corpus(records: Iterable[PublicationRecord]) -> Corpus:
-    """Validate records and materialise all aggregation views.
+    """Validate records into a Corpus, whose views are built on first read.
 
     Raises DuplicateId if two records share an id, NegativeCitations if any
     citation count is below zero.

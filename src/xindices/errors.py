@@ -16,6 +16,16 @@ class IngestError(XIndicesError):
     """A delimited input file (records or reference stats) could not be read."""
 
 
+class BadEncoding(IngestError):
+    """The input bytes are not UTF-8. Line is 1-based and counts physical
+    lines, the header included."""
+
+    def __init__(self, line: int, byte: int):
+        self.line = line
+        self.byte = byte
+        super().__init__(f"line {line}: input is not UTF-8 text (byte 0x{byte:02x})")
+
+
 class MissingColumn(IngestError):
     def __init__(self, name: str):
         self.name = name
@@ -23,8 +33,8 @@ class MissingColumn(IngestError):
 
 
 class BadCitations(IngestError):
-    """Citation cell is non-numeric, negative, or not finite. Row is 1-based
-    and counts the header as row 1."""
+    """Citation cell is non-numeric (a CSV number: no digit separators),
+    negative, or not finite. Row is 1-based and counts the header as row 1."""
 
     def __init__(self, row: int, text: str):
         self.row = row
@@ -112,6 +122,15 @@ class NonFiniteWeight(ComputeError):
         super().__init__(
             f"ranked weight or ratio of {label!r} is not a finite number "
             "(citation totals overflow the float range)"
+        )
+
+
+class NonFiniteStats(ComputeError):
+    def __init__(self, category: str):
+        self.category = category
+        super().__init__(
+            f"citation variance of category {category!r} is not a finite number "
+            "(citation counts spread beyond the float range)"
         )
 
 

@@ -8,17 +8,17 @@ categories by their own nested keyword-level x-indices; nested_index ranks
 groups of corpora (typically institutions) by their inner x or xd values.
 
 Inner values for xo and nested_index are always h-type; the ratio_type
-argument selects the outer kernel only.
+argument selects the outer kernel only. Each function reads only the corpus
+views it ranks, as plain (label, weight) tuples.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Mapping
 
-from .corpus import Corpus, WeightedItem
+from .corpus import Corpus
 from .errors import (
     MissingStats,
     NonPositiveMean,
@@ -39,24 +39,24 @@ logger = logging.getLogger("xindices")
 
 def x_index(corpus: Corpus, ratio_type: str = "h") -> IndexResult:
     """Depth of fine-grained expertise: kernel over keyword citation totals."""
-    return kernel_index(corpus.keyword_totals(), ratio_type, "x")
+    return kernel_index(corpus.items("keywords"), ratio_type, "x")
 
 
 def xc_index(corpus: Corpus, ratio_type: str = "h") -> IndexResult:
     """Overlap-adjusted depth: a keyword appearing under several categories
     is ranked once per (keyword, category) pair."""
-    return kernel_index(corpus.pair_totals(), ratio_type, "xc")
+    return kernel_index(corpus.items("pairs"), ratio_type, "xc")
 
 
 def xd_index(corpus: Corpus, ratio_type: str = "h") -> IndexResult:
     """Breadth of expertise: kernel over whole category citation totals."""
-    return kernel_index(corpus.category_totals("whole"), ratio_type, "xd")
+    return kernel_index(corpus.items("categories"), ratio_type, "xd")
 
 
 def xdf_index(corpus: Corpus, ratio_type: str = "h") -> IndexResult:
     """Collaboration-adjusted breadth: category totals under fractional
     (per-institution) citation counting."""
-    return kernel_index(corpus.category_totals("fractional"), ratio_type, "xdf")
+    return kernel_index(corpus.items("categories_fractional"), ratio_type, "xdf")
 
 
 def _lookup(
@@ -94,16 +94,16 @@ def xdfn_index(
         raise MissingStats()
     dropped: list[str] = []
     scored = []
-    for item in corpus.category_totals("whole"):
-        entry = _lookup(stats, item.label, strict, dropped)
+    for label, total in corpus.items("categories"):
+        entry = _lookup(stats, label, strict, dropped)
         if entry is None:
             continue
         if entry.mean <= 0:
             if strict:
-                raise NonPositiveMean(item.label)
-            dropped.append(item.label)
+                raise NonPositiveMean(label)
+            dropped.append(label)
             continue
-        scored.append(WeightedItem(item.label, Fraction(item.weight) / Fraction(entry.mean)))
+        scored.append((label, Fraction(total) / Fraction(entry.mean)))
     if dropped:
         logger.warning(
             "dropped %d categories without usable reference means: %s",
@@ -162,14 +162,13 @@ def ivw_xd_index(
     if rank_basis == "raw" and ratio_type == "g":
         raise RankBasisUnsupported()
 
-    totals = corpus.category_totals("whole")
     dropped: list[str] = []
     kept = []
-    for item in totals:
-        entry = _lookup(stats, item.label, strict, dropped)
+    for label, total in corpus.items("categories"):
+        entry = _lookup(stats, label, strict, dropped)
         if entry is None:
             continue
-        kept.append((item, _variance_for(entry, item.label, variance_floor)))
+        kept.append((label, total, _variance_for(entry, label, variance_floor)))
     if dropped:
         logger.warning(
             "dropped %d categories without reference variances: %s",
@@ -178,13 +177,13 @@ def ivw_xd_index(
         )
 
     if rank_basis == "weighted":
-        scored = [WeightedItem(item.label, item.weight / v) for item, v in kept]
+        scored = [(label, total / v) for label, total, v in kept]
         return kernel_index(scored, ratio_type, "ivw")
 
-    variance_of = {item.label: v for item, v in kept}
-    ranked = rank_items([item for item, _ in kept])
-    labels = [item.label for item in ranked]
-    weights = [item.weight for item in ranked]
+    variance_of = {label: v for label, _, v in kept}
+    ranked = rank_items([(label, total) for label, total, _ in kept])
+    labels = [label for label, _ in ranked]
+    weights = [w for _, w in ranked]
     ratios = [w / (variance_of[label] * r) for r, (label, w) in enumerate(ranked, start=1)]
     return first_crossing_index(RankedTable.from_columns(labels, weights, ratios), "ivw")
 
@@ -193,28 +192,14 @@ def xo_index(corpus: Corpus, ratio_type: str = "h", jobs: int = 1) -> IndexResul
     """Overall expertise: kernel over the per-category nested x-indices.
 
     Each category's inner value is the h-type x-index over the keywords of
-    the publications tagged with it, weighted by in-category citations. The
-    per-category computations may run on several threads; the final ranking
-    is sorted deterministically, so the result is independent of scheduling.
+    the publications tagged with it, weighted by in-category citations:
+    the per-category keyword totals the pair view is built from. jobs is
+    accepted for compatibility; the categories are scored serially.
     """
-    per_category: dict[str, dict[str, float]] = {}
-    for rec in sorted(corpus.publications, key=lambda r: r.id):
-        cits = float(rec.citations)
-        for cat in rec.categories:
-            totals = per_category.setdefault(cat, {})
-            for kw in rec.keywords:
-                totals[kw] = totals.get(kw, 0.0) + cits
-    categories = sorted(per_category)
-
-    def inner(cat: str) -> WeightedItem:
-        items = [WeightedItem(kw, w) for kw, w in per_category[cat].items()]
-        return WeightedItem(cat, float(kernel_index(items, "h", "x").value))
-
-    if jobs > 1 and len(categories) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            scored = list(pool.map(inner, categories))
-    else:
-        scored = [inner(cat) for cat in categories]
+    by_category = corpus.keyword_items_by_category()
+    scored = [
+        (cat, float(kernel_index(by_category[cat], "h", "x").value)) for cat in sorted(by_category)
+    ]
     return kernel_index(scored, ratio_type, "xo")
 
 
@@ -225,18 +210,10 @@ def nested_index(
     jobs: int = 1,
 ) -> IndexResult:
     """Group-level index: the kernel applied to each group's inner h-type
-    x or xd value (the xx and xx_d aggregates)."""
+    x or xd value (the xx and xx_d aggregates). jobs is accepted for
+    compatibility; the groups are scored serially."""
     if inner not in ("x", "xd"):
         raise ValueError(f"unknown inner index {inner!r}")
     inner_fn = x_index if inner == "x" else xd_index
-    labels = sorted(groups)
-
-    def score(label: str) -> WeightedItem:
-        return WeightedItem(label, float(inner_fn(groups[label], "h").value))
-
-    if jobs > 1 and len(labels) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            scored = list(pool.map(score, labels))
-    else:
-        scored = [score(label) for label in labels]
+    scored = [(label, float(inner_fn(groups[label], "h").value)) for label in sorted(groups)]
     return kernel_index(scored, ratio_type, "nested")

@@ -1,10 +1,11 @@
 """Delimited-table ingestion: column mapping, multi-value cells, label cleanup.
 
-Input is UTF-8 CSV or TSV with a header row (RFC-4180 quoting). The field
-separator is autodetected from the header line, limited to comma vs tab; a
-header containing both raises rather than guessing. Multi-value cells
-(keywords, categories, institutions, group) are split on a configurable cell
-delimiter, normalised, and deduplicated.
+Input is UTF-8 CSV or TSV with a header row (RFC-4180 quoting); a leading
+byte-order mark is dropped, and bytes that are not UTF-8 raise BadEncoding.
+The field separator is autodetected from the header line, limited to comma
+vs tab; a header containing both raises rather than guessing. Multi-value
+cells (keywords, categories, institutions, group) are split on a
+configurable cell delimiter, normalised, and deduplicated.
 
 Row numbers in errors are 1-based record numbers counting the header as
 record 1, so the first data row is row 2.
@@ -22,6 +23,7 @@ from .corpus import PublicationRecord
 from .errors import (
     AmbiguousSeparator,
     BadCitations,
+    BadEncoding,
     InvalidConfig,
     MalformedRow,
     MissingColumn,
@@ -120,8 +122,20 @@ def _split_cell(cell: str, config: IngestConfig) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def read_utf8(stream: IO[bytes]) -> str:
+    """The whole stream decoded as UTF-8, without a leading byte-order mark."""
+    data = stream.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise BadEncoding(data.count(b"\n", 0, exc.start) + 1, data[exc.start]) from None
+
+
 def _parse_citations(cell: str, row: int) -> float:
     text = cell.strip()
+    # float() also reads Python literals such as "1_000", which no CSV writer means
+    if "_" in text:
+        raise BadCitations(row, cell)
     try:
         value = float(text)
     except ValueError:
@@ -135,7 +149,7 @@ def read_table(stream: IO[bytes], config: IngestConfig | None = None) -> TableDa
     """Parse a delimited byte stream into records plus table metadata."""
     if config is None:
         config = IngestConfig()
-    text = io.TextIOWrapper(stream, encoding="utf-8", newline="").read()
+    text = read_utf8(stream)
     header_line = text.split("\n", 1)[0]
     separator = _detect_separator(header_line)
     if config.cell_delimiter == separator:

@@ -1,7 +1,9 @@
 """Generic rank-ratio engine behind every index in the family.
 
-Items are ranked by weight descending (ties broken by label ascending, byte
-order), then a threshold rule over a per-rank ratio yields the index value:
+Items are (label, weight) pairs, plain tuples or WeightedItems, read
+through itemgetter. They are ranked by weight descending (ties broken by
+label ascending, byte order), then a threshold rule over a per-rank ratio
+yields the index value:
 
 * h-type: ratio at rank r is weight/r; the value is the largest rank whose
   ratio is still >= 1, or 0 when no rank qualifies.
@@ -32,7 +34,7 @@ from itertools import accumulate, compress, count, repeat
 from operator import ge, itemgetter, lt, mul, truediv
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import WeightedItem
+from .corpus import Item
 from .errors import NonFiniteWeight
 
 INDEX_KINDS = ("x", "xc", "xd", "xdf", "xdfn", "ivw", "xo", "nested")
@@ -148,7 +150,7 @@ class IndexResult:
             raise ValueError("index value out of range for its table")
 
 
-def rank_items(items: Iterable[WeightedItem]) -> list[WeightedItem]:
+def rank_items(items: Iterable[Item]) -> list[Item]:
     """Sort descending by weight, ties by label ascending.
 
     Two stable sorts keyed in C: by label, then by weight reversed (a
@@ -161,12 +163,12 @@ def rank_items(items: Iterable[WeightedItem]) -> list[WeightedItem]:
     return ranked
 
 
-def _ranked_columns(items: Iterable[WeightedItem]) -> tuple[tuple, tuple]:
+def _ranked_columns(items: Iterable[Item]) -> tuple[tuple, tuple]:
     ranked = rank_items(items)
     return _column(ranked, 0), _column(ranked, 1)
 
 
-def h_type_index(items: Iterable[WeightedItem], kind: str = "x") -> IndexResult:
+def h_type_index(items: Iterable[Item], kind: str = "x") -> IndexResult:
     labels, weights = _ranked_columns(items)
     ranks = range(1, len(weights) + 1)
     ratios = tuple(map(truediv, weights, ranks))
@@ -174,7 +176,7 @@ def h_type_index(items: Iterable[WeightedItem], kind: str = "x") -> IndexResult:
     return IndexResult(kind, "h", value, RankedTable.from_columns(labels, weights, ratios))
 
 
-def g_type_index(items: Iterable[WeightedItem], kind: str = "x") -> IndexResult:
+def g_type_index(items: Iterable[Item], kind: str = "x") -> IndexResult:
     labels, weights = _ranked_columns(items)
     ranks = range(1, len(weights) + 1)
     squares = tuple(map(mul, ranks, ranks))
@@ -195,7 +197,7 @@ def first_crossing_index(ranked: RankedTable, kind: str = "ivw") -> IndexResult:
     return IndexResult(kind, "h", next(crossings, len(ranked)), ranked)
 
 
-def kernel_index(items: Iterable[WeightedItem], ratio_type: str, kind: str) -> IndexResult:
+def kernel_index(items: Iterable[Item], ratio_type: str, kind: str) -> IndexResult:
     if ratio_type == "h":
         return h_type_index(items, kind)
     if ratio_type == "g":

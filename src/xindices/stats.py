@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable
 
 from .corpus import Corpus
-from .errors import BadStatsRow, MissingColumn, NonPositiveMean
+from .errors import BadStatsRow, MissingColumn, NonFiniteStats, NonPositiveMean
+from .ingest import read_utf8
 from .numfmt import format_number
 
 STATS_HEADER = ("category", "mean", "variance", "n")
@@ -81,17 +83,21 @@ def estimate_stats(corpus: Corpus, variance_kind: str = "sample") -> ReferenceSt
 
     variance_kind="sample" uses the n-1 divisor and marks single-observation
     categories as undefined; "population" uses the n divisor (zero for a
-    single observation).
+    single observation). A variance beyond the float range raises
+    NonFiniteStats.
     """
     if variance_kind not in ("sample", "population"):
         raise ValueError(f"unknown variance kind {variance_kind!r}")
     entries = []
     for category, values in corpus.category_samples().items():
         mean = sum(Fraction(v) for v in values) / len(values)
-        if variance_kind == "sample":
-            variance = statistics.variance(values) if len(values) >= 2 else None
-        else:
-            variance = statistics.pvariance(values)
+        try:
+            if variance_kind == "sample":
+                variance = statistics.variance(values) if len(values) >= 2 else None
+            else:
+                variance = statistics.pvariance(values)
+        except OverflowError:
+            raise NonFiniteStats(category) from None
         entries.append(StatsEntry(category, mean, variance, len(values)))
     return ReferenceStats(entries)
 
@@ -99,11 +105,12 @@ def estimate_stats(corpus: Corpus, variance_kind: str = "sample") -> ReferenceSt
 def load_reference_stats(stream: IO[bytes]) -> ReferenceStats:
     """Read a ``category,mean,variance,n`` file.
 
-    Raises BadStatsRow for malformed numbers and NonPositiveMean when a mean
-    is zero or negative (it would later be used as a divisor). An empty
-    variance cell loads as undefined.
+    Raises BadStatsRow for malformed or non-finite numbers and
+    NonPositiveMean when a mean is zero or negative (it would later be used
+    as a divisor). An empty variance cell loads as undefined. The text is
+    decoded as in read_table.
     """
-    text = io.TextIOWrapper(stream, encoding="utf-8", newline="").read()
+    text = read_utf8(stream)
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -118,12 +125,17 @@ def load_reference_stats(stream: IO[bytes]) -> ReferenceStats:
         if len(cells) != 4:
             raise BadStatsRow(row_no, "expected 4 columns")
         category, mean_text, var_text, n_text = cells
+        if "_" in mean_text + var_text + n_text:
+            raise BadStatsRow(row_no)
         try:
             mean = float(mean_text)
             variance = float(var_text) if var_text.strip() else None
             n = int(n_text)
         except ValueError:
             raise BadStatsRow(row_no) from None
+        # nan, inf and overflowing literals such as 1e400 (read as inf)
+        if not math.isfinite(mean) or variance is not None and not math.isfinite(variance):
+            raise BadStatsRow(row_no, "mean or variance is not a finite number")
         if mean <= 0:
             raise NonPositiveMean(category)
         if variance is not None and variance < 0:

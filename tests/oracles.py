@@ -27,3 +27,17 @@ def naive_g_oracle(weights: Sequence[float]) -> int:
         if sum(ordered[:r]) >= r * r:
             return r
     return 0
+
+
+def naive_xo_oracle(records, ratio_type: str = "h") -> int:
+    """x_o by rescanning the records once per (category, keyword): each
+    category's inner value is the h-oracle over its keywords' in-category
+    citation sums; the outer rule runs over those inner values."""
+    categories = {cat for rec in records for cat in rec.categories}
+    inner = []
+    for cat in categories:
+        tagged = [rec for rec in records if cat in rec.categories]
+        keywords = {kw for rec in tagged for kw in rec.keywords}
+        sums = [sum(rec.citations for rec in tagged if kw in rec.keywords) for kw in keywords]
+        inner.append(naive_h_oracle(sums))
+    return naive_h_oracle(inner) if ratio_type == "h" else naive_g_oracle(inner)

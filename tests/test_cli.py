@@ -346,3 +346,86 @@ def test_identical_runs_are_byte_identical(toy_csv, tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+NON_UTF8 = b"id,citations,keywords\np1,3,caf\xe9\n"
+DIGIT_SEPARATOR = b"id,citations,keywords,institutions\np1,1_000,a,I1\n"
+SPREAD_OVERFLOW = b"id,citations,categories\np1,0,C\np2,1e308,C\np3,1e308,C\n"
+
+
+NOT_UTF8 = "line 2: input is not UTF-8 text (byte 0xe9)"
+NON_FINITE = "not a finite number"
+
+
+@pytest.mark.parametrize(
+    "argv, data, ref_stats, exit_code, message",
+    [
+        pytest.param(("compute", "--index", "x"), NON_UTF8, None, 1, NOT_UTF8, id="non-utf8-compute"),
+        pytest.param(("stats",), NON_UTF8, None, 1, NOT_UTF8, id="non-utf8-stats"),
+        pytest.param(
+            ("compute", "--index", "x"), DIGIT_SEPARATOR, None, 1, "bad citation count '1_000'",
+            id="digit-separator-compute",
+        ),
+        pytest.param(
+            ("nested", "--group-col", "institutions"), DIGIT_SEPARATOR, None, 1, "'1_000'",
+            id="digit-separator-nested",
+        ),
+        pytest.param(("compute", "--index", "xdfn"), TOY.encode(), "a,nan,1,3", 1, NON_FINITE, id="nan-mean"),
+        pytest.param(
+            ("compute", "--index", "xdfn"), TOY.encode(), "a,1e400,1,3", 1, NON_FINITE, id="overflowing-mean"
+        ),
+        pytest.param(
+            ("compute", "--index", "ivw"), TOY.encode(), "a,1,1e400,3", 1, NON_FINITE, id="overflowing-variance"
+        ),
+        pytest.param(
+            ("stats",), SPREAD_OVERFLOW, None, 2, "variance of category 'c' is " + NON_FINITE,
+            id="spread-overflow-stats",
+        ),
+        pytest.param(
+            ("compute", "--index", "ivw", "--internal-stats"), SPREAD_OVERFLOW, None, 2,
+            "variance of category 'c' is " + NON_FINITE, id="spread-overflow-ivw",
+        ),
+    ],
+)
+def test_bad_input_exits_with_one_line(tmp_path, capsys, argv, data, ref_stats, exit_code, message):
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    out_path = tmp_path / "out"
+    argv = [*argv, "--input", str(path), "--out", str(out_path)]
+    if ref_stats is not None:
+        (tmp_path / "ref.csv").write_text(f"category,mean,variance,n\n{ref_stats}\n")
+        argv += ["--ref-stats", str(tmp_path / "ref.csv")]
+    code, out, err = run(capsys, *argv)
+    lines = [line for line in err.splitlines() if not line.startswith("warning: ")]
+    assert (code, out) == (exit_code, "")
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--index", "x"),
+        ("nested", "--group-col", "institutions"),
+        ("stats",),
+    ],
+)
+def test_unwritable_out_exit_1(toy_csv, tmp_path, capsys, argv):
+    target = tmp_path / "missing-dir" / "report"
+    code, out, err = run(capsys, *argv, "--input", toy_csv, "--out", str(target))
+    lines = [line for line in err.splitlines() if not line.startswith("warning: ")]
+    assert (code, out) == (1, "")
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "missing-dir" in lines[0]
+
+
+def test_byte_order_mark_on_header_is_dropped(tmp_path, capsys):
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + TOY.encode())
+    code, out, _ = run(capsys, "compute", "--input", str(path), "--index", "xd")
+    assert code == 0
+    assert json.loads(out)["value"] == 2
+
+
+def test_jobs_flag_accepted_and_output_unchanged(toy_csv, capsys):
+    serial = run(capsys, "nested", "--input", toy_csv, "--group-col", "institutions")
+    assert run(capsys, "nested", "--input", toy_csv, "--group-col", "institutions", "--jobs", "2") == serial

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from xindices import (
     DuplicateId,
@@ -13,10 +13,17 @@ from xindices import (
     NegativeCitations,
     PublicationRecord,
     build_corpus,
+    estimate_stats,
+    ivw_xd_index,
     partition_by_group,
     x_index,
+    xc_index,
     xd_index,
+    xdf_index,
+    xdfn_index,
+    xo_index,
 )
+from xindices.corpus import ITEM_VIEWS
 
 from conftest import random_records, record
 
@@ -234,3 +241,75 @@ def test_corpus_is_immutable():
     corpus = build_corpus([record("p1", 1)])
     with pytest.raises(AttributeError):
         corpus.publications = ()
+
+
+# --- lazy views -----------------------------------------------------------------
+
+READERS = {
+    "keywords": lambda c: c.keyword_totals(),
+    "pairs": lambda c: c.pair_totals(),
+    "whole": lambda c: c.category_totals("whole"),
+    "fractional": lambda c: c.category_totals("fractional"),
+    "samples": lambda c: c.category_samples(),
+    "by_category": lambda c: {cat: list(kws) for cat, kws in c.keyword_items_by_category().items()},
+    "x": lambda c: x_index(c, "g"),
+    "xc": lambda c: xc_index(c, "h"),
+    "xd": lambda c: xd_index(c, "g"),
+    "xdf": lambda c: xdf_index(c, "h"),
+    "xdfn": lambda c: xdfn_index(c, "h", estimate_stats(c), strict=False),
+    "ivw": lambda c: ivw_xd_index(c, "h", estimate_stats(c, "population"), variance_floor=0.5),
+    "xo": lambda c: xo_index(c, "g"),
+}
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_views_independent_of_first_read_order(seed):
+    rng = random.Random(seed)
+    records = random_records(rng, max_pubs=40, max_categories=6, max_keywords=15, min_citations=1)
+    reference = build_corpus(records)
+    expected = {name: read(reference) for name, read in READERS.items()}
+    names = list(READERS)
+    rng.shuffle(names)
+    corpus = build_corpus(records)
+    assert {name: READERS[name](corpus) for name in names} == expected
+    # a second read serves the cached view
+    assert {name: READERS[name](corpus) for name in names} == expected
+
+
+def test_views_are_built_on_first_read():
+    corpus = build_corpus(
+        [
+            record("p1", 3, ("k1", "k2"), ("c1", "c2"), ("i1",)),
+            record("p2", 4, ("k2",), ("c2",), ("i1", "i2")),
+        ]
+    )
+    assert corpus._views == {}
+    corpus.keyword_totals()
+    corpus.category_totals("whole")
+    corpus.category_totals("fractional")
+    corpus.category_samples()
+    x_index(corpus)
+    xd_index(corpus)
+    xdf_index(corpus)
+    assert "pairs" not in corpus._views
+    assert "keywords_by_category" not in corpus._views
+    corpus.pair_totals()
+    assert "pairs" in corpus._views
+
+
+def test_partition_builds_no_views():
+    records = [record("p1", 1, ("k",), ("c",)), record("p2", 2, ("k",), ("c",))]
+    groups = partition_by_group(records, [("i1",), ("i1", "i2")])
+    assert all(group._views == {} for group in groups.values())
+    x_index(groups["i1"])
+    assert set(groups["i1"]._views) == {"by_id", "keywords"}
+
+
+def test_item_views_hold_plain_tuples():
+    corpus = build_corpus([record("p1", 3, ("k",), ("c",), ("i",))])
+    for view in ITEM_VIEWS:
+        assert [type(item) for item in corpus.items(view)] == [tuple]
+    assert corpus.items("pairs") == (("k@c", 3.0),)
+    with pytest.raises(ValueError):
+        corpus.items("samples")

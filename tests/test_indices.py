@@ -30,7 +30,7 @@ from xindices.corpus import WeightedItem
 from xindices.stats import ReferenceStats, StatsEntry
 
 from conftest import random_records, record
-from oracles import naive_h_oracle
+from oracles import naive_h_oracle, naive_xo_oracle
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -417,6 +417,27 @@ def test_xo_uses_in_category_citations():
     result = xo_index(corpus, "h")
     weights = {row.label: row.weight for row in result.table.rows}
     assert weights == {"a": 1.0, "b": 1.0}
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_xo_matches_oracle_with_separator_in_labels(seed):
+    # "@" joins pair labels; xo must group by category, not by split labels
+    rng = random.Random(seed)
+    keywords = ["a", "a@b", "b", "b@c", "c@"]
+    categories = ["c", "b@c", "@c", "a@b"]
+    records = [
+        record(
+            f"p{i}",
+            rng.randint(0, 6),
+            tuple(rng.sample(keywords, rng.randint(0, 3))),
+            tuple(rng.sample(categories, rng.randint(0, 2))),
+        )
+        for i in range(rng.randint(0, 30))
+    ]
+    corpus = build_corpus(records)
+    for ratio_type in ("h", "g"):
+        assert xo_index(corpus, ratio_type).value == naive_xo_oracle(records, ratio_type)
 
 
 def test_xo_jobs_deterministic():

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from xindices import (
     AmbiguousSeparator,
     BadCitations,
+    BadEncoding,
     IngestConfig,
     InvalidConfig,
     MalformedRow,
@@ -54,6 +55,26 @@ def test_parse_non_numeric_citations():
 def test_parse_nan_citations_rejected():
     with pytest.raises(BadCitations):
         parse("id,citations,keywords,categories\np1,nan,a,C1\n")
+
+
+@pytest.mark.parametrize("text", ["1_000", "1_0.5", "_1"])
+def test_parse_digit_separator_citations_rejected(text):
+    with pytest.raises(BadCitations) as err:
+        parse(f"id,citations,keywords,categories\np1,{text},a,C1\n")
+    assert err.value.text == text
+
+
+def test_parse_strips_byte_order_mark():
+    data = "\ufeffid,citations,keywords\np1,3,a\n".encode("utf-8")
+    assert parse_table(io.BytesIO(data))[0].id == "p1"
+
+
+def test_parse_non_utf8_bytes_rejected():
+    data = b"id,citations,keywords\np1,3,a\np2,4,b\xffc\n"
+    with pytest.raises(BadEncoding) as err:
+        parse_table(io.BytesIO(data))
+    assert (err.value.line, err.value.byte) == (3, 0xFF)
+    assert str(err.value) == "line 3: input is not UTF-8 text (byte 0xff)"
 
 
 def test_parse_decimal_citations_allowed():

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from xindices import (
     BadStatsRow,
     MissingColumn,
+    NonFiniteStats,
     NonPositiveMean,
     build_corpus,
     estimate_stats,
@@ -105,6 +106,35 @@ def test_load_rejects_bad_numbers():
     with pytest.raises(BadStatsRow) as err:
         load("category,mean,variance,n\nphysics,big,2.5,120\n")
     assert err.value.row == 2
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["nan,2.5,120", "inf,2.5,120", "1e400,2.5,120", "4.0,nan,120", "4.0,1e400,120", "4.0,-inf,120"],
+)
+def test_load_rejects_non_finite_numbers(row):
+    with pytest.raises(BadStatsRow) as err:
+        load(f"category,mean,variance,n\nphysics,{row}\n")
+    assert err.value.row == 2
+
+
+@pytest.mark.parametrize("row", ["1_000,2.5,120", "4.0,2_5,120", "4.0,2.5,1_20"])
+def test_load_rejects_digit_separators(row):
+    with pytest.raises(BadStatsRow):
+        load(f"category,mean,variance,n\nphysics,{row}\n")
+
+
+def test_load_strips_byte_order_mark():
+    stats = load_reference_stats(io.BytesIO(b"\xef\xbb\xbfcategory,mean,variance,n\na,2,1,3\n"))
+    assert stats.get("a") == StatsEntry("a", 2.0, 1.0, 3)
+
+
+@pytest.mark.parametrize("kind", ["sample", "population"])
+def test_estimate_variance_beyond_float_range(kind):
+    corpus = corpus_with_samples(0.0, 1e308, 1e308)
+    with pytest.raises(NonFiniteStats) as err:
+        estimate_stats(corpus, kind)
+    assert err.value.category == "a"
 
 
 def test_load_rejects_negative_variance():
