@@ -28,13 +28,7 @@ UNGROUPED_LABEL = "(ungrouped)"
 
 def _dedupe(labels: Iterable[str]) -> tuple[str, ...]:
     """Drop empty labels and duplicates, preserving first-occurrence order."""
-    seen: set[str] = set()
-    out: list[str] = []
-    for label in labels:
-        if label and label not in seen:
-            seen.add(label)
-            out.append(label)
-    return tuple(out)
+    return tuple(dict.fromkeys(filter(None, labels)))
 
 
 @dataclass(frozen=True)
@@ -59,6 +53,28 @@ class PublicationRecord:
         object.__setattr__(self, "keywords", _dedupe(self.keywords))
         object.__setattr__(self, "categories", _dedupe(self.categories))
         object.__setattr__(self, "institutions", _dedupe(self.institutions))
+
+    @classmethod
+    def _from_normalised(
+        cls,
+        id: str,
+        citations: float,
+        keywords: tuple[str, ...],
+        categories: tuple[str, ...],
+        institutions: tuple[str, ...],
+    ) -> PublicationRecord:
+        """A record from fields already in the form __post_init__ makes
+        (non-empty id; label tuples without empty labels or repeats),
+        skipping its checks. For ingest, which builds the fields that way."""
+        rec = object.__new__(cls)
+        rec.__dict__.update(
+            id=id,
+            citations=citations,
+            keywords=keywords,
+            categories=categories,
+            institutions=institutions,
+        )
+        return rec
 
 
 class WeightedItem(NamedTuple):
@@ -111,8 +127,6 @@ class Corpus:
         return len(self.publications)
 
     def _view(self, name: str):
-        # Two threads reading a view first may both build it; the builds
-        # are equal and the later one is kept.
         view = self._views.get(name)
         if view is None:
             view = self._views[name] = _BUILDERS[name](self)

@@ -5,7 +5,10 @@ byte-order mark is dropped, and bytes that are not UTF-8 raise BadEncoding.
 The field separator is autodetected from the header line, limited to comma
 vs tab; a header containing both raises rather than guessing. Multi-value
 cells (keywords, categories, institutions, group) are split on a
-configurable cell delimiter, normalised, and deduplicated.
+configurable cell delimiter and normalised, each distinct part once per
+table; record label lists are also deduplicated. A row the csv module
+cannot read, such as a field over csv.field_size_limit(), raises
+MalformedRow.
 
 Row numbers in errors are 1-based record numbers counting the header as
 record 1, so the first data row is row 2.
@@ -113,13 +116,17 @@ def _detect_separator(header_line: str) -> str:
     return ","
 
 
-def _split_cell(cell: str, config: IngestConfig) -> tuple[str, ...]:
-    labels = []
-    for part in cell.split(config.cell_delimiter):
-        label = normalize_label(part, config)
-        if label:
-            labels.append(label)
-    return tuple(labels)
+class _LabelMemo(dict):
+    """Raw cell part -> its normalize_label result. Each distinct part is
+    normalised once per table, and records share the label str it maps to."""
+
+    def __init__(self, config: IngestConfig):
+        super().__init__()
+        self.config = config
+
+    def __missing__(self, raw: str) -> str:
+        label = self[raw] = normalize_label(raw, self.config)
+        return label
 
 
 def read_utf8(stream: IO[bytes]) -> str:
@@ -160,6 +167,8 @@ def read_table(stream: IO[bytes], config: IngestConfig | None = None) -> TableDa
         headers = next(reader)
     except StopIteration:
         raise MalformedRow(1, "input has no header row") from None
+    except csv.Error as exc:
+        raise MalformedRow(1, str(exc)) from None
 
     index_of: dict[str, int] = {}
     for role in ROLES:
@@ -173,36 +182,57 @@ def read_table(stream: IO[bytes], config: IngestConfig | None = None) -> TableDa
     mapped = {config.column_for(role) for role in index_of}
     unused = [h for h in headers if h not in mapped]
 
+    label_of = _LabelMemo(config).__getitem__
+    delimiter = config.cell_delimiter
+
+    def labels(cell: str) -> tuple[str, ...]:
+        """Normalised non-empty labels of a multi-value cell, in cell order."""
+        return tuple(filter(None, map(label_of, cell.split(delimiter))))
+
+    def distinct(cell: str) -> tuple[str, ...]:
+        """labels() without repeats, first occurrence kept: a record field."""
+        return tuple(dict.fromkeys(filter(None, map(label_of, cell.split(delimiter)))))
+
+    width = len(headers)
+    id_at = index_of["id"]
+    citations_at = index_of["citations"]
+    keywords_at = index_of.get("keywords")
+    categories_at = index_of.get("categories")
+    institutions_at = index_of.get("institutions")
+    group_at = index_of.get("group")
+    group_is_institutions = group_at is not None and group_at == institutions_at
+    new_record = PublicationRecord._from_normalised
     records: list[PublicationRecord] = []
     group_values: list[tuple[str, ...]] = []
     empty: tuple[str, ...] = ()
-    for row_no, cells in enumerate(reader, start=2):
-        if not cells:
-            continue  # blank line
-        if len(cells) != len(headers):
-            raise MalformedRow(row_no)
-        rec_id = cells[index_of["id"]].strip()
-        if not rec_id:
-            raise MalformedRow(row_no, "empty id")
-        citations = _parse_citations(cells[index_of["citations"]], row_no)
-        records.append(
-            PublicationRecord(
-                id=rec_id,
-                citations=citations,
-                keywords=_split_cell(cells[index_of["keywords"]], config)
-                if "keywords" in index_of
-                else empty,
-                categories=_split_cell(cells[index_of["categories"]], config)
-                if "categories" in index_of
-                else empty,
-                institutions=_split_cell(cells[index_of["institutions"]], config)
-                if "institutions" in index_of
-                else empty,
-            )
-        )
-        group_values.append(
-            _split_cell(cells[index_of["group"]], config) if "group" in index_of else empty
-        )
+    keywords = categories = institutions = group = empty
+    row_no = 1
+    try:
+        for row_no, cells in enumerate(reader, start=2):
+            if not cells:
+                continue  # blank line
+            if len(cells) != width:
+                raise MalformedRow(row_no)
+            rec_id = cells[id_at].strip()
+            if not rec_id:
+                raise MalformedRow(row_no, "empty id")
+            citations = _parse_citations(cells[citations_at], row_no)
+            if keywords_at is not None:
+                keywords = distinct(cells[keywords_at])
+            if categories_at is not None:
+                categories = distinct(cells[categories_at])
+            if group_is_institutions:
+                group = labels(cells[group_at])
+                institutions = tuple(dict.fromkeys(group))
+            else:
+                if institutions_at is not None:
+                    institutions = distinct(cells[institutions_at])
+                if group_at is not None:
+                    group = labels(cells[group_at])
+            records.append(new_record(rec_id, citations, keywords, categories, institutions))
+            group_values.append(group)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise MalformedRow(row_no + 1, str(exc)) from None
     return TableData(records, group_values, headers, unused, separator)
 
 

@@ -78,6 +78,17 @@ class ReferenceStats:
         return self._entries == other._entries
 
 
+def _exact_mean(values: list[float]) -> Fraction:
+    """The exact rational mean of finite floats; a NaN raises ValueError and
+    an infinity OverflowError, as Fraction(v) does. Each float is n / d with
+    d a power of two, so every d divides the largest, den, and the sum is one
+    integer over den: the same Fraction as summing Fraction(v), without a
+    gcd per addition."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return Fraction(sum(n * (den // d) for n, d in ratios), den * len(values))
+
+
 def estimate_stats(corpus: Corpus, variance_kind: str = "sample") -> ReferenceStats:
     """Estimate per-category stats from the corpus's own citation samples.
 
@@ -90,7 +101,7 @@ def estimate_stats(corpus: Corpus, variance_kind: str = "sample") -> ReferenceSt
         raise ValueError(f"unknown variance kind {variance_kind!r}")
     entries = []
     for category, values in corpus.category_samples().items():
-        mean = sum(Fraction(v) for v in values) / len(values)
+        mean = _exact_mean(values)
         try:
             if variance_kind == "sample":
                 variance = statistics.variance(values) if len(values) >= 2 else None
@@ -105,10 +116,11 @@ def estimate_stats(corpus: Corpus, variance_kind: str = "sample") -> ReferenceSt
 def load_reference_stats(stream: IO[bytes]) -> ReferenceStats:
     """Read a ``category,mean,variance,n`` file.
 
-    Raises BadStatsRow for malformed or non-finite numbers and
-    NonPositiveMean when a mean is zero or negative (it would later be used
-    as a divisor). An empty variance cell loads as undefined. The text is
-    decoded as in read_table.
+    Raises BadStatsRow for malformed or non-finite numbers, a repeated
+    category or a row the csv module cannot read, and NonPositiveMean when
+    a mean is zero or negative (it would later be used as a divisor). An
+    empty variance cell loads as undefined. The text is decoded as in
+    read_table.
     """
     text = read_utf8(stream)
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -116,34 +128,48 @@ def load_reference_stats(stream: IO[bytes]) -> ReferenceStats:
         header = next(reader)
     except StopIteration:
         raise BadStatsRow(1, "stats file has no header") from None
+    except csv.Error as exc:
+        raise BadStatsRow(1, str(exc)) from None
     if tuple(header) != STATS_HEADER:
         raise MissingColumn(",".join(STATS_HEADER))
-    entries = []
-    for row_no, cells in enumerate(reader, start=2):
-        if not cells:
-            continue
-        if len(cells) != 4:
-            raise BadStatsRow(row_no, "expected 4 columns")
-        category, mean_text, var_text, n_text = cells
-        if "_" in mean_text + var_text + n_text:
-            raise BadStatsRow(row_no)
-        try:
-            mean = float(mean_text)
-            variance = float(var_text) if var_text.strip() else None
-            n = int(n_text)
-        except ValueError:
-            raise BadStatsRow(row_no) from None
-        # nan, inf and overflowing literals such as 1e400 (read as inf)
-        if not math.isfinite(mean) or variance is not None and not math.isfinite(variance):
-            raise BadStatsRow(row_no, "mean or variance is not a finite number")
-        if mean <= 0:
-            raise NonPositiveMean(category)
-        if variance is not None and variance < 0:
-            raise BadStatsRow(row_no, "negative variance")
-        if n < 1:
-            raise BadStatsRow(row_no, "sample size below 1")
-        entries.append(StatsEntry(category, mean, variance, n))
-    return ReferenceStats(entries)
+    entries: dict[str, StatsEntry] = {}
+    row_no = 1
+    try:
+        for row_no, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            entry = _stats_entry(cells, row_no)
+            if entry.category in entries:
+                raise BadStatsRow(row_no, f"duplicate category {entry.category!r}")
+            entries[entry.category] = entry
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise BadStatsRow(row_no + 1, str(exc)) from None
+    return ReferenceStats(entries.values())
+
+
+def _stats_entry(cells: list[str], row_no: int) -> StatsEntry:
+    """One checked row of a stats file."""
+    if len(cells) != 4:
+        raise BadStatsRow(row_no, "expected 4 columns")
+    category, mean_text, var_text, n_text = cells
+    if "_" in mean_text + var_text + n_text:
+        raise BadStatsRow(row_no)
+    try:
+        mean = float(mean_text)
+        variance = float(var_text) if var_text.strip() else None
+        n = int(n_text)
+    except ValueError:
+        raise BadStatsRow(row_no) from None
+    # nan, inf and overflowing literals such as 1e400 (read as inf)
+    if not math.isfinite(mean) or variance is not None and not math.isfinite(variance):
+        raise BadStatsRow(row_no, "mean or variance is not a finite number")
+    if mean <= 0:
+        raise NonPositiveMean(category)
+    if variance is not None and variance < 0:
+        raise BadStatsRow(row_no, "negative variance")
+    if n < 1:
+        raise BadStatsRow(row_no, "sample size below 1")
+    return StatsEntry(category, mean, variance, n)
 
 
 def write_reference_stats(stats: ReferenceStats, stream: IO[bytes]) -> None:

@@ -1,4 +1,5 @@
-"""Brute-force re-implementations of the rank-threshold rules.
+"""Brute-force re-implementations of the rank-threshold rules, and a
+row-wise reference reader for ingest.
 
 Deliberately naive (O(n^2), no shared code with the kernel) so the test
 suite can cross-check the fast implementations against an independent
@@ -7,7 +8,13 @@ reading of the definitions.
 
 from __future__ import annotations
 
+import csv
+import io
 from typing import Sequence
+
+from xindices import IngestConfig, PublicationRecord, normalize_label
+from xindices.errors import InvalidConfig, MalformedRow, MissingColumn
+from xindices.ingest import ROLES, TableData, _detect_separator, _parse_citations, read_utf8
 
 
 def naive_h_oracle(weights: Sequence[float]) -> int:
@@ -41,3 +48,58 @@ def naive_xo_oracle(records, ratio_type: str = "h") -> int:
         sums = [sum(rec.citations for rec in tagged if kw in rec.keywords) for kw in keywords]
         inner.append(naive_h_oracle(sums))
     return naive_h_oracle(inner) if ratio_type == "h" else naive_g_oracle(inner)
+
+
+def reference_read_table(data: bytes, config: IngestConfig | None = None) -> TableData:
+    """read_table one cell part and one record at a time: every part goes
+    through normalize_label, every record through the public
+    PublicationRecord constructor (which drops empty and repeated labels).
+    Group values keep repeats, as partition_by_group drops them."""
+    if config is None:
+        config = IngestConfig()
+    text = read_utf8(io.BytesIO(data))
+    separator = _detect_separator(text.split("\n", 1)[0])
+    if config.cell_delimiter == separator:
+        raise InvalidConfig("cell delimiter equals the field separator")
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=separator)
+    try:
+        headers = next(reader)
+    except StopIteration:
+        raise MalformedRow(1, "input has no header row") from None
+    index_of = {}
+    for role in ROLES:
+        column = config.column_for(role)
+        if column is not None and column in headers:
+            index_of[role] = headers.index(column)
+        elif role in ("id", "citations") or role in config.required_columns:
+            raise MissingColumn(role if column is None else column)
+    mapped = {config.column_for(role) for role in index_of}
+
+    def cell_labels(cells, role):
+        if role not in index_of:
+            return ()
+        parts = cells[index_of[role]].split(config.cell_delimiter)
+        return tuple(label for label in (normalize_label(p, config) for p in parts) if label)
+
+    records, group_values = [], []
+    for row_no, cells in enumerate(reader, start=2):
+        if not cells:
+            continue
+        if len(cells) != len(headers):
+            raise MalformedRow(row_no)
+        rec_id = cells[index_of["id"]].strip()
+        if not rec_id:
+            raise MalformedRow(row_no, "empty id")
+        citations = _parse_citations(cells[index_of["citations"]], row_no)
+        records.append(
+            PublicationRecord(
+                id=rec_id,
+                citations=citations,
+                keywords=cell_labels(cells, "keywords"),
+                categories=cell_labels(cells, "categories"),
+                institutions=cell_labels(cells, "institutions"),
+            )
+        )
+        group_values.append(cell_labels(cells, "group"))
+    unused = [h for h in headers if h not in mapped]
+    return TableData(records, group_values, headers, unused, separator)

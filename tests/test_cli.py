@@ -351,6 +351,7 @@ def test_identical_runs_are_byte_identical(toy_csv, tmp_path, capsys):
 NON_UTF8 = b"id,citations,keywords\np1,3,caf\xe9\n"
 DIGIT_SEPARATOR = b"id,citations,keywords,institutions\np1,1_000,a,I1\n"
 SPREAD_OVERFLOW = b"id,citations,categories\np1,0,C\np2,1e308,C\np3,1e308,C\n"
+LONG_CELL = b"id,citations,keywords\np1,1," + b"k" * 140_000 + b"\n"
 
 
 NOT_UTF8 = "line 2: input is not UTF-8 text (byte 0xe9)"
@@ -384,6 +385,18 @@ NON_FINITE = "not a finite number"
         pytest.param(
             ("compute", "--index", "ivw", "--internal-stats"), SPREAD_OVERFLOW, None, 2,
             "variance of category 'c' is " + NON_FINITE, id="spread-overflow-ivw",
+        ),
+        pytest.param(
+            ("compute", "--index", "x"), LONG_CELL, None, 1, "row 2: field larger than field limit",
+            id="long-cell-compute",
+        ),
+        pytest.param(
+            ("compute", "--index", "xdfn"), TOY.encode(), "a," + "1" * 140_000 + ",1,3", 1,
+            "stats row 2: field larger than field limit", id="long-cell-stats-file",
+        ),
+        pytest.param(
+            ("compute", "--index", "xdfn"), TOY.encode(), "a,1,1,3\na,2,1,3", 1,
+            "stats row 3: duplicate category 'a'", id="repeated-stats-category",
         ),
     ],
 )

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import collections
+import csv
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import xindices.ingest
 from xindices import (
     AmbiguousSeparator,
     BadCitations,
@@ -21,8 +24,11 @@ from xindices import (
     records_to_csv,
     validate_records,
 )
+from xindices.errors import XIndicesError
+from xindices.ingest import TableData
 
 from conftest import record
+from oracles import reference_read_table
 
 
 def parse(text: str, config: IngestConfig | None = None):
@@ -180,6 +186,130 @@ def test_group_values_parsed_when_mapped():
 def test_unused_columns_reported():
     data = read_table(io.BytesIO(b"id,citations,notes\np1,7,hello\n"))
     assert data.unused_columns == ["notes"]
+
+
+def test_field_over_csv_limit_is_malformed_row():
+    data = b"id,citations,keywords\np1,1,a\np2,1," + b"k" * 140_000 + b"\n"
+    with pytest.raises(MalformedRow) as err:
+        parse_table(io.BytesIO(data))
+    assert err.value.row == 3
+    assert "field larger than field limit" in str(err.value)
+    with pytest.raises(MalformedRow) as err:
+        parse_table(io.BytesIO(b"id,citations," + b"k" * 140_000 + b"\n"))
+    assert err.value.row == 1
+
+
+# --- read_table against the row-wise reference reader ----------------------------
+
+# Case pairs that fold alike (A/a, Σ/σ/ς, İ/i), whitespace a cell can hold
+# once quoted, and the characters the cell delimiters below are made of.
+LABEL_CHARS = "AabΣσςİi;| \t\n\u00a0\u2003\u3000"
+CELL_DELIMITERS = [";", "|", "; ", ";;", " ", "\t", "\u3000"]
+
+
+def outcome(read, data, config):
+    try:
+        return read(data, config)
+    except XIndicesError as exc:
+        return type(exc), str(exc)
+
+
+def read_bytes(data, config):
+    return read_table(io.BytesIO(data), config)
+
+
+@st.composite
+def tables(draw):
+    """A CSV or TSV table and an ingest config: optional columns in any
+    order, multi-value cells whose parts repeat before or only after
+    normalisation, and a group column that is absent, the institutions
+    column or a column of its own."""
+    delimiter = draw(st.sampled_from(CELL_DELIMITERS))
+    group = draw(st.sampled_from([None, "institutions", "country"]))
+    config = IngestConfig(
+        cell_delimiter=delimiter,
+        group_column=group,
+        case_fold=draw(st.booleans()),
+        trim=draw(st.booleans()),
+    )
+    optional = ["keywords", "categories", "institutions", "notes"]
+    columns = ["id", "citations"] + [c for c in optional if draw(st.booleans())]
+    if group == "country":
+        columns.append("country")
+    columns = draw(st.permutations(columns))
+    part = st.text(alphabet=LABEL_CHARS, max_size=4)
+    cells = {
+        **dict.fromkeys(columns, st.lists(part, max_size=4).map(delimiter.join)),
+        "citations": st.sampled_from(["1", " 2.5", "0"]),
+    }
+    rows = [
+        [f"p{i}" if c == "id" else draw(cells[c]) for c in columns]
+        for i in range(draw(st.integers(0, 6)))
+    ]
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=draw(st.sampled_from([",", "\t"])), lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8"), config
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_read_table_equals_row_wise_reference(table):
+    data, config = table
+    fast = outcome(read_bytes, data, config)
+    assert fast == outcome(reference_read_table, data, config)
+    if isinstance(fast, TableData):
+        reference = reference_read_table(data, config)
+        assert list(map(repr, fast.records)) == list(map(repr, reference.records))
+        assert list(map(hash, fast.records)) == list(map(hash, reference.records))
+
+
+FUZZ_HEADER = b"id,citations,keywords,categories,institutions\n"
+FUZZ_PIECES = [
+    b",", b"\t", b"\n", b"\r", b'"', b";", b" ", b"1", b"2.5", b"-", b"nan", b"a", b"A",
+    b"\xce\xa3", b"\xef\xbb\xbf", b"\xff", b"\x00",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=120),
+        st.lists(st.sampled_from(FUZZ_PIECES), max_size=40).map(b"".join),
+        st.lists(st.sampled_from(FUZZ_PIECES), max_size=40).map(lambda p: FUZZ_HEADER + b"".join(p)),
+    ),
+    st.sampled_from([None, "institutions"]),
+)
+def test_read_table_on_any_bytes_gives_table_or_typed_error(data, group):
+    config = IngestConfig(group_column=group)
+    result = outcome(read_bytes, data, config)
+    assert isinstance(result, TableData) or issubclass(result[0], XIndicesError)
+    assert result == outcome(reference_read_table, data, config)
+
+
+def test_each_distinct_part_normalised_once_per_read(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(raw, config=None):
+        calls[raw] += 1
+        return normalize_label(raw, config)
+
+    monkeypatch.setattr(xindices.ingest, "normalize_label", counting)
+    data = (
+        b"id,citations,keywords,categories,institutions,country\n"
+        b"p1,1,A; a;A,A,I1;I2,A\n"
+        b"p2,2,a;b,a;A,I2,I1\n"
+        b"p3,3,,b; a,I1,\n"
+    )
+    config = IngestConfig(group_column="country")
+    table = read_table(io.BytesIO(data), config)
+    parts = {"A", " a", "a", "b", "I1", "I2", ""}
+    assert dict(calls) == dict.fromkeys(parts, 1)
+    read_table(io.BytesIO(data), config)
+    assert dict(calls) == dict.fromkeys(parts, 2)
+    assert table.records[0].keywords == ("a",)
+    assert table.group_values == [("a",), ("i1",), ()]
 
 
 # --- normalize_label ---------------------------------------------------------

@@ -186,6 +186,40 @@ def test_estimated_mean_is_exact_rational():
     assert mean == Fraction(9, 7)  # not the float 9/7
 
 
+@given(
+    st.lists(
+        st.floats(min_value=0, max_value=1e150), min_size=1, max_size=30
+    )
+)
+def test_estimated_mean_equals_fraction_sum(citations):
+    from fractions import Fraction
+
+    mean = estimate_stats(corpus_with_samples(*citations), "population").get("a").mean
+    assert mean == sum(Fraction(c) for c in citations) / len(citations)
+
+
+@pytest.mark.parametrize("bad, exc", [(math.nan, ValueError), (math.inf, OverflowError)])
+def test_estimate_non_finite_citation_raises_like_fraction(bad, exc):
+    # Corpus accepts NaN and infinite citations; estimate_stats raises what
+    # Fraction(bad) raises.
+    with pytest.raises(exc, match="cannot convert"):
+        estimate_stats(corpus_with_samples(1, bad, 2))
+
+
+def test_load_rejects_repeated_category():
+    with pytest.raises(BadStatsRow) as err:
+        load("category,mean,variance,n\na,1,1,3\nb,1,1,3\na,2,1,3\n")
+    assert err.value.row == 4
+    assert str(err.value) == "stats row 4: duplicate category 'a'"
+
+
+def test_load_field_over_csv_limit_is_bad_stats_row():
+    with pytest.raises(BadStatsRow) as err:
+        load("category,mean,variance,n\n" + "c" * 140_000 + ",1,1,3\n")
+    assert err.value.row == 2
+    assert "field larger than field limit" in str(err.value)
+
+
 def test_dump_of_estimates_is_stable_after_one_load():
     # estimated (exact) means round to 17 significant digits on first write;
     # after that the file representation is a fixed point of dump(load(.))
