@@ -14,11 +14,12 @@ import sys
 from typing import IO, Sequence
 
 from . import __version__
-from .corpus import build_corpus, partition_by_group
+from .corpus import build_corpus
 from .errors import ComputeError, MissingStats, XIndicesError
 from .indices import (
+    INDEX_FIELDS,
+    group_index,
     ivw_xd_index,
-    nested_index,
     x_index,
     xc_index,
     xd_index,
@@ -26,7 +27,14 @@ from .indices import (
     xdfn_index,
     xo_index,
 )
-from .ingest import SMALL_SAMPLE_THRESHOLD, IngestConfig, TableData, read_table, validate_records
+from .ingest import (
+    LABEL_FIELDS,
+    SMALL_SAMPLE_THRESHOLD,
+    IngestConfig,
+    TableData,
+    read_table,
+    validate_records,
+)
 from .report import Report
 from .stats import ReferenceStats, estimate_stats, load_reference_stats, write_reference_stats
 
@@ -100,10 +108,13 @@ def _open_input(path: str) -> IO[bytes]:
     return open(path, "rb")
 
 
-def _read_input(args: argparse.Namespace, config: IngestConfig) -> TableData:
+def _read_input(
+    args: argparse.Namespace, config: IngestConfig, fields: Sequence[str] = LABEL_FIELDS
+) -> TableData:
+    """The input table, with only the record fields in fields read."""
     stream = _open_input(args.input)
     try:
-        return read_table(stream, config)
+        return read_table(stream, config, fields=fields)
     finally:
         if stream is not sys.stdin.buffer:
             stream.close()
@@ -153,7 +164,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     try:
         config = _ingest_config(args)
         try:
-            table = _read_input(args, config)
+            table = _read_input(args, config, INDEX_FIELDS[args.index])
             corpus = build_corpus(table.records)
             ref_stats = None
             if args.ref_stats:
@@ -208,17 +219,19 @@ def cmd_nested(args: argparse.Namespace) -> int:
     try:
         config = _ingest_config(args, group_col=args.group_col)
         try:
-            table = _read_input(args, config)
-            groups = partition_by_group(table.records, table.group_values, strict=args.strict_groups)
+            table = _read_input(args, config, INDEX_FIELDS[args.inner])
+            corpus = build_corpus(table.records)
         except (XIndicesError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 
         try:
-            result = nested_index(groups, inner=args.inner, ratio_type=args.type, jobs=args.jobs)
-        except XIndicesError as exc:
+            result = group_index(
+                corpus, table.group_values, args.inner, args.type, strict=args.strict_groups
+            )
+        except XIndicesError as exc:  # a missing group label is an input error
             print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return 2 if isinstance(exc, ComputeError) else 1
         echo = _config_echo(args, config)
         echo.update(
             {
@@ -238,7 +251,7 @@ def cmd_nested(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     config = _ingest_config(args)
     try:
-        table = _read_input(args, config)
+        table = _read_input(args, config, ("categories",))
         corpus = build_corpus(table.records)
     except (XIndicesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,12 +12,13 @@ index values.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter, itemgetter
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .errors import DuplicateId, MissingGroupLabel, NegativeCitations
+from .errors import DuplicateId, MissingGroupLabel, NegativeCitations, NonFiniteCitations
 
 #: Pair labels are rendered as "<keyword>@<category>".
 PAIR_SEPARATOR = "@"
@@ -97,6 +98,11 @@ Item = tuple[str, float]
 #: The views Corpus.items() serves, each sorted by label.
 ITEM_VIEWS = ("keywords", "pairs", "categories", "categories_fractional")
 
+#: The record fields Corpus.items_by_group() totals per group.
+GROUP_VIEWS = ("keywords", "categories")
+
+_FLOAT_MAX = sys.float_info.max
+
 
 def _weighted(items: Iterable[Item]) -> list[WeightedItem]:
     return list(map(WeightedItem._make, items))
@@ -115,8 +121,10 @@ class Corpus:
             if rec.id in seen:
                 raise DuplicateId(rec.id)
             seen.add(rec.id)
-            if rec.citations < 0:
-                raise NegativeCitations(rec.id)
+            if not 0 <= rec.citations <= _FLOAT_MAX:
+                if rec.citations < 0:
+                    raise NegativeCitations(rec.id)
+                raise NonFiniteCitations(rec.id)
         object.__setattr__(self, "publications", publications)
         object.__setattr__(self, "_views", {})
 
@@ -144,6 +152,29 @@ class Corpus:
         """Per category, the (keyword, in-category total) items of its
         publications: the pair view before its labels are joined."""
         return {cat: in_cat.items() for cat, in_cat in self._view("keywords_by_category").items()}
+
+    def items_by_group(
+        self,
+        group_values: Sequence[Sequence[str]],
+        view: str,
+        strict: bool = False,
+    ) -> dict[str, Collection[Item]]:
+        """Per group label, the (label, total) items of the "keywords" or
+        "categories" view over the publications in that group, unsorted:
+        the items partition_by_group(self.publications, group_values,
+        strict)[group].items(view) holds, bitwise, from one pass over this
+        corpus and without building a Corpus per group.
+
+        group_values is parallel to self.publications. Repeated group labels
+        count once; a publication with none raises MissingGroupLabel in
+        strict mode and falls into "(ungrouped)" otherwise.
+        """
+        if view not in GROUP_VIEWS:
+            raise ValueError(f"unknown group view {view!r}")
+        groups = _group_labels(self.publications, group_values, strict)
+        in_id_order = sorted(zip(self.publications, groups), key=_record_id)
+        by_group = _grouped_totals(in_id_order, view)
+        return {group: totals.items() for group, totals in by_group.items()}
 
     def keyword_totals(self) -> list[WeightedItem]:
         """One item per distinct keyword; weight is the sum of citations of
@@ -187,6 +218,10 @@ def _by_id(corpus: Corpus) -> tuple[PublicationRecord, ...]:
     return tuple(sorted(corpus.publications, key=attrgetter("id")))
 
 
+def _record_id(pair: tuple[PublicationRecord, object]) -> str:
+    return pair[0].id
+
+
 def _totals(corpus: Corpus, field: str, fractional: bool = False) -> tuple[Item, ...]:
     """Citations summed per label of the record field; with fractional,
     each record's citations are divided by its number of institutions."""
@@ -200,17 +235,29 @@ def _totals(corpus: Corpus, field: str, fractional: bool = False) -> tuple[Item,
     return tuple(sorted(totals.items()))
 
 
-def _keywords_by_category(corpus: Corpus) -> dict[str, dict[str, float]]:
-    by_category: dict[str, dict[str, float]] = {}
-    for rec in corpus._view("by_id"):
+def _grouped_totals(
+    publications: Iterable[tuple[PublicationRecord, Iterable[str]]], field: str
+) -> dict[str, dict[str, float]]:
+    """Per group, citations summed per label of the record field, over
+    (record, group labels) pairs in id order: bitwise the _totals of the
+    group's own publications. A group is kept even if its records carry no
+    label in field."""
+    by_group: dict[str, dict[str, float]] = {}
+    for rec, groups in publications:
         cits = float(rec.citations)
-        for cat in rec.categories:
-            in_cat = by_category.get(cat)
-            if in_cat is None:
-                in_cat = by_category[cat] = {}
-            for kw in rec.keywords:
-                in_cat[kw] = in_cat.get(kw, 0.0) + cits
-    return by_category
+        labels = getattr(rec, field)
+        for group in groups:
+            in_group = by_group.get(group)
+            if in_group is None:
+                in_group = by_group[group] = {}
+            for label in labels:
+                in_group[label] = in_group.get(label, 0.0) + cits
+    return by_group
+
+
+def _keywords_by_category(corpus: Corpus) -> dict[str, dict[str, float]]:
+    by_id = corpus._view("by_id")
+    return _grouped_totals(zip(by_id, map(attrgetter("categories"), by_id)), "keywords")
 
 
 def _pairs(corpus: Corpus) -> tuple[Item, ...]:
@@ -246,7 +293,8 @@ def build_corpus(records: Iterable[PublicationRecord]) -> Corpus:
     """Validate records into a Corpus, whose views are built on first read.
 
     Raises DuplicateId if two records share an id, NegativeCitations if any
-    citation count is below zero.
+    citation count is below zero, NonFiniteCitations if one is NaN, infinite
+    or beyond the float range.
     """
     return Corpus(records)
 
@@ -263,15 +311,28 @@ def partition_by_group(
     raise MissingGroupLabel in strict mode and fall into "(ungrouped)"
     otherwise.
     """
-    if len(records) != len(group_column_values):
-        raise ValueError("records and group_column_values differ in length")
     buckets: dict[str, list[PublicationRecord]] = {}
-    for rec, labels in zip(records, group_column_values):
+    for rec, labels in zip(records, _group_labels(records, group_column_values, strict)):
+        for label in labels:
+            buckets.setdefault(label, []).append(rec)
+    return {label: Corpus(buckets[label]) for label in sorted(buckets)}
+
+
+def _group_labels(
+    records: Sequence[PublicationRecord],
+    group_values: Sequence[Sequence[str]],
+    strict: bool,
+) -> list[tuple[str, ...]]:
+    """Each record's distinct group labels, checked in input order: none
+    raises MissingGroupLabel in strict mode and is "(ungrouped)" otherwise."""
+    if len(records) != len(group_values):
+        raise ValueError("records and group values differ in length")
+    groups = []
+    for rec, labels in zip(records, group_values):
         labels = _dedupe(labels)
         if not labels:
             if strict:
                 raise MissingGroupLabel(rec.id)
             labels = (UNGROUPED_LABEL,)
-        for label in labels:
-            buckets.setdefault(label, []).append(rec)
-    return {label: Corpus(buckets[label]) for label in sorted(buckets)}
+        groups.append(labels)
+    return groups

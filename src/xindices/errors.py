@@ -82,6 +82,15 @@ class NegativeCitations(CorpusError):
         super().__init__(f"publication {id!r} has a negative citation count")
 
 
+class NonFiniteCitations(CorpusError):
+    def __init__(self, id: str):
+        self.id = id
+        super().__init__(
+            f"publication {id!r} has a citation count that is NaN, infinite "
+            "or beyond the float range"
+        )
+
+
 class MissingGroupLabel(CorpusError):
     def __init__(self, id: str):
         self.id = id

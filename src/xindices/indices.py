@@ -8,17 +8,19 @@ categories by their own nested keyword-level x-indices; nested_index ranks
 groups of corpora (typically institutions) by their inner x or xd values.
 
 Inner values for xo and nested_index are always h-type; the ratio_type
-argument selects the outer kernel only. Each function reads only the corpus
-views it ranks, as plain (label, weight) tuples.
+argument selects the outer kernel only, and the inner values are computed
+by the kernel's h_value, without a ranked table. Each function reads only
+the corpus views it ranks, as plain (label, weight) tuples, and INDEX_FIELDS
+names the record fields behind those views, so ingest can skip the others.
 """
 
 from __future__ import annotations
 
 import logging
 from fractions import Fraction
-from typing import Mapping
+from typing import Collection, Mapping, Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, Item
 from .errors import (
     MissingStats,
     NonPositiveMean,
@@ -29,12 +31,28 @@ from .kernel import (
     IndexResult,
     RankedTable,
     first_crossing_index,
+    h_value,
     kernel_index,
     rank_items,
 )
 from .stats import ReferenceStats
 
 logger = logging.getLogger("xindices")
+
+#: Per index kind, the record label fields its views are built from. A
+#: nested index reads the entry of its inner index.
+INDEX_FIELDS = {
+    "x": ("keywords",),
+    "xc": ("keywords", "categories"),
+    "xo": ("keywords", "categories"),
+    "xd": ("categories",),
+    "xdfn": ("categories",),
+    "ivw": ("categories",),
+    "xdf": ("categories", "institutions"),
+}
+
+#: Per inner index of a nested index, the view its h-type value ranks.
+_INNER_VIEWS = {"x": "keywords", "xd": "categories"}
 
 
 def x_index(corpus: Corpus, ratio_type: str = "h") -> IndexResult:
@@ -188,6 +206,20 @@ def ivw_xd_index(
     return first_crossing_index(RankedTable.from_columns(labels, weights, ratios), "ivw")
 
 
+def _inner_view(inner: str) -> str:
+    if inner not in _INNER_VIEWS:
+        raise ValueError(f"unknown inner index {inner!r}")
+    return _INNER_VIEWS[inner]
+
+
+def _rank_inner(
+    items_by_label: Mapping[str, Collection[Item]], ratio_type: str, kind: str
+) -> IndexResult:
+    """The outer kernel over each label's inner h-type value."""
+    scored = [(label, float(h_value(items_by_label[label]))) for label in sorted(items_by_label)]
+    return kernel_index(scored, ratio_type, kind)
+
+
 def xo_index(corpus: Corpus, ratio_type: str = "h", jobs: int = 1) -> IndexResult:
     """Overall expertise: kernel over the per-category nested x-indices.
 
@@ -196,11 +228,7 @@ def xo_index(corpus: Corpus, ratio_type: str = "h", jobs: int = 1) -> IndexResul
     the per-category keyword totals the pair view is built from. jobs is
     accepted for compatibility; the categories are scored serially.
     """
-    by_category = corpus.keyword_items_by_category()
-    scored = [
-        (cat, float(kernel_index(by_category[cat], "h", "x").value)) for cat in sorted(by_category)
-    ]
-    return kernel_index(scored, ratio_type, "xo")
+    return _rank_inner(corpus.keyword_items_by_category(), ratio_type, "xo")
 
 
 def nested_index(
@@ -212,8 +240,22 @@ def nested_index(
     """Group-level index: the kernel applied to each group's inner h-type
     x or xd value (the xx and xx_d aggregates). jobs is accepted for
     compatibility; the groups are scored serially."""
-    if inner not in ("x", "xd"):
-        raise ValueError(f"unknown inner index {inner!r}")
-    inner_fn = x_index if inner == "x" else xd_index
-    scored = [(label, float(inner_fn(groups[label], "h").value)) for label in sorted(groups)]
-    return kernel_index(scored, ratio_type, "nested")
+    view = _inner_view(inner)
+    items_by_group = {label: corpus.items(view) for label, corpus in groups.items()}
+    return _rank_inner(items_by_group, ratio_type, "nested")
+
+
+def group_index(
+    corpus: Corpus,
+    group_values: Sequence[Sequence[str]],
+    inner: str = "x",
+    ratio_type: str = "h",
+    strict: bool = False,
+) -> IndexResult:
+    """nested_index over the groups partition_by_group(corpus.publications,
+    group_values, strict) would build, with the same value and table, from
+    one pass over corpus. Ids are unique across the whole corpus, so a
+    publication id repeated in two groups is a DuplicateId when the corpus
+    is built."""
+    items_by_group = corpus.items_by_group(group_values, _inner_view(inner), strict)
+    return _rank_inner(items_by_group, ratio_type, "nested")

@@ -6,8 +6,9 @@ The field separator is autodetected from the header line, limited to comma
 vs tab; a header containing both raises rather than guessing. Multi-value
 cells (keywords, categories, institutions, group) are split on a
 configurable cell delimiter and normalised, each distinct part once per
-table; record label lists are also deduplicated. A row the csv module
-cannot read, such as a field over csv.field_size_limit(), raises
+table; record label lists are also deduplicated. read_table can skip the
+label cells of record fields its caller does not read. A row the csv
+module cannot read, such as a field over csv.field_size_limit(), raises
 MalformedRow.
 
 Row numbers in errors are 1-based record numbers counting the header as
@@ -40,6 +41,9 @@ SMALL_SAMPLE_THRESHOLD = 100
 _WS_RUN = re.compile(r"\s+")
 
 ROLES = ("id", "citations", "keywords", "categories", "institutions", "group")
+
+#: The multi-value record fields, in PublicationRecord order.
+LABEL_FIELDS = ("keywords", "categories", "institutions")
 
 
 @dataclass(frozen=True)
@@ -152,10 +156,23 @@ def _parse_citations(cell: str, row: int) -> float:
     return value
 
 
-def read_table(stream: IO[bytes], config: IngestConfig | None = None) -> TableData:
-    """Parse a delimited byte stream into records plus table metadata."""
+def read_table(
+    stream: IO[bytes],
+    config: IngestConfig | None = None,
+    fields: Iterable[str] = LABEL_FIELDS,
+) -> TableData:
+    """Parse a delimited byte stream into records plus table metadata.
+
+    Only the label cells of the record fields named in fields (a subset of
+    LABEL_FIELDS) are split and normalised; records hold () for the others.
+    Label cells never raise, so every check and error is the same whatever
+    fields holds, and the group column is always read.
+    """
     if config is None:
         config = IngestConfig()
+    fields = frozenset(fields)
+    if not fields <= set(LABEL_FIELDS):
+        raise ValueError(f"unknown record fields: {sorted(fields - set(LABEL_FIELDS))}")
     text = read_utf8(stream)
     header_line = text.split("\n", 1)[0]
     separator = _detect_separator(header_line)
@@ -196,11 +213,14 @@ def read_table(stream: IO[bytes], config: IngestConfig | None = None) -> TableDa
     width = len(headers)
     id_at = index_of["id"]
     citations_at = index_of["citations"]
-    keywords_at = index_of.get("keywords")
-    categories_at = index_of.get("categories")
-    institutions_at = index_of.get("institutions")
+    keywords_at, categories_at, institutions_at = (
+        index_of.get(field) if field in fields else None for field in LABEL_FIELDS
+    )
     group_at = index_of.get("group")
-    group_is_institutions = group_at is not None and group_at == institutions_at
+    # An institutions cell that is also the group column is split once.
+    institutions_from_group = group_at is not None and group_at == institutions_at
+    if institutions_from_group:
+        institutions_at = None
     new_record = PublicationRecord._from_normalised
     records: list[PublicationRecord] = []
     group_values: list[tuple[str, ...]] = []
@@ -221,14 +241,12 @@ def read_table(stream: IO[bytes], config: IngestConfig | None = None) -> TableDa
                 keywords = distinct(cells[keywords_at])
             if categories_at is not None:
                 categories = distinct(cells[categories_at])
-            if group_is_institutions:
+            if institutions_at is not None:
+                institutions = distinct(cells[institutions_at])
+            if group_at is not None:
                 group = labels(cells[group_at])
-                institutions = tuple(dict.fromkeys(group))
-            else:
-                if institutions_at is not None:
-                    institutions = distinct(cells[institutions_at])
-                if group_at is not None:
-                    group = labels(cells[group_at])
+                if institutions_from_group:
+                    institutions = tuple(dict.fromkeys(group))
             records.append(new_record(rec_id, citations, keywords, categories, institutions))
             group_values.append(group)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()

@@ -23,7 +23,9 @@ weights and ratios tuples, with ranks implicit as 1..n. Ranking is two
 stable C-keyed sorts, ratios and the value come from map/accumulate/
 compress passes, and the table invariants are checked by C-level passes,
 so no RankRow is built on the way to a report. The row view (RankRow
-tuples) is built on first read of RankedTable.rows.
+tuples) is built on first read of RankedTable.rows. Inner values that no
+report prints (xo's per-category and nested's per-group values) come from
+h_value, which ranks weights alone and builds no table.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, repeat
 from operator import ge, itemgetter, lt, mul, truediv
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .corpus import Item
 from .errors import NonFiniteWeight
@@ -174,6 +176,19 @@ def h_type_index(items: Iterable[Item], kind: str = "x") -> IndexResult:
     ratios = tuple(map(truediv, weights, ranks))
     value = max(compress(ranks, map(ge, ratios, repeat(1.0))), default=0)
     return IndexResult(kind, "h", value, RankedTable.from_columns(labels, weights, ratios))
+
+
+def h_value(items: Collection[Item]) -> int:
+    """h_type_index(items).value without the ranked table: the weights
+    sorted descending and the same exact w / r >= 1.0 rule. A largest
+    weight that is not finite raises NonFiniteWeight naming the label
+    h_type_index names (the smallest label of that weight), so items are
+    read a second time on that path only."""
+    weights = sorted(map(itemgetter(1), items), reverse=True)
+    if weights and not _finite(top := weights[0]):
+        raise NonFiniteWeight(min(label for label, weight in items if weight == top))
+    ranks = range(1, len(weights) + 1)
+    return max(compress(ranks, map(ge, map(truediv, weights, ranks), repeat(1.0))), default=0)
 
 
 def g_type_index(items: Iterable[Item], kind: str = "x") -> IndexResult:

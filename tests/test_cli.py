@@ -114,17 +114,26 @@ OVERFLOW = (
 )
 
 
+# xo sums citations within one category, so its case puts both rows there.
+OVERFLOW_IN_ONE_CATEGORY = (
+    "id,citations,keywords,categories,institutions\n"
+    "p1,1e308,a,C,I1\n"
+    "p2,1e308,a,C,I2\n"
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("compute", "--index", "x"),
         ("compute", "--index", "xd", "--type", "g"),
         ("nested", "--group-col", "institutions"),
+        ("compute", "--index", "xo"),
     ],
 )
 def test_overflowing_citation_totals_exit_2(tmp_path, capsys, argv):
     path = tmp_path / "huge.csv"
-    path.write_text(OVERFLOW)
+    path.write_text(OVERFLOW_IN_ONE_CATEGORY if "xo" in argv else OVERFLOW)
     code, out, err = run(capsys, *argv, "--input", str(path))
     assert code == 2
     assert out == ""
@@ -352,6 +361,8 @@ NON_UTF8 = b"id,citations,keywords\np1,3,caf\xe9\n"
 DIGIT_SEPARATOR = b"id,citations,keywords,institutions\np1,1_000,a,I1\n"
 SPREAD_OVERFLOW = b"id,citations,categories\np1,0,C\np2,1e308,C\np3,1e308,C\n"
 LONG_CELL = b"id,citations,keywords\np1,1," + b"k" * 140_000 + b"\n"
+DUPLICATE_ACROSS_GROUPS = b"id,citations,keywords,institutions\np1,1,a,I1\np1,2,b,I2\n"
+UNGROUPED = b"id,citations,keywords,institutions\np1,1,a,I1\np2,2,b,\n"
 
 
 NOT_UTF8 = "line 2: input is not UTF-8 text (byte 0xe9)"
@@ -397,6 +408,14 @@ NON_FINITE = "not a finite number"
         pytest.param(
             ("compute", "--index", "xdfn"), TOY.encode(), "a,1,1,3\na,2,1,3", 1,
             "stats row 3: duplicate category 'a'", id="repeated-stats-category",
+        ),
+        pytest.param(
+            ("nested", "--group-col", "institutions"), DUPLICATE_ACROSS_GROUPS, None, 1,
+            "duplicate publication id 'p1'", id="duplicate-id-across-groups-nested",
+        ),
+        pytest.param(
+            ("nested", "--group-col", "institutions", "--strict-groups"), UNGROUPED, None, 1,
+            "publication 'p2' carries no group label", id="missing-group-label-strict-nested",
         ),
     ],
 )

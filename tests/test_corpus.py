@@ -11,6 +11,7 @@ from xindices import (
     DuplicateId,
     MissingGroupLabel,
     NegativeCitations,
+    NonFiniteCitations,
     PublicationRecord,
     build_corpus,
     estimate_stats,
@@ -23,7 +24,7 @@ from xindices import (
     xdfn_index,
     xo_index,
 )
-from xindices.corpus import ITEM_VIEWS
+from xindices.corpus import GROUP_VIEWS, ITEM_VIEWS
 
 from conftest import random_records, record
 
@@ -56,6 +57,16 @@ def test_duplicate_id_rejected():
 def test_negative_citations_rejected():
     with pytest.raises(NegativeCitations):
         build_corpus([record("a", -1)])
+
+
+@pytest.mark.parametrize(
+    "citations", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "beyond-float"]
+)
+def test_non_finite_citations_rejected(citations):
+    # estimate_stats and the totals views could not handle such a count
+    with pytest.raises(NonFiniteCitations) as err:
+        build_corpus([record("a", 1, categories=("c",)), record("b", citations, categories=("c",))])
+    assert err.value.id == "b"
 
 
 def test_record_deduplicates_labels():
@@ -187,7 +198,57 @@ def test_partition_ungrouped_fallback_and_strict():
         partition_by_group(records, [()], strict=True)
 
 
+def test_items_by_group_ungrouped_fallback_and_strict():
+    corpus = build_corpus([record("p2", 1, ("k",)), record("p1", 2, ("k",))])
+    groups = corpus.items_by_group([(), ("i1", "i1")], "keywords")
+    assert {group: list(items) for group, items in groups.items()} == {
+        "(ungrouped)": [("k", 1.0)],
+        "i1": [("k", 2.0)],
+    }
+    with pytest.raises(MissingGroupLabel) as err:
+        corpus.items_by_group([("i1",), ()], "keywords", strict=True)
+    assert err.value.id == "p1"
+    with pytest.raises(ValueError):
+        corpus.items_by_group([()], "keywords")
+    with pytest.raises(ValueError):
+        corpus.items_by_group([(), ()], "pairs")
+
+
 # --- properties ---------------------------------------------------------------
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(GROUP_VIEWS), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_items_by_group_equals_views_of_partition(seed, view, strict):
+    # Decimal citations in shuffled id order: the per-group float sums are
+    # bitwise those of each group's own Corpus only when summed in id order.
+    rng = random.Random(seed)
+    records = [
+        record(
+            f"p{rng.randrange(10**6)}-{i}",
+            rng.randrange(10**5) / 100,
+            rec.keywords,
+            rec.categories,
+        )
+        for i, rec in enumerate(random_records(rng, max_pubs=60, max_categories=5, max_keywords=8))
+    ]
+    group_values = [
+        tuple(rng.choice(["i1", "i2", "i3", "i2"]) for _ in range(rng.randint(0, 3)))
+        for _ in records
+    ]
+
+    def outcome(read):
+        try:
+            return read()
+        except MissingGroupLabel as exc:
+            return MissingGroupLabel, exc.id
+
+    by_group = outcome(lambda: build_corpus(records).items_by_group(group_values, view, strict))
+    partition = outcome(lambda: partition_by_group(records, group_values, strict))
+    if isinstance(partition, dict):
+        by_group = {group: sorted(items) for group, items in by_group.items()}
+        partition = {group: list(corpus.items(view)) for group, corpus in partition.items()}
+    assert by_group == partition
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from xindices import (
+    MissingGroupLabel,
     MissingStats,
+    NonFiniteWeight,
     NonPositiveMean,
     PublicationRecord,
     RankBasisUnsupported,
     ZeroOrMissingVariance,
     build_corpus,
     estimate_stats,
+    group_index,
     h_type_index,
     ivw_xd_index,
     nested_index,
@@ -27,6 +31,8 @@ from xindices import (
     xo_index,
 )
 from xindices.corpus import WeightedItem
+from xindices.indices import INDEX_FIELDS
+from xindices.ingest import LABEL_FIELDS
 from xindices.stats import ReferenceStats, StatsEntry
 
 from conftest import random_records, record
@@ -505,6 +511,76 @@ def test_nested_group_enumeration_order_irrelevant():
     reversed_groups = dict(reversed(list(groups.items())))
     assert nested_index(groups, "x", "h") == nested_index(reversed_groups, "x", "h")
     assert nested_index(groups, "xd", "g", jobs=3) == nested_index(reversed_groups, "xd", "g")
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except (MissingGroupLabel, NonFiniteWeight) as exc:
+        return type(exc), str(exc)
+
+
+@given(seeds, st.sampled_from(["x", "xd"]), st.sampled_from(["h", "g"]), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_group_index_equals_nested_index_over_partition(seed, inner, ratio_type, strict):
+    rng = random.Random(seed)
+    # decimal citations, sometimes large enough for a group total to overflow
+    records = [
+        dataclasses.replace(rec, citations=rng.choice([rng.randrange(10**5) / 100, 1e308]))
+        for rec in random_records(rng, max_pubs=60, max_categories=6, max_keywords=10)
+    ]
+    rng.shuffle(records)
+    group_values = [
+        tuple(rng.choice(["i1", "i2", "i3", "i2"]) for _ in range(rng.randint(0, 3)))
+        for _ in records
+    ]
+    expected = outcome(
+        lambda: nested_index(partition_by_group(records, group_values, strict), inner, ratio_type)
+    )
+    assert outcome(
+        lambda: group_index(build_corpus(records), group_values, inner, ratio_type, strict)
+    ) == expected
+
+
+def test_group_index_unknown_inner():
+    with pytest.raises(ValueError):
+        group_index(build_corpus([]), [], inner="xc")
+
+
+# Every index of a kind in INDEX_FIELDS, at both ratio types.
+INDEX_READERS = {
+    "x": x_index,
+    "xc": xc_index,
+    "xd": xd_index,
+    "xdf": xdf_index,
+    "xdfn": lambda c, t: xdfn_index(c, t, estimate_stats(c), strict=False),
+    "ivw": lambda c, t: ivw_xd_index(
+        c, t, estimate_stats(c, "population"), "raw" if t == "h" else "weighted", 0.5
+    ),
+    "xo": xo_index,
+}
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_index_fields_hold_every_field_an_index_reads(seed):
+    # ingest leaves the fields outside INDEX_FIELDS[kind] empty; the index
+    # (and a nested index with that inner) must not change
+    assert set(INDEX_READERS) == set(INDEX_FIELDS)
+    rng = random.Random(seed)
+    records = random_records(rng, max_pubs=50, min_citations=1)
+    group_values = [rec.institutions for rec in records]
+    full = build_corpus(records)
+    for kind, fields in INDEX_FIELDS.items():
+        blank = dict.fromkeys(set(LABEL_FIELDS) - set(fields), ())
+        projected = build_corpus([dataclasses.replace(rec, **blank) for rec in records])
+        for ratio_type in ("h", "g"):
+            read = INDEX_READERS[kind]
+            assert read(projected, ratio_type) == read(full, ratio_type), (kind, ratio_type)
+            if kind in ("x", "xd"):
+                assert group_index(projected, group_values, kind, ratio_type) == group_index(
+                    full, group_values, kind, ratio_type
+                )
 
 
 # --- cross-index properties -----------------------------------------------------

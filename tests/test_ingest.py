@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import csv
+import dataclasses
 import io
 
 import pytest
@@ -25,7 +26,7 @@ from xindices import (
     validate_records,
 )
 from xindices.errors import XIndicesError
-from xindices.ingest import TableData
+from xindices.ingest import LABEL_FIELDS, TableData
 
 from conftest import record
 from oracles import reference_read_table
@@ -263,6 +264,23 @@ def test_read_table_equals_row_wise_reference(table):
         reference = reference_read_table(data, config)
         assert list(map(repr, fast.records)) == list(map(repr, reference.records))
         assert list(map(hash, fast.records)) == list(map(hash, reference.records))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.sets(st.sampled_from(LABEL_FIELDS)))
+def test_projected_read_equals_full_read_with_unread_fields_blank(table, fields):
+    data, config = table
+    projected = outcome(lambda d, c: read_table(io.BytesIO(d), c, fields=fields), data, config)
+    expected = outcome(read_bytes, data, config)
+    if isinstance(expected, TableData):
+        blank = dict.fromkeys(set(LABEL_FIELDS) - fields, ())
+        expected.records = [dataclasses.replace(rec, **blank) for rec in expected.records]
+    assert projected == expected
+
+
+def test_read_table_rejects_unknown_fields():
+    with pytest.raises(ValueError, match="keyword"):
+        read_table(io.BytesIO(b"id,citations\n"), fields=("keyword",))
 
 
 FUZZ_HEADER = b"id,citations,keywords,categories,institutions\n"

@@ -15,6 +15,7 @@ from xindices import (
     first_crossing_index,
     g_type_index,
     h_type_index,
+    h_value,
 )
 from xindices.kernel import rank_items
 
@@ -175,6 +176,44 @@ def test_increasing_weight_never_decreases(weights, data):
     bumped[idx] += bump
     assert h_type_index(items(*bumped)).value >= h_type_index(items(*weights)).value
     assert g_type_index(items(*bumped)).value >= g_type_index(items(*weights)).value
+
+
+# Weights where the ratio w / r is close to 1 or the float range ends:
+# ties, zeros, subnormals, integers, and values near 1e308 and infinity.
+edge_weights = st.one_of(
+    st.sampled_from(
+        [0.0, 5e-324, 2.2250738585072014e-308, 1.0, 2.0, 3.0, 1e308, 1.7976931348623157e308]
+    ),
+    st.integers(min_value=0, max_value=12).map(float),
+    st.floats(min_value=0, max_value=12, allow_nan=False),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+)
+
+
+def value_or_error(index, items):
+    try:
+        return index(items)
+    except NonFiniteWeight as exc:
+        return NonFiniteWeight, exc.label
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("abcd"), st.one_of(edge_weights, st.just(float("inf")))),
+        max_size=30,
+    )
+)
+def test_h_value_equals_h_type_index_value(weighted):
+    expected = value_or_error(lambda it: h_type_index(it).value, weighted)
+    assert value_or_error(h_value, weighted) == expected
+
+
+def test_h_value_names_the_label_h_type_index_names():
+    weighted = [("b", float("inf")), ("c", 1.0), ("a", float("inf"))]
+    with pytest.raises(NonFiniteWeight) as err:
+        h_value(weighted)
+    assert err.value.label == "a"
+    assert value_or_error(h_type_index, weighted) == (NonFiniteWeight, "a")
 
 
 # --- table shape -------------------------------------------------------------

@@ -198,14 +198,6 @@ def test_estimated_mean_equals_fraction_sum(citations):
     assert mean == sum(Fraction(c) for c in citations) / len(citations)
 
 
-@pytest.mark.parametrize("bad, exc", [(math.nan, ValueError), (math.inf, OverflowError)])
-def test_estimate_non_finite_citation_raises_like_fraction(bad, exc):
-    # Corpus accepts NaN and infinite citations; estimate_stats raises what
-    # Fraction(bad) raises.
-    with pytest.raises(exc, match="cannot convert"):
-        estimate_stats(corpus_with_samples(1, bad, 2))
-
-
 def test_load_rejects_repeated_category():
     with pytest.raises(BadStatsRow) as err:
         load("category,mean,variance,n\na,1,1,3\nb,1,1,3\na,2,1,3\n")
