@@ -1,21 +1,25 @@
 """Command-line surface: compute, nested, stats, validate.
 
-Exit codes: 0 success, 1 ingest or validation failure or an unwritable
---out, 2 computation failure (missing stats, unusable variance, unsupported
-rank basis, citation totals or variances beyond the float range). Error
-messages go to stderr; reports go to stdout or --out.
+Exit codes: 0 success, 1 ingest or validation failure, a bad flag value
+(an empty --cell-delimiter, a --variance-floor that is not a positive
+finite number) or an unwritable --out, 2 computation failure (missing
+stats, unusable variance, unsupported rank basis, citation totals or
+variances beyond the float range). Error messages go to stderr; reports go
+to stdout or --out. Flag values are checked before the input is read.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
+import math
 import sys
 from typing import IO, Sequence
 
 from . import __version__
 from .corpus import build_corpus
-from .errors import ComputeError, MissingStats, XIndicesError
+from .errors import ComputeError, InvalidConfig, MissingStats, XIndicesError
 from .indices import (
     INDEX_FIELDS,
     group_index,
@@ -162,10 +166,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
     collector = _WarningCollector()
     logger.addHandler(collector)
     try:
-        config = _ingest_config(args)
         try:
+            config = _ingest_config(args)
+            floor = args.variance_floor
+            if floor is not None and not 0 < floor < math.inf:
+                raise InvalidConfig(f"--variance-floor must be a positive finite number, got {floor}")
             table = _read_input(args, config, INDEX_FIELDS[args.index])
-            corpus = build_corpus(table.records)
+            corpus = build_corpus(table.columns)
             ref_stats = None
             if args.ref_stats:
                 with open(args.ref_stats, "rb") as fh:
@@ -217,10 +224,10 @@ def cmd_nested(args: argparse.Namespace) -> int:
     collector = _WarningCollector()
     logger.addHandler(collector)
     try:
-        config = _ingest_config(args, group_col=args.group_col)
         try:
+            config = _ingest_config(args, group_col=args.group_col)
             table = _read_input(args, config, INDEX_FIELDS[args.inner])
-            corpus = build_corpus(table.records)
+            corpus = build_corpus(table.columns)
         except (XIndicesError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -249,10 +256,9 @@ def cmd_nested(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    config = _ingest_config(args)
     try:
-        table = _read_input(args, config, ("categories",))
-        corpus = build_corpus(table.records)
+        table = _read_input(args, _ingest_config(args), ("categories",))
+        corpus = build_corpus(table.columns)
     except (XIndicesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -286,9 +292,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    config = _ingest_config(args)
     try:
-        table = _read_input(args, config)
+        table = _read_input(args, _ingest_config(args))
     except (XIndicesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -365,8 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command. The cyclic garbage collector is off for the run: a
+    run builds only acyclic containers, which reference counting frees,
+    and the collector would only rescan them. The state found is put back
+    on every exit, SystemExit from argparse included."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

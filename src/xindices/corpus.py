@@ -1,21 +1,24 @@
 """Publication data model and the aggregation views every index is built on.
 
-A Corpus is immutable once built. It validates its records eagerly; each
-derived view (keyword totals, per-category keyword totals, pair totals,
+A Corpus is immutable once built. It holds its publications in column form
+(PublicationColumns: parallel ids, citations and label-tuple columns) and
+validates them eagerly; its PublicationRecord tuple is built on first read.
+Each derived view (keyword totals, per-category keyword totals, pair totals,
 category totals, per-category citation samples) is built on first read and
 cached, so a command pays only for the views its index reads. Views are
 pure functions of the publication multiset: contributions are accumulated
-over publications sorted by id, so permuting the input record list, or
-reading the views in another order, yields bitwise-identical views and
-index values.
+over the columns permuted into id order, so permuting the input, or reading
+the views in another order, yields bitwise-identical views and index values.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter, itemgetter
+from itertools import repeat
+from operator import attrgetter, itemgetter, truediv
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateId, MissingGroupLabel, NegativeCitations, NonFiniteCitations
@@ -30,6 +33,11 @@ UNGROUPED_LABEL = "(ungrouped)"
 def _dedupe(labels: Iterable[str]) -> tuple[str, ...]:
     """Drop empty labels and duplicates, preserving first-occurrence order."""
     return tuple(dict.fromkeys(filter(None, labels)))
+
+
+def _dedupe_each(label_lists: Iterable[Iterable[str]]) -> list[tuple[str, ...]]:
+    """_dedupe of each label list, in C-level map passes."""
+    return list(map(tuple, map(dict.fromkeys, map(filter, repeat(None), label_lists))))
 
 
 @dataclass(frozen=True)
@@ -104,35 +112,81 @@ GROUP_VIEWS = ("keywords", "categories")
 _FLOAT_MAX = sys.float_info.max
 
 
+#: The record fields, in PublicationRecord order: the PublicationColumns
+#: names with "id" for "ids".
+_RECORD_FIELDS = ("id", "citations", "keywords", "categories", "institutions")
+
+
+class PublicationColumns(NamedTuple):
+    """Publications in column form: entry i of each column belongs to the
+    i-th publication. Label tuples are in the form PublicationRecord keeps
+    them, without empty labels or repeats; ids are non-empty."""
+
+    ids: Sequence[str]
+    citations: Sequence[float]
+    keywords: Sequence[tuple[str, ...]]
+    categories: Sequence[tuple[str, ...]]
+    institutions: Sequence[tuple[str, ...]]
+
+    @classmethod
+    def from_records(cls, records: Sequence[PublicationRecord]) -> PublicationColumns:
+        return cls(*(list(map(attrgetter(name), records)) for name in _RECORD_FIELDS))
+
+    def records(self) -> list[PublicationRecord]:
+        """One PublicationRecord per publication, in column order."""
+        return list(map(PublicationRecord._from_normalised, *self))
+
+
 def _weighted(items: Iterable[Item]) -> list[WeightedItem]:
     return list(map(WeightedItem._make, items))
 
 
 class Corpus:
-    """Immutable collection of publications; each aggregation view is built
-    on first read and cached."""
+    """Immutable collection of publications, held in column form; each
+    aggregation view is built on first read and cached.
 
-    __slots__ = ("publications", "_views")
+    Corpus(records) and Corpus.from_columns(columns) of the same
+    publications give equal views, and raise the same error, naming the
+    same publication, for invalid input.
+    """
+
+    __slots__ = ("columns", "_publications", "_views")
 
     def __init__(self, records: Iterable[PublicationRecord]):
         publications = tuple(records)
-        seen: set[str] = set()
-        for rec in publications:
-            if rec.id in seen:
-                raise DuplicateId(rec.id)
-            seen.add(rec.id)
-            if not 0 <= rec.citations <= _FLOAT_MAX:
-                if rec.citations < 0:
-                    raise NegativeCitations(rec.id)
-                raise NonFiniteCitations(rec.id)
-        object.__setattr__(self, "publications", publications)
+        self._init(PublicationColumns.from_records(publications), publications)
+
+    @classmethod
+    def from_columns(cls, columns: PublicationColumns) -> Corpus:
+        """A Corpus of publications in column form, checked with C-level
+        passes over the columns; the label tuples are taken as given."""
+        columns = PublicationColumns(*map(tuple, columns))
+        if "" in columns.ids:
+            raise ValueError("publication id must be non-empty")
+        corpus = cls.__new__(cls)
+        corpus._init(columns, None)
+        return corpus
+
+    def _init(self, columns: PublicationColumns, publications) -> None:
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("publication columns differ in length")
+        _check_publications(columns.ids, columns.citations)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "_publications", publications)
         object.__setattr__(self, "_views", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Corpus is immutable")
 
     def __len__(self) -> int:
-        return len(self.publications)
+        return len(self.columns.ids)
+
+    @property
+    def publications(self) -> tuple[PublicationRecord, ...]:
+        """The publications as records, in input order."""
+        if self._publications is None:
+            object.__setattr__(self, "_publications", tuple(self.columns.records()))
+        return self._publications
 
     def _view(self, name: str):
         view = self._views.get(name)
@@ -165,15 +219,16 @@ class Corpus:
         strict)[group].items(view) holds, bitwise, from one pass over this
         corpus and without building a Corpus per group.
 
-        group_values is parallel to self.publications. Repeated group labels
+        group_values is parallel to the publications. Repeated group labels
         count once; a publication with none raises MissingGroupLabel in
         strict mode and falls into "(ungrouped)" otherwise.
         """
         if view not in GROUP_VIEWS:
             raise ValueError(f"unknown group view {view!r}")
-        groups = _group_labels(self.publications, group_values, strict)
-        in_id_order = sorted(zip(self.publications, groups), key=_record_id)
-        by_group = _grouped_totals(in_id_order, view)
+        groups = _group_labels(self.columns.ids, group_values, strict)
+        by_id = self._view("by_id")
+        in_id_order = map(groups.__getitem__, by_id.order)
+        by_group = _grouped_totals(by_id["citations"], by_id[view], in_id_order)
         return {group: totals.items() for group, totals in by_group.items()}
 
     def keyword_totals(self) -> list[WeightedItem]:
@@ -208,44 +263,85 @@ class Corpus:
         return {cat: list(vals) for cat, vals in self._view("samples").items()}
 
 
-# View builders. Each accumulates over the publications sorted by id, so
-# every float sum is independent of input order and of which views were
+def _in_float_range(citations: Sequence[float]) -> bool:
+    """True when every count is in [0, float max]; False may be a false
+    alarm (a float sum overflowing, a count C cannot compare)."""
+    if not citations:
+        return True
+    try:
+        # a NaN passes min and max unless it comes first, but not the sum
+        return 0 <= min(citations) and max(citations) <= _FLOAT_MAX and math.isfinite(sum(citations))
+    except (OverflowError, TypeError):
+        return False
+
+
+def _check_publications(ids: Sequence[str], citations: Sequence[float]) -> None:
+    """Raise for the first invalid publication in order: DuplicateId for a
+    repeated id, then NegativeCitations or NonFiniteCitations for a count
+    below zero or outside the float range. Set and min/max passes clear a
+    valid table; only a failed pass walks the publications one by one."""
+    if len(set(ids)) == len(ids) and _in_float_range(citations):
+        return
+    seen: set[str] = set()
+    for rec_id, count in zip(ids, citations):
+        if rec_id in seen:
+            raise DuplicateId(rec_id)
+        seen.add(rec_id)
+        if not 0 <= count <= _FLOAT_MAX:
+            if count < 0:
+                raise NegativeCitations(rec_id)
+            raise NonFiniteCitations(rec_id)
+
+
+# View builders. Each accumulates over the columns permuted into id order,
+# so every float sum is independent of input order and of which views were
 # read before it.
 
 
-def _by_id(corpus: Corpus) -> tuple[PublicationRecord, ...]:
-    # ids are unique, so this order is canonical
-    return tuple(sorted(corpus.publications, key=attrgetter("id")))
+class _ByIdColumns(dict):
+    """Field name -> that column of the corpus in id order, permuted on
+    first read; citations are converted to float. order is the argsort of
+    the ids (unique, so the order is canonical)."""
 
+    def __init__(self, columns: PublicationColumns):
+        super().__init__()
+        self.columns = columns
+        self.order = sorted(range(len(columns.ids)), key=columns.ids.__getitem__)
 
-def _record_id(pair: tuple[PublicationRecord, object]) -> str:
-    return pair[0].id
+    def __missing__(self, field: str) -> list:
+        column = list(map(getattr(self.columns, field).__getitem__, self.order))
+        if field == "citations":
+            column = list(map(float, column))
+        self[field] = column
+        return column
 
 
 def _totals(corpus: Corpus, field: str, fractional: bool = False) -> tuple[Item, ...]:
     """Citations summed per label of the record field; with fractional,
     each record's citations are divided by its number of institutions."""
+    by_id = corpus._view("by_id")
+    citations = by_id["citations"]
+    if fractional:
+        divisors = map(max, map(len, by_id["institutions"]), repeat(1))
+        citations = map(truediv, citations, divisors)
     totals: dict[str, float] = {}
-    for rec in corpus._view("by_id"):
-        cits = float(rec.citations)
-        if fractional:
-            cits = cits / (len(rec.institutions) or 1)
-        for label in getattr(rec, field):
-            totals[label] = totals.get(label, 0.0) + cits
+    get = totals.get
+    for cits, labels in zip(citations, by_id[field]):
+        for label in labels:
+            totals[label] = get(label, 0.0) + cits
     return tuple(sorted(totals.items()))
 
 
 def _grouped_totals(
-    publications: Iterable[tuple[PublicationRecord, Iterable[str]]], field: str
+    citations: Iterable[float],
+    labels_column: Iterable[tuple[str, ...]],
+    groups_column: Iterable[Iterable[str]],
 ) -> dict[str, dict[str, float]]:
-    """Per group, citations summed per label of the record field, over
-    (record, group labels) pairs in id order: bitwise the _totals of the
-    group's own publications. A group is kept even if its records carry no
-    label in field."""
+    """Per group, citations summed per label, over parallel columns in id
+    order: bitwise the _totals of the group's own publications. A group is
+    kept even if its publications carry no label."""
     by_group: dict[str, dict[str, float]] = {}
-    for rec, groups in publications:
-        cits = float(rec.citations)
-        labels = getattr(rec, field)
+    for cits, labels, groups in zip(citations, labels_column, groups_column):
         for group in groups:
             in_group = by_group.get(group)
             if in_group is None:
@@ -257,7 +353,7 @@ def _grouped_totals(
 
 def _keywords_by_category(corpus: Corpus) -> dict[str, dict[str, float]]:
     by_id = corpus._view("by_id")
-    return _grouped_totals(zip(by_id, map(attrgetter("categories"), by_id)), "keywords")
+    return _grouped_totals(by_id["citations"], by_id["keywords"], by_id["categories"])
 
 
 def _pairs(corpus: Corpus) -> tuple[Item, ...]:
@@ -270,16 +366,16 @@ def _pairs(corpus: Corpus) -> tuple[Item, ...]:
 
 
 def _samples(corpus: Corpus) -> dict[str, tuple[float, ...]]:
+    by_id = corpus._view("by_id")
     samples: dict[str, list[float]] = {}
-    for rec in corpus._view("by_id"):
-        cits = float(rec.citations)
-        for cat in rec.categories:
+    for cits, categories in zip(by_id["citations"], by_id["categories"]):
+        for cat in categories:
             samples.setdefault(cat, []).append(cits)
     return {cat: tuple(samples[cat]) for cat in sorted(samples)}
 
 
 _BUILDERS = {
-    "by_id": _by_id,
+    "by_id": lambda corpus: _ByIdColumns(corpus.columns),
     "keywords": partial(_totals, field="keywords"),
     "keywords_by_category": _keywords_by_category,
     "pairs": _pairs,
@@ -289,14 +385,17 @@ _BUILDERS = {
 }
 
 
-def build_corpus(records: Iterable[PublicationRecord]) -> Corpus:
-    """Validate records into a Corpus, whose views are built on first read.
+def build_corpus(publications: Iterable[PublicationRecord] | PublicationColumns) -> Corpus:
+    """Validate records, or publication columns, into a Corpus whose views
+    are built on first read.
 
-    Raises DuplicateId if two records share an id, NegativeCitations if any
-    citation count is below zero, NonFiniteCitations if one is NaN, infinite
-    or beyond the float range.
+    Raises DuplicateId if two publications share an id, NegativeCitations if
+    any citation count is below zero, NonFiniteCitations if one is NaN,
+    infinite or beyond the float range.
     """
-    return Corpus(records)
+    if isinstance(publications, PublicationColumns):
+        return Corpus.from_columns(publications)
+    return Corpus(publications)
 
 
 def partition_by_group(
@@ -311,28 +410,27 @@ def partition_by_group(
     raise MissingGroupLabel in strict mode and fall into "(ungrouped)"
     otherwise.
     """
+    ids = [rec.id for rec in records]
     buckets: dict[str, list[PublicationRecord]] = {}
-    for rec, labels in zip(records, _group_labels(records, group_column_values, strict)):
+    for rec, labels in zip(records, _group_labels(ids, group_column_values, strict)):
         for label in labels:
             buckets.setdefault(label, []).append(rec)
     return {label: Corpus(buckets[label]) for label in sorted(buckets)}
 
 
 def _group_labels(
-    records: Sequence[PublicationRecord],
+    ids: Sequence[str],
     group_values: Sequence[Sequence[str]],
     strict: bool,
 ) -> list[tuple[str, ...]]:
-    """Each record's distinct group labels, checked in input order: none
-    raises MissingGroupLabel in strict mode and is "(ungrouped)" otherwise."""
-    if len(records) != len(group_values):
+    """Each publication's distinct group labels, checked in input order:
+    none raises MissingGroupLabel in strict mode and is "(ungrouped)"
+    otherwise."""
+    if len(ids) != len(group_values):
         raise ValueError("records and group values differ in length")
-    groups = []
-    for rec, labels in zip(records, group_values):
-        labels = _dedupe(labels)
-        if not labels:
-            if strict:
-                raise MissingGroupLabel(rec.id)
-            labels = (UNGROUPED_LABEL,)
-        groups.append(labels)
+    groups = _dedupe_each(group_values)
+    if () in groups:
+        if strict:
+            raise MissingGroupLabel(ids[groups.index(())])
+        groups = [labels or (UNGROUPED_LABEL,) for labels in groups]
     return groups

@@ -173,7 +173,7 @@ def ivw_xd_index(
     """
     if stats is None:
         raise MissingStats()
-    if variance_floor is not None and variance_floor <= 0:
+    if variance_floor is not None and not variance_floor > 0:  # NaN included
         raise ValueError("variance floor must be positive")
     if rank_basis not in ("raw", "weighted"):
         raise ValueError(f"unknown rank basis {rank_basis!r}")

@@ -6,10 +6,10 @@ The field separator is autodetected from the header line, limited to comma
 vs tab; a header containing both raises rather than guessing. Multi-value
 cells (keywords, categories, institutions, group) are split on a
 configurable cell delimiter and normalised, each distinct part once per
-table; record label lists are also deduplicated. read_table can skip the
-label cells of record fields its caller does not read. A row the csv
-module cannot read, such as a field over csv.field_size_limit(), raises
-MalformedRow.
+table; record label lists are also deduplicated. read_table returns the
+publications in column form, and can skip the label cells of record
+fields its caller does not read. A row the csv module cannot read, such
+as a field over csv.field_size_limit(), raises MalformedRow.
 
 Row numbers in errors are 1-based record numbers counting the header as
 record 1, so the first data row is row 2.
@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from itertools import islice, repeat
+from operator import itemgetter
+from typing import IO, Iterable, NamedTuple, Sequence
 
-from .corpus import PublicationRecord
+from .corpus import PublicationColumns, PublicationRecord, _dedupe_each
 from .errors import (
     AmbiguousSeparator,
     BadCitations,
@@ -39,6 +42,9 @@ from .numfmt import format_number
 SMALL_SAMPLE_THRESHOLD = 100
 
 _WS_RUN = re.compile(r"\s+")
+
+#: Rows read_table checks and splits per pass.
+_BLOCK_ROWS = 4096
 
 ROLES = ("id", "citations", "keywords", "categories", "institutions", "group")
 
@@ -101,13 +107,24 @@ def normalize_label(raw: str, config: IngestConfig | None = None) -> str:
 
 @dataclass
 class TableData:
-    """Everything parsed from one table, beyond the records themselves."""
+    """Everything parsed from one table: the publications in column form,
+    each publication's group labels, and the header facts. records is
+    built from the columns on first read."""
 
-    records: list[PublicationRecord]
+    columns: PublicationColumns
     group_values: list[tuple[str, ...]]
     headers: list[str]
     unused_columns: list[str]
     separator: str
+    _records: list[PublicationRecord] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def records(self) -> list[PublicationRecord]:
+        if self._records is None:
+            self._records = self.columns.records()
+        return self._records
 
 
 def _detect_separator(header_line: str) -> str:
@@ -156,17 +173,80 @@ def _parse_citations(cell: str, row: int) -> float:
     return value
 
 
+class _Layout(NamedTuple):
+    """Where the checked cells of a table's rows are."""
+
+    width: int
+    id_at: int
+    citations_at: int
+
+
+def _check_rows(rows: list[list[str]], first_row: int, layout: _Layout) -> None:
+    """Raise the error of the first bad row in file order (a wrong width,
+    then an empty id, then a bad citation count), or return if none is.
+    rows[0] is row number first_row."""
+    for row_no, cells in enumerate(rows, start=first_row):
+        if not cells:
+            continue  # blank line
+        if len(cells) != layout.width:
+            raise MalformedRow(row_no)
+        if not cells[layout.id_at].strip():
+            raise MalformedRow(row_no, "empty id")
+        _parse_citations(cells[layout.citations_at], row_no)
+
+
+def _citations_column(cells: Sequence[str]) -> list[float] | None:
+    """The citation counts, or None when a cell may not parse (checked
+    in C-level passes; None can be a false alarm, such as a float sum
+    overflowing)."""
+    # float() also reads Python literals such as "1_000", which no CSV writer means
+    if "_" in "".join(cells):
+        return None
+    try:
+        values = list(map(float, map(str.strip, cells)))
+    except ValueError:
+        return None
+    # a finite sum rules out NaN and infinities
+    if values and not (min(values) >= 0 and math.isfinite(sum(values))):
+        return None
+    return values
+
+
+def _checked_columns(
+    block: list[list[str]], first_row: int, layout: _Layout
+) -> tuple[list[list[str]], list[str], list[float]]:
+    """The block's rows without blank lines, their ids and their citation
+    counts, checked in C-level passes; when a pass fails, the block is
+    walked row by row so the first bad row raises."""
+    widths = set(map(len, block))
+    if not widths <= {0, layout.width}:
+        _check_rows(block, first_row, layout)
+    rows = list(filter(None, block)) if 0 in widths else block
+    ids = list(map(str.strip, map(itemgetter(layout.id_at), rows)))
+    cells = list(map(itemgetter(layout.citations_at), rows))
+    citations = _citations_column(cells)
+    if "" in ids or citations is None:
+        _check_rows(block, first_row, layout)
+        citations = list(map(float, map(str.strip, cells)))
+    return rows, ids, citations
+
+
 def read_table(
     stream: IO[bytes],
     config: IngestConfig | None = None,
     fields: Iterable[str] = LABEL_FIELDS,
 ) -> TableData:
-    """Parse a delimited byte stream into records plus table metadata.
+    """Parse a delimited byte stream into publication columns plus table
+    metadata.
 
     Only the label cells of the record fields named in fields (a subset of
-    LABEL_FIELDS) are split and normalised; records hold () for the others.
-    Label cells never raise, so every check and error is the same whatever
-    fields holds, and the group column is always read.
+    LABEL_FIELDS) are split and normalised; the others hold () for every
+    publication. Label cells never raise, so every check and error is the
+    same whatever fields holds, and the group column is always read.
+
+    The rows are checked, transposed and split in C-level passes over
+    whole columns; when a check fails, the rows are walked in file order
+    so the first bad row raises its error.
     """
     if config is None:
         config = IngestConfig()
@@ -199,59 +279,52 @@ def read_table(
     mapped = {config.column_for(role) for role in index_of}
     unused = [h for h in headers if h not in mapped]
 
+    layout = _Layout(len(headers), index_of["id"], index_of["citations"])
+    group_at = index_of.get("group")
+    field_at = {name: index_of[name] for name in LABEL_FIELDS if name in fields and name in index_of}
+    # An institutions column that is also the group column is split once, as the group.
+    label_columns: dict[str, list[tuple[str, ...]]] = {
+        name: [] for name, at in field_at.items() if at != group_at
+    }
     label_of = _LabelMemo(config).__getitem__
     delimiter = config.cell_delimiter
 
-    def labels(cell: str) -> tuple[str, ...]:
-        """Normalised non-empty labels of a multi-value cell, in cell order."""
-        return tuple(filter(None, map(label_of, cell.split(delimiter))))
+    def labels(rows: list[list[str]], at: int):
+        """Per row, its cell at's normalised non-empty labels, in cell order."""
+        parts = map(str.split, map(itemgetter(at), rows), repeat(delimiter))
+        return map(filter, repeat(None), map(map, repeat(label_of), parts))
 
-    def distinct(cell: str) -> tuple[str, ...]:
-        """labels() without repeats, first occurrence kept: a record field."""
-        return tuple(dict.fromkeys(filter(None, map(label_of, cell.split(delimiter)))))
-
-    width = len(headers)
-    id_at = index_of["id"]
-    citations_at = index_of["citations"]
-    keywords_at, categories_at, institutions_at = (
-        index_of.get(field) if field in fields else None for field in LABEL_FIELDS
-    )
-    group_at = index_of.get("group")
-    # An institutions cell that is also the group column is split once.
-    institutions_from_group = group_at is not None and group_at == institutions_at
-    if institutions_from_group:
-        institutions_at = None
-    new_record = PublicationRecord._from_normalised
-    records: list[PublicationRecord] = []
+    ids: list[str] = []
+    citations: list[float] = []
     group_values: list[tuple[str, ...]] = []
-    empty: tuple[str, ...] = ()
-    keywords = categories = institutions = group = empty
-    row_no = 1
-    try:
-        for row_no, cells in enumerate(reader, start=2):
-            if not cells:
-                continue  # blank line
-            if len(cells) != width:
-                raise MalformedRow(row_no)
-            rec_id = cells[id_at].strip()
-            if not rec_id:
-                raise MalformedRow(row_no, "empty id")
-            citations = _parse_citations(cells[citations_at], row_no)
-            if keywords_at is not None:
-                keywords = distinct(cells[keywords_at])
-            if categories_at is not None:
-                categories = distinct(cells[categories_at])
-            if institutions_at is not None:
-                institutions = distinct(cells[institutions_at])
-            if group_at is not None:
-                group = labels(cells[group_at])
-                if institutions_from_group:
-                    institutions = tuple(dict.fromkeys(group))
-            records.append(new_record(rec_id, citations, keywords, categories, institutions))
-            group_values.append(group)
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise MalformedRow(row_no + 1, str(exc)) from None
-    return TableData(records, group_values, headers, unused, separator)
+    # Blocks of rows keep the csv lists of only one block alive at a time.
+    first_row = 2
+    while True:
+        block: list[list[str]] = []
+        try:
+            block.extend(islice(reader, _BLOCK_ROWS))  # keeps the rows read before a csv.Error
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            _check_rows(block, first_row, layout)
+            raise MalformedRow(first_row + len(block), str(exc)) from None
+        if not block:
+            break
+        rows, block_ids, block_citations = _checked_columns(block, first_row, layout)
+        ids += block_ids
+        citations += block_citations
+        if group_at is not None:
+            group_values += map(tuple, labels(rows, group_at))
+        for name, column in label_columns.items():
+            column += map(tuple, map(dict.fromkeys, labels(rows, field_at[name])))
+        first_row += len(block)
+
+    blank = [()] * len(ids)
+    if group_at is None:
+        group_values = blank
+    for name in LABEL_FIELDS:
+        if name not in label_columns:
+            label_columns[name] = _dedupe_each(group_values) if name in field_at else blank
+    columns = PublicationColumns(ids, citations, *map(label_columns.get, LABEL_FIELDS))
+    return TableData(columns, group_values, headers, unused, separator)
 
 
 def parse_table(stream: IO[bytes], config: IngestConfig | None = None) -> list[PublicationRecord]:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, mul
 from typing import IO, Iterable
 
 from .corpus import Corpus
@@ -78,38 +78,41 @@ class ReferenceStats:
         return self._entries == other._entries
 
 
-def _exact_mean(values: list[float]) -> Fraction:
-    """The exact rational mean of finite floats; a NaN raises ValueError and
-    an infinity OverflowError, as Fraction(v) does. Each float is n / d with
-    d a power of two, so every d divides the largest, den, and the sum is one
-    integer over den: the same Fraction as summing Fraction(v), without a
-    gcd per addition."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = max(d for _, d in ratios)
-    return Fraction(sum(n * (den // d) for n, d in ratios), den * len(values))
+def _scaled_sums(values: list[float]) -> tuple[int, int, int]:
+    """(s1, s2, den) with sum(values) == s1 / den and the sum of squares
+    == s2 / den**2, exactly. Each float is n / d with d a power of two, so
+    every d divides the largest, den, and each value is one integer over
+    den. An infinity raises OverflowError and a NaN ValueError, as
+    float.as_integer_ratio does."""
+    ratios = list(map(float.as_integer_ratio, values))
+    den = max(map(itemgetter(1), ratios))
+    scaled = [n * (den // d) for n, d in ratios]
+    return sum(scaled), sum(map(mul, scaled, scaled)), den
 
 
 def estimate_stats(corpus: Corpus, variance_kind: str = "sample") -> ReferenceStats:
     """Estimate per-category stats from the corpus's own citation samples.
 
-    variance_kind="sample" uses the n-1 divisor and marks single-observation
-    categories as undefined; "population" uses the n divisor (zero for a
-    single observation). A variance beyond the float range raises
-    NonFiniteStats.
+    The mean is the exact rational mean. The variance is the exact rational
+    one, n * s2 - s1**2 over den**2 * n * (n - 1) (sample) or den**2 * n**2
+    (population), converted to float once by int/int division, which
+    rounds correctly: the value statistics.variance and pvariance give from
+    Python 3.11 on. variance_kind="sample" marks single-observation
+    categories as undefined; "population" gives zero for them. A variance
+    beyond the float range raises NonFiniteStats.
     """
     if variance_kind not in ("sample", "population"):
         raise ValueError(f"unknown variance kind {variance_kind!r}")
     entries = []
     for category, values in corpus.category_samples().items():
-        mean = _exact_mean(values)
+        n = len(values)
+        s1, s2, den = _scaled_sums(values)
+        divisor = n * (n - 1) if variance_kind == "sample" else n * n
         try:
-            if variance_kind == "sample":
-                variance = statistics.variance(values) if len(values) >= 2 else None
-            else:
-                variance = statistics.pvariance(values)
+            variance = (n * s2 - s1 * s1) / (den * den * divisor) if divisor else None
         except OverflowError:
             raise NonFiniteStats(category) from None
-        entries.append(StatsEntry(category, mean, variance, len(values)))
+        entries.append(StatsEntry(category, Fraction(s1, den * n), variance, n))
     return ReferenceStats(entries)
 
 

@@ -1,5 +1,5 @@
-"""Brute-force re-implementations of the rank-threshold rules, and a
-row-wise reference reader for ingest.
+"""Brute-force re-implementations of the rank-threshold rules, a row-wise
+reference reader for ingest, and record-wise reference corpus views.
 
 Deliberately naive (O(n^2), no shared code with the kernel) so the test
 suite can cross-check the fast implementations against an independent
@@ -10,10 +10,18 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from typing import Sequence
 
-from xindices import IngestConfig, PublicationRecord, normalize_label
-from xindices.errors import InvalidConfig, MalformedRow, MissingColumn
+from xindices import IngestConfig, PublicationColumns, PublicationRecord, normalize_label
+from xindices.errors import (
+    DuplicateId,
+    InvalidConfig,
+    MalformedRow,
+    MissingColumn,
+    NegativeCitations,
+    NonFiniteCitations,
+)
 from xindices.ingest import ROLES, TableData, _detect_separator, _parse_citations, read_utf8
 
 
@@ -102,4 +110,46 @@ def reference_read_table(data: bytes, config: IngestConfig | None = None) -> Tab
         )
         group_values.append(cell_labels(cells, "group"))
     unused = [h for h in headers if h not in mapped]
-    return TableData(records, group_values, headers, unused, separator)
+    return TableData(PublicationColumns.from_records(records), group_values, headers, unused, separator)
+
+
+def reference_views(records) -> dict:
+    """Every Corpus view, and its citation check, read one record attribute
+    at a time over the records sorted by id: the record-wise builders the
+    column-form views replaced. Returns the error type and id the first
+    invalid record raises instead, if there is one."""
+    seen = set()
+    for rec in records:
+        if rec.id in seen:
+            return DuplicateId, rec.id
+        seen.add(rec.id)
+        if not 0 <= rec.citations <= sys.float_info.max:
+            return (NegativeCitations if rec.citations < 0 else NonFiniteCitations), rec.id
+    by_id = sorted(records, key=lambda rec: rec.id)
+
+    def totals(field, fractional=False):
+        sums = {}
+        for rec in by_id:
+            cits = float(rec.citations)
+            if fractional:
+                cits = cits / (len(rec.institutions) or 1)
+            for label in getattr(rec, field):
+                sums[label] = sums.get(label, 0.0) + cits
+        return tuple(sorted(sums.items()))
+
+    by_category, samples = {}, {}
+    for rec in by_id:
+        for cat in rec.categories:
+            samples.setdefault(cat, []).append(float(rec.citations))
+            in_cat = by_category.setdefault(cat, {})
+            for kw in rec.keywords:
+                in_cat[kw] = in_cat.get(kw, 0.0) + float(rec.citations)
+    pairs = [(f"{kw}@{cat}", total) for cat, in_cat in by_category.items() for kw, total in in_cat.items()]
+    return {
+        "keywords": totals("keywords"),
+        "pairs": tuple(sorted(pairs, key=lambda item: item[0])),
+        "categories": totals("categories"),
+        "categories_fractional": totals("categories", fractional=True),
+        "keywords_by_category": {cat: sorted(in_cat.items()) for cat, in_cat in by_category.items()},
+        "samples": {cat: samples[cat] for cat in sorted(samples)},
+    }

@@ -207,7 +207,11 @@ def test_overlap_bias_worked_example():
         assert xc_index(corpus, "h").value == 2
 
 
-def _synthetic_csv(path, n_pubs, kw_per_pub, n_keywords, n_categories, n_institutions, seed):
+def _synthetic_csv(
+    path, n_pubs, kw_per_pub, n_keywords, n_categories, n_institutions, seed, decimal=False
+):
+    """A seeded table; with decimal, citations are whole cents written with
+    two decimals."""
     rng = random.Random(seed)
     lines = ["id,citations,keywords,categories,institutions"]
     for i in range(n_pubs):
@@ -220,7 +224,12 @@ def _synthetic_csv(path, n_pubs, kw_per_pub, n_keywords, n_categories, n_institu
         insts = ";".join(
             f"inst{rng.randint(0, n_institutions - 1)}" for _ in range(rng.randint(1, 3))
         )
-        lines.append(f"p{i},{rng.randint(0, 100)},{kws},{cats},{insts}")
+        if decimal:
+            cents = rng.randint(0, 10_000)
+            citations = f"{cents // 100}.{cents % 100:02d}"
+        else:
+            citations = rng.randint(0, 100)
+        lines.append(f"p{i},{citations},{kws},{cats},{insts}")
     path.write_text("\n".join(lines) + "\n")
 
 

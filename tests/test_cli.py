@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import pathlib
 
 import jsonschema
 import pytest
 
+import xindices.cli
+from xindices import PublicationRecord
 from xindices.cli import main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -461,3 +464,107 @@ def test_byte_order_mark_on_header_is_dropped(tmp_path, capsys):
 def test_jobs_flag_accepted_and_output_unchanged(toy_csv, capsys):
     serial = run(capsys, "nested", "--input", toy_csv, "--group-col", "institutions")
     assert run(capsys, "nested", "--input", toy_csv, "--group-col", "institutions", "--jobs", "2") == serial
+
+
+TWO_ROWS = "id,citations,keywords,categories,institutions\np1,3,a,C1,I1\np2,5,b,C2,I2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ("compute", "--index", "ivw", "--internal-stats", "--variance-floor", "-1"),
+            "--variance-floor", id="negative-floor",
+        ),
+        pytest.param(
+            ("compute", "--index", "ivw", "--internal-stats", "--variance-floor", "nan"),
+            "--variance-floor", id="nan-floor",
+        ),
+        pytest.param(
+            ("compute", "--index", "ivw", "--internal-stats", "--variance-floor", "inf"),
+            "--variance-floor", id="infinite-floor",
+        ),
+        pytest.param(
+            ("compute", "--index", "x", "--cell-delimiter", ""), "cell delimiter", id="empty-delimiter-compute"
+        ),
+        pytest.param(
+            ("nested", "--group-col", "institutions", "--cell-delimiter", ""), "cell delimiter",
+            id="empty-delimiter-nested",
+        ),
+        pytest.param(("stats", "--cell-delimiter", ""), "cell delimiter", id="empty-delimiter-stats"),
+        pytest.param(("validate", "--cell-delimiter", ""), "cell delimiter", id="empty-delimiter-validate"),
+    ],
+)
+def test_bad_flag_value_exits_1_with_one_line(tmp_path, capsys, argv, message):
+    path = tmp_path / "in.csv"
+    path.write_text(TWO_ROWS)
+    out_path = tmp_path / "out"
+    argv = [*argv, "--input", str(path)]
+    if argv[0] != "validate":
+        argv += ["--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--index", "x"),
+        ("compute", "--index", "xc", "--format", "csv"),
+        ("compute", "--index", "xd", "--type", "g"),
+        ("compute", "--index", "xdf"),
+        ("compute", "--index", "xdfn", "--internal-stats"),
+        ("compute", "--index", "ivw", "--internal-stats", "--variance-floor", "0.5"),
+        ("compute", "--index", "xo", "--format", "table"),
+        ("nested", "--group-col", "institutions"),
+        ("nested", "--group-col", "institutions", "--inner", "xd", "--type", "g"),
+        ("stats",),
+    ],
+)
+def test_commands_build_no_publication_record(toy_csv, tmp_path, capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PublicationRecord was built")
+
+    monkeypatch.setattr(PublicationRecord, "__post_init__", refuse)
+    monkeypatch.setattr(PublicationRecord, "_from_normalised", refuse)
+    code, _, err = run(capsys, *argv, "--input", toy_csv, "--out", str(tmp_path / "out"))
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        pytest.param(("compute", "--index", "x"), 0, id="report"),
+        pytest.param(("compute", "--index", "ivw"), 2, id="compute-error"),
+        pytest.param(("compute", "--index", "x", "--cell-delimiter", ""), 1, id="flag-error"),
+        pytest.param(("--version",), "exit", id="version"),
+        pytest.param(("compute", "--index", "nope"), "exit", id="bad-choice"),
+    ],
+)
+def test_main_restores_collector_state(toy_csv, tmp_path, capsys, monkeypatch, collecting, argv, exit_code):
+    seen = []
+    read_input = xindices.cli._read_input
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return read_input(*args, **kwargs)
+
+    monkeypatch.setattr(xindices.cli, "_read_input", spy)
+    argv = [*argv, "--input", toy_csv, "--out", str(tmp_path / "out")] if len(argv) > 1 else list(argv)
+    before = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        if exit_code == "exit":
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == exit_code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert seen == ([False] if exit_code in (0, 2) else [])  # off while the input is read
+    capsys.readouterr()

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xindices import (
+    Corpus,
     DuplicateId,
     MissingGroupLabel,
     NegativeCitations,
     NonFiniteCitations,
+    PublicationColumns,
     PublicationRecord,
     build_corpus,
     estimate_stats,
@@ -27,6 +29,7 @@ from xindices import (
 from xindices.corpus import GROUP_VIEWS, ITEM_VIEWS
 
 from conftest import random_records, record
+from oracles import reference_views
 
 
 def weights(items):
@@ -374,3 +377,80 @@ def test_item_views_hold_plain_tuples():
     assert corpus.items("pairs") == (("k@c", 3.0),)
     with pytest.raises(ValueError):
         corpus.items("samples")
+
+
+# --- column form ------------------------------------------------------------------
+
+labels = st.lists(st.sampled_from(["a", "b", "c", "a@b", "b@c"]), unique=True, max_size=3).map(tuple)
+valid_citations = st.one_of(
+    st.integers(0, 10**4).map(lambda cents: cents / 100),
+    st.integers(0, 50),
+    st.floats(min_value=0, max_value=1e308),
+)
+invalid_citations = st.sampled_from([-1.0, -3, float("nan"), float("inf"), 10**400, -(10**400)])
+publication_rows = st.lists(
+    st.tuples(
+        st.text("pqr", min_size=1, max_size=3),
+        st.one_of(valid_citations, valid_citations, valid_citations, invalid_citations),
+        labels,
+        labels,
+        labels,
+    ),
+    max_size=12,
+)
+
+
+def corpus_views(build, group_values):
+    """Every view of the built corpus, or the error type and id it raises."""
+    try:
+        corpus = build()
+    except (DuplicateId, NegativeCitations, NonFiniteCitations) as exc:
+        return type(exc), exc.id
+    views = {view: corpus.items(view) for view in ITEM_VIEWS}
+    views["keywords_by_category"] = {
+        cat: sorted(items) for cat, items in corpus.keyword_items_by_category().items()
+    }
+    views["samples"] = corpus.category_samples()
+    for view in GROUP_VIEWS:
+        by_group = corpus.items_by_group(group_values, view)
+        views[f"{view}_by_group"] = {group: sorted(items) for group, items in by_group.items()}
+    return views
+
+
+@given(publication_rows, st.data())
+@settings(max_examples=300, deadline=None)
+def test_from_columns_equals_records_and_record_wise_views(rows, data):
+    group_values = [data.draw(labels) for _ in rows]
+    records = [PublicationRecord(*row) for row in rows]
+    columns = PublicationColumns(*(list(column) for column in zip(*rows))) if rows else (
+        PublicationColumns([], [], [], [], [])
+    )
+    from_columns = corpus_views(lambda: Corpus.from_columns(columns), group_values)
+    assert from_columns == corpus_views(lambda: Corpus(records), group_values)
+    expected = reference_views(records)
+    if isinstance(expected, dict):
+        in_group: dict[str, list] = {}
+        for rec, groups in zip(records, group_values):
+            for group in dict.fromkeys(groups) or ("(ungrouped)",):
+                in_group.setdefault(group, []).append(rec)
+        for view in GROUP_VIEWS:
+            expected[f"{view}_by_group"] = {
+                group: list(reference_views(members)[view]) for group, members in in_group.items()
+            }
+        assert Corpus.from_columns(columns).publications == tuple(records)
+    assert from_columns == expected
+
+
+def test_from_columns_checks_ids_and_lengths():
+    with pytest.raises(ValueError, match="non-empty"):
+        Corpus.from_columns(PublicationColumns(["p1", ""], [1.0, 2.0], [(), ()], [(), ()], [(), ()]))
+    with pytest.raises(ValueError, match="differ in length"):
+        Corpus.from_columns(PublicationColumns(["p1"], [1.0, 2.0], [()], [()], [()]))
+
+
+def test_publications_are_built_on_first_read():
+    corpus = build_corpus(PublicationColumns(["p2", "p1"], [2.0, 1.5], [("k",), ()], [(), ("c",)], [(), ()]))
+    assert corpus._publications is None
+    assert x_index(corpus).value == 1
+    assert corpus._publications is None
+    assert corpus.publications == (record("p2", 2.0, ("k",)), record("p1", 1.5, (), ("c",)))

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import collections
+import contextlib
 import csv
-import dataclasses
 import io
 
 import pytest
@@ -273,9 +273,70 @@ def test_projected_read_equals_full_read_with_unread_fields_blank(table, fields)
     projected = outcome(lambda d, c: read_table(io.BytesIO(d), c, fields=fields), data, config)
     expected = outcome(read_bytes, data, config)
     if isinstance(expected, TableData):
-        blank = dict.fromkeys(set(LABEL_FIELDS) - fields, ())
-        expected.records = [dataclasses.replace(rec, **blank) for rec in expected.records]
+        blank = [()] * len(expected.columns.ids)
+        expected.columns = expected.columns._replace(**dict.fromkeys(set(LABEL_FIELDS) - fields, blank))
     assert projected == expected
+
+
+@contextlib.contextmanager
+def block_rows(rows):
+    """read_table checking and splitting rows rows at a time."""
+    default = xindices.ingest._BLOCK_ROWS
+    xindices.ingest._BLOCK_ROWS = rows
+    try:
+        yield
+    finally:
+        xindices.ingest._BLOCK_ROWS = default
+
+
+ID_CELLS = ["p1", "p2", " p3 ", "", "  "]
+CITATION_CELLS = [
+    "1", " 2.5 ", "0", "-0", "1e308", "-1", "nan", "inf", "1e400", "1_0", "x", "", "\u0661\u0662",
+]
+
+
+@st.composite
+def rows_with_faults(draw):
+    """A table whose rows may be blank, of the wrong width, or carry an
+    empty id or a bad citation count, in any order and number."""
+    good_width = st.tuples(
+        st.sampled_from(ID_CELLS), st.sampled_from(CITATION_CELLS), st.sampled_from(["a;B", ""])
+    ).map(list)
+    any_width = st.lists(st.sampled_from(["p9", "3", "k"]), min_size=1, max_size=4)
+    rows = draw(st.lists(st.one_of(good_width, good_width, st.just([]), any_width), max_size=8))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "citations", "keywords"])
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_with_faults(), st.sampled_from([1, 2, 3, 4096]))
+def test_first_bad_row_raises_as_in_row_wise_reference(data, rows):
+    config = IngestConfig()
+    with block_rows(rows):
+        assert outcome(read_bytes, data, config) == outcome(reference_read_table, data, config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.integers(min_value=1, max_value=4))
+def test_read_table_in_blocks_equals_one_block(table, rows):
+    data, config = table
+    with block_rows(rows):
+        in_blocks = outcome(read_bytes, data, config)
+    assert in_blocks == outcome(read_bytes, data, config)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4096])
+def test_csv_error_row_and_precedence_in_blocks(rows):
+    long_row = b"p3,1," + b"k" * 140_000 + b"\n"
+    with block_rows(rows), pytest.raises(BadCitations) as err:
+        parse_table(io.BytesIO(b"id,citations,keywords\np1,1,a\np2,x,a\n" + long_row))
+    assert err.value.row == 3
+    with block_rows(rows), pytest.raises(MalformedRow) as err:
+        parse_table(io.BytesIO(b"id,citations,keywords\np1,1,a\n\np2,1,a\n" + long_row))
+    assert err.value.row == 5
 
 
 def test_read_table_rejects_unknown_fields():

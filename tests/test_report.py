@@ -45,6 +45,37 @@ def test_xc_report_bytes_are_pinned(tmp_path, monkeypatch, ratio_type, fmt):
     assert digest == GOLDEN_XC[ratio_type, fmt]
 
 
+# SHA-256 of the reports of the breadth commands (stats, ivw from that stats
+# file, xo, nested) on a 2 000-publication corpus with two-decimal citations,
+# recorded before ingest and the corpus views moved to column form.
+GOLDEN_DECIMAL = {
+    "stats.csv": "5053937a626f027a5fc9797867aeaff1fa163a17c1bb35404417af12b3112b4e",
+    "ivw.csv": "eaf2e3a42a996a94ba45e52a0c33c667dae3f198de21bbbe0f3b068149364728",
+    "xo.txt": "431753c7b617d2163269571a22751cdb8527c3bd6a8fdca78296e56fda3162c0",
+    "nested.json": "9732448c6daa3ebd4c8fb991ed7d4565937f387df44192838d2e4c9d84e5ad64",
+}
+
+DECIMAL_COMMANDS = {
+    "stats.csv": ("stats",),
+    "ivw.csv": (
+        "compute", "--index", "ivw", "--ref-stats", "stats.csv", "--variance-floor", "1e-9",
+        "--format", "csv",
+    ),
+    "xo.txt": ("compute", "--index", "xo", "--format", "table"),
+    "nested.json": ("nested", "--group-col", "institutions", "--inner", "x"),
+}
+
+
+def test_decimal_breadth_report_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _synthetic_csv(tmp_path / "corpus.csv", 2_000, 4, 400, 30, 50, seed=2027, decimal=True)
+    digests = {}
+    for out, argv in DECIMAL_COMMANDS.items():  # stats.csv is written first
+        assert main([*argv, "--input", "corpus.csv", "--out", out]) == 0
+        digests[out] = hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
+    assert digests == GOLDEN_DECIMAL
+
+
 # --- hand-laid renderers against row-wise references -------------------------
 
 awkward_labels = st.text(

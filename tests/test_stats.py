@@ -5,9 +5,11 @@ from __future__ import annotations
 import io
 import math
 import random
+import statistics
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from xindices import (
     BadStatsRow,
@@ -224,3 +226,35 @@ def test_dump_of_estimates_is_stable_after_one_load():
 def test_duplicate_categories_rejected():
     with pytest.raises(ValueError):
         ReferenceStats([StatsEntry("a", 1.0, 1.0, 1), StatsEntry("a", 2.0, 1.0, 1)])
+
+
+two_decimals = st.integers(min_value=0, max_value=10**6).map(lambda cents: cents / 100)
+near_float_max = st.floats(min_value=1e307, max_value=sys.float_info.max)
+samples = st.one_of(
+    st.lists(two_decimals, min_size=1, max_size=40),
+    st.lists(st.floats(min_value=0, max_value=1e300), min_size=1, max_size=20),
+    st.lists(st.one_of(two_decimals, near_float_max), min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples, st.sampled_from(["sample", "population"]))
+def test_estimated_variance_is_the_exact_variance_rounded_once(values, kind):
+    from fractions import Fraction
+
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    spread = sum((v - mean) ** 2 for v in exact)
+    divisor = len(exact) if kind == "population" else len(exact) - 1
+    corpus = corpus_with_samples(*values)
+    try:
+        expected = float(spread / divisor) if divisor else None
+    except OverflowError:
+        with pytest.raises(NonFiniteStats):
+            estimate_stats(corpus, kind)
+        return
+    assert estimate_stats(corpus, kind).get("a").variance == expected
+    # statistics rounds the exact variance once from Python 3.11 on
+    if expected is not None and sys.version_info >= (3, 11):
+        variance = statistics.pvariance if kind == "population" else statistics.variance
+        assert variance(values) == expected
