@@ -1,18 +1,20 @@
 """Command-line surface: compute, nested, stats, validate.
 
-Exit codes: 0 success, 1 ingest or validation failure, a bad flag value
-(an empty --cell-delimiter, a --variance-floor that is not a positive
-finite number) or an unwritable --out, 2 computation failure (missing
+Exit codes: 0 success, 1 ingest or validation failure, a usage error (an
+unknown flag, a bad choice, a missing or unparsable value), a bad flag
+value (an empty --cell-delimiter, a --variance-floor that is not a positive
+finite number, a --jobs below 1, a column mapped to id or citations and to
+another record role) or an unwritable --out, 2 computation failure (missing
 stats, unusable variance, unsupported rank basis, citation totals or
-variances beyond the float range). Error messages go to stderr; reports go
-to stdout or --out. Flag values are checked before the input is read.
+variances beyond the float range). Error messages go to stderr, one
+"error:" line each; reports go to stdout or --out. Flag values are checked
+before the input is read.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import logging
 import math
 import sys
 from typing import IO, Sequence
@@ -39,10 +41,9 @@ from .ingest import (
     read_table,
     validate_records,
 )
+from .kernel import IndexResult
 from .report import Report
 from .stats import ReferenceStats, estimate_stats, load_reference_stats, write_reference_stats
-
-logger = logging.getLogger("xindices")
 
 INDEX_FUNCTIONS = {
     "x": x_index,
@@ -52,13 +53,13 @@ INDEX_FUNCTIONS = {
 }
 
 
-class _WarningCollector(logging.Handler):
-    def __init__(self) -> None:
-        super().__init__(level=logging.WARNING)
-        self.messages: list[str] = []
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one error: line and exit 1, as a bad flag value
+    does, instead of the usage text and exit 2, which is kept for
+    computation failures."""
 
-    def emit(self, record: logging.LogRecord) -> None:
-        self.messages.append(record.getMessage())
+    def error(self, message: str):
+        self.exit(1, f"error: {message}\n")
 
 
 def _add_ingest_flags(parser: argparse.ArgumentParser) -> None:
@@ -77,11 +78,19 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", default="json", choices=["json", "csv", "table"])
     parser.add_argument("--out", default=None, help="write the report to this file instead of stdout")
     parser.add_argument(
-        "--jobs", type=int, default=1, help="accepted for compatibility; every step currently runs serially"
+        "--jobs", type=int, default=1, help="at least 1; accepted for compatibility, every step runs serially"
     )
 
 
-def _ingest_config(args: argparse.Namespace, group_col: str | None = None) -> IngestConfig:
+def _checked_config(args: argparse.Namespace, group_col: str | None = None) -> IngestConfig:
+    """The ingest config the flags map to, once every flag value is
+    checked; a bad value raises InvalidConfig before any input is read."""
+    floor = getattr(args, "variance_floor", None)
+    if floor is not None and not 0 < floor < math.inf:
+        raise InvalidConfig(f"--variance-floor must be a positive finite number, got {floor}")
+    jobs = getattr(args, "jobs", 1)
+    if jobs < 1:
+        raise InvalidConfig(f"--jobs must be at least 1, got {jobs}")
     required = set()
     overrides = {}
     for role, value in (
@@ -162,102 +171,99 @@ def _resolve_stats(args: argparse.Namespace, ref_stats: ReferenceStats | None, c
     raise MissingStats()
 
 
+def _warnings(result: IndexResult, variance_floor: float | None) -> list[str]:
+    """One warning per floored variance, then one naming the dropped
+    categories."""
+    warnings = [f"variance floor {variance_floor} substituted for category {cat}" for cat in result.floored]
+    if result.dropped:
+        lacking = "usable reference means" if result.kind == "xdfn" else "reference variances"
+        warnings.append(
+            f"dropped {len(result.dropped)} categories without {lacking}: {', '.join(result.dropped)}"
+        )
+    return warnings
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
-    collector = _WarningCollector()
-    logger.addHandler(collector)
     try:
-        try:
-            config = _ingest_config(args)
-            floor = args.variance_floor
-            if floor is not None and not 0 < floor < math.inf:
-                raise InvalidConfig(f"--variance-floor must be a positive finite number, got {floor}")
-            table = _read_input(args, config, INDEX_FIELDS[args.index])
-            corpus = build_corpus(table.columns)
-            ref_stats = None
-            if args.ref_stats:
-                with open(args.ref_stats, "rb") as fh:
-                    ref_stats = load_reference_stats(fh)
-        except (XIndicesError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        config = _checked_config(args)
+        table = _read_input(args, config, INDEX_FIELDS[args.index])
+        corpus = build_corpus(table.columns)
+        ref_stats = None
+        if args.ref_stats:
+            with open(args.ref_stats, "rb") as fh:
+                ref_stats = load_reference_stats(fh)
+    except (XIndicesError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
-        echo = _config_echo(args, config)
-        echo.update({"index": args.index, "ratio_type": args.type, "stats_source": "none"})
-        try:
-            if args.index in INDEX_FUNCTIONS:
-                result = INDEX_FUNCTIONS[args.index](corpus, args.type)
-            elif args.index == "xo":
-                result = xo_index(corpus, args.type, jobs=args.jobs)
+    echo = _config_echo(args, config)
+    echo.update({"index": args.index, "ratio_type": args.type, "stats_source": "none"})
+    try:
+        if args.index in INDEX_FUNCTIONS:
+            result = INDEX_FUNCTIONS[args.index](corpus, args.type)
+        elif args.index == "xo":
+            result = xo_index(corpus, args.type, jobs=args.jobs)
+        else:
+            stats, source = _resolve_stats(args, ref_stats, corpus)
+            echo["stats_source"] = source
+            echo["variance_kind"] = args.variance
+            strict = not args.lenient_stats
+            echo["lenient_stats"] = args.lenient_stats
+            if args.index == "xdfn":
+                result = xdfn_index(corpus, args.type, stats, strict=strict)
             else:
-                stats, source = _resolve_stats(args, ref_stats, corpus)
-                echo["stats_source"] = source
-                echo["variance_kind"] = args.variance
-                strict = not args.lenient_stats
-                echo["lenient_stats"] = args.lenient_stats
-                if args.index == "xdfn":
-                    result = xdfn_index(corpus, args.type, stats, strict=strict)
-                else:
-                    echo["rank_basis"] = args.rank_basis
-                    echo["variance_floor"] = args.variance_floor
-                    result = ivw_xd_index(
-                        corpus,
-                        args.type,
-                        stats,
-                        rank_basis=args.rank_basis,
-                        variance_floor=args.variance_floor,
-                        strict=strict,
-                    )
-        except XIndicesError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+                echo["rank_basis"] = args.rank_basis
+                echo["variance_floor"] = args.variance_floor
+                result = ivw_xd_index(
+                    corpus,
+                    args.type,
+                    stats,
+                    rank_basis=args.rank_basis,
+                    variance_floor=args.variance_floor,
+                    strict=strict,
+                )
+    except XIndicesError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-        report = Report(__version__, "compute", result, echo, collector.messages)
-        return _emit(args, report.render(args.format))
-    finally:
-        logger.removeHandler(collector)
+    report = Report(__version__, "compute", result, echo, _warnings(result, args.variance_floor))
+    return _emit(args, report.render(args.format))
 
 
 def cmd_nested(args: argparse.Namespace) -> int:
     if not args.group_col:
         print("error: --group-col is required", file=sys.stderr)
         return 1
-    collector = _WarningCollector()
-    logger.addHandler(collector)
     try:
-        try:
-            config = _ingest_config(args, group_col=args.group_col)
-            table = _read_input(args, config, INDEX_FIELDS[args.inner])
-            corpus = build_corpus(table.columns)
-        except (XIndicesError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        config = _checked_config(args, group_col=args.group_col)
+        table = _read_input(args, config, INDEX_FIELDS[args.inner])
+        corpus = build_corpus(table.columns)
+    except (XIndicesError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
-        try:
-            result = group_index(
-                corpus, table.group_values, args.inner, args.type, strict=args.strict_groups
-            )
-        except XIndicesError as exc:  # a missing group label is an input error
-            print(f"error: {exc}", file=sys.stderr)
-            return 2 if isinstance(exc, ComputeError) else 1
-        echo = _config_echo(args, config)
-        echo.update(
-            {
-                "index": "nested",
-                "inner": args.inner,
-                "ratio_type": args.type,
-                "group_column": args.group_col,
-                "strict_groups": args.strict_groups,
-            }
-        )
-        report = Report(__version__, "nested", result, echo, collector.messages)
-        return _emit(args, report.render(args.format))
-    finally:
-        logger.removeHandler(collector)
+    try:
+        result = group_index(corpus, table.group_values, args.inner, args.type, strict=args.strict_groups)
+    except XIndicesError as exc:  # a missing group label is an input error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ComputeError) else 1
+    echo = _config_echo(args, config)
+    echo.update(
+        {
+            "index": "nested",
+            "inner": args.inner,
+            "ratio_type": args.type,
+            "group_column": args.group_col,
+            "strict_groups": args.strict_groups,
+        }
+    )
+    report = Report(__version__, "nested", result, echo)
+    return _emit(args, report.render(args.format))
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     try:
-        table = _read_input(args, _ingest_config(args), ("categories",))
+        table = _read_input(args, _checked_config(args), ("categories",))
         corpus = build_corpus(table.columns)
     except (XIndicesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -293,7 +299,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        table = _read_input(args, _ingest_config(args))
+        table = _read_input(args, _checked_config(args))
     except (XIndicesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -313,7 +319,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xindex",
         description="Expertise indices (x family) over tabular bibliographic records.",
     )
@@ -373,7 +379,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run one command. The cyclic garbage collector is off for the run: a
     run builds only acyclic containers, which reference counting frees,
     and the collector would only rescan them. The state found is put back
-    on every exit, SystemExit from argparse included."""
+    on every exit, SystemExit from argparse included (exit 1 for a usage
+    error, 0 for --version and --help)."""
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from operator import attrgetter, itemgetter, truediv
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateId, MissingGroupLabel, NegativeCitations, NonFiniteCitations
+from .value import FrozenValue
 
 #: Pair labels are rendered as "<keyword>@<category>".
 PAIR_SEPARATOR = "@"
@@ -40,8 +40,7 @@ def _dedupe_each(label_lists: Iterable[Iterable[str]]) -> list[tuple[str, ...]]:
     return list(map(tuple, map(dict.fromkeys, map(filter, repeat(None), label_lists))))
 
 
-@dataclass(frozen=True)
-class PublicationRecord:
+class PublicationRecord(FrozenValue):
     """One publication: identity, citation count, and its label sets.
 
     Labels are expected to be pre-normalised (ingest handles trimming and
@@ -50,18 +49,19 @@ class PublicationRecord:
     toward category-level indices), as is an empty category list.
     """
 
-    id: str
-    citations: float
-    keywords: tuple[str, ...] = ()
-    categories: tuple[str, ...] = ()
-    institutions: tuple[str, ...] = ()
+    __slots__ = _fields = ("id", "citations", "keywords", "categories", "institutions")
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(
+        self,
+        id: str,
+        citations: float,
+        keywords: Iterable[str] = (),
+        categories: Iterable[str] = (),
+        institutions: Iterable[str] = (),
+    ) -> None:
+        if not id:
             raise ValueError("publication id must be non-empty")
-        object.__setattr__(self, "keywords", _dedupe(self.keywords))
-        object.__setattr__(self, "categories", _dedupe(self.categories))
-        object.__setattr__(self, "institutions", _dedupe(self.institutions))
+        self._set(id, citations, _dedupe(keywords), _dedupe(categories), _dedupe(institutions))
 
     @classmethod
     def _from_normalised(
@@ -72,17 +72,11 @@ class PublicationRecord:
         categories: tuple[str, ...],
         institutions: tuple[str, ...],
     ) -> PublicationRecord:
-        """A record from fields already in the form __post_init__ makes
+        """A record from fields already in the form __init__ makes
         (non-empty id; label tuples without empty labels or repeats),
         skipping its checks. For ingest, which builds the fields that way."""
         rec = object.__new__(cls)
-        rec.__dict__.update(
-            id=id,
-            citations=citations,
-            keywords=keywords,
-            categories=categories,
-            institutions=institutions,
-        )
+        rec._set(id, citations, keywords, categories, institutions)
         return rec
 
 
@@ -112,11 +106,6 @@ GROUP_VIEWS = ("keywords", "categories")
 _FLOAT_MAX = sys.float_info.max
 
 
-#: The record fields, in PublicationRecord order: the PublicationColumns
-#: names with "id" for "ids".
-_RECORD_FIELDS = ("id", "citations", "keywords", "categories", "institutions")
-
-
 class PublicationColumns(NamedTuple):
     """Publications in column form: entry i of each column belongs to the
     i-th publication. Label tuples are in the form PublicationRecord keeps
@@ -130,7 +119,7 @@ class PublicationColumns(NamedTuple):
 
     @classmethod
     def from_records(cls, records: Sequence[PublicationRecord]) -> PublicationColumns:
-        return cls(*(list(map(attrgetter(name), records)) for name in _RECORD_FIELDS))
+        return cls(*(list(map(attrgetter(name), records)) for name in PublicationRecord._fields))
 
     def records(self) -> list[PublicationRecord]:
         """One PublicationRecord per publication, in column order."""

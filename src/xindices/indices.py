@@ -16,8 +16,6 @@ names the record fields behind those views, so ingest can skip the others.
 
 from __future__ import annotations
 
-import logging
-from fractions import Fraction
 from typing import Collection, Mapping, Sequence
 
 from .corpus import Corpus, Item
@@ -36,8 +34,6 @@ from .kernel import (
     rank_items,
 )
 from .stats import ReferenceStats
-
-logger = logging.getLogger("xindices")
 
 #: Per index kind, the record label fields its views are built from. A
 #: nested index reads the entry of its inner index.
@@ -106,8 +102,11 @@ def xdfn_index(
     kernel compares rationals exactly.
 
     Categories absent from the stats (or with a non-positive mean) raise in
-    strict mode; in lenient mode they are dropped with a logged warning.
+    strict mode; in lenient mode they are left out and named in the
+    result's dropped.
     """
+    from fractions import Fraction  # imported only by the runs that normalise
+
     if stats is None:
         raise MissingStats()
     dropped: list[str] = []
@@ -122,33 +121,29 @@ def xdfn_index(
             dropped.append(label)
             continue
         scored.append((label, Fraction(total) / Fraction(entry.mean)))
-    if dropped:
-        logger.warning(
-            "dropped %d categories without usable reference means: %s",
-            len(dropped),
-            ", ".join(sorted(dropped)),
-        )
-    return kernel_index(scored, ratio_type, "xdfn")
+    return _noting(kernel_index(scored, ratio_type, "xdfn"), dropped)
 
 
 def _variance_for(
     entry,
     category: str,
     variance_floor: float | None,
+    floored: list[str],
 ) -> float:
     variance = entry.variance
     if variance_floor is not None:
-        floored = max(variance or 0.0, variance_floor)
         if variance is None or variance < variance_floor:
-            logger.warning(
-                "variance floor %s substituted for category %s",
-                variance_floor,
-                category,
-            )
-        return floored
+            floored.append(category)
+            return variance_floor
+        return variance
     if variance is None or variance <= 0:
         raise ZeroOrMissingVariance(category)
     return variance
+
+
+def _noting(result: IndexResult, dropped: Sequence[str], floored: Sequence[str] = ()) -> IndexResult:
+    """result with the dropped and floored categories recorded on it."""
+    return IndexResult(result.kind, result.ratio_type, result.value, result.table, dropped, floored)
 
 
 def ivw_xd_index(
@@ -169,7 +164,9 @@ def ivw_xd_index(
     ranks by its adjusted scores.
 
     Zero or undefined variances raise unless variance_floor substitutes
-    max(variance, floor).
+    max(variance, floor); the categories whose variance it raises are
+    named in the result's floored. In lenient mode, categories the stats
+    lack are left out and named in its dropped.
     """
     if stats is None:
         raise MissingStats()
@@ -181,29 +178,25 @@ def ivw_xd_index(
         raise RankBasisUnsupported()
 
     dropped: list[str] = []
+    floored: list[str] = []
     kept = []
     for label, total in corpus.items("categories"):
         entry = _lookup(stats, label, strict, dropped)
         if entry is None:
             continue
-        kept.append((label, total, _variance_for(entry, label, variance_floor)))
-    if dropped:
-        logger.warning(
-            "dropped %d categories without reference variances: %s",
-            len(dropped),
-            ", ".join(sorted(dropped)),
-        )
+        kept.append((label, total, _variance_for(entry, label, variance_floor, floored)))
 
     if rank_basis == "weighted":
         scored = [(label, total / v) for label, total, v in kept]
-        return kernel_index(scored, ratio_type, "ivw")
+        return _noting(kernel_index(scored, ratio_type, "ivw"), dropped, floored)
 
     variance_of = {label: v for label, _, v in kept}
     ranked = rank_items([(label, total) for label, total, _ in kept])
     labels = [label for label, _ in ranked]
     weights = [w for _, w in ranked]
     ratios = [w / (variance_of[label] * r) for r, (label, w) in enumerate(ranked, start=1)]
-    return first_crossing_index(RankedTable.from_columns(labels, weights, ratios), "ivw")
+    result = first_crossing_index(RankedTable.from_columns(labels, weights, ratios), "ivw")
+    return _noting(result, dropped, floored)
 
 
 def _inner_view(inner: str) -> str:

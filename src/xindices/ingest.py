@@ -21,7 +21,6 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field
 from itertools import islice, repeat
 from operator import itemgetter
 from typing import IO, Iterable, NamedTuple, Sequence
@@ -36,6 +35,7 @@ from .errors import (
     MissingColumn,
 )
 from .numfmt import format_number
+from .value import FrozenValue, Value
 
 #: Number of publications per category below which sample variances are
 #: considered unreliable for inverse-variance weighting.
@@ -52,33 +52,56 @@ ROLES = ("id", "citations", "keywords", "categories", "institutions", "group")
 LABEL_FIELDS = ("keywords", "categories", "institutions")
 
 
-@dataclass(frozen=True)
-class IngestConfig:
+class IngestConfig(FrozenValue):
     """Column mapping and cell-splitting options for one input table.
 
     id and citations columns must be present in the file; the list-valued
     columns are filled with empty lists when their mapped header is absent,
     unless the role is named in required_columns (the CLI adds a role there
-    whenever the user remapped it explicitly, so typos fail loudly).
+    whenever the user remapped it explicitly, so typos fail loudly). The id
+    and citations columns must differ from each other and from the label
+    columns; the group column may name any column.
     """
 
-    id_column: str = "id"
-    citations_column: str = "citations"
-    keywords_column: str = "keywords"
-    categories_column: str = "categories"
-    institutions_column: str = "institutions"
-    group_column: str | None = None
-    cell_delimiter: str = ";"
-    case_fold: bool = True
-    trim: bool = True
-    required_columns: frozenset[str] = frozenset()
+    __slots__ = _fields = (
+        "id_column",
+        "citations_column",
+        "keywords_column",
+        "categories_column",
+        "institutions_column",
+        "group_column",
+        "cell_delimiter",
+        "case_fold",
+        "trim",
+        "required_columns",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.cell_delimiter:
+    def __init__(
+        self,
+        id_column: str = "id",
+        citations_column: str = "citations",
+        keywords_column: str = "keywords",
+        categories_column: str = "categories",
+        institutions_column: str = "institutions",
+        group_column: str | None = None,
+        cell_delimiter: str = ";",
+        case_fold: bool = True,
+        trim: bool = True,
+        required_columns: frozenset[str] = frozenset(),
+    ) -> None:
+        if not cell_delimiter:
             raise InvalidConfig("cell delimiter must be non-empty")
-        unknown = set(self.required_columns) - set(ROLES)
+        unknown = set(required_columns) - set(ROLES)
         if unknown:
             raise InvalidConfig(f"unknown column roles: {sorted(unknown)}")
+        columns = (id_column, citations_column, keywords_column, categories_column, institutions_column)
+        column_of = dict(zip(ROLES, columns))
+        for role in ("id", "citations"):
+            column = column_of.pop(role)
+            clash = [other for other, mapped in column_of.items() if mapped == column]
+            if clash:
+                raise InvalidConfig(f"column {column!r} is mapped to both {role} and {clash[0]}")
+        self._set(*columns, group_column, cell_delimiter, case_fold, trim, required_columns)
 
     def column_for(self, role: str) -> str | None:
         return {
@@ -105,20 +128,28 @@ def normalize_label(raw: str, config: IngestConfig | None = None) -> str:
     return text
 
 
-@dataclass
-class TableData:
+class TableData(Value):
     """Everything parsed from one table: the publications in column form,
     each publication's group labels, and the header facts. records is
     built from the columns on first read."""
 
-    columns: PublicationColumns
-    group_values: list[tuple[str, ...]]
-    headers: list[str]
-    unused_columns: list[str]
-    separator: str
-    _records: list[PublicationRecord] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _fields = ("columns", "group_values", "headers", "unused_columns", "separator")
+    __slots__ = (*_fields, "_records")
+
+    def __init__(
+        self,
+        columns: PublicationColumns,
+        group_values: list[tuple[str, ...]],
+        headers: list[str],
+        unused_columns: list[str],
+        separator: str,
+    ) -> None:
+        self.columns = columns
+        self.group_values = group_values
+        self.headers = headers
+        self.unused_columns = unused_columns
+        self.separator = separator
+        self._records = None
 
     @property
     def records(self) -> list[PublicationRecord]:
@@ -352,23 +383,42 @@ def records_to_csv(records: Iterable[PublicationRecord]) -> str:
     return out.getvalue()
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Value):
     """Outcome of validate_records.
 
     duplicate_ids are hard errors; the record-level lists are warnings; the
     small-sample category flags are advisory notes for the inverse-variance
     variant, kept separate so a clean small corpus still validates with an
-    empty warning list.
+    empty warning list. Each list or dict field left out starts empty.
     """
 
-    n_records: int = 0
-    duplicate_ids: list[str] = field(default_factory=list)
-    no_keyword_ids: list[str] = field(default_factory=list)
-    no_category_ids: list[str] = field(default_factory=list)
-    zero_citation_ids: list[str] = field(default_factory=list)
-    category_counts: dict[str, int] = field(default_factory=dict)
-    small_sample_categories: list[str] = field(default_factory=list)
+    __slots__ = _fields = (
+        "n_records",
+        "duplicate_ids",
+        "no_keyword_ids",
+        "no_category_ids",
+        "zero_citation_ids",
+        "category_counts",
+        "small_sample_categories",
+    )
+
+    def __init__(
+        self,
+        n_records: int = 0,
+        duplicate_ids: list[str] | None = None,
+        no_keyword_ids: list[str] | None = None,
+        no_category_ids: list[str] | None = None,
+        zero_citation_ids: list[str] | None = None,
+        category_counts: dict[str, int] | None = None,
+        small_sample_categories: list[str] | None = None,
+    ) -> None:
+        self.n_records = n_records
+        self.duplicate_ids = [] if duplicate_ids is None else duplicate_ids
+        self.no_keyword_ids = [] if no_keyword_ids is None else no_keyword_ids
+        self.no_category_ids = [] if no_category_ids is None else no_category_ids
+        self.zero_citation_ids = [] if zero_citation_ids is None else zero_citation_ids
+        self.category_counts = {} if category_counts is None else category_counts
+        self.small_sample_categories = [] if small_sample_categories is None else small_sample_categories
 
     @property
     def errors(self) -> list[str]:

@@ -31,13 +31,13 @@ h_value, which ranks weights alone and builds no table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, compress, count, repeat
 from operator import ge, itemgetter, lt, mul, truediv
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .corpus import Item
 from .errors import NonFiniteWeight
+from .value import FrozenValue
 
 INDEX_KINDS = ("x", "xc", "xd", "xdf", "xdfn", "ivw", "xo", "nested")
 RATIO_TYPES = ("h", "g")
@@ -133,23 +133,39 @@ class RankedTable:
     def __repr__(self) -> str:
         return f"RankedTable(rows={self.rows!r})"
 
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through from_columns, since fields cannot be set
+        return (RankedTable.from_columns, self._columns())
 
-@dataclass(frozen=True)
-class IndexResult:
-    """An index value together with the ranked table it was read off."""
 
-    kind: str
-    ratio_type: str
-    value: int
-    table: RankedTable
+class IndexResult(FrozenValue):
+    """An index value together with the ranked table it was read off.
 
-    def __post_init__(self) -> None:
-        if self.kind not in INDEX_KINDS:
-            raise ValueError(f"unknown index kind {self.kind!r}")
-        if self.ratio_type not in RATIO_TYPES:
-            raise ValueError(f"unknown ratio type {self.ratio_type!r}")
-        if not 0 <= self.value <= len(self.table):
+    dropped names the categories left out of the ranking because the
+    reference stats lack them or give no usable mean (lenient xdfn and
+    ivw); floored names the categories whose variance the variance floor
+    replaced (ivw). The index functions fill both in label order; they
+    are empty for other indices.
+    """
+
+    __slots__ = _fields = ("kind", "ratio_type", "value", "table", "dropped", "floored")
+
+    def __init__(
+        self,
+        kind: str,
+        ratio_type: str,
+        value: int,
+        table: RankedTable,
+        dropped: tuple[str, ...] = (),
+        floored: tuple[str, ...] = (),
+    ) -> None:
+        if kind not in INDEX_KINDS:
+            raise ValueError(f"unknown index kind {kind!r}")
+        if ratio_type not in RATIO_TYPES:
+            raise ValueError(f"unknown ratio type {ratio_type!r}")
+        if not 0 <= value <= len(table):
             raise ValueError("index value out of range for its table")
+        self._set(kind, ratio_type, value, table, tuple(dropped), tuple(floored))
 
 
 def rank_items(items: Iterable[Item]) -> list[Item]:

@@ -14,21 +14,20 @@ string encoder json.encoder.encode_basestring, numbers through
 int.__repr__ / float.__repr__ after canonical_json_value, as json.dumps
 prints them. The envelope and config are laid out the same way, with
 every scalar encoded by json's C encoder. The csv and table renderers also
-read the columns, so no RankRow or per-row dict is built.
+read the columns, so no RankRow or per-row dict is built. Only to_json
+imports json, so a csv or table run never loads it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass, field
 from itertools import count
-from json.encoder import encode_basestring
 from typing import Any
 
 from .kernel import IndexResult
 from .numfmt import canonical_json_value, format_number
+from .value import Value
 
 TABLE_COLUMNS = ("rank", "label", "weight", "ratio")
 
@@ -36,38 +35,46 @@ TABLE_COLUMNS = ("rank", "label", "weight", "ratio")
 # is int.__repr__ or float.__repr__, which is what the json encoder prints.
 _JSON_ROW = '    {\n      "rank": %d,\n      "label": %s,\n      "weight": %r,\n      "ratio": %r\n    }'
 
-_json_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
-
-def _json_layout(value: Any, indent: str) -> str:
+def _json_layout(value: Any, indent: str, scalar) -> str:
     """json.dumps(value, indent=2, ensure_ascii=False) for a value nested
-    at the given indent, with every scalar encoded in C. Object keys must
-    be strings, as in a config echo."""
+    at the given indent, with every scalar encoded in C by scalar, a
+    json.JSONEncoder(ensure_ascii=False).encode. Object keys must be
+    strings, as in a config echo."""
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
         members = ",\n".join(
-            f"{inner}{encode_basestring(key)}: {_json_layout(item, inner)}" for key, item in value.items()
+            f"{inner}{scalar(key)}: {_json_layout(item, inner, scalar)}" for key, item in value.items()
         )
         return f"{{\n{members}\n{indent}}}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        members = ",\n".join(inner + _json_layout(item, inner) for item in value)
+        members = ",\n".join(inner + _json_layout(item, inner, scalar) for item in value)
         return f"[\n{members}\n{indent}]"
-    return _json_scalar(value)
+    return scalar(value)
 
 
-@dataclass
-class Report:
+class Report(Value):
     """Everything one command run emits: result, provenance, warnings."""
 
-    version: str
-    command: str
-    result: IndexResult
-    config: dict[str, Any] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = _fields = ("version", "command", "result", "config", "warnings")
+
+    def __init__(
+        self,
+        version: str,
+        command: str,
+        result: IndexResult,
+        config: dict[str, Any] | None = None,
+        warnings: list[str] | None = None,
+    ) -> None:
+        self.version = version
+        self.command = command
+        self.result = result
+        self.config = {} if config is None else config
+        self.warnings = [] if warnings is None else warnings
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -90,6 +97,10 @@ class Report:
         }
 
     def to_json(self) -> str:
+        import json  # imported only by the runs that render json
+        from json.encoder import encode_basestring
+
+        scalar = json.JSONEncoder(ensure_ascii=False).encode
         table = self.result.table
         rows = ",\n".join(
             map(
@@ -105,14 +116,14 @@ class Report:
         table_json = f"[\n{rows}\n  ]" if rows else "[]"
         return (
             "{\n"
-            f'  "version": {_json_scalar(self.version)},\n'
-            f'  "command": {_json_scalar(self.command)},\n'
-            f'  "index": {_json_scalar(self.result.kind)},\n'
-            f'  "ratio_type": {_json_scalar(self.result.ratio_type)},\n'
-            f'  "value": {_json_scalar(self.result.value)},\n'
+            f'  "version": {scalar(self.version)},\n'
+            f'  "command": {scalar(self.command)},\n'
+            f'  "index": {scalar(self.result.kind)},\n'
+            f'  "ratio_type": {scalar(self.result.ratio_type)},\n'
+            f'  "value": {scalar(self.result.value)},\n'
             f'  "table": {table_json},\n'
-            f'  "config": {_json_layout(self.config, "  ")},\n'
-            f'  "warnings": {_json_layout(list(self.warnings), "  ")}\n'
+            f'  "config": {_json_layout(self.config, "  ", scalar)},\n'
+            f'  "warnings": {_json_layout(list(self.warnings), "  ", scalar)}\n'
             "}\n"
         )
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter, mul
 from typing import IO, Iterable
 
@@ -21,12 +19,12 @@ from .corpus import Corpus
 from .errors import BadStatsRow, MissingColumn, NonFiniteStats, NonPositiveMean
 from .ingest import read_utf8
 from .numfmt import format_number
+from .value import FrozenValue
 
 STATS_HEADER = ("category", "mean", "variance", "n")
 
 
-@dataclass(frozen=True)
-class StatsEntry:
+class StatsEntry(FrozenValue):
     """Mean and variance of per-publication citation counts in one category.
 
     Internally estimated means are exact rationals (Fraction), so dividing a
@@ -36,10 +34,10 @@ class StatsEntry:
     observation); consumers decide whether that is an error.
     """
 
-    category: str
-    mean: float | Fraction
-    variance: float | None
-    n: int
+    __slots__ = _fields = ("category", "mean", "variance", "n")
+
+    def __init__(self, category: str, mean: float | Fraction, variance: float | None, n: int) -> None:
+        self._set(category, mean, variance, n)
 
 
 class ReferenceStats:
@@ -101,6 +99,8 @@ def estimate_stats(corpus: Corpus, variance_kind: str = "sample") -> ReferenceSt
     categories as undefined; "population" gives zero for them. A variance
     beyond the float range raises NonFiniteStats.
     """
+    from fractions import Fraction  # imported only by the runs that estimate
+
     if variance_kind not in ("sample", "population"):
         raise ValueError(f"unknown variance kind {variance_kind!r}")
     entries = []

@@ -28,6 +28,18 @@ def record(
     )
 
 
+def replaced(rec: PublicationRecord, **changes) -> PublicationRecord:
+    """A copy of rec with the named fields changed."""
+    fields = {
+        "id": rec.id,
+        "citations": rec.citations,
+        "keywords": rec.keywords,
+        "categories": rec.categories,
+        "institutions": rec.institutions,
+    }
+    return PublicationRecord(**{**fields, **changes})
+
+
 def random_records(
     rng: random.Random,
     max_pubs: int = 200,

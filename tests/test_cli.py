@@ -9,6 +9,7 @@ import pathlib
 import jsonschema
 import pytest
 
+import import_check
 import xindices.cli
 from xindices import PublicationRecord
 from xindices.cli import main
@@ -493,6 +494,21 @@ TWO_ROWS = "id,citations,keywords,categories,institutions\np1,3,a,C1,I1\np2,5,b,
         ),
         pytest.param(("stats", "--cell-delimiter", ""), "cell delimiter", id="empty-delimiter-stats"),
         pytest.param(("validate", "--cell-delimiter", ""), "cell delimiter", id="empty-delimiter-validate"),
+        pytest.param(
+            ("compute", "--index", "x", "--id-col", "citations", "--citations-col", "citations"),
+            "column 'citations' is mapped to both id and citations", id="id-column-is-citations-column",
+        ),
+        pytest.param(
+            ("stats", "--keywords-col", "id"), "column 'id' is mapped to both id and keywords",
+            id="keywords-column-is-id-column",
+        ),
+        pytest.param(
+            ("validate", "--citations-col", "institutions"),
+            "column 'institutions' is mapped to both citations and institutions",
+            id="citations-column-is-institutions-column",
+        ),
+        pytest.param(("nested", "--group-col", "institutions", "--jobs", "-3"), "--jobs", id="negative-jobs"),
+        pytest.param(("compute", "--index", "xo", "--jobs", "0"), "--jobs", id="zero-jobs"),
     ],
 )
 def test_bad_flag_value_exits_1_with_one_line(tmp_path, capsys, argv, message):
@@ -507,6 +523,40 @@ def test_bad_flag_value_exits_1_with_one_line(tmp_path, capsys, argv, message):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert not out_path.exists()
+
+
+def test_group_column_may_name_a_record_column(tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_text(TWO_ROWS)
+    code, out, err = run(capsys, "nested", "--input", str(path), "--group-col", "id", "--inner", "xd")
+    assert (code, err) == (0, "")
+    assert [row["label"] for row in json.loads(out)["table"]] == ["p1", "p2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("compute", "--input", "in.csv", "--index", "nope"), id="bad-choice"),
+        pytest.param(("compute", "--input", "in.csv", "--index", "x", "--nope"), id="unknown-flag"),
+        pytest.param(("compute", "--index", "x"), id="missing-required-flag"),
+        pytest.param(
+            ("compute", "--input", "in.csv", "--index", "ivw", "--variance-floor", "tiny"), id="not-a-number"
+        ),
+        pytest.param(("nested", "--input", "in.csv", "--jobs", "two"), id="not-an-integer"),
+        pytest.param(("stats", "--input", "in.csv"), id="missing-stats-out"),
+        pytest.param((), id="no-command"),
+    ],
+)
+def test_usage_error_exits_1_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exit_info.value.code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_commands_load_only_the_modules_they_use():
+    assert import_check.problems() == []
 
 
 @pytest.mark.parametrize(
@@ -528,7 +578,7 @@ def test_commands_build_no_publication_record(toy_csv, tmp_path, capsys, monkeyp
     def refuse(*args, **kwargs):
         raise AssertionError("a PublicationRecord was built")
 
-    monkeypatch.setattr(PublicationRecord, "__post_init__", refuse)
+    monkeypatch.setattr(PublicationRecord, "__init__", refuse)
     monkeypatch.setattr(PublicationRecord, "_from_normalised", refuse)
     code, _, err = run(capsys, *argv, "--input", toy_csv, "--out", str(tmp_path / "out"))
     assert code == 0, err

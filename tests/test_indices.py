@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -35,7 +34,7 @@ from xindices.indices import INDEX_FIELDS
 from xindices.ingest import LABEL_FIELDS
 from xindices.stats import ReferenceStats, StatsEntry
 
-from conftest import random_records, record
+from conftest import random_records, record, replaced
 from oracles import naive_h_oracle, naive_xo_oracle
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -526,7 +525,7 @@ def test_group_index_equals_nested_index_over_partition(seed, inner, ratio_type,
     rng = random.Random(seed)
     # decimal citations, sometimes large enough for a group total to overflow
     records = [
-        dataclasses.replace(rec, citations=rng.choice([rng.randrange(10**5) / 100, 1e308]))
+        replaced(rec, citations=rng.choice([rng.randrange(10**5) / 100, 1e308]))
         for rec in random_records(rng, max_pubs=60, max_categories=6, max_keywords=10)
     ]
     rng.shuffle(records)
@@ -573,7 +572,7 @@ def test_index_fields_hold_every_field_an_index_reads(seed):
     full = build_corpus(records)
     for kind, fields in INDEX_FIELDS.items():
         blank = dict.fromkeys(set(LABEL_FIELDS) - set(fields), ())
-        projected = build_corpus([dataclasses.replace(rec, **blank) for rec in records])
+        projected = build_corpus([replaced(rec, **blank) for rec in records])
         for ratio_type in ("h", "g"):
             read = INDEX_READERS[kind]
             assert read(projected, ratio_type) == read(full, ratio_type), (kind, ratio_type)

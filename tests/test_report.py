@@ -154,3 +154,74 @@ def test_empty_table_and_envelope_layout():
         '  "ratio_type": "h",\n  "value": 0,\n  "table": [],\n  "config": {},\n'
         '  "warnings": []\n}\n'
     )
+
+
+# Reports that carry warnings: xdfn with a category its stats lack, and ivw
+# with categories floored and one dropped. SHA-256 recorded while the index
+# functions logged their warnings and the CLI collected them.
+WARNING_CORPUS = (
+    "id,citations,keywords,categories,institutions\n"
+    'p1,9,"alpha; beta",A,I1\n'
+    "p2,4,gamma,B,I2\n"
+    "p3,2,delta,C,I1\n"
+    "p4,2,alpha,D,I1\n"
+    "p5,3,beta,A;B,I2\n"
+)
+
+WARNING_CASES = {
+    "xdfn-dropped": (
+        ("compute", "--index", "xdfn", "--lenient-stats"),
+        "a,2,1,10\nb,1.5,1,10\n",
+        ["dropped 2 categories without usable reference means: c, d"],
+    ),
+    "ivw-floored-dropped": (
+        ("compute", "--index", "ivw", "--lenient-stats", "--variance-floor", "0.75"),
+        "a,2,0.5,10\nb,1,,10\nc,1,4,10\n",
+        [
+            "variance floor 0.75 substituted for category a",
+            "variance floor 0.75 substituted for category b",
+            "dropped 1 categories without reference variances: d",
+        ],
+    ),
+    "ivw-weighted-g": (
+        (
+            "compute", "--index", "ivw", "--lenient-stats", "--variance-floor", "0.75",
+            "--rank-basis", "weighted", "--type", "g",
+        ),
+        "a,2,0.5,10\nb,1,,10\nc,1,4,10\n",
+        [
+            "variance floor 0.75 substituted for category a",
+            "variance floor 0.75 substituted for category b",
+            "dropped 1 categories without reference variances: d",
+        ],
+    ),
+}
+
+GOLDEN_WARNINGS = {
+    ("xdfn-dropped", "json"): "37397ccc349f5046054c81c68093589e6543bbb0d8be0590732a88efdae5579c",
+    ("xdfn-dropped", "csv"): "4c529006e449a263a224d2d23aeacc3939f8df88b84d602350a6fdd102848e5e",
+    ("xdfn-dropped", "table"): "b4ca2f458d6fd810c4f579a99b138b633d46bf0c4ddaac23f2ea62e62f5926b2",
+    ("ivw-floored-dropped", "json"): "84ae03881806ae62a1f8e1730c197700b4165f5333f641460b7f369907abbe18",
+    ("ivw-floored-dropped", "csv"): "0c3ecdd77ba171b9bfd61d2ba6833152ab55ac3913ec358e3fb4cbbf38ad7ad0",
+    ("ivw-floored-dropped", "table"): "f83c1a84b6c369426da831052e01b6b3591d2a5306d5730ea52e42d78163ad3c",
+    ("ivw-weighted-g", "json"): "1a8a8967924a680c99ba39df9eb851816aa1d8577e11f46e90ba638fb2a3250e",
+    ("ivw-weighted-g", "table"): "81de2edd760d41191adecd7421ba2ada6d66baec2cce3749766b6e2fbf8b4745",
+}
+
+
+@pytest.mark.parametrize(("case", "fmt"), sorted(GOLDEN_WARNINGS))
+def test_warning_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, case, fmt):
+    monkeypatch.chdir(tmp_path)
+    argv, stats, warnings = WARNING_CASES[case]
+    (tmp_path / "corpus.csv").write_text(WARNING_CORPUS)
+    (tmp_path / "ref.csv").write_text("category,mean,variance,n\n" + stats)
+    code = main(
+        [*argv, "--ref-stats", "ref.csv", "--input", "corpus.csv", "--format", fmt, "--out", "report"]
+    )
+    assert (code, capsys.readouterr()) == (0, ("", ""))
+    data = (tmp_path / "report").read_bytes()
+    if fmt == "json":
+        assert json.loads(data)["warnings"] == warnings
+    if fmt == "table":
+        assert data.decode().splitlines()[-1 - len(warnings) : -1] == [f"warning: {w}" for w in warnings]
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_WARNINGS[case, fmt]
