@@ -10,9 +10,7 @@ from .corpus import (
     Corpus,
     PublicationColumns,
     PublicationRecord,
-    WeightedItem,
     build_corpus,
-    partition_by_group,
 )
 from .errors import (
     AmbiguousSeparator,
@@ -40,7 +38,6 @@ from .errors import (
 from .indices import (
     group_index,
     ivw_xd_index,
-    nested_index,
     x_index,
     xc_index,
     xd_index,
@@ -54,7 +51,6 @@ from .ingest import (
     normalize_label,
     parse_table,
     read_table,
-    records_to_csv,
     validate_records,
 )
 from .kernel import (
@@ -80,15 +76,12 @@ __all__ = [
     "Corpus",
     "PublicationColumns",
     "PublicationRecord",
-    "WeightedItem",
     "build_corpus",
-    "partition_by_group",
     "IngestConfig",
     "ValidationReport",
     "normalize_label",
     "parse_table",
     "read_table",
-    "records_to_csv",
     "validate_records",
     "IndexResult",
     "RankedTable",
@@ -109,7 +102,6 @@ __all__ = [
     "xdfn_index",
     "ivw_xd_index",
     "xo_index",
-    "nested_index",
     "group_index",
     "XIndicesError",
     "IngestError",

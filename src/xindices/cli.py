@@ -50,6 +50,7 @@ INDEX_FUNCTIONS = {
     "xc": xc_index,
     "xd": xd_index,
     "xdf": xdf_index,
+    "xo": xo_index,
 }
 
 
@@ -201,8 +202,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
     try:
         if args.index in INDEX_FUNCTIONS:
             result = INDEX_FUNCTIONS[args.index](corpus, args.type)
-        elif args.index == "xo":
-            result = xo_index(corpus, args.type, jobs=args.jobs)
         else:
             stats, source = _resolve_stats(args, ref_stats, corpus)
             echo["stats_source"] = source
@@ -328,9 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compute = sub.add_parser("compute", help="compute one index over an input table")
     _add_ingest_flags(compute)
-    compute.add_argument(
-        "--index", required=True, choices=["x", "xc", "xd", "xdf", "xdfn", "ivw", "xo"]
-    )
+    compute.add_argument("--index", required=True, choices=list(INDEX_FIELDS))
     compute.add_argument("--type", default="h", choices=["h", "g"], help="ratio type")
     compute.add_argument("--ref-stats", default=None, help="reference stats CSV (category,mean,variance,n)")
     compute.add_argument(

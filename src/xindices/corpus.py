@@ -80,21 +80,12 @@ class PublicationRecord(FrozenValue):
         return rec
 
 
-class WeightedItem(NamedTuple):
-    """A ranking candidate: a label with a nonnegative weight.
-
-    The label is a keyword, a keyword@category pair, a category, or a group
-    name; the weight is a citation total, an adjusted score, or an inner
-    index value (a float, or an exact Fraction on the field-normalised path).
-    """
-
-    label: str
-    weight: float
-
-
-#: A view item in the plain form views are held in: (label, weight). The
-#: collector untracks plain tuples of a str and a float, but never a
-#: WeightedItem, so large views are kept as plain tuples.
+#: A ranking candidate, the form views are held in: (label, weight). The
+#: label is a keyword, a keyword@category pair, a category, or a group
+#: name; the weight is a citation total, an adjusted score, or an inner
+#: index value (a float, or an exact Fraction on the field-normalised
+#: path). The collector untracks plain tuples of a str and a float, so
+#: large views cost it nothing.
 Item = tuple[str, float]
 
 #: The views Corpus.items() serves, each sorted by label.
@@ -126,10 +117,6 @@ class PublicationColumns(NamedTuple):
         return list(map(PublicationRecord._from_normalised, *self))
 
 
-def _weighted(items: Iterable[Item]) -> list[WeightedItem]:
-    return list(map(WeightedItem._make, items))
-
-
 class Corpus:
     """Immutable collection of publications, held in column form; each
     aggregation view is built on first read and cached.
@@ -149,7 +136,6 @@ class Corpus:
     def from_columns(cls, columns: PublicationColumns) -> Corpus:
         """A Corpus of publications in column form, checked with C-level
         passes over the columns; the label tuples are taken as given."""
-        columns = PublicationColumns(*map(tuple, columns))
         if "" in columns.ids:
             raise ValueError("publication id must be non-empty")
         corpus = cls.__new__(cls)
@@ -157,6 +143,7 @@ class Corpus:
         return corpus
 
     def _init(self, columns: PublicationColumns, publications) -> None:
+        columns = PublicationColumns(*map(tuple, columns))
         if len(set(map(len, columns))) > 1:
             raise ValueError("publication columns differ in length")
         _check_publications(columns.ids, columns.citations)
@@ -166,6 +153,10 @@ class Corpus:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Corpus is immutable")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through from_columns, since fields cannot be set
+        return (Corpus.from_columns, (self.columns,))
 
     def __len__(self) -> int:
         return len(self.columns.ids)
@@ -185,8 +176,18 @@ class Corpus:
 
     def items(self, view: str) -> tuple[Item, ...]:
         """One of ITEM_VIEWS as plain (label, weight) tuples sorted by label:
-        the kernel input the index functions read. The *_totals methods
-        return the same values as WeightedItem lists."""
+        the kernel input the index functions read.
+
+        "keywords": per keyword, the citations of all publications listing
+        it (a publication's full count goes to each of its keywords).
+        "pairs": per (keyword, category) pair, labelled "keyword@category",
+        the full citations of every publication carrying both; pairs whose
+        labels coincide (a keyword or category containing "@") remain
+        separate items. "categories": per category, whole citation counts.
+        "categories_fractional": per category, each publication's
+        citations divided by its number of institutions (1 when it has
+        none). Any other view raises ValueError.
+        """
         if view not in ITEM_VIEWS:
             raise ValueError(f"unknown view {view!r}")
         return self._view(view)
@@ -204,9 +205,9 @@ class Corpus:
     ) -> dict[str, Collection[Item]]:
         """Per group label, the (label, total) items of the "keywords" or
         "categories" view over the publications in that group, unsorted:
-        the items partition_by_group(self.publications, group_values,
-        strict)[group].items(view) holds, bitwise, from one pass over this
-        corpus and without building a Corpus per group.
+        bitwise the items(view) of a Corpus of the group's publications,
+        from one pass over this corpus and without building a Corpus per
+        group.
 
         group_values is parallel to the publications. Repeated group labels
         count once; a publication with none raises MissingGroupLabel in
@@ -219,32 +220,6 @@ class Corpus:
         in_id_order = map(groups.__getitem__, by_id.order)
         by_group = _grouped_totals(by_id["citations"], by_id[view], in_id_order)
         return {group: totals.items() for group, totals in by_group.items()}
-
-    def keyword_totals(self) -> list[WeightedItem]:
-        """One item per distinct keyword; weight is the sum of citations of
-        all publications listing it (full count replicated per keyword)."""
-        return _weighted(self._view("keywords"))
-
-    def pair_totals(self) -> list[WeightedItem]:
-        """One item per distinct (keyword, category) pair; a publication
-        contributes its full citation count to every keyword x category
-        combination it carries. Labels read "keyword@category"; pairs whose
-        labels coincide (a keyword or category containing "@") remain
-        separate items."""
-        return _weighted(self._view("pairs"))
-
-    def category_totals(self, mode: str = "whole") -> list[WeightedItem]:
-        """One item per distinct category.
-
-        mode="whole": full citation counts. mode="fractional": each
-        publication contributes citations / (number of distinct institutions
-        on the record), with divisor 1 when the institution list is empty.
-        """
-        if mode == "whole":
-            return _weighted(self._view("categories"))
-        if mode == "fractional":
-            return _weighted(self._view("categories_fractional"))
-        raise ValueError(f"unknown counting mode {mode!r}")
 
     def category_samples(self) -> dict[str, list[float]]:
         """Per category, the multiset of whole citation counts of the
@@ -385,26 +360,6 @@ def build_corpus(publications: Iterable[PublicationRecord] | PublicationColumns)
     if isinstance(publications, PublicationColumns):
         return Corpus.from_columns(publications)
     return Corpus(publications)
-
-
-def partition_by_group(
-    records: Sequence[PublicationRecord],
-    group_column_values: Sequence[Sequence[str]],
-    strict: bool = False,
-) -> dict[str, Corpus]:
-    """Split records into one sub-corpus per group label.
-
-    group_column_values is parallel to records; a record tagged with several
-    group labels appears in each group's sub-corpus. Records with no label
-    raise MissingGroupLabel in strict mode and fall into "(ungrouped)"
-    otherwise.
-    """
-    ids = [rec.id for rec in records]
-    buckets: dict[str, list[PublicationRecord]] = {}
-    for rec, labels in zip(records, _group_labels(ids, group_column_values, strict)):
-        for label in labels:
-            buckets.setdefault(label, []).append(rec)
-    return {label: Corpus(buckets[label]) for label in sorted(buckets)}
 
 
 def _group_labels(

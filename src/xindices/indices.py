@@ -4,10 +4,11 @@ Every operation returns an IndexResult whose table can be serialised as-is.
 Depth indices rank keywords (x) or keyword@category pairs (xc); breadth
 indices rank categories under whole (xd), fractional (xdf), mean-normalised
 (xdfn) or inverse-variance-weighted (ivw) citation scores; xo ranks
-categories by their own nested keyword-level x-indices; nested_index ranks
-groups of corpora (typically institutions) by their inner x or xd values.
+categories by their own nested keyword-level x-indices; group_index ranks
+the groups of one corpus (typically institutions) by their inner x or xd
+values.
 
-Inner values for xo and nested_index are always h-type; the ratio_type
+Inner values for xo and group_index are always h-type; the ratio_type
 argument selects the outer kernel only, and the inner values are computed
 by the kernel's h_value, without a ranked table. Each function reads only
 the corpus views it ranks, as plain (label, weight) tuples, and INDEX_FIELDS
@@ -35,16 +36,17 @@ from .kernel import (
 )
 from .stats import ReferenceStats
 
-#: Per index kind, the record label fields its views are built from. A
-#: nested index reads the entry of its inner index.
+#: Per index kind, the record label fields its views are built from, in
+#: the order `xindex compute --index` lists them. A nested index reads the
+#: entry of its inner index.
 INDEX_FIELDS = {
     "x": ("keywords",),
     "xc": ("keywords", "categories"),
-    "xo": ("keywords", "categories"),
     "xd": ("categories",),
+    "xdf": ("categories", "institutions"),
     "xdfn": ("categories",),
     "ivw": ("categories",),
-    "xdf": ("categories", "institutions"),
+    "xo": ("keywords", "categories"),
 }
 
 #: Per inner index of a nested index, the view its h-type value ranks.
@@ -195,14 +197,8 @@ def ivw_xd_index(
     labels = [label for label, _ in ranked]
     weights = [w for _, w in ranked]
     ratios = [w / (variance_of[label] * r) for r, (label, w) in enumerate(ranked, start=1)]
-    result = first_crossing_index(RankedTable.from_columns(labels, weights, ratios), "ivw")
+    result = first_crossing_index(RankedTable(labels, weights, ratios), "ivw")
     return _noting(result, dropped, floored)
-
-
-def _inner_view(inner: str) -> str:
-    if inner not in _INNER_VIEWS:
-        raise ValueError(f"unknown inner index {inner!r}")
-    return _INNER_VIEWS[inner]
 
 
 def _rank_inner(
@@ -213,29 +209,14 @@ def _rank_inner(
     return kernel_index(scored, ratio_type, kind)
 
 
-def xo_index(corpus: Corpus, ratio_type: str = "h", jobs: int = 1) -> IndexResult:
+def xo_index(corpus: Corpus, ratio_type: str = "h") -> IndexResult:
     """Overall expertise: kernel over the per-category nested x-indices.
 
     Each category's inner value is the h-type x-index over the keywords of
     the publications tagged with it, weighted by in-category citations:
-    the per-category keyword totals the pair view is built from. jobs is
-    accepted for compatibility; the categories are scored serially.
+    the per-category keyword totals the pair view is built from.
     """
     return _rank_inner(corpus.keyword_items_by_category(), ratio_type, "xo")
-
-
-def nested_index(
-    groups: Mapping[str, Corpus],
-    inner: str = "x",
-    ratio_type: str = "h",
-    jobs: int = 1,
-) -> IndexResult:
-    """Group-level index: the kernel applied to each group's inner h-type
-    x or xd value (the xx and xx_d aggregates). jobs is accepted for
-    compatibility; the groups are scored serially."""
-    view = _inner_view(inner)
-    items_by_group = {label: corpus.items(view) for label, corpus in groups.items()}
-    return _rank_inner(items_by_group, ratio_type, "nested")
 
 
 def group_index(
@@ -245,10 +226,15 @@ def group_index(
     ratio_type: str = "h",
     strict: bool = False,
 ) -> IndexResult:
-    """nested_index over the groups partition_by_group(corpus.publications,
-    group_values, strict) would build, with the same value and table, from
-    one pass over corpus. Ids are unique across the whole corpus, so a
-    publication id repeated in two groups is a DuplicateId when the corpus
-    is built."""
-    items_by_group = corpus.items_by_group(group_values, _inner_view(inner), strict)
+    """Group-level index: the kernel applied to each group's inner h-type
+    x or xd value (the xx and xx_d aggregates), from one pass over corpus.
+
+    group_values is parallel to the publications; a publication counts in
+    each of its distinct groups, and one with none raises MissingGroupLabel
+    in strict mode and falls into "(ungrouped)" otherwise. Ids are unique
+    across the whole corpus, so a publication id repeated in two groups is
+    a DuplicateId when the corpus is built."""
+    if inner not in _INNER_VIEWS:
+        raise ValueError(f"unknown inner index {inner!r}")
+    items_by_group = corpus.items_by_group(group_values, _INNER_VIEWS[inner], strict)
     return _rank_inner(items_by_group, ratio_type, "nested")

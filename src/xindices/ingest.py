@@ -34,7 +34,6 @@ from .errors import (
     MalformedRow,
     MissingColumn,
 )
-from .numfmt import format_number
 from .value import FrozenValue, Value
 
 #: Number of publications per category below which sample variances are
@@ -361,26 +360,6 @@ def read_table(
 def parse_table(stream: IO[bytes], config: IngestConfig | None = None) -> list[PublicationRecord]:
     """Parse a delimited byte stream into publication records, in file order."""
     return read_table(stream, config).records
-
-
-def records_to_csv(records: Iterable[PublicationRecord]) -> str:
-    """Serialise records back to canonical CSV (comma-separated, ";" joined
-    multi-value cells). Re-parsing the output with defaults yields equal
-    records, provided the labels were already normalised."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id", "citations", "keywords", "categories", "institutions"])
-    for rec in records:
-        writer.writerow(
-            [
-                rec.id,
-                format_number(rec.citations),
-                ";".join(rec.keywords),
-                ";".join(rec.categories),
-                ";".join(rec.institutions),
-            ]
-        )
-    return out.getvalue()
 
 
 class ValidationReport(Value):

@@ -1,9 +1,8 @@
 """Generic rank-ratio engine behind every index in the family.
 
-Items are (label, weight) pairs, plain tuples or WeightedItems, read
-through itemgetter. They are ranked by weight descending (ties broken by
-label ascending, byte order), then a threshold rule over a per-rank ratio
-yields the index value:
+Items are plain (label, weight) tuples, read through itemgetter. They are
+ranked by weight descending (ties broken by label ascending, byte order),
+then a threshold rule over a per-rank ratio yields the index value:
 
 * h-type: ratio at rank r is weight/r; the value is the largest rank whose
   ratio is still >= 1, or 0 when no rank qualifies.
@@ -18,14 +17,14 @@ yields the index value:
 All comparisons are exact floating comparisons; ratios are plain divisions
 with no rounding, so a weight exactly equal to its rank qualifies.
 
-Tables are held in column form: a RankedTable keeps parallel labels,
-weights and ratios tuples, with ranks implicit as 1..n. Ranking is two
-stable C-keyed sorts, ratios and the value come from map/accumulate/
-compress passes, and the table invariants are checked by C-level passes,
-so no RankRow is built on the way to a report. The row view (RankRow
-tuples) is built on first read of RankedTable.rows. Inner values that no
-report prints (xo's per-category and nested's per-group values) come from
-h_value, which ranks weights alone and builds no table.
+Tables are held in column form: a RankedTable is built from parallel
+labels, weights and ratios columns, with ranks implicit as 1..n. Ranking
+is two stable C-keyed sorts, ratios and the value come from map/
+accumulate/compress passes, and the table invariants are checked by
+C-level passes, so no RankRow is built on the way to a report. The row
+view (RankRow tuples) is built on first read of RankedTable.rows. Inner
+values that no report prints (xo's per-category and nested's per-group
+values) come from h_value, which ranks weights alone and builds no table.
 """
 
 from __future__ import annotations
@@ -64,30 +63,15 @@ def _finite(value) -> bool:
 class RankedTable:
     """Rank-ordered columns; ranks run 1..n and weights never increase.
 
-    RankedTable(rows) takes RankRow-shaped tuples; from_columns takes the
-    parallel columns the kernel produces. A weight or ratio outside the
-    float range raises NonFiniteWeight, since no report could print it.
+    RankedTable(labels, weights, ratios) takes the parallel columns the
+    kernel produces. A weight or ratio outside the float range raises
+    NonFiniteWeight, since no report could print it.
     """
 
     __slots__ = ("labels", "weights", "ratios", "_rows")
 
-    def __init__(self, rows: Iterable[RankRow]):
-        rows = tuple(rows)
-        ranks, labels, weights, ratios = (_column(rows, field) for field in range(4))
-        if ranks != tuple(range(1, len(ranks) + 1)):
-            i = next(i for i, rank in enumerate(ranks, start=1) if rank != i)
-            raise ValueError(f"ranks must be consecutive from 1; got {ranks[i - 1]} at position {i}")
-        self._init(labels, weights, ratios, rows)
-
-    @classmethod
-    def from_columns(
-        cls, labels: Sequence[str], weights: Sequence[float], ratios: Sequence[float]
-    ) -> RankedTable:
-        table = cls.__new__(cls)
-        table._init(tuple(labels), tuple(weights), tuple(ratios), None)
-        return table
-
-    def _init(self, labels: tuple, weights: tuple, ratios: tuple, rows) -> None:
+    def __init__(self, labels: Sequence[str], weights: Sequence[float], ratios: Sequence[float]):
+        labels, weights, ratios = tuple(labels), tuple(weights), tuple(ratios)
         if not len(labels) == len(weights) == len(ratios):
             raise ValueError("label, weight and ratio columns differ in length")
         if any(map(lt, weights, repeat(0))):
@@ -104,7 +88,7 @@ class RankedTable:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_rows", None)
 
     @property
     def rows(self) -> tuple[RankRow, ...]:
@@ -131,11 +115,11 @@ class RankedTable:
         return hash(self._columns())
 
     def __repr__(self) -> str:
-        return f"RankedTable(rows={self.rows!r})"
+        return f"RankedTable(labels={self.labels!r}, weights={self.weights!r}, ratios={self.ratios!r})"
 
     def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through from_columns, since fields cannot be set
-        return (RankedTable.from_columns, self._columns())
+        # copy and pickle rebuild through __init__, since fields cannot be set
+        return (RankedTable, self._columns())
 
 
 class IndexResult(FrozenValue):
@@ -191,7 +175,7 @@ def h_type_index(items: Iterable[Item], kind: str = "x") -> IndexResult:
     ranks = range(1, len(weights) + 1)
     ratios = tuple(map(truediv, weights, ranks))
     value = max(compress(ranks, map(ge, ratios, repeat(1.0))), default=0)
-    return IndexResult(kind, "h", value, RankedTable.from_columns(labels, weights, ratios))
+    return IndexResult(kind, "h", value, RankedTable(labels, weights, ratios))
 
 
 def h_value(items: Collection[Item]) -> int:
@@ -215,7 +199,7 @@ def g_type_index(items: Iterable[Item], kind: str = "x") -> IndexResult:
     cumulative = tuple(accumulate(weights, initial=0))[1:]
     ratios = tuple(map(truediv, cumulative, squares))
     value = max(compress(ranks, map(ge, cumulative, squares)), default=0)
-    return IndexResult(kind, "g", value, RankedTable.from_columns(labels, weights, ratios))
+    return IndexResult(kind, "g", value, RankedTable(labels, weights, ratios))
 
 
 def first_crossing_index(ranked: RankedTable, kind: str = "ivw") -> IndexResult:

@@ -58,6 +58,10 @@ class ReferenceStats:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ReferenceStats is immutable")
 
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, since fields cannot be set
+        return (ReferenceStats, (self.entries(),))
+
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import random
 
-from xindices import PublicationRecord, WeightedItem, build_corpus
+from xindices import PublicationRecord, build_corpus
 
 
-def items(*weights: float) -> list[WeightedItem]:
-    """Weight list -> WeightedItems with distinct synthetic labels."""
-    return [WeightedItem(f"k{i:03d}", float(w)) for i, w in enumerate(weights)]
+def items(*weights: float) -> list[tuple[str, float]]:
+    """Weight list -> (label, weight) items with distinct synthetic labels."""
+    return [(f"k{i:03d}", float(w)) for i, w in enumerate(weights)]
 
 
 def record(

@@ -1,9 +1,12 @@
 """Brute-force re-implementations of the rank-threshold rules, a row-wise
-reference reader for ingest, and record-wise reference corpus views.
+reference reader for ingest, record-wise reference corpus views, and the
+one-Corpus-per-group reference for group-level values.
 
 Deliberately naive (O(n^2), no shared code with the kernel) so the test
 suite can cross-check the fast implementations against an independent
 reading of the definitions.
+The group-level reference is the exception: it ranks through the kernel,
+so it checks the one-pass grouping of group_index, not the ranking.
 """
 
 from __future__ import annotations
@@ -13,16 +16,26 @@ import io
 import sys
 from typing import Sequence
 
-from xindices import IngestConfig, PublicationColumns, PublicationRecord, normalize_label
+from xindices import (
+    Corpus,
+    IndexResult,
+    IngestConfig,
+    PublicationColumns,
+    PublicationRecord,
+    h_value,
+    normalize_label,
+)
 from xindices.errors import (
     DuplicateId,
     InvalidConfig,
     MalformedRow,
     MissingColumn,
+    MissingGroupLabel,
     NegativeCitations,
     NonFiniteCitations,
 )
 from xindices.ingest import ROLES, TableData, _detect_separator, _parse_citations, read_utf8
+from xindices.kernel import kernel_index
 
 
 def naive_h_oracle(weights: Sequence[float]) -> int:
@@ -62,7 +75,7 @@ def reference_read_table(data: bytes, config: IngestConfig | None = None) -> Tab
     """read_table one cell part and one record at a time: every part goes
     through normalize_label, every record through the public
     PublicationRecord constructor (which drops empty and repeated labels).
-    Group values keep repeats, as partition_by_group drops them."""
+    Group values keep repeats, as group_index drops them."""
     if config is None:
         config = IngestConfig()
     text = read_utf8(io.BytesIO(data))
@@ -153,3 +166,38 @@ def reference_views(records) -> dict:
         "keywords_by_category": {cat: sorted(in_cat.items()) for cat, in_cat in by_category.items()},
         "samples": {cat: samples[cat] for cat in sorted(samples)},
     }
+
+
+def partition_by_group(
+    records: Sequence[PublicationRecord],
+    group_values: Sequence[Sequence[str]],
+    strict: bool = False,
+) -> dict[str, Corpus]:
+    """One Corpus per group label, in label order: the reference for
+    Corpus.items_by_group. group_values is parallel to records; a record
+    counts once in each of its distinct non-empty group labels. A record
+    with none raises MissingGroupLabel in strict mode and falls into
+    "(ungrouped)" otherwise."""
+    if len(records) != len(group_values):
+        raise ValueError("records and group values differ in length")
+    buckets: dict[str, list[PublicationRecord]] = {}
+    for rec, labels in zip(records, group_values):
+        labels = tuple(dict.fromkeys(filter(None, labels)))
+        if not labels:
+            if strict:
+                raise MissingGroupLabel(rec.id)
+            labels = ("(ungrouped)",)
+        for label in labels:
+            buckets.setdefault(label, []).append(rec)
+    return {label: Corpus(buckets[label]) for label in sorted(buckets)}
+
+
+def nested_index(groups: dict[str, Corpus], inner: str = "x", ratio_type: str = "h") -> IndexResult:
+    """The group-level index over one Corpus per group: the outer kernel
+    over each group's inner h-type x or xd value, the reference for
+    group_index."""
+    views = {"x": "keywords", "xd": "categories"}
+    if inner not in views:
+        raise ValueError(f"unknown inner index {inner!r}")
+    scored = [(label, float(h_value(groups[label].items(views[inner])))) for label in sorted(groups)]
+    return kernel_index(scored, ratio_type, "nested")

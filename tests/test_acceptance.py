@@ -15,15 +15,13 @@ import time
 import pytest
 
 from xindices import (
-    WeightedItem,
     build_corpus,
     estimate_stats,
     g_type_index,
     h_type_index,
+    group_index,
     ivw_xd_index,
-    nested_index,
     parse_table,
-    partition_by_group,
     x_index,
     xc_index,
     xd_index,
@@ -50,7 +48,7 @@ def criterion(name: str):
 
 def unit_stats(corpus, mean=1.0, variance=1.0):
     return ReferenceStats(
-        [StatsEntry(it.label, mean, variance, 1) for it in corpus.category_totals("whole")]
+        [StatsEntry(label, mean, variance, 1) for label, _ in corpus.items("categories")]
     )
 
 
@@ -150,7 +148,7 @@ def test_degeneracy_identities(degeneracy_corpora):
                 for cat in r.categories:
                     counts[cat] = counts.get(cat, 0) + 1
             expected = h_type_index(
-                [WeightedItem(cat, float(n)) for cat, n in counts.items()]
+                [(cat, float(n)) for cat, n in counts.items()]
             ).value
             assert xdfn_index(corpus, "h", internal).value == expected
 
@@ -163,7 +161,7 @@ def test_order_properties(degeneracy_corpora):
             assert xdf_index(corpus, "h").value <= xd_index(corpus, "h").value
 
             stats = unit_stats(corpus)
-            groups = partition_by_group(records, [r.institutions for r in records])
+            institutions = [r.institutions for r in records]
             h_g_pairs = [
                 (x_index(corpus, "h"), x_index(corpus, "g")),
                 (xc_index(corpus, "h"), xc_index(corpus, "g")),
@@ -175,7 +173,10 @@ def test_order_properties(degeneracy_corpora):
                     ivw_xd_index(corpus, "h", stats, rank_basis="weighted"),
                     ivw_xd_index(corpus, "g", stats, rank_basis="weighted"),
                 ),
-                (nested_index(groups, "x", "h"), nested_index(groups, "x", "g")),
+                (
+                    group_index(corpus, institutions, "x", "h"),
+                    group_index(corpus, institutions, "x", "g"),
+                ),
             ]
             for h_result, g_result in h_g_pairs:
                 assert g_result.value >= h_result.value

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import gc
+import io
 import json
 import pathlib
+import traceback
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import import_check
 import xindices.cli
@@ -618,3 +623,121 @@ def test_main_restores_collector_state(toy_csv, tmp_path, capsys, monkeypatch, c
         (gc.enable if before else gc.disable)()
     assert seen == ([False] if exit_code in (0, 2) else [])  # off while the input is read
     capsys.readouterr()
+
+
+# --- the whole flag surface ---------------------------------------------------------
+
+PARSER = xindices.cli.build_parser()
+SUBCOMMANDS = next(
+    action for action in PARSER._actions if isinstance(action, argparse._SubParsersAction)
+).choices
+# Flags that name a file, each given a valid file, a missing path or a directory, never -.
+FILE_FLAGS = {"input": "table.csv", "ref_stats": "stats.csv", "out": "written"}
+HOSTILE = ["nan", "inf", "-0", "1e400", ""]
+HEADERS = ["id", "citations", "keywords", "categories", "institutions"]
+# ids repeat when --id-col names the keywords column, so validate reports errors
+FLAG_TABLE = TOY + "p5,0,alpha,A;B,I2;I3\n"
+FLAG_STATS = "category,mean,variance,n\na,4.5,2,2\nb,3,1,1\n"
+
+
+def test_flag_tables_cover_every_file_flag():
+    dests = {action.dest for sub in SUBCOMMANDS.values() for action in sub._actions}
+    assert set(FILE_FLAGS) <= dests
+
+
+@pytest.fixture(scope="module")
+def flag_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("flags")
+    (work / FILE_FLAGS["input"]).write_text(FLAG_TABLE)
+    (work / FILE_FLAGS["ref_stats"]).write_text(FLAG_STATS)
+    (work / "directory").mkdir()
+    return work
+
+
+def plain_value(action):
+    """A value of the flag's type: a number, a column header (its own role's
+    header half the time), or a cell delimiter."""
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    if action.type is int:
+        return st.sampled_from(["1", "2"])
+    if action.type is float:
+        return st.sampled_from(["0.5", "1e-9"])
+    if action.dest.endswith("_col"):
+        own = action.dest[: -len("_col")]
+        return st.one_of(st.just(own if own in HEADERS else "institutions"), st.sampled_from(HEADERS))
+    return st.sampled_from([";", "|", ","])
+
+
+def flag_value(draw, action, work):
+    """For a file flag, a valid file, a missing path or a directory; else a
+    plain value, or a hostile one a draw in eight."""
+    if action.dest in FILE_FLAGS:
+        paths = [work / FILE_FLAGS[action.dest], work / "missing" / "file", work / "directory"]
+        return str(draw(st.sampled_from(paths)))
+    odd = draw(st.integers(0, 7)) == 7
+    return draw(st.sampled_from(HOSTILE) if odd else plain_value(action))
+
+
+@st.composite
+def command_lines(draw, work):
+    """A subcommand and a draw of its flags in any order. A required flag
+    is left out one draw in ten, an optional one given one draw in three."""
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    flags = []
+    for action in SUBCOMMANDS[name]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        given = [True] * 9 + [False] if action.required else [True, False, False]
+        if draw(st.sampled_from(given)):
+            flag = [action.option_strings[0]]
+            if action.nargs != 0:
+                flag.append(flag_value(draw, action, work))
+            flags.append(flag)
+    flags = draw(st.permutations(flags))
+    return [name, *(part for flag in flags for part in flag)]
+
+
+def run_in_process(argv, out_path):
+    """(exit code, stdout, stderr, --out bytes or None) of main(argv); an
+    exception other than SystemExit is returned as its traceback."""
+    if out_path.is_file():
+        out_path.unlink()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code = None
+            stderr.write(traceback.format_exc())
+    written = out_path.read_bytes() if out_path.is_file() else None
+    return code, stdout.getvalue(), stderr.getvalue(), written
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_any_flag_draw_ends_in_a_report_or_one_error_line(flag_dir, data):
+    argv = data.draw(command_lines(flag_dir))
+    out_path = flag_dir / FILE_FLAGS["out"]
+    code, out, err, _ = first = run_in_process(argv, out_path)
+    assert "Traceback" not in err, err
+    assert run_in_process(argv, out_path) == first
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    if code == 0:
+        assert errors == []
+        return
+    # README: 1 for usage errors, bad flag values, unreadable files and
+    # input failures; 2 for computation failures, which need a read input
+    assert code in (1, 2)
+    input_path = argv[argv.index("--input") + 1] if "--input" in argv else None
+    if input_path != str(flag_dir / FILE_FLAGS["input"]):
+        assert code == 1
+    if code == 2:
+        assert argv[0] in ("compute", "nested", "stats")
+    if argv[0] == "validate" and out.startswith("records:"):
+        # validate's own report lists the input's errors on stdout
+        assert code == 1 and errors == [] and "\nerror: duplicate id: " in out
+    else:
+        assert len(errors) == 1, err

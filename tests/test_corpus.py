@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -18,7 +20,6 @@ from xindices import (
     build_corpus,
     estimate_stats,
     ivw_xd_index,
-    partition_by_group,
     x_index,
     xc_index,
     xd_index,
@@ -29,26 +30,26 @@ from xindices import (
 from xindices.corpus import GROUP_VIEWS, ITEM_VIEWS
 
 from conftest import random_records, record
-from oracles import reference_views
+from oracles import partition_by_group, reference_views
 
 
 def weights(items):
-    return {it.label: it.weight for it in items}
+    return dict(items)
 
 
 def test_empty_corpus():
     corpus = build_corpus([])
     assert len(corpus) == 0
-    assert corpus.keyword_totals() == []
-    assert corpus.pair_totals() == []
-    assert corpus.category_totals("whole") == []
+    assert corpus.items("keywords") == ()
+    assert corpus.items("pairs") == ()
+    assert corpus.items("categories") == ()
     assert corpus.category_samples() == {}
 
 
 def test_singleton_corpus():
     corpus = build_corpus([record("a", 3, ("k1",), ("c1",), ("i1",))])
     assert len(corpus) == 1
-    assert weights(corpus.keyword_totals()) == {"k1": 3.0}
+    assert weights(corpus.items("keywords")) == {"k1": 3.0}
 
 
 def test_duplicate_id_rejected():
@@ -90,27 +91,27 @@ def test_keyword_totals_hand_sum():
             record("p3", 2, keywords=("b", "c")),
         ]
     )
-    assert weights(corpus.keyword_totals()) == {"a": 7.0, "b": 8.0, "c": 2.0}
+    assert weights(corpus.items("keywords")) == {"a": 7.0, "b": 8.0, "c": 2.0}
 
 
 def test_keyword_totals_replicates_full_count():
     corpus = build_corpus([record("p1", 5, keywords=("a", "b", "c"))])
-    assert weights(corpus.keyword_totals()) == {"a": 5.0, "b": 5.0, "c": 5.0}
+    assert weights(corpus.items("keywords")) == {"a": 5.0, "b": 5.0, "c": 5.0}
 
 
 def test_keyword_totals_empty_when_no_keywords():
     corpus = build_corpus([record("p1", 5), record("p2", 2)])
-    assert corpus.keyword_totals() == []
+    assert corpus.items("keywords") == ()
 
 
 def test_pair_totals_cross_product():
     corpus = build_corpus([record("p1", 3, keywords=("a",), categories=("c1", "c2"))])
-    assert weights(corpus.pair_totals()) == {"a@c1": 3.0, "a@c2": 3.0}
+    assert weights(corpus.items("pairs")) == {"a@c1": 3.0, "a@c2": 3.0}
 
 
 def test_pair_totals_no_category_no_pair():
     corpus = build_corpus([record("p1", 3, keywords=("a",))])
-    assert corpus.pair_totals() == []
+    assert corpus.items("pairs") == ()
 
 
 def test_pair_totals_hand_sum():
@@ -120,7 +121,7 @@ def test_pair_totals_hand_sum():
             record("p2", 5, keywords=("a",), categories=("c1",)),
         ]
     )
-    assert weights(corpus.pair_totals()) == {"a@c1": 7.0}
+    assert weights(corpus.items("pairs")) == {"a@c1": 7.0}
 
 
 def test_category_totals_whole():
@@ -130,17 +131,17 @@ def test_category_totals_whole():
             record("p2", 4, categories=("a", "b")),
         ]
     )
-    assert weights(corpus.category_totals("whole")) == {"a": 13.0, "b": 4.0}
+    assert weights(corpus.items("categories")) == {"a": 13.0, "b": 4.0}
 
 
 def test_category_totals_fractional_divides_by_institutions():
     corpus = build_corpus([record("p1", 10, categories=("a",), institutions=("i1", "i2"))])
-    assert weights(corpus.category_totals("fractional")) == {"a": 5.0}
+    assert weights(corpus.items("categories_fractional")) == {"a": 5.0}
 
 
 def test_category_totals_fractional_empty_institutions_divisor_one():
     corpus = build_corpus([record("p1", 10, categories=("a",))])
-    assert weights(corpus.category_totals("fractional")) == {"a": 10.0}
+    assert weights(corpus.items("categories_fractional")) == {"a": 10.0}
 
 
 def test_category_totals_fractional_equals_whole_for_single_institution():
@@ -150,12 +151,12 @@ def test_category_totals_fractional_equals_whole_for_single_institution():
         for i in range(20)
     ]
     corpus = build_corpus(records)
-    assert corpus.category_totals("fractional") == corpus.category_totals("whole")
+    assert corpus.items("categories_fractional") == corpus.items("categories")
 
 
 def test_category_totals_unknown_mode():
-    with pytest.raises(ValueError):
-        build_corpus([]).category_totals("split")
+    with pytest.raises(ValueError, match="unknown view 'split'"):
+        build_corpus([]).items("split")
 
 
 def test_category_samples():
@@ -261,10 +262,10 @@ def test_permutation_invariance(seed):
     shuffled = list(records)
     rng.shuffle(shuffled)
     a, b = build_corpus(records), build_corpus(shuffled)
-    assert a.keyword_totals() == b.keyword_totals()
-    assert a.pair_totals() == b.pair_totals()
-    assert a.category_totals("whole") == b.category_totals("whole")
-    assert a.category_totals("fractional") == b.category_totals("fractional")
+    assert a.items("keywords") == b.items("keywords")
+    assert a.items("pairs") == b.items("pairs")
+    assert a.items("categories") == b.items("categories")
+    assert a.items("categories_fractional") == b.items("categories_fractional")
     assert a.category_samples() == b.category_samples()
     assert x_index(a).value == x_index(b).value
     assert xd_index(a, "g").value == xd_index(b, "g").value
@@ -278,7 +279,7 @@ def test_conservation_single_category(seed):
         for i in range(rng.randint(0, 25))
     ]
     corpus = build_corpus(records)
-    total = sum(it.weight for it in corpus.category_totals("whole"))
+    total = sum(weight for _, weight in corpus.items("categories"))
     assert total == sum(r.citations for r in records)
 
 
@@ -286,19 +287,19 @@ def test_conservation_single_category(seed):
 def test_pair_weight_bounded_by_keyword_weight(seed):
     rng = random.Random(seed)
     corpus = build_corpus(random_records(rng, max_pubs=40, max_categories=5, max_keywords=10))
-    kw = {it.label: it.weight for it in corpus.keyword_totals()}
-    for it in corpus.pair_totals():
-        keyword = it.label.rsplit("@", 1)[0]
-        assert it.weight <= kw[keyword]
+    kw = dict(corpus.items("keywords"))
+    for label, weight in corpus.items("pairs"):
+        keyword = label.rsplit("@", 1)[0]
+        assert weight <= kw[keyword]
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_fractional_never_exceeds_whole(seed):
     rng = random.Random(seed)
     corpus = build_corpus(random_records(rng, max_pubs=40))
-    whole = {it.label: it.weight for it in corpus.category_totals("whole")}
-    for it in corpus.category_totals("fractional"):
-        assert it.weight <= whole[it.label]
+    whole = dict(corpus.items("categories"))
+    for label, weight in corpus.items("categories_fractional"):
+        assert weight <= whole[label]
 
 
 def test_corpus_is_immutable():
@@ -307,13 +308,36 @@ def test_corpus_is_immutable():
         corpus.publications = ()
 
 
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+@pytest.mark.parametrize("from_columns", [False, True], ids=["records", "columns"])
+def test_corpus_and_stats_copy_and_pickle(clone, from_columns):
+    records = [
+        record("p2", 3, ("k1", "k2"), ("c1",), ("i1", "i2")),
+        record("p1", 1.5, ("k1",), ("c1", "c2")),
+    ]
+    corpus = build_corpus(PublicationColumns.from_records(records) if from_columns else records)
+    corpus.items("pairs")  # a built view is not carried over, only rebuilt
+    twin = clone(corpus)
+    assert type(twin) is Corpus
+    assert twin.columns == corpus.columns
+    assert twin.publications == tuple(records)
+    for view in ITEM_VIEWS:
+        assert twin.items(view) == corpus.items(view)
+    stats = estimate_stats(corpus)
+    assert clone(stats) == stats
+
+
 # --- lazy views -----------------------------------------------------------------
 
 READERS = {
-    "keywords": lambda c: c.keyword_totals(),
-    "pairs": lambda c: c.pair_totals(),
-    "whole": lambda c: c.category_totals("whole"),
-    "fractional": lambda c: c.category_totals("fractional"),
+    "keywords": lambda c: c.items("keywords"),
+    "pairs": lambda c: c.items("pairs"),
+    "whole": lambda c: c.items("categories"),
+    "fractional": lambda c: c.items("categories_fractional"),
     "samples": lambda c: c.category_samples(),
     "by_category": lambda c: {cat: list(kws) for cat, kws in c.keyword_items_by_category().items()},
     "x": lambda c: x_index(c, "g"),
@@ -349,16 +373,16 @@ def test_views_are_built_on_first_read():
         ]
     )
     assert corpus._views == {}
-    corpus.keyword_totals()
-    corpus.category_totals("whole")
-    corpus.category_totals("fractional")
+    corpus.items("keywords")
+    corpus.items("categories")
+    corpus.items("categories_fractional")
     corpus.category_samples()
     x_index(corpus)
     xd_index(corpus)
     xdf_index(corpus)
     assert "pairs" not in corpus._views
     assert "keywords_by_category" not in corpus._views
-    corpus.pair_totals()
+    corpus.items("pairs")
     assert "pairs" in corpus._views
 
 

@@ -20,8 +20,6 @@ from xindices import (
     group_index,
     h_type_index,
     ivw_xd_index,
-    nested_index,
-    partition_by_group,
     x_index,
     xc_index,
     xd_index,
@@ -29,13 +27,12 @@ from xindices import (
     xdfn_index,
     xo_index,
 )
-from xindices.corpus import WeightedItem
 from xindices.indices import INDEX_FIELDS
 from xindices.ingest import LABEL_FIELDS
 from xindices.stats import ReferenceStats, StatsEntry
 
 from conftest import random_records, record, replaced
-from oracles import naive_h_oracle, naive_xo_oracle
+from oracles import naive_h_oracle, naive_xo_oracle, nested_index, partition_by_group
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -43,8 +40,8 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 def unit_stats(corpus, mean=1.0, variance=1.0):
     return ReferenceStats(
         [
-            StatsEntry(it.label, mean, variance, 1)
-            for it in corpus.category_totals("whole")
+            StatsEntry(label, mean, variance, 1)
+            for label, _ in corpus.items("categories")
         ]
     )
 
@@ -207,7 +204,7 @@ def test_xdfn_internal_means_scores_are_publication_counts():
     for row in result.table.rows:
         assert row.weight == counts[row.label]  # exact, not within-epsilon
     expected = h_type_index(
-        [WeightedItem(cat, float(n)) for cat, n in counts.items()]
+        [(cat, float(n)) for cat, n in counts.items()]
     ).value
     assert result.value == expected
 
@@ -445,12 +442,6 @@ def test_xo_matches_oracle_with_separator_in_labels(seed):
         assert xo_index(corpus, ratio_type).value == naive_xo_oracle(records, ratio_type)
 
 
-def test_xo_jobs_deterministic():
-    rng = random.Random(17)
-    corpus = build_corpus(random_records(rng, max_pubs=80))
-    assert xo_index(corpus, "h", jobs=1) == xo_index(corpus, "h", jobs=4)
-
-
 # --- nested -------------------------------------------------------------------
 
 
@@ -509,7 +500,7 @@ def test_nested_group_enumeration_order_irrelevant():
     groups = partition_by_group(records, group_values)
     reversed_groups = dict(reversed(list(groups.items())))
     assert nested_index(groups, "x", "h") == nested_index(reversed_groups, "x", "h")
-    assert nested_index(groups, "xd", "g", jobs=3) == nested_index(reversed_groups, "xd", "g")
+    assert nested_index(groups, "xd", "g") == nested_index(reversed_groups, "xd", "g")
 
 
 def outcome(compute):

@@ -22,11 +22,11 @@ from xindices import (
     normalize_label,
     parse_table,
     read_table,
-    records_to_csv,
     validate_records,
 )
 from xindices.errors import XIndicesError
 from xindices.ingest import LABEL_FIELDS, TableData
+from xindices.numfmt import format_number
 
 from conftest import record
 from oracles import reference_read_table
@@ -413,6 +413,26 @@ def test_normalize_idempotent(text):
 
 
 # --- round trip ----------------------------------------------------------------
+
+
+def records_to_csv(records) -> str:
+    """Records as canonical CSV (comma-separated, ";" joined multi-value
+    cells). Re-parsing the output with defaults yields equal records,
+    provided the labels were already normalised."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "citations", "keywords", "categories", "institutions"])
+    for rec in records:
+        writer.writerow(
+            [
+                rec.id,
+                format_number(rec.citations),
+                ";".join(rec.keywords),
+                ";".join(rec.categories),
+                ";".join(rec.institutions),
+            ]
+        )
+    return out.getvalue()
 
 
 def test_round_trip():

@@ -11,7 +11,6 @@ from xindices import (
     NonFiniteWeight,
     RankedTable,
     RankRow,
-    WeightedItem,
     first_crossing_index,
     g_type_index,
     h_type_index,
@@ -89,11 +88,8 @@ def test_g_capped_at_n():
 
 def _ratio_table(ratios, weights=None):
     weights = weights if weights is not None else sorted(ratios, reverse=True)
-    rows = tuple(
-        RankRow(r, f"c{r}", float(w), float(ratio))
-        for r, (w, ratio) in enumerate(zip(weights, ratios), start=1)
-    )
-    return RankedTable(rows)
+    labels = [f"c{r}" for r in range(1, len(ratios) + 1)]
+    return RankedTable(labels, map(float, weights), map(float, ratios))
 
 
 def test_first_crossing_hand_case():
@@ -116,7 +112,7 @@ def test_first_crossing_ignores_recrossing():
 
 
 def test_first_crossing_empty():
-    assert first_crossing_index(RankedTable(())).value == 0
+    assert first_crossing_index(RankedTable((), (), ())).value == 0
 
 
 @given(weight_lists)
@@ -145,16 +141,10 @@ def test_g_at_least_h(weights):
 
 @given(weight_lists, st.randoms(use_true_random=False))
 def test_value_independent_of_labels(weights, rng):
-    relabelled = [
-        item for item in items(*weights)
-    ]
-    shuffled_labels = [item.label for item in relabelled]
+    relabelled = items(*weights)
+    shuffled_labels = [label for label, _ in relabelled]
     rng.shuffle(shuffled_labels)
-    from xindices import WeightedItem
-
-    permuted = [
-        WeightedItem(label, item.weight) for label, item in zip(shuffled_labels, relabelled)
-    ]
+    permuted = [(label, weight) for label, (_, weight) in zip(shuffled_labels, relabelled)]
     assert h_type_index(permuted).value == h_type_index(relabelled).value
     assert g_type_index(permuted).value == g_type_index(relabelled).value
 
@@ -220,11 +210,7 @@ def test_h_value_names_the_label_h_type_index_names():
 
 
 def test_table_sorted_with_label_tiebreak():
-    from xindices import WeightedItem
-
-    result = h_type_index(
-        [WeightedItem("b", 5.0), WeightedItem("a", 5.0), WeightedItem("c", 9.0)]
-    )
+    result = h_type_index([("b", 5.0), ("a", 5.0), ("c", 9.0)])
     assert [(row.rank, row.label, row.weight) for row in result.table.rows] == [
         (1, "c", 9.0),
         (2, "a", 5.0),
@@ -240,18 +226,13 @@ def test_table_ratios():
 
 
 def test_ranked_table_rejects_increasing_weights():
-    with pytest.raises(ValueError):
-        RankedTable((RankRow(1, "a", 1.0, 1.0), RankRow(2, "b", 2.0, 1.0)))
-
-
-def test_ranked_table_rejects_rank_gap():
-    with pytest.raises(ValueError):
-        RankedTable((RankRow(2, "a", 1.0, 0.5),))
+    with pytest.raises(ValueError, match="weights increase at rank 2"):
+        RankedTable(("a", "b"), (1.0, 2.0), (1.0, 1.0))
 
 
 def test_ranked_table_rejects_negative_weight():
     with pytest.raises(ValueError, match="negative weight at rank 2"):
-        RankedTable((RankRow(1, "a", 1.0, 1.0), RankRow(2, "b", -1.0, -0.5)))
+        RankedTable(("a", "b"), (1.0, -1.0), (1.0, -0.5))
 
 
 def test_ranked_table_rows_and_columns_agree():
@@ -259,8 +240,11 @@ def test_ranked_table_rows_and_columns_agree():
     table = result.table
     assert table.labels == ("k000", "k001", "k002")
     assert table.weights == (9.0, 4.0, 4.0)
-    assert RankedTable(table.rows) == table
-    assert hash(RankedTable(table.rows)) == hash(table)
+    assert [tuple(row) for row in table.rows] == list(zip((1, 2, 3), table.labels, table.weights, table.ratios))
+    assert all(type(row) is RankRow for row in table.rows)
+    rebuilt = RankedTable(*zip(*(row[1:] for row in table.rows)))
+    assert rebuilt == table
+    assert hash(rebuilt) == hash(table)
     assert len(table) == 3
     with pytest.raises(AttributeError):
         table.labels = ()
@@ -268,7 +252,7 @@ def test_ranked_table_rows_and_columns_agree():
 
 def test_ranked_table_rejects_ragged_columns():
     with pytest.raises(ValueError, match="differ in length"):
-        RankedTable.from_columns(("a", "b"), (2.0, 1.0), (2.0,))
+        RankedTable(("a", "b"), (2.0, 1.0), (2.0,))
 
 
 @pytest.mark.parametrize(
@@ -281,11 +265,9 @@ def test_ranked_table_rejects_ragged_columns():
 )
 def test_non_finite_weights_raise_typed_error(weights):
     with pytest.raises(NonFiniteWeight):
-        g_type_index([WeightedItem(f"k{i}", w) for i, w in enumerate(weights)])
+        g_type_index([(f"k{i}", w) for i, w in enumerate(weights)])
 
 
 def test_rank_items_is_deterministic():
-    from xindices import WeightedItem
-
-    mixed = [WeightedItem("z", 1.0), WeightedItem("a", 1.0), WeightedItem("m", 2.0)]
-    assert [it.label for it in rank_items(mixed)] == ["m", "a", "z"]
+    mixed = [("z", 1.0), ("a", 1.0), ("m", 2.0)]
+    assert [label for label, _ in rank_items(mixed)] == ["m", "a", "z"]

@@ -10,7 +10,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xindices import WeightedItem, g_type_index, h_type_index
+from xindices import g_type_index, h_type_index
 from xindices.cli import main
 from xindices.kernel import INDEX_KINDS
 from xindices.numfmt import format_number
@@ -104,7 +104,7 @@ json_values = st.recursive(
 def reports(draw):
     entries = draw(st.lists(st.tuples(awkward_labels, weights), max_size=25))
     kernel = draw(st.sampled_from((h_type_index, g_type_index)))
-    result = kernel([WeightedItem(*e) for e in entries], draw(st.sampled_from(INDEX_KINDS)))
+    result = kernel(entries, draw(st.sampled_from(INDEX_KINDS)))
     return Report(
         draw(awkward_labels),
         draw(st.sampled_from(("compute", "nested"))),

@@ -61,7 +61,7 @@ def test_estimate_unknown_kind():
 def test_estimate_mean_times_n_is_total(seed):
     rng = random.Random(seed)
     corpus = build_corpus(random_records(rng, max_pubs=60, max_categories=6))
-    totals = {it.label: it.weight for it in corpus.category_totals("whole")}
+    totals = dict(corpus.items("categories"))
     for entry in estimate_stats(corpus).entries():
         assert math.isclose(entry.mean * entry.n, totals[entry.category], rel_tol=1e-12)
 
