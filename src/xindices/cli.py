@@ -4,11 +4,12 @@ Exit codes: 0 success, 1 ingest or validation failure, a usage error (an
 unknown flag, a bad choice, a missing or unparsable value), a bad flag
 value (an empty --cell-delimiter, a --variance-floor that is not a positive
 finite number, a --jobs below 1, a column mapped to id or citations and to
-another record role) or an unwritable --out, 2 computation failure (missing
-stats, unusable variance, unsupported rank basis, citation totals or
-variances beyond the float range). Error messages go to stderr, one
-"error:" line each; reports go to stdout or --out. Flag values are checked
-before the input is read.
+another record role), an unwritable --out or a failed write of the report
+to --out or stdout, 2 computation failure (missing stats, unusable
+variance, unsupported rank basis, citation totals or variances beyond the
+float range). Error messages go to stderr, one "error:" line each; reports
+go to stdout or --out, written in blocks of rows as they are formatted.
+Flag values are checked before the input is read.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence, TextIO
 
 from . import __version__
 from .corpus import build_corpus
@@ -151,14 +153,33 @@ def _config_echo(args: argparse.Namespace, config: IngestConfig) -> dict:
     }
 
 
-def _emit(args: argparse.Namespace, rendered: str) -> int:
-    if not args.out:
-        sys.stdout.write(rendered)
-        return 0
+def _discard_stdout() -> None:
+    """Point the stdout descriptor at the null device after a failed write,
+    so the interpreter's flush at exit of what the stream still buffers
+    neither fails again nor prints "Exception ignored"."""
     try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rendered)
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor behind it
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
+def _emit(out: str | None, write: Callable[[TextIO], object]) -> int:
+    """Call write on the open --out file, or on stdout when out is None.
+    A failed open or write, partway through the report included, is one
+    error: line and exit 1."""
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                write(fh)
+        else:
+            write(sys.stdout)
+            sys.stdout.flush()
     except OSError as exc:
+        if not out:
+            _discard_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -226,7 +247,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         return 2
 
     report = Report(__version__, "compute", result, echo, _warnings(result, args.variance_floor))
-    return _emit(args, report.render(args.format))
+    return _emit(args.out, lambda fh: report.write(fh, args.format))
 
 
 def cmd_nested(args: argparse.Namespace) -> int:
@@ -257,7 +278,7 @@ def cmd_nested(args: argparse.Namespace) -> int:
         }
     )
     report = Report(__version__, "nested", result, echo)
-    return _emit(args, report.render(args.format))
+    return _emit(args.out, lambda fh: report.write(fh, args.format))
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -313,8 +334,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         lines.append(f"note: ignored columns: {', '.join(table.unused_columns)}")
     lines.append("category publication counts:")
     lines.extend(f"  {cat}: {count}" for cat, count in report.category_counts.items())
-    print("\n".join(lines))
-    return 1 if report.errors else 0
+    code = _emit(None, lambda fh: fh.write("\n".join(lines) + "\n"))
+    if code == 0 and report.errors:
+        print(f"error: {len(report.errors)} duplicate ids", file=sys.stderr)
+        return 1
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

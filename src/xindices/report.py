@@ -5,35 +5,49 @@ is fixed, numbers are canonicalised (integral floats print without ".0",
 everything else as shortest round-trip repr), and rows follow table rank.
 The json layout is described by schema/report.schema.json in the repo.
 
-to_dict is the readable specification of the json report: to_json returns
-exactly json.dumps(to_dict(), indent=2, ensure_ascii=False) plus a newline.
-It lays that out by hand rather than through the pure-Python encoder that
-indent=2 selects. Each table row is one fixed %-template that carries the
-indent=2 whitespace, filled from the table's columns: labels through the C
-string encoder json.encoder.encode_basestring, numbers through
-int.__repr__ / float.__repr__ after canonical_json_value, as json.dumps
-prints them. The envelope and config are laid out the same way, with
-every scalar encoded by json's C encoder. The csv and table renderers also
-read the columns, so no RankRow or per-row dict is built. Only to_json
-imports json, so a csv or table run never loads it.
+Report.write(fh, fmt) is the one implementation of each format: it formats
+the ranked table in blocks of _BLOCK_ROWS rows and writes each block to
+the open text stream as it goes, so a report is never held whole.
+render(fmt) and to_json / to_csv / to_table write into a StringIO and
+return its text. Number texts come from numfmt.format_column, one block
+of a column at a time, and are the same in all three formats.
+
+to_dict is the readable specification of the json report: the json format
+is exactly json.dumps(to_dict(), indent=2, ensure_ascii=False) plus a
+newline. It is laid out by hand rather than through the pure-Python
+encoder that indent=2 selects. Each table row is the concatenation of
+fixed pieces that carry the indent=2 whitespace with the row's texts:
+labels through the C string encoder json.encoder.encode_basestring, and
+numbers from format_column, which equal the int.__repr__ / float.__repr__
+of canonical_json_value that json.dumps prints. The envelope and config
+are laid out the same way, with every scalar encoded by json's C encoder.
+No RankRow or per-row dict is built. Only the json format imports json,
+so a csv or table run never loads it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from itertools import count
-from typing import Any
+from itertools import repeat
+from typing import Any, Iterator, TextIO
 
 from .kernel import IndexResult
-from .numfmt import canonical_json_value, format_number
+from .numfmt import canonical_json_value, format_column
 from .value import Value
 
 TABLE_COLUMNS = ("rank", "label", "weight", "ratio")
 
-# One table row at json.dumps(indent=2) depth 2; %r on the canonical value
-# is int.__repr__ or float.__repr__, which is what the json encoder prints.
-_JSON_ROW = '    {\n      "rank": %d,\n      "label": %s,\n      "weight": %r,\n      "ratio": %r\n    }'
+# Rows are formatted and written this many at a time.
+_BLOCK_ROWS = 4096
+
+# The fixed pieces of one table row at json.dumps(indent=2) depth 2, around
+# its rank, label, weight and ratio texts.
+_JSON_RANK = '    {\n      "rank": '
+_JSON_LABEL = ',\n      "label": '
+_JSON_WEIGHT = ',\n      "weight": '
+_JSON_RATIO = ',\n      "ratio": '
+_JSON_CLOSE = "\n    }"
 
 
 def _json_layout(value: Any, indent: str, scalar) -> str:
@@ -96,71 +110,108 @@ class Report(Value):
             "warnings": list(self.warnings),
         }
 
+    def write(self, fh: TextIO, fmt: str) -> None:
+        """Write the report in fmt ("json", "csv" or "table") to the text
+        stream fh, the ranked table one block of rows at a time."""
+        if fmt == "json":
+            self._write_json(fh)
+        elif fmt == "csv":
+            self._write_csv(fh)
+        elif fmt == "table":
+            self._write_table(fh)
+        else:
+            raise ValueError(f"unknown report format {fmt!r}")
+
+    def render(self, fmt: str) -> str:
+        out = io.StringIO()
+        self.write(out, fmt)
+        return out.getvalue()
+
     def to_json(self) -> str:
+        return self.render("json")
+
+    def to_csv(self) -> str:
+        return self.render("csv")
+
+    def to_table(self) -> str:
+        return self.render("table")
+
+    def _row_blocks(self) -> Iterator[tuple]:
+        """(rank texts, labels, weight texts, ratio texts) for each block of
+        at most _BLOCK_ROWS table rows, in rank order."""
+        table = self.result.table
+        n = len(table)
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            yield (
+                map(str, range(start + 1, stop + 1)),
+                table.labels[start:stop],
+                format_column(table.weights[start:stop]),
+                format_column(table.ratios[start:stop]),
+            )
+
+    def _write_json(self, fh: TextIO) -> None:
         import json  # imported only by the runs that render json
         from json.encoder import encode_basestring
 
         scalar = json.JSONEncoder(ensure_ascii=False).encode
-        table = self.result.table
-        rows = ",\n".join(
-            map(
-                _JSON_ROW.__mod__,
-                zip(
-                    count(1),
-                    map(encode_basestring, table.labels),
-                    map(canonical_json_value, table.weights),
-                    map(canonical_json_value, table.ratios),
-                ),
-            )
-        )
-        table_json = f"[\n{rows}\n  ]" if rows else "[]"
-        return (
+        fh.write(
             "{\n"
             f'  "version": {scalar(self.version)},\n'
             f'  "command": {scalar(self.command)},\n'
             f'  "index": {scalar(self.result.kind)},\n'
             f'  "ratio_type": {scalar(self.result.ratio_type)},\n'
             f'  "value": {scalar(self.result.value)},\n'
-            f'  "table": {table_json},\n'
-            f'  "config": {_json_layout(self.config, "  ", scalar)},\n'
+            '  "table": '
+        )
+        separator = "[\n"
+        for ranks, labels, weights, ratios in self._row_blocks():
+            fh.write(separator)
+            rows = zip(
+                repeat(_JSON_RANK), ranks,
+                repeat(_JSON_LABEL), map(encode_basestring, labels),
+                repeat(_JSON_WEIGHT), weights,
+                repeat(_JSON_RATIO), ratios,
+                repeat(_JSON_CLOSE),
+            )
+            fh.write(",\n".join(map("".join, rows)))
+            separator = ",\n"
+        fh.write(
+            ("\n  ]" if len(self.result.table) else "[]")
+            + f',\n  "config": {_json_layout(self.config, "  ", scalar)},\n'
             f'  "warnings": {_json_layout(list(self.warnings), "  ", scalar)}\n'
             "}\n"
         )
 
-    def _text_columns(self) -> tuple:
-        table = self.result.table
-        return (
-            range(1, len(table) + 1),
-            table.labels,
-            map(format_number, table.weights),
-            map(format_number, table.ratios),
-        )
-
-    def to_csv(self) -> str:
+    def _write_csv(self, fh: TextIO) -> None:
+        # csv.writer writes each row on its own; gathering a block first
+        # keeps to one write per block on an unbuffered stream too.
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(TABLE_COLUMNS)
-        writer.writerows(zip(*self._text_columns()))
-        return out.getvalue()
+        for block in self._row_blocks():
+            writer.writerows(zip(*block))
+            fh.write(out.getvalue())
+            out.seek(0)
+            out.truncate()
+        fh.write(out.getvalue())
 
-    def to_table(self) -> str:
+    def _write_table(self, fh: TextIO) -> None:
         """Column-aligned listing; the final line is the bare index value so
-        scripts can read it with tail -n1."""
-        columns = [[name, *map(str, column)] for name, column in zip(TABLE_COLUMNS, self._text_columns())]
-        # Every column but the last is padded to its widest cell; the last
-        # is never padded, which drops the trailing blanks of a padded line.
-        template = "  ".join(f"%-{max(map(len, column))}s" for column in columns[:-1]) + "  %s"
-        lines = list(map(template.__mod__, zip(*columns)))
-        header = f"{self.result.kind}-index ({self.result.ratio_type}-type)"
-        for warning in self.warnings:
-            lines.append(f"warning: {warning}")
-        return "\n".join([header, *lines, str(self.result.value)]) + "\n"
-
-    def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json()
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "table":
-            return self.to_table()
-        raise ValueError(f"unknown report format {fmt!r}")
+        scripts can read it with tail -n1. The widths are measured over the
+        whole table first, formatting the weights once for that alone."""
+        table = self.result.table
+        starts = range(0, len(table), _BLOCK_ROWS)
+        widths = (
+            len(str(len(table))),
+            max(map(len, table.labels), default=0),
+            max((max(map(len, format_column(table.weights[i : i + _BLOCK_ROWS]))) for i in starts), default=0),
+        )
+        # Every column but the last is padded to its widest cell, header
+        # included; the last is never padded, which drops the trailing
+        # blanks of a padded line.
+        line = "".join(f"%-{max(width, len(name))}s  " for name, width in zip(TABLE_COLUMNS, widths)) + "%s\n"
+        fh.write(f"{self.result.kind}-index ({self.result.ratio_type}-type)\n" + line % TABLE_COLUMNS)
+        for block in self._row_blocks():
+            fh.write("".join(map(line.__mod__, zip(*block))))
+        fh.write("".join(f"warning: {warning}\n" for warning in self.warnings) + f"{self.result.value}\n")

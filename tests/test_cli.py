@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import gc
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import traceback
 
 import jsonschema
@@ -18,6 +22,8 @@ import import_check
 import xindices.cli
 from xindices import PublicationRecord
 from xindices.cli import main
+
+from test_acceptance import _synthetic_csv
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO_ROOT / "schema" / "report.schema.json").read_text())
@@ -304,9 +310,10 @@ def test_validate_clean_file(toy_csv, capsys):
 def test_validate_duplicate_ids_exit_1(tmp_path, capsys):
     path = tmp_path / "dup.csv"
     path.write_text("id,citations\np1,1\np1,2\n")
-    code, out, _ = run(capsys, "validate", "--input", path.as_posix())
+    code, out, err = run(capsys, "validate", "--input", path.as_posix())
     assert code == 1
     assert "duplicate id: p1" in out
+    assert err == "error: 1 duplicate ids\n"
 
 
 def test_validate_notes_extra_columns(tmp_path, capsys):
@@ -457,6 +464,82 @@ def test_unwritable_out_exit_1(toy_csv, tmp_path, capsys, argv):
     lines = [line for line in err.splitlines() if not line.startswith("warning: ")]
     assert (code, out) == (1, "")
     assert len(lines) == 1 and lines[0].startswith("error: ") and "missing-dir" in lines[0]
+
+
+class FullDisk(io.StringIO):
+    """A text stream that takes room writes, then fails as a full disk does."""
+
+    def __init__(self, room):
+        super().__init__()
+        self.room = room
+
+    def write(self, text):
+        if self.room == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= 1
+        return super().write(text)
+
+
+WRITE_FAILURE_COMMANDS = [
+    *(("compute", "--index", "xc", "--format", fmt) for fmt in ("json", "csv", "table")),
+    ("nested", "--group-col", "institutions"),
+]
+
+
+@pytest.mark.parametrize("argv", [*WRITE_FAILURE_COMMANDS, ("validate",)], ids=" ".join)
+def test_failed_stdout_write_is_one_error_line(toy_csv, capsys, monkeypatch, argv):
+    # validate writes its report in one call; the others fail partway,
+    # after their first write went through.
+    sink = FullDisk(room=0 if argv[0] == "validate" else 1)
+    monkeypatch.setattr(sys, "stdout", sink)
+    code = main([*argv, "--input", toy_csv])
+    err = capsys.readouterr().err
+    assert (code, err) == (1, "error: [Errno 28] No space left on device\n")
+    assert sink.room == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", WRITE_FAILURE_COMMANDS, ids=" ".join)
+def test_failed_out_write_is_one_error_line(toy_csv, capsys, argv):
+    code, out, err = run(capsys, *argv, "--input", toy_csv, "--out", "/dev/full")
+    assert (code, out, err) == (1, "", "error: [Errno 28] No space left on device\n")
+
+
+@pytest.fixture(scope="module")
+def big_csv(tmp_path_factory):
+    """A table whose reports are larger than a pipe's or a stream's buffer."""
+    path = tmp_path_factory.mktemp("big") / "big.csv"
+    _synthetic_csv(path, 2_000, 4, 400, 30, 50, seed=2026)
+    return str(path)
+
+
+def _spawn(argv, **kwargs):
+    """xindex argv in a fresh interpreter with its default, buffered
+    stdout: a failed write can then stay buffered until exit."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    launch = "import sys; from xindices.cli import main; sys.exit(main())"
+    return subprocess.Popen([sys.executable, "-c", launch, *argv], env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("table", ["toy", "big"])
+def test_report_to_full_device_exits_1_without_traceback(toy_csv, big_csv, table, fmt):
+    # The toy report fits the stream buffer, so only the final flush fails.
+    path = toy_csv if table == "toy" else big_csv
+    with open("/dev/full", "wb") as full:
+        proc = _spawn(["compute", "--index", "xc", "--format", fmt, "--input", path], stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err.decode()) == (1, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_to_closed_pipe_exits_1_without_traceback(big_csv, fmt):
+    proc = _spawn(["compute", "--index", "xc", "--format", fmt, "--input", big_csv], stdout=subprocess.PIPE)
+    proc.stdout.close()  # the report is larger than the pipe buffer
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err.decode()) == (1, "error: [Errno 32] Broken pipe\n")
 
 
 def test_byte_order_mark_on_header_is_dropped(tmp_path, capsys):
@@ -721,7 +804,7 @@ def run_in_process(argv, out_path):
 def test_any_flag_draw_ends_in_a_report_or_one_error_line(flag_dir, data):
     argv = data.draw(command_lines(flag_dir))
     out_path = flag_dir / FILE_FLAGS["out"]
-    code, out, err, _ = first = run_in_process(argv, out_path)
+    code, _, err, _ = first = run_in_process(argv, out_path)
     assert "Traceback" not in err, err
     assert run_in_process(argv, out_path) == first
     errors = [line for line in err.splitlines() if line.startswith("error:")]
@@ -736,8 +819,4 @@ def test_any_flag_draw_ends_in_a_report_or_one_error_line(flag_dir, data):
         assert code == 1
     if code == 2:
         assert argv[0] in ("compute", "nested", "stats")
-    if argv[0] == "validate" and out.startswith("records:"):
-        # validate's own report lists the input's errors on stdout
-        assert code == 1 and errors == [] and "\nerror: duplicate id: " in out
-    else:
-        assert len(errors) == 1, err
+    assert len(errors) == 1, err

@@ -1,4 +1,5 @@
-"""Report rendering: pinned bytes, and the hand-laid JSON against json.dumps."""
+"""Report rendering: pinned bytes, the hand-laid JSON against json.dumps, and
+streamed writes block by block against the whole-report references."""
 
 from __future__ import annotations
 
@@ -6,10 +7,12 @@ import csv
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import xindices.report
 from xindices import g_type_index, h_type_index
 from xindices.cli import main
 from xindices.kernel import INDEX_KINDS
@@ -225,3 +228,60 @@ def test_warning_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, case, fm
     if fmt == "table":
         assert data.decode().splitlines()[-1 - len(warnings) : -1] == [f"warning: {w}" for w in warnings]
     assert hashlib.sha256(data).hexdigest() == GOLDEN_WARNINGS[case, fmt]
+
+
+# --- streamed writing ---------------------------------------------------------
+
+BLOCK = 4  # _BLOCK_ROWS while these tests run
+
+
+class RecordingSink(io.StringIO):
+    """A text stream that keeps the text of each write call."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def _streamed_report(n_rows, kernel):
+    """A report whose n_rows labels each carry the marker "row-"; the
+    weights mix integral and fractional floats, a value past 1e16 and a
+    Fraction, so blocks take both paths of format_column."""
+    weights = [float(3 * i) / 2 for i in range(n_rows)]
+    if n_rows > 2:
+        weights[0], weights[1] = 2e16, Fraction(7, 3)
+    entries = [(f"row-{i:03d}", w) for i, w in enumerate(weights)]
+    return Report("0.1.0", "compute", kernel(entries, "xc"), {"input": "t.csv"}, ["one warning"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("kernel", [h_type_index, g_type_index], ids=["h", "g"])
+@pytest.mark.parametrize("n_rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_write_streams_blocks_that_add_up_to_render(monkeypatch, fmt, kernel, n_rows):
+    report = _streamed_report(n_rows, kernel)
+    reference = {
+        "json": lambda: json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n",
+        "csv": lambda: _csv_from_rows(report),
+        "table": lambda: _table_from_rows(report),
+    }[fmt]()
+    monkeypatch.setattr(xindices.report, "_BLOCK_ROWS", BLOCK)
+    sink = RecordingSink()
+    report.write(sink, fmt)
+    assert sink.getvalue() == report.render(fmt) == reference
+    rows_per_write = [text.count("row-") for text in sink.writes]
+    assert sum(rows_per_write) == n_rows
+    # No write call carries more than one block of rows, so a report is
+    # never held whole; n rows take at least ceil(n / BLOCK) writes.
+    assert max(rows_per_write) <= BLOCK
+    assert sum(map(bool, rows_per_write)) >= -(-n_rows // BLOCK)
+
+
+def test_write_rejects_an_unknown_format_before_writing():
+    sink = RecordingSink()
+    with pytest.raises(ValueError, match="unknown report format 'xml'"):
+        _streamed_report(3, h_type_index).write(sink, "xml")
+    assert sink.writes == []
