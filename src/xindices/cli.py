@@ -1,15 +1,15 @@
 """Command-line surface: compute, nested, stats, validate.
 
-Exit codes: 0 success, 1 ingest or validation failure, a usage error (an
-unknown flag, a bad choice, a missing or unparsable value), a bad flag
-value (an empty --cell-delimiter, a --variance-floor that is not a positive
-finite number, a --jobs below 1, a column mapped to id or citations and to
-another record role), an unwritable --out or a failed write of the report
-to --out or stdout, 2 computation failure (missing stats, unusable
-variance, unsupported rank basis, citation totals or variances beyond the
-float range). Error messages go to stderr, one "error:" line each; reports
-go to stdout or --out, written in blocks of rows as they are formatted.
-Flag values are checked before the input is read.
+Every command raises its failures, and main maps each to an exit code by
+type: 2 for a computation failure (a ComputeError: missing stats, a
+non-positive reference mean, unusable variance, unsupported rank basis,
+citation totals or variances beyond the float range), 1 for every other
+XIndicesError or OSError (ingest or validation failure, a bad flag value,
+an unreadable input, an unwritable --out or a failed write of the report)
+and for a usage error (an unknown flag, a bad choice, a missing or
+unparsable value). 0 is success. Error messages go to stderr, one "error:"
+line each; reports go to stdout or --out, written in blocks of rows as
+they are formatted. Flag values are checked before the input is read.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import gc
 import math
 import os
 import sys
-from typing import IO, Callable, Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 from . import __version__
 from .corpus import build_corpus
@@ -37,6 +37,7 @@ from .indices import (
 )
 from .ingest import (
     LABEL_FIELDS,
+    ROLES,
     SMALL_SAMPLE_THRESHOLD,
     IngestConfig,
     TableData,
@@ -96,13 +97,8 @@ def _checked_config(args: argparse.Namespace, group_col: str | None = None) -> I
         raise InvalidConfig(f"--jobs must be at least 1, got {jobs}")
     required = set()
     overrides = {}
-    for role, value in (
-        ("id", args.id_col),
-        ("citations", args.citations_col),
-        ("keywords", args.keywords_col),
-        ("categories", args.categories_col),
-        ("institutions", args.institutions_col),
-    ):
+    for role in ROLES[:-1]:  # the group column comes from group_col
+        value = getattr(args, f"{role}_col")
         if value is not None:
             overrides[f"{role}_column"] = value
             required.add(role)
@@ -118,22 +114,14 @@ def _checked_config(args: argparse.Namespace, group_col: str | None = None) -> I
     )
 
 
-def _open_input(path: str) -> IO[bytes]:
-    if path == "-":
-        return sys.stdin.buffer
-    return open(path, "rb")
-
-
 def _read_input(
     args: argparse.Namespace, config: IngestConfig, fields: Sequence[str] = LABEL_FIELDS
 ) -> TableData:
     """The input table, with only the record fields in fields read."""
-    stream = _open_input(args.input)
-    try:
+    if args.input == "-":
+        return read_table(sys.stdin.buffer, config, fields=fields)
+    with open(args.input, "rb") as stream:
         return read_table(stream, config, fields=fields)
-    finally:
-        if stream is not sys.stdin.buffer:
-            stream.close()
 
 
 def _config_echo(args: argparse.Namespace, config: IngestConfig) -> dict:
@@ -142,14 +130,7 @@ def _config_echo(args: argparse.Namespace, config: IngestConfig) -> dict:
         "cell_delimiter": config.cell_delimiter,
         "case_fold": config.case_fold,
         "trim": config.trim,
-        "columns": {
-            "id": config.id_column,
-            "citations": config.citations_column,
-            "keywords": config.keywords_column,
-            "categories": config.categories_column,
-            "institutions": config.institutions_column,
-            "group": config.group_column,
-        },
+        "columns": {role: config.column_for(role) for role in ROLES},
     }
 
 
@@ -166,23 +147,20 @@ def _discard_stdout() -> None:
     os.close(null)
 
 
-def _emit(out: str | None, write: Callable[[TextIO], object]) -> int:
-    """Call write on the open --out file, or on stdout when out is None.
-    A failed open or write, partway through the report included, is one
-    error: line and exit 1."""
+def _emit(out: str | None, write: Callable[[TextIO], object]) -> None:
+    """Call write on the open --out file, or on stdout when out is None;
+    any given out is a path, the empty string included. A failed open or
+    write, partway through the report included, raises OSError."""
+    if out is not None:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        return
     try:
-        if out:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                write(fh)
-        else:
-            write(sys.stdout)
-            sys.stdout.flush()
-    except OSError as exc:
-        if not out:
-            _discard_stdout()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        write(sys.stdout)
+        sys.stdout.flush()
+    except OSError:
+        _discard_stdout()
+        raise
 
 
 def _resolve_stats(args: argparse.Namespace, ref_stats: ReferenceStats | None, corpus) -> tuple[ReferenceStats, str]:
@@ -206,67 +184,51 @@ def _warnings(result: IndexResult, variance_floor: float | None) -> list[str]:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    try:
-        config = _checked_config(args)
-        table = _read_input(args, config, INDEX_FIELDS[args.index])
-        corpus = build_corpus(table.columns)
-        ref_stats = None
-        if args.ref_stats:
-            with open(args.ref_stats, "rb") as fh:
-                ref_stats = load_reference_stats(fh)
-    except (XIndicesError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = _checked_config(args)
+    table = _read_input(args, config, INDEX_FIELDS[args.index])
+    corpus = build_corpus(table.columns)
+    ref_stats = None
+    if args.ref_stats:
+        with open(args.ref_stats, "rb") as fh:
+            ref_stats = load_reference_stats(fh)
 
     echo = _config_echo(args, config)
     echo.update({"index": args.index, "ratio_type": args.type, "stats_source": "none"})
-    try:
-        if args.index in INDEX_FUNCTIONS:
-            result = INDEX_FUNCTIONS[args.index](corpus, args.type)
+    if args.index in INDEX_FUNCTIONS:
+        result = INDEX_FUNCTIONS[args.index](corpus, args.type)
+    else:
+        stats, source = _resolve_stats(args, ref_stats, corpus)
+        echo["stats_source"] = source
+        echo["variance_kind"] = args.variance
+        strict = not args.lenient_stats
+        echo["lenient_stats"] = args.lenient_stats
+        if args.index == "xdfn":
+            result = xdfn_index(corpus, args.type, stats, strict=strict)
         else:
-            stats, source = _resolve_stats(args, ref_stats, corpus)
-            echo["stats_source"] = source
-            echo["variance_kind"] = args.variance
-            strict = not args.lenient_stats
-            echo["lenient_stats"] = args.lenient_stats
-            if args.index == "xdfn":
-                result = xdfn_index(corpus, args.type, stats, strict=strict)
-            else:
-                echo["rank_basis"] = args.rank_basis
-                echo["variance_floor"] = args.variance_floor
-                result = ivw_xd_index(
-                    corpus,
-                    args.type,
-                    stats,
-                    rank_basis=args.rank_basis,
-                    variance_floor=args.variance_floor,
-                    strict=strict,
-                )
-    except XIndicesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            echo["rank_basis"] = args.rank_basis
+            echo["variance_floor"] = args.variance_floor
+            result = ivw_xd_index(
+                corpus,
+                args.type,
+                stats,
+                rank_basis=args.rank_basis,
+                variance_floor=args.variance_floor,
+                strict=strict,
+            )
 
     report = Report(__version__, "compute", result, echo, _warnings(result, args.variance_floor))
-    return _emit(args.out, lambda fh: report.write(fh, args.format))
+    _emit(args.out, lambda fh: report.write(fh, args.format))
+    return 0
 
 
 def cmd_nested(args: argparse.Namespace) -> int:
     if not args.group_col:
-        print("error: --group-col is required", file=sys.stderr)
-        return 1
-    try:
-        config = _checked_config(args, group_col=args.group_col)
-        table = _read_input(args, config, INDEX_FIELDS[args.inner])
-        corpus = build_corpus(table.columns)
-    except (XIndicesError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise InvalidConfig("--group-col is required")
+    config = _checked_config(args, group_col=args.group_col)
+    table = _read_input(args, config, INDEX_FIELDS[args.inner])
+    corpus = build_corpus(table.columns)
 
-    try:
-        result = group_index(corpus, table.group_values, args.inner, args.type, strict=args.strict_groups)
-    except XIndicesError as exc:  # a missing group label is an input error
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ComputeError) else 1
+    result = group_index(corpus, table.group_values, args.inner, args.type, strict=args.strict_groups)
     echo = _config_echo(args, config)
     echo.update(
         {
@@ -278,22 +240,15 @@ def cmd_nested(args: argparse.Namespace) -> int:
         }
     )
     report = Report(__version__, "nested", result, echo)
-    return _emit(args.out, lambda fh: report.write(fh, args.format))
+    _emit(args.out, lambda fh: report.write(fh, args.format))
+    return 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        table = _read_input(args, _checked_config(args), ("categories",))
-        corpus = build_corpus(table.columns)
-    except (XIndicesError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    table = _read_input(args, _checked_config(args), ("categories",))
+    corpus = build_corpus(table.columns)
 
-    try:
-        stats = estimate_stats(corpus, args.variance)
-    except ComputeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    stats = estimate_stats(corpus, args.variance)
     for entry in stats.entries():
         if entry.n < SMALL_SAMPLE_THRESHOLD:
             print(
@@ -308,21 +263,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 "loaded back as reference stats",
                 file=sys.stderr,
             )
-    try:
-        with open(args.out, "wb") as fh:
-            write_reference_stats(stats, fh)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with open(args.out, "wb") as fh:
+        write_reference_stats(stats, fh)
     return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        table = _read_input(args, _checked_config(args))
-    except (XIndicesError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    table = _read_input(args, _checked_config(args))
 
     report = validate_records(table.records)
     lines = [f"records: {report.n_records}", f"{len(report.errors)} errors"]
@@ -334,11 +281,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         lines.append(f"note: ignored columns: {', '.join(table.unused_columns)}")
     lines.append("category publication counts:")
     lines.extend(f"  {cat}: {count}" for cat, count in report.category_counts.items())
-    code = _emit(None, lambda fh: fh.write("\n".join(lines) + "\n"))
-    if code == 0 and report.errors:
+    _emit(None, lambda fh: fh.write("\n".join(lines) + "\n"))
+    if report.errors:
         print(f"error: {len(report.errors)} duplicate ids", file=sys.stderr)
         return 1
-    return code
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command. The cyclic garbage collector is off for the run: a
+    """Run one command. A failure it raises, an XIndicesError or an
+    OSError, is one error: line on stderr and exit 2 for a ComputeError,
+    1 for any other. The cyclic garbage collector is off for the run: a
     run builds only acyclic containers, which reference counting frees,
     and the collector would only rescan them. The state found is put back
     on every exit, SystemExit from argparse included (exit 1 for a usage
@@ -407,6 +356,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except (XIndicesError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ComputeError) else 1
     finally:
         if collecting:
             gc.enable()

@@ -103,14 +103,7 @@ class IngestConfig(FrozenValue):
         self._set(*columns, group_column, cell_delimiter, case_fold, trim, required_columns)
 
     def column_for(self, role: str) -> str | None:
-        return {
-            "id": self.id_column,
-            "citations": self.citations_column,
-            "keywords": self.keywords_column,
-            "categories": self.categories_column,
-            "institutions": self.institutions_column,
-            "group": self.group_column,
-        }[role]
+        return getattr(self, f"{role}_column")
 
 
 def normalize_label(raw: str, config: IngestConfig | None = None) -> str:

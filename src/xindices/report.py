@@ -8,9 +8,9 @@ The json layout is described by schema/report.schema.json in the repo.
 Report.write(fh, fmt) is the one implementation of each format: it formats
 the ranked table in blocks of _BLOCK_ROWS rows and writes each block to
 the open text stream as it goes, so a report is never held whole.
-render(fmt) and to_json / to_csv / to_table write into a StringIO and
-return its text. Number texts come from numfmt.format_column, one block
-of a column at a time, and are the same in all three formats.
+render(fmt) writes into a StringIO and returns its text. Number texts
+come from numfmt.format_column, one block of a column at a time, and are
+the same in all three formats.
 
 to_dict is the readable specification of the json report: the json format
 is exactly json.dumps(to_dict(), indent=2, ensure_ascii=False) plus a
@@ -126,15 +126,6 @@ class Report(Value):
         out = io.StringIO()
         self.write(out, fmt)
         return out.getvalue()
-
-    def to_json(self) -> str:
-        return self.render("json")
-
-    def to_csv(self) -> str:
-        return self.render("csv")
-
-    def to_table(self) -> str:
-        return self.render("table")
 
     def _row_blocks(self) -> Iterator[tuple]:
         """(rank texts, labels, weight texts, ratio texts) for each block of

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import import_check
 import xindices.cli
-from xindices import PublicationRecord
+from xindices import PublicationRecord, errors
 from xindices.cli import main
 
 from test_acceptance import _synthetic_csv
@@ -448,6 +448,89 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, argv, data, ref_stats, 
     assert (code, out) == (exit_code, "")
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert not out_path.exists()
+
+
+# --- the exit-code contract: 2 for a ComputeError, 1 for any other failure ------------
+
+# (the type a command raises, its command line, the input table or None for a
+# missing input file, the --ref-stats rows or None)
+EXIT_CODES = [
+    (errors.BadEncoding, ("compute", "--index", "x"), NON_UTF8, None),
+    (errors.MissingColumn, ("compute", "--index", "x"), b"id,keywords\np1,a\n", None),
+    (errors.BadCitations, ("compute", "--index", "x"), DIGIT_SEPARATOR, None),
+    (errors.MalformedRow, ("compute", "--index", "x"), b"id,citations\np1,1,2\n", None),
+    (errors.AmbiguousSeparator, ("compute", "--index", "x"), b"id,citations\tkeywords\np1,1\n", None),
+    (errors.InvalidConfig, ("compute", "--index", "x", "--cell-delimiter", ""), TOY.encode(), None),
+    (errors.InvalidConfig, ("nested",), TOY.encode(), None),
+    (errors.BadStatsRow, ("compute", "--index", "xdfn"), TOY.encode(), "a,x,1,3"),
+    (errors.DuplicateId, ("stats",), b"id,citations\np1,1\np1,2\n", None),
+    (errors.MissingGroupLabel, ("nested", "--group-col", "institutions", "--strict-groups"), UNGROUPED, None),
+    (errors.MissingStats, ("compute", "--index", "ivw"), TOY.encode(), None),
+    (errors.MissingStats, ("compute", "--index", "xdfn"), TOY.encode(), "a,1,1,3"),
+    (
+        errors.NonPositiveMean,
+        ("compute", "--index", "xdfn", "--internal-stats"),
+        b"id,citations,categories\np1,0,a\n",
+        None,
+    ),
+    (errors.NonPositiveMean, ("compute", "--index", "ivw"), TOY.encode(), "a,0,1,3"),
+    (errors.ZeroOrMissingVariance, ("compute", "--index", "ivw", "--internal-stats"), TOY.encode(), None),
+    (errors.NonFiniteWeight, ("nested", "--group-col", "institutions"), OVERFLOW.encode(), None),
+    (errors.NonFiniteStats, ("stats",), SPREAD_OVERFLOW, None),
+    (
+        errors.RankBasisUnsupported,
+        ("compute", "--index", "ivw", "--type", "g", "--internal-stats"),
+        TOY.encode(),
+        None,
+    ),
+    (FileNotFoundError, ("compute", "--index", "x"), None, None),
+    (FileNotFoundError, ("compute", "--index", "x", "--out", ""), TOY.encode(), None),
+    (FileNotFoundError, ("nested", "--group-col", "institutions", "--out", ""), TOY.encode(), None),
+]
+
+# Error types no command line reaches, each with the reason.
+UNREACHABLE = {
+    errors.NegativeCitations: "ingest raises BadCitations for a negative count first",
+    errors.NonFiniteCitations: "ingest raises BadCitations for a count that is not finite first",
+}
+
+
+def test_exit_code_table_covers_every_error_type():
+    leaves = {
+        cls
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.XIndicesError) and not cls.__subclasses__()
+    }
+    tabled = {raised for raised, *_ in EXIT_CODES if issubclass(raised, errors.XIndicesError)}
+    assert tabled | set(UNREACHABLE) == leaves
+    assert not tabled & set(UNREACHABLE)
+
+
+@pytest.mark.parametrize(
+    "raised, argv, data, ref_stats",
+    EXIT_CODES,
+    ids=[f"{raised.__name__}-{' '.join(argv)}" for raised, argv, *_ in EXIT_CODES],
+)
+def test_each_failure_exits_by_its_type(tmp_path, capsys, raised, argv, data, ref_stats):
+    path = tmp_path / "in.csv"
+    if data is not None:
+        path.write_bytes(data)
+    argv = [*argv, "--input", str(path)]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    if ref_stats is not None:
+        (tmp_path / "ref.csv").write_text(f"category,mean,variance,n\n{ref_stats}\n")
+        argv += ["--ref-stats", str(tmp_path / "ref.csv")]
+    args = xindices.cli.build_parser().parse_args(argv)
+    with pytest.raises(raised) as caught:
+        args.func(args)
+    assert type(caught.value) is raised
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2 if issubclass(raised, errors.ComputeError) else 1, "")
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if not line.startswith("warning: ")]
+    assert lines == [f"error: {caught.value}"]
 
 
 @pytest.mark.parametrize(

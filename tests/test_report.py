@@ -140,19 +140,19 @@ def _table_from_rows(report: Report) -> str:
 @settings(deadline=None)
 @given(reports())
 def test_to_json_equals_indented_dumps_of_to_dict(report):
-    assert report.to_json() == json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n"
+    assert report.render("json") == json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n"
 
 
 @settings(deadline=None)
 @given(reports())
 def test_csv_and_table_equal_row_wise_rendering(report):
-    assert report.to_csv() == _csv_from_rows(report)
-    assert report.to_table() == _table_from_rows(report)
+    assert report.render("csv") == _csv_from_rows(report)
+    assert report.render("table") == _table_from_rows(report)
 
 
 def test_empty_table_and_envelope_layout():
     report = Report("0.1.0", "compute", h_type_index([]), {}, [])
-    assert report.to_json() == (
+    assert report.render("json") == (
         '{\n  "version": "0.1.0",\n  "command": "compute",\n  "index": "x",\n'
         '  "ratio_type": "h",\n  "value": 0,\n  "table": [],\n  "config": {},\n'
         '  "warnings": []\n}\n'
