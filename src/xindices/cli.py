@@ -269,9 +269,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    table = _read_input(args, _checked_config(args))
+    table = _read_input(args, _checked_config(args), ("keywords", "categories"))
 
-    report = validate_records(table.records)
+    report = validate_records(table.columns)
     lines = [f"records: {report.n_records}", f"{len(report.errors)} errors"]
     lines.extend(f"error: {msg}" for msg in report.errors)
     lines.append(f"{len(report.warnings)} warnings")

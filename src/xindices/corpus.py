@@ -1,14 +1,15 @@
 """Publication data model and the aggregation views every index is built on.
 
 A Corpus is immutable once built. It holds its publications in column form
-(PublicationColumns: parallel ids, citations and label-tuple columns) and
-validates them eagerly; its PublicationRecord tuple is built on first read.
-Each derived view (keyword totals, per-category keyword totals, pair totals,
-category totals, per-category citation samples) is built on first read and
-cached, so a command pays only for the views its index reads. Views are
-pure functions of the publication multiset: contributions are accumulated
-over the columns permuted into id order, so permuting the input, or reading
-the views in another order, yields bitwise-identical views and index values.
+(PublicationColumns: parallel ids, citations and label-tuple columns), the
+one form the library keeps them in, and validates them eagerly;
+build_corpus converts records to columns at the edge. Each derived view
+(keyword totals, per-category keyword totals, pair totals, category
+totals, per-category citation samples) is built on first read and cached,
+so a command pays only for the views its index reads. Views are pure
+functions of the publication multiset: contributions are accumulated over
+the columns permuted into id order, so permuting the input, or reading the
+views in another order, yields bitwise-identical views and index values.
 """
 
 from __future__ import annotations
@@ -118,55 +119,31 @@ class PublicationColumns(NamedTuple):
 
 
 class Corpus:
-    """Immutable collection of publications, held in column form; each
-    aggregation view is built on first read and cached.
+    """Immutable collection of publications in column form, checked with
+    whole-column passes when built; the label tuples are taken as given.
+    Each aggregation view is built on first read and cached."""
 
-    Corpus(records) and Corpus.from_columns(columns) of the same
-    publications give equal views, and raise the same error, naming the
-    same publication, for invalid input.
-    """
+    __slots__ = ("columns", "_views")
 
-    __slots__ = ("columns", "_publications", "_views")
-
-    def __init__(self, records: Iterable[PublicationRecord]):
-        publications = tuple(records)
-        self._init(PublicationColumns.from_records(publications), publications)
-
-    @classmethod
-    def from_columns(cls, columns: PublicationColumns) -> Corpus:
-        """A Corpus of publications in column form, checked with C-level
-        passes over the columns; the label tuples are taken as given."""
+    def __init__(self, columns: PublicationColumns):
         if "" in columns.ids:
             raise ValueError("publication id must be non-empty")
-        corpus = cls.__new__(cls)
-        corpus._init(columns, None)
-        return corpus
-
-    def _init(self, columns: PublicationColumns, publications) -> None:
         columns = PublicationColumns(*map(tuple, columns))
         if len(set(map(len, columns))) > 1:
             raise ValueError("publication columns differ in length")
         _check_publications(columns.ids, columns.citations)
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "_publications", publications)
         object.__setattr__(self, "_views", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Corpus is immutable")
 
     def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through from_columns, since fields cannot be set
-        return (Corpus.from_columns, (self.columns,))
+        # copy and pickle rebuild through __init__, since fields cannot be set
+        return (Corpus, (self.columns,))
 
     def __len__(self) -> int:
         return len(self.columns.ids)
-
-    @property
-    def publications(self) -> tuple[PublicationRecord, ...]:
-        """The publications as records, in input order."""
-        if self._publications is None:
-            object.__setattr__(self, "_publications", tuple(self.columns.records()))
-        return self._publications
 
     def _view(self, name: str):
         view = self._views.get(name)
@@ -350,15 +327,15 @@ _BUILDERS = {
 
 
 def build_corpus(publications: Iterable[PublicationRecord] | PublicationColumns) -> Corpus:
-    """Validate records, or publication columns, into a Corpus whose views
-    are built on first read.
+    """Validate publication columns, or records converted to columns, into
+    a Corpus whose views are built on first read.
 
     Raises DuplicateId if two publications share an id, NegativeCitations if
     any citation count is below zero, NonFiniteCitations if one is NaN,
     infinite or beyond the float range.
     """
-    if isinstance(publications, PublicationColumns):
-        return Corpus.from_columns(publications)
+    if not isinstance(publications, PublicationColumns):
+        publications = PublicationColumns.from_records(list(publications))
     return Corpus(publications)
 
 

@@ -8,8 +8,10 @@ cells (keywords, categories, institutions, group) are split on a
 configurable cell delimiter and normalised, each distinct part once per
 table; record label lists are also deduplicated. read_table returns the
 publications in column form, and can skip the label cells of record
-fields its caller does not read. A row the csv module cannot read, such
-as a field over csv.field_size_limit(), raises MalformedRow.
+fields its caller does not read; parse_table converts them to records.
+A row the csv module cannot read (a field over csv.field_size_limit())
+or a header repeating a mapped column name raises MalformedRow.
+validate_records reads columns, converting records first.
 
 Row numbers in errors are 1-based record numbers counting the header as
 record 1, so the first data row is row 2.
@@ -21,8 +23,9 @@ import csv
 import io
 import math
 import re
-from itertools import islice, repeat
-from operator import itemgetter
+from collections import Counter
+from itertools import chain, compress, islice, repeat
+from operator import eq, itemgetter, not_
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .corpus import PublicationColumns, PublicationRecord, _dedupe_each
@@ -122,11 +125,9 @@ def normalize_label(raw: str, config: IngestConfig | None = None) -> str:
 
 class TableData(Value):
     """Everything parsed from one table: the publications in column form,
-    each publication's group labels, and the header facts. records is
-    built from the columns on first read."""
+    each publication's group labels, and the header facts."""
 
-    _fields = ("columns", "group_values", "headers", "unused_columns", "separator")
-    __slots__ = (*_fields, "_records")
+    __slots__ = _fields = ("columns", "group_values", "headers", "unused_columns", "separator")
 
     def __init__(
         self,
@@ -141,13 +142,13 @@ class TableData(Value):
         self.headers = headers
         self.unused_columns = unused_columns
         self.separator = separator
-        self._records = None
 
     @property
     def records(self) -> list[PublicationRecord]:
-        if self._records is None:
-            self._records = self.columns.records()
-        return self._records
+        """The publications as records, built anew on each read. Kept only
+        for perfbench/spans.py, which counts a traced table's publications
+        with it, until that count comes from the library."""
+        return self.columns.records()
 
 
 def _detect_separator(header_line: str) -> str:
@@ -294,6 +295,8 @@ def read_table(
     for role in ROLES:
         column = config.column_for(role)
         if column is not None and column in headers:
+            if headers.count(column) > 1:
+                raise MalformedRow(1, f"column {column!r} appears more than once in the header")
             index_of[role] = headers.index(column)
         elif role in ("id", "citations") or role in config.required_columns:
             if column is None:
@@ -352,7 +355,7 @@ def read_table(
 
 def parse_table(stream: IO[bytes], config: IngestConfig | None = None) -> list[PublicationRecord]:
     """Parse a delimited byte stream into publication records, in file order."""
-    return read_table(stream, config).records
+    return read_table(stream, config).columns.records()
 
 
 class ValidationReport(Value):
@@ -417,27 +420,25 @@ class ValidationReport(Value):
         ]
 
 
-def validate_records(records: Sequence[PublicationRecord]) -> ValidationReport:
-    """Report-only sanity pass over parsed records; never raises."""
-    report = ValidationReport(n_records=len(records))
-    seen: set[str] = set()
-    flagged: set[str] = set()
-    counts: dict[str, int] = {}
-    for rec in records:
-        if rec.id in seen and rec.id not in flagged:
-            report.duplicate_ids.append(rec.id)
-            flagged.add(rec.id)
-        seen.add(rec.id)
-        if not rec.keywords:
-            report.no_keyword_ids.append(rec.id)
-        if not rec.categories:
-            report.no_category_ids.append(rec.id)
-        if rec.citations == 0:
-            report.zero_citation_ids.append(rec.id)
-        for cat in rec.categories:
-            counts[cat] = counts.get(cat, 0) + 1
-    report.category_counts = {cat: counts[cat] for cat in sorted(counts)}
-    report.small_sample_categories = [
-        cat for cat in report.category_counts if counts[cat] < SMALL_SAMPLE_THRESHOLD
-    ]
-    return report
+def validate_records(publications: Sequence[PublicationRecord] | PublicationColumns) -> ValidationReport:
+    """Report-only sanity pass over publication columns, or records
+    converted to columns, in whole-column passes; never raises."""
+    if not isinstance(publications, PublicationColumns):
+        publications = PublicationColumns.from_records(publications)
+    ids = publications.ids
+    duplicate_ids: list[str] = []
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        # seen.add returns None, so an id is kept from its second occurrence on
+        duplicate_ids = list(dict.fromkeys([rec_id for rec_id in ids if rec_id in seen or seen.add(rec_id)]))
+    counts = Counter(chain.from_iterable(publications.categories))
+    category_counts = {cat: counts[cat] for cat in sorted(counts)}
+    return ValidationReport(
+        len(ids),
+        duplicate_ids,
+        list(compress(ids, map(not_, publications.keywords))),
+        list(compress(ids, map(not_, publications.categories))),
+        list(compress(ids, map(eq, publications.citations, repeat(0)))),
+        category_counts,
+        [cat for cat, count in category_counts.items() if count < SMALL_SAMPLE_THRESHOLD],
+    )

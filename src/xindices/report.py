@@ -19,10 +19,11 @@ encoder that indent=2 selects. Each table row is the concatenation of
 fixed pieces that carry the indent=2 whitespace with the row's texts:
 labels through the C string encoder json.encoder.encode_basestring, and
 numbers from format_column, which equal the int.__repr__ / float.__repr__
-of canonical_json_value that json.dumps prints. The envelope and config
-are laid out the same way, with every scalar encoded by json's C encoder.
-No RankRow or per-row dict is built. Only the json format imports json,
-so a csv or table run never loads it.
+of canonical_json_value that json.dumps prints. The envelope is laid out
+the same way, with every scalar encoded by json's C encoder; the small
+config and warnings go through json.dumps, re-indented. No RankRow or
+per-row dict is built. Only the json format imports json, so a csv or
+table run never loads it.
 """
 
 from __future__ import annotations
@@ -48,27 +49,6 @@ _JSON_LABEL = ',\n      "label": '
 _JSON_WEIGHT = ',\n      "weight": '
 _JSON_RATIO = ',\n      "ratio": '
 _JSON_CLOSE = "\n    }"
-
-
-def _json_layout(value: Any, indent: str, scalar) -> str:
-    """json.dumps(value, indent=2, ensure_ascii=False) for a value nested
-    at the given indent, with every scalar encoded in C by scalar, a
-    json.JSONEncoder(ensure_ascii=False).encode. Object keys must be
-    strings, as in a config echo."""
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        members = ",\n".join(
-            f"{inner}{scalar(key)}: {_json_layout(item, inner, scalar)}" for key, item in value.items()
-        )
-        return f"{{\n{members}\n{indent}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        members = ",\n".join(inner + _json_layout(item, inner, scalar) for item in value)
-        return f"[\n{members}\n{indent}]"
-    return scalar(value)
 
 
 class Report(Value):
@@ -146,6 +126,12 @@ class Report(Value):
         from json.encoder import encode_basestring
 
         scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+        def nested(value: Any) -> str:
+            # json escapes every newline inside a string, so only layout
+            # newlines are re-indented to depth 1
+            return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+
         fh.write(
             "{\n"
             f'  "version": {scalar(self.version)},\n'
@@ -169,8 +155,8 @@ class Report(Value):
             separator = ",\n"
         fh.write(
             ("\n  ]" if len(self.result.table) else "[]")
-            + f',\n  "config": {_json_layout(self.config, "  ", scalar)},\n'
-            f'  "warnings": {_json_layout(list(self.warnings), "  ", scalar)}\n'
+            + f',\n  "config": {nested(self.config)},\n'
+            f'  "warnings": {nested(list(self.warnings))}\n'
             "}\n"
         )
 

@@ -1,6 +1,6 @@
 """Brute-force re-implementations of the rank-threshold rules, a row-wise
-reference reader for ingest, record-wise reference corpus views, and the
-one-Corpus-per-group reference for group-level values.
+reference reader for ingest, record-wise reference corpus views and
+validation, and the one-Corpus-per-group reference for group-level values.
 
 Deliberately naive (O(n^2), no shared code with the kernel) so the test
 suite can cross-check the fast implementations against an independent
@@ -22,6 +22,7 @@ from xindices import (
     IngestConfig,
     PublicationColumns,
     PublicationRecord,
+    build_corpus,
     h_value,
     normalize_label,
 )
@@ -34,7 +35,15 @@ from xindices.errors import (
     NegativeCitations,
     NonFiniteCitations,
 )
-from xindices.ingest import ROLES, TableData, _detect_separator, _parse_citations, read_utf8
+from xindices.ingest import (
+    ROLES,
+    SMALL_SAMPLE_THRESHOLD,
+    TableData,
+    ValidationReport,
+    _detect_separator,
+    _parse_citations,
+    read_utf8,
+)
 from xindices.kernel import kernel_index
 
 
@@ -168,6 +177,33 @@ def reference_views(records) -> dict:
     }
 
 
+def reference_validate(records: Sequence[PublicationRecord]) -> ValidationReport:
+    """validate_records one record at a time: the record loop that the
+    whole-column passes replaced."""
+    report = ValidationReport(n_records=len(records))
+    seen: set[str] = set()
+    flagged: set[str] = set()
+    counts: dict[str, int] = {}
+    for rec in records:
+        if rec.id in seen and rec.id not in flagged:
+            report.duplicate_ids.append(rec.id)
+            flagged.add(rec.id)
+        seen.add(rec.id)
+        if not rec.keywords:
+            report.no_keyword_ids.append(rec.id)
+        if not rec.categories:
+            report.no_category_ids.append(rec.id)
+        if rec.citations == 0:
+            report.zero_citation_ids.append(rec.id)
+        for cat in rec.categories:
+            counts[cat] = counts.get(cat, 0) + 1
+    report.category_counts = {cat: counts[cat] for cat in sorted(counts)}
+    report.small_sample_categories = [
+        cat for cat in report.category_counts if counts[cat] < SMALL_SAMPLE_THRESHOLD
+    ]
+    return report
+
+
 def partition_by_group(
     records: Sequence[PublicationRecord],
     group_values: Sequence[Sequence[str]],
@@ -189,7 +225,7 @@ def partition_by_group(
             labels = ("(ungrouped)",)
         for label in labels:
             buckets.setdefault(label, []).append(rec)
-    return {label: Corpus(buckets[label]) for label in sorted(buckets)}
+    return {label: build_corpus(buckets[label]) for label in sorted(buckets)}
 
 
 def nested_index(groups: dict[str, Corpus], inner: str = "x", ratio_type: str = "h") -> IndexResult:

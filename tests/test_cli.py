@@ -324,6 +324,15 @@ def test_validate_notes_extra_columns(tmp_path, capsys):
     assert "ignored columns: notes" in out
 
 
+@pytest.mark.parametrize("argv", [("compute", "--index", "x"), ("validate",)], ids=" ".join)
+def test_repeated_mapped_header_exits_1(tmp_path, capsys, argv):
+    path = tmp_path / "repeated.csv"
+    path.write_text("id,citations,keywords,keywords\np1,1,a,b\n")
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: row 1: column 'keywords' appears more than once in the header\n"
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io as _io
     import sys as _sys
@@ -743,6 +752,7 @@ def test_commands_load_only_the_modules_they_use():
         ("nested", "--group-col", "institutions"),
         ("nested", "--group-col", "institutions", "--inner", "xd", "--type", "g"),
         ("stats",),
+        ("validate",),
     ],
 )
 def test_commands_build_no_publication_record(toy_csv, tmp_path, capsys, monkeypatch, argv):
@@ -751,7 +761,8 @@ def test_commands_build_no_publication_record(toy_csv, tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(PublicationRecord, "__init__", refuse)
     monkeypatch.setattr(PublicationRecord, "_from_normalised", refuse)
-    code, _, err = run(capsys, *argv, "--input", toy_csv, "--out", str(tmp_path / "out"))
+    out = () if argv[0] == "validate" else ("--out", str(tmp_path / "out"))
+    code, _, err = run(capsys, *argv, "--input", toy_csv, *out)
     assert code == 0, err
 
 

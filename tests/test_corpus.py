@@ -305,7 +305,7 @@ def test_fractional_never_exceeds_whole(seed):
 def test_corpus_is_immutable():
     corpus = build_corpus([record("p1", 1)])
     with pytest.raises(AttributeError):
-        corpus.publications = ()
+        corpus.columns = corpus.columns
 
 
 @pytest.mark.parametrize(
@@ -324,7 +324,7 @@ def test_corpus_and_stats_copy_and_pickle(clone, from_columns):
     twin = clone(corpus)
     assert type(twin) is Corpus
     assert twin.columns == corpus.columns
-    assert twin.publications == tuple(records)
+    assert twin.columns.records() == records
     for view in ITEM_VIEWS:
         assert twin.items(view) == corpus.items(view)
     stats = estimate_stats(corpus)
@@ -449,8 +449,8 @@ def test_from_columns_equals_records_and_record_wise_views(rows, data):
     columns = PublicationColumns(*(list(column) for column in zip(*rows))) if rows else (
         PublicationColumns([], [], [], [], [])
     )
-    from_columns = corpus_views(lambda: Corpus.from_columns(columns), group_values)
-    assert from_columns == corpus_views(lambda: Corpus(records), group_values)
+    from_columns = corpus_views(lambda: Corpus(columns), group_values)
+    assert from_columns == corpus_views(lambda: build_corpus(records), group_values)
     expected = reference_views(records)
     if isinstance(expected, dict):
         in_group: dict[str, list] = {}
@@ -461,20 +461,29 @@ def test_from_columns_equals_records_and_record_wise_views(rows, data):
             expected[f"{view}_by_group"] = {
                 group: list(reference_views(members)[view]) for group, members in in_group.items()
             }
-        assert Corpus.from_columns(columns).publications == tuple(records)
+        assert Corpus(columns).columns.records() == records
     assert from_columns == expected
 
 
 def test_from_columns_checks_ids_and_lengths():
     with pytest.raises(ValueError, match="non-empty"):
-        Corpus.from_columns(PublicationColumns(["p1", ""], [1.0, 2.0], [(), ()], [(), ()], [(), ()]))
+        Corpus(PublicationColumns(["p1", ""], [1.0, 2.0], [(), ()], [(), ()], [(), ()]))
     with pytest.raises(ValueError, match="differ in length"):
-        Corpus.from_columns(PublicationColumns(["p1"], [1.0, 2.0], [()], [()], [()]))
+        Corpus(PublicationColumns(["p1"], [1.0, 2.0], [()], [()], [()]))
 
 
-def test_publications_are_built_on_first_read():
-    corpus = build_corpus(PublicationColumns(["p2", "p1"], [2.0, 1.5], [("k",), ()], [(), ("c",)], [(), ()]))
-    assert corpus._publications is None
+def test_corpus_and_its_views_build_no_publication_record(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PublicationRecord was built")
+
+    monkeypatch.setattr(PublicationRecord, "__init__", refuse)
+    monkeypatch.setattr(PublicationRecord, "_from_normalised", refuse)
+    columns = PublicationColumns(["p2", "p1"], [2.0, 1.5], [("k",), ()], [(), ("c",)], [(), ("i",)])
+    corpus = build_corpus(columns)
+    for view in ITEM_VIEWS:
+        corpus.items(view)
+    for view in GROUP_VIEWS:
+        corpus.items_by_group([("g",), ()], view)
+    corpus.keyword_items_by_category()
+    corpus.category_samples()
     assert x_index(corpus).value == 1
-    assert corpus._publications is None
-    assert corpus.publications == (record("p2", 2.0, ("k",)), record("p1", 1.5, (), ("c",)))

@@ -19,6 +19,8 @@ from xindices import (
     InvalidConfig,
     MalformedRow,
     MissingColumn,
+    PublicationColumns,
+    PublicationRecord,
     normalize_label,
     parse_table,
     read_table,
@@ -29,7 +31,7 @@ from xindices.ingest import LABEL_FIELDS, TableData
 from xindices.numfmt import format_number
 
 from conftest import record
-from oracles import reference_read_table
+from oracles import reference_read_table, reference_validate
 
 
 def parse(text: str, config: IngestConfig | None = None):
@@ -138,6 +140,30 @@ def test_parse_tab_separated():
 def test_parse_ambiguous_header():
     with pytest.raises(AmbiguousSeparator):
         parse("id,citations\tkeywords\np1,7\ta\n")
+
+
+@pytest.mark.parametrize(
+    ("header", "repeated", "config"),
+    [
+        ("id,citations,keywords,keywords", "keywords", IngestConfig()),
+        ("id,id,citations", "id", IngestConfig()),
+        ("id,citations,categories,citations", "citations", IngestConfig()),
+        ("id,citations,country,country", "country", IngestConfig(group_column="country")),
+    ],
+    ids=["keywords", "id", "citations", "group"],
+)
+@pytest.mark.parametrize("fields", [LABEL_FIELDS, ()], ids=["all-fields", "no-fields"])
+def test_repeated_mapped_header_raises(header, repeated, config, fields):
+    data = f"{header}\np1,1,2,3\n".encode()
+    with pytest.raises(MalformedRow) as err:
+        read_table(io.BytesIO(data), config, fields=fields)
+    assert str(err.value) == f"row 1: column {repeated!r} appears more than once in the header"
+
+
+def test_repeated_unmapped_header_is_ignored():
+    table = read_table(io.BytesIO(b"id,citations,notes,notes,keywords\np1,1,x,y,a\n"))
+    assert table.columns.keywords == [("a",)]
+    assert table.unused_columns == ["notes", "notes"]
 
 
 def test_parse_header_only():
@@ -488,3 +514,37 @@ def test_validate_large_category_not_flagged():
     records = [record(f"p{i}", 1, (), ("a",)) for i in range(120)]
     report = validate_records(records)
     assert report.small_sample_categories == []
+
+
+@st.composite
+def validation_records(draw):
+    """Records whose ids repeat at any position, some of them ids of a
+    bulk run in one category; label tuples that may be empty; counts of
+    0, 0.0, -0.0 and non-zero; and categories under and over the small
+    sample threshold."""
+    labels = st.lists(st.sampled_from(["a", "b", "c"]), unique=True, max_size=2).map(tuple)
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["p1", "p2", "p3", "b0", "b99"]),
+                st.sampled_from([0, 0.0, -0.0, 1, 2.5, 1e-300, 1e308]),
+                labels,
+                labels,
+            ),
+            max_size=15,
+        )
+    )
+    n_bulk = draw(st.sampled_from([0, 1, 99, 100, 130]))
+    bulk = [(f"b{i}", i % 3, ("k",) * (i % 2), ("big",)) for i in range(n_bulk)]
+    cut = draw(st.integers(0, len(rows)))
+    return [PublicationRecord(*row) for row in rows[:cut] + bulk + rows[cut:]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(validation_records())
+def test_validate_records_and_columns_equal_record_loop(records):
+    expected = reference_validate(records)
+    for publications in (records, PublicationColumns.from_records(records)):
+        report = validate_records(publications)
+        assert report == expected
+        assert list(report.category_counts) == list(expected.category_counts)

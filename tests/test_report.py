@@ -79,6 +79,32 @@ def test_decimal_breadth_report_bytes_are_pinned(tmp_path, monkeypatch):
     assert digests == GOLDEN_DECIMAL
 
 
+# SHA-256 of `validate` stdout on the 2 000-publication corpus with rows
+# appended that repeat ids (each listed at its second occurrence), leave
+# label cells blank and carry zero counts, recorded before validate moved
+# from a loop over records to passes over the columns.
+GOLDEN_VALIDATE = "c7324ff0f822437c8e2cbfd2a62f5ce1bc8514acd8be6b84acc1ac837660f769"
+
+VALIDATE_ROWS = (
+    "p7,0,,cat3,inst1\n"
+    "p1999,5,kw1,,\n"
+    "p7,2,kw2;KW2,cat1;cat4,\n"
+    "p0,-0,,,\n"
+    "p1999,1.5,kw9,cat29,inst2\n"
+)
+
+
+def test_validate_report_bytes_are_pinned(tmp_path, capsys):
+    path = tmp_path / "corpus.csv"
+    _synthetic_csv(path, 2_000, 4, 400, 30, 50, seed=2026)
+    with path.open("a") as fh:
+        fh.write(VALIDATE_ROWS)
+    assert main(["validate", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: 3 duplicate ids\n"
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == GOLDEN_VALIDATE
+
+
 # --- hand-laid renderers against row-wise references -------------------------
 
 awkward_labels = st.text(
