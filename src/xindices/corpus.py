@@ -3,7 +3,9 @@
 A Corpus is immutable once built. It holds its publications in column form
 (PublicationColumns: parallel ids, citations and label-tuple columns), the
 one form the library keeps them in, and validates them eagerly;
-build_corpus converts records to columns at the edge. Each derived view
+build_corpus converts records to columns at the edge. It rejects
+assignment and del, and compares, hashes, prints and pickles by its
+columns alone, never by its cached views. Each derived view
 (keyword totals, per-category keyword totals, pair totals, category
 totals, per-category citation samples) is built on first read and cached,
 so a command pays only for the views its index reads. Views are pure
@@ -118,12 +120,13 @@ class PublicationColumns(NamedTuple):
         return list(map(PublicationRecord._from_normalised, *self))
 
 
-class Corpus:
+class Corpus(FrozenValue):
     """Immutable collection of publications in column form, checked with
     whole-column passes when built; the label tuples are taken as given.
     Each aggregation view is built on first read and cached."""
 
-    __slots__ = ("columns", "_views")
+    _fields = ("columns",)
+    __slots__ = (*_fields, "_views")
 
     def __init__(self, columns: PublicationColumns):
         if "" in columns.ids:
@@ -132,15 +135,8 @@ class Corpus:
         if len(set(map(len, columns))) > 1:
             raise ValueError("publication columns differ in length")
         _check_publications(columns.ids, columns.citations)
-        object.__setattr__(self, "columns", columns)
+        self._set(columns)
         object.__setattr__(self, "_views", {})
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Corpus is immutable")
-
-    def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through __init__, since fields cannot be set
-        return (Corpus, (self.columns,))
 
     def __len__(self) -> int:
         return len(self.columns.ids)

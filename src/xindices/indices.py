@@ -17,6 +17,7 @@ names the record fields behind those views, so ingest can skip the others.
 
 from __future__ import annotations
 
+import math
 from typing import Collection, Mapping, Sequence
 
 from .corpus import Corpus, Item
@@ -105,7 +106,8 @@ def xdfn_index(
 
     Categories absent from the stats (or with a non-positive mean) raise in
     strict mode; in lenient mode they are left out and named in the
-    result's dropped.
+    result's dropped. A category total beyond the float range raises
+    NonFiniteWeight naming it, after those checks.
     """
     from fractions import Fraction  # imported only by the runs that normalise
 
@@ -122,7 +124,9 @@ def xdfn_index(
                 raise NonPositiveMean(label)
             dropped.append(label)
             continue
-        scored.append((label, Fraction(total) / Fraction(entry.mean)))
+        # an overflowed total goes in as inf, so the kernel names it as xd does
+        weight = Fraction(total) / Fraction(entry.mean) if math.isfinite(total) else math.inf
+        scored.append((label, weight))
     return _noting(kernel_index(scored, ratio_type, "xdfn"), dropped)
 
 

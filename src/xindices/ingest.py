@@ -183,20 +183,6 @@ def read_utf8(stream: IO[bytes]) -> str:
         raise BadEncoding(data.count(b"\n", 0, exc.start) + 1, data[exc.start]) from None
 
 
-def _parse_citations(cell: str, row: int) -> float:
-    text = cell.strip()
-    # float() also reads Python literals such as "1_000", which no CSV writer means
-    if "_" in text:
-        raise BadCitations(row, cell)
-    try:
-        value = float(text)
-    except ValueError:
-        raise BadCitations(row, cell) from None
-    if not value >= 0 or value == float("inf"):  # rejects negatives and NaN
-        raise BadCitations(row, cell)
-    return value
-
-
 class _Layout(NamedTuple):
     """Where the checked cells of a table's rows are."""
 
@@ -216,7 +202,8 @@ def _check_rows(rows: list[list[str]], first_row: int, layout: _Layout) -> None:
             raise MalformedRow(row_no)
         if not cells[layout.id_at].strip():
             raise MalformedRow(row_no, "empty id")
-        _parse_citations(cells[layout.citations_at], row_no)
+        if _citations_column([cells[layout.citations_at]]) is None:
+            raise BadCitations(row_no, cells[layout.citations_at])
 
 
 def _citations_column(cells: Sequence[str]) -> list[float] | None:

@@ -22,7 +22,9 @@ labels, weights and ratios columns, with ranks implicit as 1..n. Ranking
 is two stable C-keyed sorts, ratios and the value come from map/
 accumulate/compress passes, and the table invariants are checked by
 C-level passes, so no RankRow is built on the way to a report. The row
-view (RankRow tuples) is built on first read of RankedTable.rows. Inner
+view (RankRow tuples) is built on each read of RankedTable.rows. Like
+every frozen value of the library, a RankedTable rejects assignment and
+del, and compares, hashes, prints and pickles by its three columns. Inner
 values that no report prints (xo's per-category and nested's per-group
 values) come from h_value, which ranks weights alone and builds no table.
 """
@@ -60,7 +62,7 @@ def _finite(value) -> bool:
         return False
 
 
-class RankedTable:
+class RankedTable(FrozenValue):
     """Rank-ordered columns; ranks run 1..n and weights never increase.
 
     RankedTable(labels, weights, ratios) takes the parallel columns the
@@ -68,7 +70,7 @@ class RankedTable:
     NonFiniteWeight, since no report could print it.
     """
 
-    __slots__ = ("labels", "weights", "ratios", "_rows")
+    __slots__ = _fields = ("labels", "weights", "ratios")
 
     def __init__(self, labels: Sequence[str], weights: Sequence[float], ratios: Sequence[float]):
         labels, weights, ratios = tuple(labels), tuple(weights), tuple(ratios)
@@ -85,41 +87,15 @@ class RankedTable:
             raise NonFiniteWeight(labels[0])
         if ratios and not _finite(top := max(ratios)):
             raise NonFiniteWeight(labels[ratios.index(top)])
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "_rows", None)
+        self._set(labels, weights, ratios)
 
     @property
     def rows(self) -> tuple[RankRow, ...]:
-        if self._rows is None:
-            rows = tuple(map(RankRow, count(1), self.labels, self.weights, self.ratios))
-            object.__setattr__(self, "_rows", rows)
-        return self._rows
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RankedTable is immutable")
+        """The table as RankRow tuples, built from the columns on each read."""
+        return tuple(map(RankRow, count(1), self.labels, self.weights, self.ratios))
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def _columns(self) -> tuple:
-        return (self.labels, self.weights, self.ratios)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RankedTable):
-            return NotImplemented
-        return self._columns() == other._columns()
-
-    def __hash__(self) -> int:
-        return hash(self._columns())
-
-    def __repr__(self) -> str:
-        return f"RankedTable(labels={self.labels!r}, weights={self.weights!r}, ratios={self.ratios!r})"
-
-    def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through __init__, since fields cannot be set
-        return (RankedTable, self._columns())
 
 
 class IndexResult(FrozenValue):

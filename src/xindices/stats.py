@@ -40,10 +40,11 @@ class StatsEntry(FrozenValue):
         self._set(category, mean, variance, n)
 
 
-class ReferenceStats:
-    """Immutable per-category statistics table, keyed by category label."""
+class ReferenceStats(FrozenValue):
+    """Immutable per-category statistics table, keyed by category label;
+    unhashable, since it holds a dict."""
 
-    __slots__ = ("_entries",)
+    __slots__ = _fields = ("_entries",)
 
     def __init__(self, entries: Iterable[StatsEntry]):
         by_category: dict[str, StatsEntry] = {}
@@ -51,15 +52,10 @@ class ReferenceStats:
             if entry.category in by_category:
                 raise ValueError(f"duplicate stats category {entry.category!r}")
             by_category[entry.category] = entry
-        object.__setattr__(
-            self, "_entries", {cat: by_category[cat] for cat in sorted(by_category)}
-        )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ReferenceStats is immutable")
+        self._set({cat: by_category[cat] for cat in sorted(by_category)})
 
     def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through __init__, since fields cannot be set
+        # the constructor takes entries, not the dict the field holds
         return (ReferenceStats, (self.entries(),))
 
     def __len__(self) -> int:
@@ -73,11 +69,6 @@ class ReferenceStats:
 
     def entries(self) -> list[StatsEntry]:
         return list(self._entries.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReferenceStats):
-            return NotImplemented
-        return self._entries == other._entries
 
 
 def _scaled_sums(values: list[float]) -> tuple[int, int, int]:

@@ -6,7 +6,10 @@ in order, between instances of the same class only; a repr naming each
 field; and, for FrozenValue, a hash of the fields and no assignment after
 __init__. A subclass names its fields in _fields and writes its own
 __init__, which takes every field positionally in _fields order; a
-mutable one is unhashable, as a dataclass with eq=True is.
+mutable one is unhashable, as a dataclass with eq=True is. A slot outside
+_fields is a cache: it is left out of equality, hash, repr and pickle,
+and set with object.__setattr__. A class whose constructor does not take
+its fields keeps its own __reduce__.
 """
 
 from __future__ import annotations

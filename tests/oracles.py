@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import sys
 from typing import Sequence
 
@@ -27,6 +28,7 @@ from xindices import (
     normalize_label,
 )
 from xindices.errors import (
+    BadCitations,
     DuplicateId,
     InvalidConfig,
     MalformedRow,
@@ -41,10 +43,25 @@ from xindices.ingest import (
     TableData,
     ValidationReport,
     _detect_separator,
-    _parse_citations,
     read_utf8,
 )
 from xindices.kernel import kernel_index
+
+
+def _parse_citations(cell: str, row: int) -> float:
+    """The citation count in a cell: the stripped text, without "_" (which
+    float() reads in Python literals such as "1_000"), parsed as a float
+    with 0 <= value < inf; anything else raises BadCitations."""
+    text = cell.strip()
+    if "_" in text:
+        raise BadCitations(row, cell)
+    try:
+        value = float(text)
+    except ValueError:
+        raise BadCitations(row, cell) from None
+    if not 0 <= value < math.inf:  # NaN fails every comparison
+        raise BadCitations(row, cell)
+    return value
 
 
 def naive_h_oracle(weights: Sequence[float]) -> int:

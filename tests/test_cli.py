@@ -137,6 +137,25 @@ OVERFLOW_IN_ONE_CATEGORY = (
 )
 
 
+@pytest.mark.parametrize("ratio_type", ["h", "g"])
+@pytest.mark.parametrize("stats_flag", ["--internal-stats", "--ref-stats"])
+def test_xdfn_overflowing_category_total_exits_2(tmp_path, capsys, stats_flag, ratio_type):
+    path = tmp_path / "huge.csv"
+    path.write_text(OVERFLOW_IN_ONE_CATEGORY)
+    argv = ["compute", "--index", "xdfn", "--type", ratio_type, "--input", str(path)]
+    if stats_flag == "--ref-stats":
+        stats = tmp_path / "stats.csv"
+        stats.write_text("category,mean,variance,n\nc,1,1,2\n")
+        argv += [stats_flag, str(stats)]
+    else:
+        argv.append(stats_flag)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "'c'" in err and "not a finite number" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -815,6 +834,9 @@ HEADERS = ["id", "citations", "keywords", "categories", "institutions"]
 # ids repeat when --id-col names the keywords column, so validate reports errors
 FLAG_TABLE = TOY + "p5,0,alpha,A;B,I2;I3\n"
 FLAG_STATS = "category,mean,variance,n\na,4.5,2,2\nb,3,1,1\n"
+# A second valid --input, whose citation total for category a overflows the float range.
+FLAG_OVERFLOW = "overflow.csv"
+FLAG_OVERFLOW_TABLE = "id,citations,keywords,categories,institutions\np1,1.7e308,alpha,A,I1\np2,1.7e308,alpha,A,I2\n"
 
 
 def test_flag_tables_cover_every_file_flag():
@@ -827,6 +849,7 @@ def flag_dir(tmp_path_factory):
     work = tmp_path_factory.mktemp("flags")
     (work / FILE_FLAGS["input"]).write_text(FLAG_TABLE)
     (work / FILE_FLAGS["ref_stats"]).write_text(FLAG_STATS)
+    (work / FLAG_OVERFLOW).write_text(FLAG_OVERFLOW_TABLE)
     (work / "directory").mkdir()
     return work
 
@@ -847,10 +870,13 @@ def plain_value(action):
 
 
 def flag_value(draw, action, work):
-    """For a file flag, a valid file, a missing path or a directory; else a
-    plain value, or a hostile one a draw in eight."""
+    """For a file flag, a valid file (for --input, either valid table), a
+    missing path or a directory; else a plain value, or a hostile one a
+    draw in eight."""
     if action.dest in FILE_FLAGS:
         paths = [work / FILE_FLAGS[action.dest], work / "missing" / "file", work / "directory"]
+        if action.dest == "input":
+            paths.append(work / FLAG_OVERFLOW)
         return str(draw(st.sampled_from(paths)))
     odd = draw(st.integers(0, 7)) == 7
     return draw(st.sampled_from(HOSTILE) if odd else plain_value(action))
@@ -909,7 +935,7 @@ def test_any_flag_draw_ends_in_a_report_or_one_error_line(flag_dir, data):
     # input failures; 2 for computation failures, which need a read input
     assert code in (1, 2)
     input_path = argv[argv.index("--input") + 1] if "--input" in argv else None
-    if input_path != str(flag_dir / FILE_FLAGS["input"]):
+    if input_path not in (str(flag_dir / FILE_FLAGS["input"]), str(flag_dir / FLAG_OVERFLOW)):
         assert code == 1
     if code == 2:
         assert argv[0] in ("compute", "nested", "stats")

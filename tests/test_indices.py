@@ -249,6 +249,33 @@ def test_xdfn_zero_mean_strict_raises():
     assert lenient.table.rows == ()
 
 
+@pytest.mark.parametrize("ratio_type", ["h", "g"])
+@pytest.mark.parametrize("internal", [True, False], ids=["internal", "file"])
+def test_xdfn_overflowing_total_raises_as_xd(ratio_type, internal):
+    # a's total is finite; b's and c's overflow, and both indices name b
+    corpus = build_corpus(
+        [
+            record("p1", 1.7e308, categories=("a", "b", "c")),
+            record("p2", 1.7e308, categories=("b", "c")),
+        ]
+    )
+    stats = estimate_stats(corpus) if internal else unit_stats(corpus, mean=2.0)
+    with pytest.raises(NonFiniteWeight) as xd_err:
+        xd_index(corpus, ratio_type)
+    with pytest.raises(NonFiniteWeight) as err:
+        xdfn_index(corpus, ratio_type, stats)
+    assert err.value.label == xd_err.value.label == "b"
+    # the stats checks still come first: strict names the missing category,
+    # lenient drops it, and the overflowed total then raises
+    partial = ReferenceStats([stats.get("a"), stats.get("c")])
+    with pytest.raises(MissingStats) as missing:
+        xdfn_index(corpus, ratio_type, partial, strict=True)
+    assert missing.value.category == "b"
+    with pytest.raises(NonFiniteWeight) as err:
+        xdfn_index(corpus, ratio_type, partial, strict=False)
+    assert err.value.label == "c"
+
+
 # --- ivw --------------------------------------------------------------------
 
 

@@ -11,10 +11,13 @@ from fractions import Fraction
 import pytest
 
 from xindices import (
+    Corpus,
     IndexResult,
     IngestConfig,
     PublicationColumns,
     PublicationRecord,
+    RankedTable,
+    ReferenceStats,
     StatsEntry,
     ValidationReport,
     XIndicesError,
@@ -189,3 +192,42 @@ def test_table_data_equality_ignores_built_records():
     other = TableData(columns, [()], ["id", "citations"], [], ",")
     assert table.records == [PublicationRecord("p1", 1.0)]
     assert table == other and repr(table) == repr(other)
+
+
+# The library types frozen through FrozenValue beyond the dataclass stand-ins:
+# a builder of equal fresh instances, and every slot (fields and caches).
+FROZEN = {
+    Corpus: (
+        lambda: Corpus(PublicationColumns(("p2", "p1"), (3.0, 1.5), (("k",), ()), (("c",), ("c", "d")), ((), ()))),
+        ("columns", "_views"),
+    ),
+    RankedTable: (lambda: RankedTable(("a", "b"), (2.0, 1.0), (2.0, 0.5)), ("labels", "weights", "ratios")),
+    ReferenceStats: (
+        lambda: ReferenceStats([StatsEntry("d", 1.5, None, 1), StatsEntry("c", 2.25, 1.125, 2)]),
+        ("_entries",),
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=[cls.__name__ for cls in FROZEN])
+def test_library_values_are_frozen_compared_and_copied_by_their_fields(cls):
+    build, slots = FROZEN[cls]
+    value = build()
+    if cls is Corpus:
+        value.items("pairs")  # a built view takes no part in equality or copies
+    assert not {"__setattr__", "__delattr__", "__eq__", "__hash__", "__repr__"} & set(vars(cls))
+    held = [getattr(value, name) for name in slots]
+    for name in slots:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert all(getattr(value, name) is old for name, old in zip(slots, held))
+    assert value == build() and repr(value) == repr(build())
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is cls and clone == value
+        if cls is ReferenceStats:
+            with pytest.raises(TypeError):
+                hash(clone)
+        else:
+            assert hash(clone) == hash(value) == hash(build())
