@@ -257,7 +257,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 "robust for inverse-variance weighting",
                 file=sys.stderr,
             )
-        if entry.mean <= 0:
+        if float(entry.mean) == 0:  # the mean as written
             print(
                 f"warning: category {entry.category} has mean 0 and cannot be "
                 "loaded back as reference stats",

@@ -1,17 +1,16 @@
 """Publication data model and the aggregation views every index is built on.
 
-A Corpus is immutable once built. It holds its publications in column form
+A Corpus is a frozen value of one field, its publications in column form
 (PublicationColumns: parallel ids, citations and label-tuple columns), the
-one form the library keeps them in, and validates them eagerly;
-build_corpus converts records to columns at the edge. It rejects
-assignment and del, and compares, hashes, prints and pickles by its
-columns alone, never by its cached views. Each derived view
+one form the library keeps them in, validated eagerly; build_corpus
+converts records to columns at the edge. It rejects assignment and del,
+and compares, hashes, prints and pickles by its columns. Each derived view
 (keyword totals, per-category keyword totals, pair totals, category
-totals, per-category citation samples) is built on first read and cached,
-so a command pays only for the views its index reads. Views are pure
-functions of the publication multiset: contributions are accumulated over
-the columns permuted into id order, so permuting the input, or reading the
-views in another order, yields bitwise-identical views and index values.
+totals, per-category citation samples) is a pure function of the columns,
+built each time it is read and kept nowhere, so a command pays only for
+the views its index reads. Contributions are accumulated over the columns
+permuted into id order, so permuting the input, or reading the views in
+another order, yields bitwise-identical views and index values.
 """
 
 from __future__ import annotations
@@ -91,9 +90,6 @@ class PublicationRecord(FrozenValue):
 #: large views cost it nothing.
 Item = tuple[str, float]
 
-#: The views Corpus.items() serves, each sorted by label.
-ITEM_VIEWS = ("keywords", "pairs", "categories", "categories_fractional")
-
 #: The record fields Corpus.items_by_group() totals per group.
 GROUP_VIEWS = ("keywords", "categories")
 
@@ -123,10 +119,9 @@ class PublicationColumns(NamedTuple):
 class Corpus(FrozenValue):
     """Immutable collection of publications in column form, checked with
     whole-column passes when built; the label tuples are taken as given.
-    Each aggregation view is built on first read and cached."""
+    Each aggregation view is built from the columns when it is read."""
 
-    _fields = ("columns",)
-    __slots__ = (*_fields, "_views")
+    __slots__ = _fields = ("columns",)
 
     def __init__(self, columns: PublicationColumns):
         if "" in columns.ids:
@@ -136,16 +131,9 @@ class Corpus(FrozenValue):
             raise ValueError("publication columns differ in length")
         _check_publications(columns.ids, columns.citations)
         self._set(columns)
-        object.__setattr__(self, "_views", {})
 
     def __len__(self) -> int:
         return len(self.columns.ids)
-
-    def _view(self, name: str):
-        view = self._views.get(name)
-        if view is None:
-            view = self._views[name] = _BUILDERS[name](self)
-        return view
 
     def items(self, view: str) -> tuple[Item, ...]:
         """One of ITEM_VIEWS as plain (label, weight) tuples sorted by label:
@@ -163,12 +151,12 @@ class Corpus(FrozenValue):
         """
         if view not in ITEM_VIEWS:
             raise ValueError(f"unknown view {view!r}")
-        return self._view(view)
+        return ITEM_VIEWS[view](self.columns)
 
     def keyword_items_by_category(self) -> dict[str, Collection[Item]]:
         """Per category, the (keyword, in-category total) items of its
         publications: the pair view before its labels are joined."""
-        return {cat: in_cat.items() for cat, in_cat in self._view("keywords_by_category").items()}
+        return {cat: in_cat.items() for cat, in_cat in _keywords_by_category(self.columns).items()}
 
     def items_by_group(
         self,
@@ -188,16 +176,16 @@ class Corpus(FrozenValue):
         """
         if view not in GROUP_VIEWS:
             raise ValueError(f"unknown group view {view!r}")
-        groups = _group_labels(self.columns.ids, group_values, strict)
-        by_id = self._view("by_id")
-        in_id_order = map(groups.__getitem__, by_id.order)
-        by_group = _grouped_totals(by_id["citations"], by_id[view], in_id_order)
+        columns = self.columns
+        groups = _group_labels(columns.ids, group_values, strict)
+        by_group = _grouped_totals(*_in_id_order(columns, getattr(columns, view), groups))
         return {group: totals.items() for group, totals in by_group.items()}
 
     def category_samples(self) -> dict[str, list[float]]:
         """Per category, the multiset of whole citation counts of the
-        publications tagged with it (input to the field-stats estimators)."""
-        return {cat: list(vals) for cat, vals in self._view("samples").items()}
+        publications tagged with it, in id order (input to the field-stats
+        estimators)."""
+        return _samples(self.columns)
 
 
 def _in_float_range(citations: Sequence[float]) -> bool:
@@ -230,40 +218,33 @@ def _check_publications(ids: Sequence[str], citations: Sequence[float]) -> None:
             raise NonFiniteCitations(rec_id)
 
 
-# View builders. Each accumulates over the columns permuted into id order,
-# so every float sum is independent of input order and of which views were
-# read before it.
+# View builders: pure functions of the columns. Each accumulates over the
+# columns permuted into id order, so every float sum is independent of
+# input order.
 
 
-class _ByIdColumns(dict):
-    """Field name -> that column of the corpus in id order, permuted on
-    first read; citations are converted to float. order is the argsort of
-    the ids (unique, so the order is canonical)."""
-
-    def __init__(self, columns: PublicationColumns):
-        super().__init__()
-        self.columns = columns
-        self.order = sorted(range(len(columns.ids)), key=columns.ids.__getitem__)
-
-    def __missing__(self, field: str) -> list:
-        column = list(map(getattr(self.columns, field).__getitem__, self.order))
-        if field == "citations":
-            column = list(map(float, column))
-        self[field] = column
-        return column
+def _in_id_order(columns: PublicationColumns, *parallel: Sequence) -> list[list]:
+    """The citations as floats, then each column parallel to them, permuted
+    into id order: by the argsort of the ids, which are unique, so the
+    order is canonical."""
+    order = sorted(range(len(columns.ids)), key=columns.ids.__getitem__)
+    citations = list(map(float, map(columns.citations.__getitem__, order)))
+    return [citations, *(list(map(column.__getitem__, order)) for column in parallel)]
 
 
-def _totals(corpus: Corpus, field: str, fractional: bool = False) -> tuple[Item, ...]:
+def _totals(columns: PublicationColumns, field: str, fractional: bool = False) -> tuple[Item, ...]:
     """Citations summed per label of the record field; with fractional,
     each record's citations are divided by its number of institutions."""
-    by_id = corpus._view("by_id")
-    citations = by_id["citations"]
     if fractional:
-        divisors = map(max, map(len, by_id["institutions"]), repeat(1))
-        citations = map(truediv, citations, divisors)
+        citations, labels_column, institutions = _in_id_order(
+            columns, getattr(columns, field), columns.institutions
+        )
+        citations = map(truediv, citations, map(max, map(len, institutions), repeat(1)))
+    else:
+        citations, labels_column = _in_id_order(columns, getattr(columns, field))
     totals: dict[str, float] = {}
     get = totals.get
-    for cits, labels in zip(citations, by_id[field]):
+    for cits, labels in zip(citations, labels_column):
         for label in labels:
             totals[label] = get(label, 0.0) + cits
     return tuple(sorted(totals.items()))
@@ -288,43 +269,40 @@ def _grouped_totals(
     return by_group
 
 
-def _keywords_by_category(corpus: Corpus) -> dict[str, dict[str, float]]:
-    by_id = corpus._view("by_id")
-    return _grouped_totals(by_id["citations"], by_id["keywords"], by_id["categories"])
+def _keywords_by_category(columns: PublicationColumns) -> dict[str, dict[str, float]]:
+    return _grouped_totals(*_in_id_order(columns, columns.keywords, columns.categories))
 
 
-def _pairs(corpus: Corpus) -> tuple[Item, ...]:
+def _pairs(columns: PublicationColumns) -> tuple[Item, ...]:
     # Keyed by category, then keyword, so "a@b" in "c" and "a" in "b@c"
     # stay two items, both labelled "a@b@c", in accumulation order.
-    by_category = corpus._view("keywords_by_category")
+    by_category = _keywords_by_category(columns)
     labels = [f"{kw}{PAIR_SEPARATOR}{cat}" for cat, in_cat in by_category.items() for kw in in_cat]
     totals = [total for in_cat in by_category.values() for total in in_cat.values()]
     return tuple(sorted(zip(labels, totals), key=itemgetter(0)))
 
 
-def _samples(corpus: Corpus) -> dict[str, tuple[float, ...]]:
-    by_id = corpus._view("by_id")
+def _samples(columns: PublicationColumns) -> dict[str, list[float]]:
     samples: dict[str, list[float]] = {}
-    for cits, categories in zip(by_id["citations"], by_id["categories"]):
+    for cits, categories in zip(*_in_id_order(columns, columns.categories)):
         for cat in categories:
             samples.setdefault(cat, []).append(cits)
-    return {cat: tuple(samples[cat]) for cat in sorted(samples)}
+    return {cat: samples[cat] for cat in sorted(samples)}
 
 
-_BUILDERS = {
-    "by_id": lambda corpus: _ByIdColumns(corpus.columns),
+#: The views Corpus.items() serves, each sorted by label: name -> the
+#: builder of that view from a corpus's columns.
+ITEM_VIEWS = {
     "keywords": partial(_totals, field="keywords"),
-    "keywords_by_category": _keywords_by_category,
     "pairs": _pairs,
     "categories": partial(_totals, field="categories"),
     "categories_fractional": partial(_totals, field="categories", fractional=True),
-    "samples": _samples,
 }
 
 
 def build_corpus(publications: Iterable[PublicationRecord] | PublicationColumns) -> Corpus:
     """Validate publication columns, or records converted to columns, into
-    a Corpus whose views are built on first read.
+    a Corpus.
 
     Raises DuplicateId if two publications share an id, NegativeCitations if
     any citation count is below zero, NonFiniteCitations if one is NaN,

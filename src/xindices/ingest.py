@@ -265,8 +265,8 @@ def read_table(
     if not fields <= set(LABEL_FIELDS):
         raise ValueError(f"unknown record fields: {sorted(fields - set(LABEL_FIELDS))}")
     text = read_utf8(stream)
-    header_line = text.split("\n", 1)[0]
-    separator = _detect_separator(header_line)
+    header_end = text.find("\n")
+    separator = _detect_separator(text if header_end < 0 else text[:header_end])
     if config.cell_delimiter == separator:
         raise InvalidConfig("cell delimiter equals the field separator")
 

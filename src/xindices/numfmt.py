@@ -1,8 +1,9 @@
 """Canonical, locale-independent number rendering for all emitted files.
 
-Integral values print without a decimal point; everything else uses Python's
-shortest round-trip repr (at most 17 significant digits, trailing zeros
-already trimmed, "." as the decimal separator regardless of locale).
+A value whose float is integral prints without a decimal point; everything
+else uses Python's shortest round-trip repr (at most 17 significant digits,
+trailing zeros already trimmed, "." as the decimal separator regardless of
+locale).
 format_number is the rule for one value; format_column applies it to a
 column block, and is what every report format prints numbers with. For
 each value, format_number(value) == repr(canonical_json_value(value)), so
@@ -17,13 +18,16 @@ from typing import Sequence
 
 
 def format_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(float(value))
+    return repr(canonical_json_value(value))
 
 
 def canonical_json_value(value: float) -> float | int:
-    """Collapse integral floats to ints so JSON output carries no ".0"."""
+    """Collapse integral floats to ints so JSON output carries no ".0".
+
+    Any value but an int is rounded to float first, so an exact Fraction a
+    hair from an integer prints as that integer, as its float would."""
+    if not isinstance(value, int):
+        value = float(value)
     if value == int(value) and abs(value) < 1e16:
         return int(value)
     return float(value)

@@ -320,6 +320,22 @@ def test_stats_empty_input(tmp_path, capsys):
     assert out_path.read_text() == "category,mean,variance,n\n"
 
 
+def test_stats_warns_when_the_written_mean_is_0(tmp_path, capsys):
+    # the exact mean, 2.5e-324, rounds to the float 0
+    path = tmp_path / "in.csv"
+    path.write_text("id,citations,keywords,categories\np1,5e-324,a,c\np2,0,b,c\n")
+    out_path = tmp_path / "stats.csv"
+    code, _, err = run(capsys, "stats", "--input", str(path), "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_text() == "category,mean,variance,n\nc,0,0,2\n"
+    assert "category c has mean 0 and cannot be loaded back" in err
+    code, _, err = run(
+        capsys, "compute", "--index", "xdfn", "--ref-stats", str(out_path), "--input", str(path)
+    )
+    assert code == 2
+    assert err == "error: category 'c' has a non-positive mean citation count\n"
+
+
 def test_validate_clean_file(toy_csv, capsys):
     code, out, _ = run(capsys, "validate", "--input", toy_csv)
     assert code == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,8 @@ from xindices import (
     xdfn_index,
     xo_index,
 )
+import xindices.corpus as corpus_module
+from xindices.cli import main
 from xindices.corpus import GROUP_VIEWS, ITEM_VIEWS
 
 from conftest import random_records, record
@@ -361,37 +364,62 @@ def test_views_independent_of_first_read_order(seed):
     rng.shuffle(names)
     corpus = build_corpus(records)
     assert {name: READERS[name](corpus) for name in names} == expected
-    # a second read serves the cached view
     assert {name: READERS[name](corpus) for name in names} == expected
 
 
-def test_views_are_built_on_first_read():
-    corpus = build_corpus(
-        [
-            record("p1", 3, ("k1", "k2"), ("c1", "c2"), ("i1",)),
-            record("p2", 4, ("k2",), ("c2",), ("i1", "i2")),
-        ]
-    )
-    assert corpus._views == {}
-    corpus.items("keywords")
-    corpus.items("categories")
-    corpus.items("categories_fractional")
-    corpus.category_samples()
-    x_index(corpus)
-    xd_index(corpus)
-    xdf_index(corpus)
-    assert "pairs" not in corpus._views
-    assert "keywords_by_category" not in corpus._views
-    corpus.items("pairs")
-    assert "pairs" in corpus._views
+TRAFFIC_TABLE = (
+    "id,citations,keywords,categories,institutions\n"
+    'p3,9.5,"k1; k2","A; B",I1\n'
+    "p1,4,k2,B,\"I1; I2\"\n"
+    "p2,2.25,k3,C,\n"
+)
+TRAFFIC_STATS = "category,mean,variance,n\na,9.5,1,1\nb,6.75,2,2\nc,2.25,1,1\n"
 
 
-def test_partition_builds_no_views():
-    records = [record("p1", 1, ("k",), ("c",)), record("p2", 2, ("k",), ("c",))]
-    groups = partition_by_group(records, [("i1",), ("i1", "i2")])
-    assert all(group._views == {} for group in groups.values())
-    x_index(groups["i1"])
-    assert set(groups["i1"]._views) == {"by_id", "keywords"}
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (("compute", "--index", "x"), {"keywords"}),
+        (("compute", "--index", "xc"), {"pairs", "keywords_by_category", "grouped_totals"}),
+        (("compute", "--index", "xd"), {"categories"}),
+        (("compute", "--index", "xdf"), {"categories_fractional"}),
+        (("compute", "--index", "xo"), {"keywords_by_category", "grouped_totals"}),
+        (("compute", "--index", "xdfn", "--internal-stats"), {"samples", "categories"}),
+        (("compute", "--index", "xdfn", "--ref-stats", "STATS"), {"categories"}),
+        (("compute", "--index", "ivw", "--internal-stats", "--variance-floor", "0.5"), {"samples", "categories"}),
+        (("compute", "--index", "ivw", "--ref-stats", "STATS"), {"categories"}),
+        (("stats",), {"samples"}),
+        (("nested", "--group-col", "institutions", "--inner", "x"), {"grouped_totals"}),
+        (("nested", "--group-col", "institutions", "--inner", "xd"), {"grouped_totals"}),
+        (("validate",), set()),
+    ],
+    ids=lambda value: "-".join(value) if isinstance(value, tuple) else None,
+)
+def test_each_command_builds_the_views_its_index_reads_once(tmp_path, capsys, monkeypatch, argv, built):
+    # Views are rebuilt on every read, so a command that read a view twice,
+    # or read one its index does not rank, would pay for it here.
+    calls = Counter()
+
+    def counting(name, build):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+
+        return counted
+
+    for name, build in list(ITEM_VIEWS.items()):
+        monkeypatch.setitem(ITEM_VIEWS, name, counting(name, build))
+    for name in ("keywords_by_category", "grouped_totals", "samples", "in_id_order"):
+        monkeypatch.setattr(corpus_module, f"_{name}", counting(name, getattr(corpus_module, f"_{name}")))
+    (tmp_path / "in.csv").write_text(TRAFFIC_TABLE)
+    (tmp_path / "stats.csv").write_text(TRAFFIC_STATS)
+    argv = [str(tmp_path / "stats.csv") if arg == "STATS" else arg for arg in argv]
+    out = () if argv[0] == "validate" else ("--out", str(tmp_path / "out"))
+    code = main([*argv, "--input", str(tmp_path / "in.csv"), *out])
+    assert code == 0, capsys.readouterr().err
+    # each of these sums over one pass of the columns in id order
+    passes = built & {"keywords", "categories", "categories_fractional", "samples", "grouped_totals"}
+    assert calls == Counter(dict.fromkeys(built, 1), in_id_order=len(passes))
 
 
 def test_item_views_hold_plain_tuples():

@@ -32,6 +32,12 @@ numbers = st.one_of(
     st.integers(min_value=-(10**20), max_value=10**20),
     st.sampled_from([2**53 - 1, 2**53 + 1, 10**16 - 1, 10**16, 10**16 + 1]),
     st.fractions(max_denominator=10**6),
+    # a float sum held exactly: within 1e-20 of an integer, printed as one
+    st.builds(
+        lambda whole, hair: whole + Fraction(hair, 10**26),
+        st.integers(min_value=-(10**17), max_value=10**17),
+        st.integers(min_value=-(10**6), max_value=10**6),
+    ),
 )
 
 
@@ -48,6 +54,7 @@ def _blocks(values, cuts):
 def test_format_column_is_format_number_per_value(values, cuts):
     expected = list(map(format_number, values))
     assert expected == [repr(canonical_json_value(v)) for v in values]
+    assert not [text for text in expected if text.endswith(".0")]
     texts = [text for block in _blocks(values, cuts) for text in format_column(block)]
     assert texts == expected
 
@@ -83,6 +90,8 @@ def test_non_finite_values_raise_as_format_number_does(values, inserts):
         ([-0.0, 0.0, 2.0], ["0", "0", "2"]),
         ([1e16, 123.0], ["1e+16", "123"]),
         ([Fraction(1, 3), 10**16], ["0.3333333333333333", "1e+16"]),
+        ([Fraction(283) + Fraction(1, 10**20), Fraction(-7) - Fraction(1, 10**20)], ["283", "-7"]),
+        ([Fraction(2**52) + Fraction(1, 4), Fraction(5, 2)], ["4503599627370496", "2.5"]),
         ([], []),
     ],
 )
