@@ -3,13 +3,14 @@
 Every command raises its failures, and main maps each to an exit code by
 type: 2 for a computation failure (a ComputeError: missing stats, a
 non-positive reference mean, unusable variance, unsupported rank basis,
-citation totals or variances beyond the float range), 1 for every other
-XIndicesError or OSError (ingest or validation failure, a bad flag value,
-an unreadable input, an unwritable --out or a failed write of the report)
-and for a usage error (an unknown flag, a bad choice, a missing or
-unparsable value). 0 is success. Error messages go to stderr, one "error:"
-line each; reports go to stdout or --out, written in blocks of rows as
-they are formatted. Flag values are checked before the input is read.
+citation totals, variances, or totals over a reference mean or variance
+beyond the float range), 1 for every other XIndicesError or OSError
+(ingest or validation failure, a bad flag value, an unreadable input, an
+unwritable --out or a failed write of the report) and for a usage error
+(an unknown flag, a bad choice, a missing or unparsable value). 0 is
+success. Error messages go to stderr, one "error:" line each; reports go
+to stdout or --out, written in blocks of rows as they are formatted. Flag
+values are checked before the input is read.
 """
 
 from __future__ import annotations

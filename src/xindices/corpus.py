@@ -19,7 +19,7 @@ import math
 import sys
 from functools import partial
 from itertools import repeat
-from operator import attrgetter, itemgetter, truediv
+from operator import attrgetter, truediv
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateId, MissingGroupLabel, NegativeCitations, NonFiniteCitations
@@ -136,16 +136,16 @@ class Corpus(FrozenValue):
         return len(self.columns.ids)
 
     def items(self, view: str) -> tuple[Item, ...]:
-        """One of ITEM_VIEWS as plain (label, weight) tuples sorted by label:
-        the kernel input the index functions read.
+        """One of ITEM_VIEWS as plain (label, weight) tuples, unsorted: the
+        kernel input, in first-seen order over the publications in id order.
 
         "keywords": per keyword, the citations of all publications listing
         it (a publication's full count goes to each of its keywords).
         "pairs": per (keyword, category) pair, labelled "keyword@category",
-        the full citations of every publication carrying both; pairs whose
-        labels coincide (a keyword or category containing "@") remain
-        separate items. "categories": per category, whole citation counts.
-        "categories_fractional": per category, each publication's
+        grouped by category, the full citations of every publication
+        carrying both; pairs whose labels coincide (an "@" in a label)
+        remain separate items. "categories": per category, whole citation
+        counts. "categories_fractional": per category, each publication's
         citations divided by its number of institutions (1 when it has
         none). Any other view raises ValueError.
         """
@@ -165,8 +165,8 @@ class Corpus(FrozenValue):
         strict: bool = False,
     ) -> dict[str, Collection[Item]]:
         """Per group label, the (label, total) items of the "keywords" or
-        "categories" view over the publications in that group, unsorted:
-        bitwise the items(view) of a Corpus of the group's publications,
+        "categories" view over the publications in that group: bitwise and
+        in order the items(view) of a Corpus of the group's publications,
         from one pass over this corpus and without building a Corpus per
         group.
 
@@ -247,7 +247,7 @@ def _totals(columns: PublicationColumns, field: str, fractional: bool = False) -
     for cits, labels in zip(citations, labels_column):
         for label in labels:
             totals[label] = get(label, 0.0) + cits
-    return tuple(sorted(totals.items()))
+    return tuple(totals.items())
 
 
 def _grouped_totals(
@@ -274,12 +274,12 @@ def _keywords_by_category(columns: PublicationColumns) -> dict[str, dict[str, fl
 
 
 def _pairs(columns: PublicationColumns) -> tuple[Item, ...]:
-    # Keyed by category, then keyword, so "a@b" in "c" and "a" in "b@c"
-    # stay two items, both labelled "a@b@c", in accumulation order.
+    # Keyed by category, then keyword: "a@b" in "c" and "a" in "b@c" stay two
+    # items labelled "a@b@c", which the kernel's stable sort keeps in order.
     by_category = _keywords_by_category(columns)
     labels = [f"{kw}{PAIR_SEPARATOR}{cat}" for cat, in_cat in by_category.items() for kw in in_cat]
     totals = [total for in_cat in by_category.values() for total in in_cat.values()]
-    return tuple(sorted(zip(labels, totals), key=itemgetter(0)))
+    return tuple(zip(labels, totals))
 
 
 def _samples(columns: PublicationColumns) -> dict[str, list[float]]:
@@ -287,11 +287,11 @@ def _samples(columns: PublicationColumns) -> dict[str, list[float]]:
     for cits, categories in zip(*_in_id_order(columns, columns.categories)):
         for cat in categories:
             samples.setdefault(cat, []).append(cits)
+    # label order decides which category an overflowed variance names
     return {cat: samples[cat] for cat in sorted(samples)}
 
 
-#: The views Corpus.items() serves, each sorted by label: name -> the
-#: builder of that view from a corpus's columns.
+#: The views Corpus.items() serves: name -> its builder from the columns.
 ITEM_VIEWS = {
     "keywords": partial(_totals, field="keywords"),
     "pairs": _pairs,

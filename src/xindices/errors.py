@@ -126,11 +126,14 @@ class ZeroOrMissingVariance(ComputeError):
 
 
 class NonFiniteWeight(ComputeError):
-    def __init__(self, label: str):
+    """A ranked weight or ratio is beyond the float range. cause names what
+    left it: the citation totals, or a finite total over a tiny divisor."""
+
+    def __init__(self, label: str, cause: str = "citation totals overflow"):
         self.label = label
         super().__init__(
             f"ranked weight or ratio of {label!r} is not a finite number "
-            "(citation totals overflow the float range)"
+            f"({cause} the float range)"
         )
 
 

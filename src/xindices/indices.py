@@ -8,21 +8,23 @@ categories by their own nested keyword-level x-indices; group_index ranks
 the groups of one corpus (typically institutions) by their inner x or xd
 values.
 
-Inner values for xo and group_index are always h-type; the ratio_type
-argument selects the outer kernel only, and the inner values are computed
-by the kernel's h_value, without a ranked table. Each function reads only
-the corpus views it ranks, as plain (label, weight) tuples, and INDEX_FIELDS
-names the record fields behind those views, so ingest can skip the others.
+Inner values for xo and group_index are always h-type, from the kernel's
+h_value without a ranked table; ratio_type selects the outer kernel only.
+Each function reads only the views it ranks, as unsorted (label, weight)
+tuples the kernel orders; xdfn and ivw walk categories in label order.
+INDEX_FIELDS names the fields behind the views, for ingest to skip others.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Collection, Mapping, Sequence
+from contextlib import contextmanager
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .corpus import Corpus, Item
 from .errors import (
     MissingStats,
+    NonFiniteWeight,
     NonPositiveMean,
     RankBasisUnsupported,
     ZeroOrMissingVariance,
@@ -76,6 +78,18 @@ def xdf_index(corpus: Corpus, ratio_type: str = "h") -> IndexResult:
     return kernel_index(corpus.items("categories_fractional"), ratio_type, "xdf")
 
 
+@contextmanager
+def _divided_by(divisor: str, totals: Iterable[Item]):
+    """Name the cause of a NonFiniteWeight raised in the block for a label
+    whose citation total is finite: that total over its divisor."""
+    try:
+        yield
+    except NonFiniteWeight as exc:
+        if math.isfinite(dict(totals)[exc.label]):
+            raise NonFiniteWeight(exc.label, f"citation total over {divisor} overflows") from None
+        raise
+
+
 def _lookup(
     stats: ReferenceStats,
     category: str,
@@ -106,8 +120,9 @@ def xdfn_index(
 
     Categories absent from the stats (or with a non-positive mean) raise in
     strict mode; in lenient mode they are left out and named in the
-    result's dropped. A category total beyond the float range raises
-    NonFiniteWeight naming it, after those checks.
+    result's dropped. After those checks, a category total, or a total
+    over its mean, beyond the float range raises NonFiniteWeight naming the
+    category and which of the two overflowed.
     """
     from fractions import Fraction  # imported only by the runs that normalise
 
@@ -115,7 +130,8 @@ def xdfn_index(
         raise MissingStats()
     dropped: list[str] = []
     scored = []
-    for label, total in corpus.items("categories"):
+    totals = sorted(corpus.items("categories"))
+    for label, total in totals:
         entry = _lookup(stats, label, strict, dropped)
         if entry is None:
             continue
@@ -127,7 +143,8 @@ def xdfn_index(
         # an overflowed total goes in as inf, so the kernel names it as xd does
         weight = Fraction(total) / Fraction(entry.mean) if math.isfinite(total) else math.inf
         scored.append((label, weight))
-    return _noting(kernel_index(scored, ratio_type, "xdfn"), dropped)
+    with _divided_by("reference mean", totals):
+        return _noting(kernel_index(scored, ratio_type, "xdfn"), dropped)
 
 
 def _variance_for(
@@ -172,7 +189,9 @@ def ivw_xd_index(
     Zero or undefined variances raise unless variance_floor substitutes
     max(variance, floor); the categories whose variance it raises are
     named in the result's floored. In lenient mode, categories the stats
-    lack are left out and named in its dropped.
+    lack are left out and named in its dropped. A category total, or a
+    total over its variance, beyond the float range raises NonFiniteWeight
+    naming the category and which of the two overflowed.
     """
     if stats is None:
         raise MissingStats()
@@ -186,29 +205,33 @@ def ivw_xd_index(
     dropped: list[str] = []
     floored: list[str] = []
     kept = []
-    for label, total in corpus.items("categories"):
+    for label, total in sorted(corpus.items("categories")):
         entry = _lookup(stats, label, strict, dropped)
         if entry is None:
             continue
         kept.append((label, total, _variance_for(entry, label, variance_floor, floored)))
 
+    totals = [(label, total) for label, total, _ in kept]
     if rank_basis == "weighted":
         scored = [(label, total / v) for label, total, v in kept]
-        return _noting(kernel_index(scored, ratio_type, "ivw"), dropped, floored)
+        with _divided_by("variance", totals):
+            return _noting(kernel_index(scored, ratio_type, "ivw"), dropped, floored)
 
     variance_of = {label: v for label, _, v in kept}
-    ranked = rank_items([(label, total) for label, total, _ in kept])
+    ranked = rank_items(totals)
     labels = [label for label, _ in ranked]
     weights = [w for _, w in ranked]
     ratios = [w / (variance_of[label] * r) for r, (label, w) in enumerate(ranked, start=1)]
-    result = first_crossing_index(RankedTable(labels, weights, ratios), "ivw")
-    return _noting(result, dropped, floored)
+    with _divided_by("variance", totals):
+        table = RankedTable(labels, weights, ratios)
+    return _noting(first_crossing_index(table, "ivw"), dropped, floored)
 
 
 def _rank_inner(
     items_by_label: Mapping[str, Collection[Item]], ratio_type: str, kind: str
 ) -> IndexResult:
     """The outer kernel over each label's inner h-type value."""
+    # label order decides which group or category an overflow error names
     scored = [(label, float(h_value(items_by_label[label]))) for label in sorted(items_by_label)]
     return kernel_index(scored, ratio_type, kind)
 

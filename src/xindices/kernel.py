@@ -1,8 +1,9 @@
 """Generic rank-ratio engine behind every index in the family.
 
-Items are plain (label, weight) tuples, read through itemgetter. They are
-ranked by weight descending (ties broken by label ascending, byte order),
-then a threshold rule over a per-rank ratio yields the index value:
+Items are plain (label, weight) tuples in any order, read through
+itemgetter. They are ranked by weight descending (ties broken by label
+ascending, byte order), then a threshold rule over a per-rank ratio yields
+the index value:
 
 * h-type: ratio at rank r is weight/r; the value is the largest rank whose
   ratio is still >= 1, or 0 when no rank qualifies.
@@ -129,12 +130,14 @@ class IndexResult(FrozenValue):
 
 
 def rank_items(items: Iterable[Item]) -> list[Item]:
-    """Sort descending by weight, ties by label ascending.
+    """Items given in any order, sorted descending by weight, ties by
+    label ascending: the one label sort on the way to a ranked table.
 
     Two stable sorts keyed in C: by label, then by weight reversed (a
-    reversed stable sort keeps equal keys in their prior order). The
-    tie-break makes table output byte-reproducible; it cannot affect the
-    index value, which depends on the weight multiset alone.
+    reversed stable sort keeps equal keys in their prior order, so items
+    sharing a label and weight stay in the order given). The tie-break
+    makes table output byte-reproducible; it cannot affect the index
+    value, which depends on the weight multiset alone.
     """
     ranked = sorted(items, key=itemgetter(0))
     ranked.sort(key=itemgetter(1), reverse=True)

@@ -238,6 +238,25 @@ def test_xdfn_missing_category_strict_vs_lenient(toy_csv, tmp_path, capsys):
     assert report["warnings"]
 
 
+def test_categories_named_in_label_order_not_first_seen_order(tmp_path, capsys):
+    # Seen first zeta, then alpha, then mid; only mid has reference stats.
+    table = tmp_path / "in.csv"
+    table.write_text("id,citations,keywords,categories\np1,3,k,zeta\np2,2,k,alpha\np3,4,k,mid\n")
+    stats = tmp_path / "ref.csv"
+    stats.write_text("category,mean,variance,n\nmid,1,0,3\n")
+    args = ("--input", str(table), "--ref-stats", str(stats))
+    code, out, _ = run(
+        capsys, "compute", "--index", "ivw", *args, "--lenient-stats", "--variance-floor", "0.5"
+    )
+    assert code == 0
+    assert json.loads(out)["warnings"] == [
+        "variance floor 0.5 substituted for category mid",
+        "dropped 2 categories without reference variances: alpha, zeta",
+    ]
+    code, out, err = run(capsys, "compute", "--index", "xdfn", *args)
+    assert (code, out, err) == (2, "", "error: no reference statistics for category 'alpha'\n")
+
+
 def test_malformed_ref_stats_file_exit_1(toy_csv, tmp_path, capsys):
     stats = tmp_path / "ref.csv"
     stats.write_text("category,mean,variance,n\na,not-a-number,1,10\n")
@@ -419,6 +438,10 @@ def test_identical_runs_are_byte_identical(toy_csv, tmp_path, capsys):
 
 NON_UTF8 = b"id,citations,keywords\np1,3,caf\xe9\n"
 DIGIT_SEPARATOR = b"id,citations,keywords,institutions\np1,1_000,a,I1\n"
+# Small totals (5 for c) whose quotient by a tiny mean or variance overflows,
+# and totals that overflow before any division.
+TINY_DIVISOR_TABLE = b"id,citations,keywords,categories\np1,3,a,c\np2,2,b,c\n"
+OVERFLOW_IN_C = b"id,citations,keywords,categories\np1,1.7e308,a,c\np2,1.7e308,b,c\n"
 SPREAD_OVERFLOW = b"id,citations,categories\np1,0,C\np2,1e308,C\np3,1e308,C\n"
 LONG_CELL = b"id,citations,keywords\np1,1," + b"k" * 140_000 + b"\n"
 DUPLICATE_ACROSS_GROUPS = b"id,citations,keywords,institutions\np1,1,a,I1\np1,2,b,I2\n"
@@ -452,6 +475,28 @@ NON_FINITE = "not a finite number"
         pytest.param(
             ("stats",), SPREAD_OVERFLOW, None, 2, "variance of category 'c' is " + NON_FINITE,
             id="spread-overflow-stats",
+        ),
+        *(
+            pytest.param(
+                ("compute", "--index", index, *flags), TINY_DIVISOR_TABLE, stats, 2,
+                f"of 'c' is not a finite number (citation total over {divisor} overflows the float range)",
+                id=f"tiny-{divisor.split()[-1]}-{' '.join((index, *flags))}",
+            )
+            for index, flags, stats, divisor in [
+                ("xdfn", (), "c,1e-320,1,2", "reference mean"),
+                ("xdfn", ("--type", "g"), "c,1e-320,1,2", "reference mean"),
+                ("ivw", (), "c,1,1e-320,2", "variance"),
+                ("ivw", ("--rank-basis", "weighted"), "c,1,1e-320,2", "variance"),
+                ("ivw", ("--rank-basis", "weighted", "--type", "g"), "c,1,1e-320,2", "variance"),
+            ]
+        ),
+        *(
+            pytest.param(
+                ("compute", "--index", index, *flags), OVERFLOW_IN_C, "c,1,1e-320,2", 2,
+                "of 'c' is not a finite number (citation totals overflow the float range)",
+                id=f"overflowed-total-{' '.join((index, *flags))}",
+            )
+            for index, flags in [("xdfn", ()), ("ivw", ()), ("ivw", ("--rank-basis", "weighted"))]
         ),
         pytest.param(
             ("compute", "--index", "ivw", "--internal-stats"), SPREAD_OVERFLOW, None, 2,

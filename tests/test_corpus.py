@@ -6,6 +6,7 @@ import copy
 import pickle
 import random
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,7 +254,7 @@ def test_items_by_group_equals_views_of_partition(seed, view, strict):
     by_group = outcome(lambda: build_corpus(records).items_by_group(group_values, view, strict))
     partition = outcome(lambda: partition_by_group(records, group_values, strict))
     if isinstance(partition, dict):
-        by_group = {group: sorted(items) for group, items in by_group.items()}
+        by_group = {group: list(items) for group, items in by_group.items()}
         partition = {group: list(corpus.items(view)) for group, corpus in partition.items()}
     assert by_group == partition
 
@@ -272,6 +273,31 @@ def test_permutation_invariance(seed):
     assert a.category_samples() == b.category_samples()
     assert x_index(a).value == x_index(b).value
     assert xd_index(a, "g").value == xd_index(b, "g").value
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_views_list_labels_in_first_seen_id_order(seed):
+    # The view order contract: unsorted, each label where it first occurs
+    # over the publications in id order, whatever the input order.
+    rng = random.Random(seed)
+    records = random_records(rng, max_pubs=40, max_categories=6, max_keywords=15)
+    rng.shuffle(records)
+    corpus = build_corpus(records)
+    by_id = sorted(records, key=lambda rec: rec.id)
+
+    def first_seen(field, members=by_id):
+        return list(dict.fromkeys(label for rec in members for label in getattr(rec, field)))
+
+    def labels(view):
+        return [label for label, _ in corpus.items(view)]
+
+    assert labels("keywords") == first_seen("keywords")
+    assert labels("categories") == labels("categories_fractional") == first_seen("categories")
+    assert labels("pairs") == [
+        f"{kw}@{cat}"
+        for cat in first_seen("categories")
+        for kw in first_seen("keywords", [rec for rec in by_id if cat in rec.categories])
+    ]
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -490,6 +516,9 @@ def test_from_columns_equals_records_and_record_wise_views(rows, data):
                 group: list(reference_views(members)[view]) for group, members in in_group.items()
             }
         assert Corpus(columns).columns.records() == records
+        # the reference lists each item view by label, a stable sort of first-seen order
+        for view in ITEM_VIEWS:
+            from_columns[view] = tuple(sorted(from_columns[view], key=itemgetter(0)))
     assert from_columns == expected
 
 
