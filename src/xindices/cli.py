@@ -6,7 +6,8 @@ non-positive reference mean, unusable variance, unsupported rank basis,
 citation totals, variances, or totals over a reference mean or variance
 beyond the float range), 1 for every other XIndicesError or OSError
 (ingest or validation failure, a bad flag value, an unreadable input, an
-unwritable --out or a failed write of the report) and for a usage error
+unwritable --out, a failed write of the report, a closed stdin or stdout,
+or a stdout whose encoding cannot encode a label) and for a usage error
 (an unknown flag, a bad choice, a missing or unparsable value). 0 is
 success. Error messages go to stderr, one "error:" line each; reports go
 to stdout or --out, written in blocks of rows as they are formatted. Flag
@@ -120,6 +121,8 @@ def _read_input(
 ) -> TableData:
     """The input table, with only the record fields in fields read."""
     if args.input == "-":
+        if sys.stdin is None:
+            raise OSError("standard input is closed")
         return read_table(sys.stdin.buffer, config, fields=fields)
     with open(args.input, "rb") as stream:
         return read_table(stream, config, fields=fields)
@@ -151,17 +154,24 @@ def _discard_stdout() -> None:
 def _emit(out: str | None, write: Callable[[TextIO], object]) -> None:
     """Call write on the open --out file, or on stdout when out is None;
     any given out is a path, the empty string included. A failed open or
-    write, partway through the report included, raises OSError."""
+    write, partway through the report included, raises OSError, and so do
+    a closed stdout and one whose encoding cannot encode a label."""
     if out is not None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             write(fh)
         return
+    if sys.stdout is None:
+        raise OSError("standard output is closed")
     try:
         write(sys.stdout)
         sys.stdout.flush()
     except OSError:
         _discard_stdout()
         raise
+    except UnicodeEncodeError as exc:
+        _discard_stdout()
+        bad = exc.object[exc.start : exc.end]
+        raise OSError(f"standard output encoding {exc.encoding!r} cannot encode {bad!a}") from None
 
 
 def _resolve_stats(args: argparse.Namespace, ref_stats: ReferenceStats | None, corpus) -> tuple[ReferenceStats, str]:

@@ -7,9 +7,18 @@ The CLI maps the former to exit code 1 and the latter to exit code 2.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class XIndicesError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    A subclass's __init__ takes the fields its message is formatted from,
+    while args holds the message alone, so copy and pickle rebuild an error
+    from its args and attributes without calling __init__."""
+
+    def __reduce__(self) -> tuple:
+        return copyreg.__newobj__, (self.__class__, *self.args), self.__dict__
 
 
 class IngestError(XIndicesError):

@@ -37,7 +37,7 @@ from .errors import (
     MalformedRow,
     MissingColumn,
 )
-from .value import FrozenValue, Value
+from .value import FrozenValue
 
 #: Number of publications per category below which sample variances are
 #: considered unreliable for inverse-variance weighting.
@@ -123,25 +123,20 @@ def normalize_label(raw: str, config: IngestConfig | None = None) -> str:
     return text
 
 
-class TableData(Value):
+class TableData(FrozenValue):
     """Everything parsed from one table: the publications in column form,
-    each publication's group labels, and the header facts."""
+    each publication's group labels, and the header names no role is
+    mapped to."""
 
-    __slots__ = _fields = ("columns", "group_values", "headers", "unused_columns", "separator")
+    __slots__ = _fields = ("columns", "group_values", "unused_columns")
 
     def __init__(
         self,
         columns: PublicationColumns,
         group_values: list[tuple[str, ...]],
-        headers: list[str],
         unused_columns: list[str],
-        separator: str,
     ) -> None:
-        self.columns = columns
-        self.group_values = group_values
-        self.headers = headers
-        self.unused_columns = unused_columns
-        self.separator = separator
+        self._set(columns, group_values, unused_columns)
 
     @property
     def records(self) -> list[PublicationRecord]:
@@ -337,7 +332,7 @@ def read_table(
         if name not in label_columns:
             label_columns[name] = _dedupe_each(group_values) if name in field_at else blank
     columns = PublicationColumns(ids, citations, *map(label_columns.get, LABEL_FIELDS))
-    return TableData(columns, group_values, headers, unused, separator)
+    return TableData(columns, group_values, unused)
 
 
 def parse_table(stream: IO[bytes], config: IngestConfig | None = None) -> list[PublicationRecord]:
@@ -345,7 +340,7 @@ def parse_table(stream: IO[bytes], config: IngestConfig | None = None) -> list[P
     return read_table(stream, config).columns.records()
 
 
-class ValidationReport(Value):
+class ValidationReport(FrozenValue):
     """Outcome of validate_records.
 
     duplicate_ids are hard errors; the record-level lists are warnings; the
@@ -361,7 +356,6 @@ class ValidationReport(Value):
         "no_category_ids",
         "zero_citation_ids",
         "category_counts",
-        "small_sample_categories",
     )
 
     def __init__(
@@ -372,15 +366,20 @@ class ValidationReport(Value):
         no_category_ids: list[str] | None = None,
         zero_citation_ids: list[str] | None = None,
         category_counts: dict[str, int] | None = None,
-        small_sample_categories: list[str] | None = None,
     ) -> None:
-        self.n_records = n_records
-        self.duplicate_ids = [] if duplicate_ids is None else duplicate_ids
-        self.no_keyword_ids = [] if no_keyword_ids is None else no_keyword_ids
-        self.no_category_ids = [] if no_category_ids is None else no_category_ids
-        self.zero_citation_ids = [] if zero_citation_ids is None else zero_citation_ids
-        self.category_counts = {} if category_counts is None else category_counts
-        self.small_sample_categories = [] if small_sample_categories is None else small_sample_categories
+        self._set(
+            n_records,
+            [] if duplicate_ids is None else duplicate_ids,
+            [] if no_keyword_ids is None else no_keyword_ids,
+            [] if no_category_ids is None else no_category_ids,
+            [] if zero_citation_ids is None else zero_citation_ids,
+            {} if category_counts is None else category_counts,
+        )
+
+    @property
+    def small_sample_categories(self) -> list[str]:
+        """The categories with fewer than SMALL_SAMPLE_THRESHOLD publications."""
+        return [cat for cat, count in self.category_counts.items() if count < SMALL_SAMPLE_THRESHOLD]
 
     @property
     def errors(self) -> list[str]:
@@ -419,13 +418,11 @@ def validate_records(publications: Sequence[PublicationRecord] | PublicationColu
         # seen.add returns None, so an id is kept from its second occurrence on
         duplicate_ids = list(dict.fromkeys([rec_id for rec_id in ids if rec_id in seen or seen.add(rec_id)]))
     counts = Counter(chain.from_iterable(publications.categories))
-    category_counts = {cat: counts[cat] for cat in sorted(counts)}
     return ValidationReport(
         len(ids),
         duplicate_ids,
         list(compress(ids, map(not_, publications.keywords))),
         list(compress(ids, map(not_, publications.categories))),
         list(compress(ids, map(eq, publications.citations, repeat(0)))),
-        category_counts,
-        [cat for cat, count in category_counts.items() if count < SMALL_SAMPLE_THRESHOLD],
+        {cat: counts[cat] for cat in sorted(counts)},
     )

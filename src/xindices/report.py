@@ -35,7 +35,7 @@ from typing import Any, Iterator, TextIO
 
 from .kernel import IndexResult
 from .numfmt import canonical_json_value, format_column
-from .value import Value
+from .value import FrozenValue
 
 TABLE_COLUMNS = ("rank", "label", "weight", "ratio")
 
@@ -51,7 +51,7 @@ _JSON_RATIO = ',\n      "ratio": '
 _JSON_CLOSE = "\n    }"
 
 
-class Report(Value):
+class Report(FrozenValue):
     """Everything one command run emits: result, provenance, warnings."""
 
     __slots__ = _fields = ("version", "command", "result", "config", "warnings")
@@ -64,11 +64,7 @@ class Report(Value):
         config: dict[str, Any] | None = None,
         warnings: list[str] | None = None,
     ) -> None:
-        self.version = version
-        self.command = command
-        self.result = result
-        self.config = {} if config is None else config
-        self.warnings = [] if warnings is None else warnings
+        self._set(version, command, result, {} if config is None else config, [] if warnings is None else warnings)
 
     def to_dict(self) -> dict[str, Any]:
         return {

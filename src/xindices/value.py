@@ -1,20 +1,20 @@
-"""Base classes for the toolkit's small record types.
+"""FrozenValue, the one base class of the toolkit's small value types.
 
-They give a __slots__ class what a dataclass would generate for it, without
-importing dataclasses (and inspect) at start-up: equality over the fields
-in order, between instances of the same class only; a repr naming each
-field; and, for FrozenValue, a hash of the fields and no assignment after
+It gives a __slots__ class what a frozen dataclass would generate for it,
+without importing dataclasses (and inspect) at start-up: equality over the
+fields in order, between instances of the same class only; a repr naming
+each field; a hash of the fields; and no assignment or deletion after
 __init__. A subclass names its fields in _fields and writes its own
-__init__, which takes every field positionally in _fields order; a
-mutable one is unhashable, as a dataclass with eq=True is. Every slot is a
-field. A class whose constructor does not take its fields keeps its own
-__reduce__.
+__init__, which takes every field positionally in _fields order and sets
+them once through _set. A value holding a list or dict cannot be hashed,
+as a frozen dataclass holding one cannot. Every slot is a field. A class
+whose constructor does not take its fields keeps its own __reduce__.
 """
 
 from __future__ import annotations
 
 
-class Value:
+class FrozenValue:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
@@ -29,10 +29,6 @@ class Value:
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__qualname__}({fields})"
-
-
-class FrozenValue(Value):
-    __slots__ = ()
 
     def _set(self, *values: object) -> None:
         """Set the fields, in _fields order; for __init__ and alternative

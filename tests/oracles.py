@@ -149,7 +149,7 @@ def reference_read_table(data: bytes, config: IngestConfig | None = None) -> Tab
         )
         group_values.append(cell_labels(cells, "group"))
     unused = [h for h in headers if h not in mapped]
-    return TableData(PublicationColumns.from_records(records), group_values, headers, unused, separator)
+    return TableData(PublicationColumns.from_records(records), group_values, unused)
 
 
 def reference_views(records) -> dict:
@@ -194,31 +194,32 @@ def reference_views(records) -> dict:
     }
 
 
-def reference_validate(records: Sequence[PublicationRecord]) -> ValidationReport:
+def reference_validate(records: Sequence[PublicationRecord]) -> tuple[ValidationReport, list[str]]:
     """validate_records one record at a time: the record loop that the
-    whole-column passes replaced."""
-    report = ValidationReport(n_records=len(records))
+    whole-column passes replaced. Returns the report and, beside it, the
+    categories under SMALL_SAMPLE_THRESHOLD publications, counted here."""
+    duplicate_ids, no_keyword_ids, no_category_ids, zero_citation_ids = [], [], [], []
     seen: set[str] = set()
     flagged: set[str] = set()
     counts: dict[str, int] = {}
     for rec in records:
         if rec.id in seen and rec.id not in flagged:
-            report.duplicate_ids.append(rec.id)
+            duplicate_ids.append(rec.id)
             flagged.add(rec.id)
         seen.add(rec.id)
         if not rec.keywords:
-            report.no_keyword_ids.append(rec.id)
+            no_keyword_ids.append(rec.id)
         if not rec.categories:
-            report.no_category_ids.append(rec.id)
+            no_category_ids.append(rec.id)
         if rec.citations == 0:
-            report.zero_citation_ids.append(rec.id)
+            zero_citation_ids.append(rec.id)
         for cat in rec.categories:
             counts[cat] = counts.get(cat, 0) + 1
-    report.category_counts = {cat: counts[cat] for cat in sorted(counts)}
-    report.small_sample_categories = [
-        cat for cat in report.category_counts if counts[cat] < SMALL_SAMPLE_THRESHOLD
-    ]
-    return report
+    category_counts = {cat: counts[cat] for cat in sorted(counts)}
+    report = ValidationReport(
+        len(records), duplicate_ids, no_keyword_ids, no_category_ids, zero_citation_ids, category_counts
+    )
+    return report, [cat for cat in category_counts if counts[cat] < SMALL_SAMPLE_THRESHOLD]
 
 
 def partition_by_group(

@@ -714,6 +714,44 @@ def test_report_to_closed_pipe_exits_1_without_traceback(big_csv, fmt):
     assert (proc.returncode, err.decode()) == (1, "error: [Errno 32] Broken pipe\n")
 
 
+# Each command that reads --input -, and each that writes its report to stdout.
+STDIN_COMMANDS = [
+    ("compute", "--index", "x"),
+    ("nested", "--group-col", "institutions"),
+    ("stats", "--out", os.devnull),
+    ("validate",),
+]
+STDOUT_COMMANDS = [("compute", "--index", "x", "--format", fmt) for fmt in ("json", "csv", "table")] + [("validate",)]
+STREAM_CASES = (
+    [("stdin-closed", argv) for argv in STDIN_COMMANDS]
+    + [("stdout-closed", argv) for argv in STDOUT_COMMANDS]
+    + [("stdout-ascii", argv) for argv in STDOUT_COMMANDS]
+)
+
+
+@pytest.mark.parametrize("case, argv", STREAM_CASES, ids=[f"{case}-{' '.join(argv)}" for case, argv in STREAM_CASES])
+def test_closed_or_unencodable_stream_is_one_error_line(tmp_path, monkeypatch, case, argv):
+    path = tmp_path / "in.csv"
+    # a keyword and a category outside ASCII, for compute and validate
+    path.write_text("id,citations,keywords,categories,institutions\np1,3,caf\u00e9,ci\u00eancia,I1\np2,2,b,c,I2\n")
+    kwargs = {"stdout": subprocess.DEVNULL}
+    if case == "stdin-closed":
+        argv = [*argv, "--input", "-"]
+        kwargs["preexec_fn"] = lambda: os.close(0)
+    else:
+        argv = [*argv, "--input", str(path)]
+        if case == "stdout-closed":
+            kwargs = {"preexec_fn": lambda: os.close(1)}
+        else:
+            monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+    proc = _spawn(argv, **kwargs)
+    _, err = proc.communicate(timeout=60)
+    err = err.decode()
+    assert proc.returncode == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_byte_order_mark_on_header_is_dropped(tmp_path, capsys):
     path = tmp_path / "excel.csv"
     path.write_bytes(b"\xef\xbb\xbf" + TOY.encode())

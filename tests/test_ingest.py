@@ -300,7 +300,8 @@ def test_projected_read_equals_full_read_with_unread_fields_blank(table, fields)
     expected = outcome(read_bytes, data, config)
     if isinstance(expected, TableData):
         blank = [()] * len(expected.columns.ids)
-        expected.columns = expected.columns._replace(**dict.fromkeys(set(LABEL_FIELDS) - fields, blank))
+        columns = expected.columns._replace(**dict.fromkeys(set(LABEL_FIELDS) - fields, blank))
+        expected = TableData(columns, expected.group_values, expected.unused_columns)
     assert projected == expected
 
 
@@ -543,8 +544,9 @@ def validation_records(draw):
 @settings(max_examples=300, deadline=None)
 @given(validation_records())
 def test_validate_records_and_columns_equal_record_loop(records):
-    expected = reference_validate(records)
+    expected, small_sample_categories = reference_validate(records)
     for publications in (records, PublicationColumns.from_records(records)):
         report = validate_records(publications)
         assert report == expected
+        assert report.small_sample_categories == small_sample_categories
         assert list(report.category_counts) == list(expected.category_counts)

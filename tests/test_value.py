@@ -1,5 +1,5 @@
-"""The record classes behave as dataclasses with the same fields would:
-the same repr, equality, hash, defaults and immutability."""
+"""The record classes behave as frozen dataclasses with the same fields
+would: the same repr, equality, hash, defaults and immutability."""
 
 from __future__ import annotations
 
@@ -34,11 +34,10 @@ def _list():
     return dataclasses.field(default_factory=list)
 
 
-# class, frozen, (field name, default, value) in field order
+# class, (field name, default, value) in field order
 CASES = [
     (
         PublicationRecord,
-        True,
         [
             ("id", NO_DEFAULT, "p1"),
             ("citations", NO_DEFAULT, 3.5),
@@ -49,7 +48,6 @@ CASES = [
     ),
     (
         IngestConfig,
-        True,
         [
             ("id_column", "id", "UT"),
             ("citations_column", "citations", "TC"),
@@ -65,18 +63,14 @@ CASES = [
     ),
     (
         TableData,
-        False,
         [
             ("columns", NO_DEFAULT, PublicationColumns(["p1"], [1.0], [("k",)], [()], [()])),
             ("group_values", NO_DEFAULT, [()]),
-            ("headers", NO_DEFAULT, ["id", "citations", "keywords"]),
             ("unused_columns", NO_DEFAULT, []),
-            ("separator", NO_DEFAULT, ","),
         ],
     ),
     (
         ValidationReport,
-        False,
         [
             ("n_records", 0, 3),
             ("duplicate_ids", _list(), ["p1"]),
@@ -84,12 +78,10 @@ CASES = [
             ("no_category_ids", _list(), []),
             ("zero_citation_ids", _list(), ["p3"]),
             ("category_counts", dataclasses.field(default_factory=dict), {"a": 2}),
-            ("small_sample_categories", _list(), ["a"]),
         ],
     ),
     (
         IndexResult,
-        True,
         [
             ("kind", NO_DEFAULT, "ivw"),
             ("ratio_type", NO_DEFAULT, "h"),
@@ -101,7 +93,6 @@ CASES = [
     ),
     (
         Report,
-        False,
         [
             ("version", NO_DEFAULT, "0.1.0"),
             ("command", NO_DEFAULT, "compute"),
@@ -112,7 +103,6 @@ CASES = [
     ),
     (
         StatsEntry,
-        True,
         [
             ("category", NO_DEFAULT, "a"),
             ("mean", NO_DEFAULT, Fraction(3, 2)),
@@ -123,7 +113,7 @@ CASES = [
 ]
 
 
-def _reference(cls, frozen, spec):
+def _reference(cls, spec):
     fields = []
     for name, default, _ in spec:
         if isinstance(default, dataclasses.Field):
@@ -132,12 +122,12 @@ def _reference(cls, frozen, spec):
             fields.append((name, object))
         else:
             fields.append((name, object, dataclasses.field(default=default)))
-    return dataclasses.make_dataclass(cls.__name__, fields, frozen=frozen)
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
 
 
-@pytest.mark.parametrize(("cls", "frozen", "spec"), CASES, ids=[case[0].__name__ for case in CASES])
-def test_behaves_as_the_dataclass_it_replaced(cls, frozen, spec):
-    reference = _reference(cls, frozen, spec)
+@pytest.mark.parametrize(("cls", "spec"), CASES, ids=[case[0].__name__ for case in CASES])
+def test_behaves_as_the_dataclass_it_replaced(cls, spec):
+    reference = _reference(cls, spec)
     values = [value for _, _, value in spec]
     ours, theirs = cls(*values), reference(*values)
     assert repr(ours) == repr(theirs)
@@ -156,18 +146,22 @@ def test_behaves_as_the_dataclass_it_replaced(cls, frozen, spec):
     assert repr(cls(*required)) == repr(reference(*required))
     assert cls(**{name: value for name, _, value in spec}) == ours
 
-    if frozen:
-        assert hash(ours) == hash(theirs) == hash(cls(*values))
-        with pytest.raises(AttributeError):
-            setattr(ours, spec[0][0], values[0])
-        with pytest.raises(AttributeError):
-            delattr(ours, spec[0][0])
-        with pytest.raises(AttributeError):
-            ours.extra = 1
-    else:
+    try:
+        expected = hash(theirs)
+    except TypeError:  # a field holds a list or dict
         with pytest.raises(TypeError):
             hash(ours)
-        setattr(ours, spec[0][0], values[0])
+    else:
+        assert hash(ours) == expected == hash(cls(*values))
+    held = [getattr(ours, name) for name, _, _ in spec]
+    for name, _, value in spec:
+        with pytest.raises(AttributeError):
+            setattr(ours, name, value)
+        with pytest.raises(AttributeError):
+            delattr(ours, name)
+    assert all(getattr(ours, name) is old for (name, _, _), old in zip(spec, held))
+    with pytest.raises(AttributeError):
+        ours.extra = 1
 
     for clone in (copy.copy(ours), copy.deepcopy(ours), pickle.loads(pickle.dumps(ours))):
         assert clone == ours and type(clone) is cls
@@ -188,8 +182,8 @@ def test_publication_record_checks_and_dedupes():
 
 def test_table_data_equality_ignores_built_records():
     columns = PublicationColumns(["p1"], [1.0], [()], [()], [()])
-    table = TableData(columns, [()], ["id", "citations"], [], ",")
-    other = TableData(columns, [()], ["id", "citations"], [], ",")
+    table = TableData(columns, [()], [])
+    other = TableData(columns, [()], [])
     assert table.records == [PublicationRecord("p1", 1.0)]
     assert table == other and repr(table) == repr(other)
 
