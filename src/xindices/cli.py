@@ -9,9 +9,10 @@ beyond the float range), 1 for every other XIndicesError or OSError
 unwritable --out, a failed write of the report, a closed stdin or stdout,
 or a stdout whose encoding cannot encode a label) and for a usage error
 (an unknown flag, a bad choice, a missing or unparsable value). 0 is
-success. Error messages go to stderr, one "error:" line each; reports go
-to stdout or --out, written in blocks of rows as they are formatted. Flag
-values are checked before the input is read.
+success. Error messages go to stderr, one "error:" line each; a closed
+or missing stderr drops the line, never sends it to stdout, and keeps the
+exit code. Reports go to stdout or --out, written in blocks of rows as
+they are formatted. Flag values are checked before the input is read.
 """
 
 from __future__ import annotations
@@ -138,17 +139,28 @@ def _config_echo(args: argparse.Namespace, config: IngestConfig) -> dict:
     }
 
 
-def _discard_stdout() -> None:
-    """Point the stdout descriptor at the null device after a failed write,
-    so the interpreter's flush at exit of what the stream still buffers
-    neither fails again nor prints "Exception ignored"."""
+def _discard(stream: TextIO) -> None:
+    """Point the descriptor behind stream at the null device after a
+    failed write, so the interpreter's flush at exit of what the stream
+    still buffers neither fails again nor prints "Exception ignored"."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, OSError, ValueError):  # no descriptor behind it
         return
     null = os.open(os.devnull, os.O_WRONLY)
     os.dup2(null, fd)
     os.close(null)
+
+
+def _say(line: str) -> None:
+    """Write line to stderr. A closed or missing stderr drops it, and never
+    sends it to stdout, where it would mix into a report."""
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        _discard(sys.stderr)
 
 
 def _emit(out: str | None, write: Callable[[TextIO], object]) -> None:
@@ -166,10 +178,10 @@ def _emit(out: str | None, write: Callable[[TextIO], object]) -> None:
         write(sys.stdout)
         sys.stdout.flush()
     except OSError:
-        _discard_stdout()
+        _discard(sys.stdout)
         raise
     except UnicodeEncodeError as exc:
-        _discard_stdout()
+        _discard(sys.stdout)
         bad = exc.object[exc.start : exc.end]
         raise OSError(f"standard output encoding {exc.encoding!r} cannot encode {bad!a}") from None
 
@@ -260,22 +272,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
     corpus = build_corpus(table.columns)
 
     stats = estimate_stats(corpus, args.variance)
-    for entry in stats.entries():
-        if entry.n < SMALL_SAMPLE_THRESHOLD:
-            print(
-                f"warning: category {entry.category} has {entry.n} publications "
-                f"(fewer than {SMALL_SAMPLE_THRESHOLD}); estimated variance may not be "
-                "robust for inverse-variance weighting",
-                file=sys.stderr,
-            )
-        if float(entry.mean) == 0:  # the mean as written
-            print(
-                f"warning: category {entry.category} has mean 0 and cannot be "
-                "loaded back as reference stats",
-                file=sys.stderr,
-            )
     with open(args.out, "wb") as fh:
         write_reference_stats(stats, fh)
+    for entry in stats.entries():
+        if entry.n < SMALL_SAMPLE_THRESHOLD:
+            _say(
+                f"warning: category {entry.category} has {entry.n} publications "
+                f"(fewer than {SMALL_SAMPLE_THRESHOLD}); estimated variance may not be "
+                "robust for inverse-variance weighting"
+            )
+        if float(entry.mean) == 0:  # the mean as written
+            _say(f"warning: category {entry.category} has mean 0 and cannot be loaded back as reference stats")
     return 0
 
 
@@ -294,7 +301,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     lines.extend(f"  {cat}: {count}" for cat, count in report.category_counts.items())
     _emit(None, lambda fh: fh.write("\n".join(lines) + "\n"))
     if report.errors:
-        print(f"error: {len(report.errors)} duplicate ids", file=sys.stderr)
+        _say(f"error: {len(report.errors)} duplicate ids")
         return 1
     return 0
 
@@ -368,7 +375,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (XIndicesError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 2 if isinstance(exc, ComputeError) else 1
     finally:
         if collecting:

@@ -32,10 +32,10 @@ from .errors import (
 from .kernel import (
     IndexResult,
     RankedTable,
+    _ranked_columns,
     first_crossing_index,
     h_value,
     kernel_index,
-    rank_items,
 )
 from .stats import ReferenceStats
 
@@ -218,10 +218,8 @@ def ivw_xd_index(
             return _noting(kernel_index(scored, ratio_type, "ivw"), dropped, floored)
 
     variance_of = {label: v for label, _, v in kept}
-    ranked = rank_items(totals)
-    labels = [label for label, _ in ranked]
-    weights = [w for _, w in ranked]
-    ratios = [w / (variance_of[label] * r) for r, (label, w) in enumerate(ranked, start=1)]
+    labels, weights = _ranked_columns(totals)
+    ratios = [w / (variance_of[label] * r) for r, (label, w) in enumerate(zip(labels, weights), start=1)]
     with _divided_by("variance", totals):
         table = RankedTable(labels, weights, ratios)
     return _noting(first_crossing_index(table, "ivw"), dropped, floored)

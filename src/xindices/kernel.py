@@ -5,18 +5,25 @@ itemgetter. They are ranked by weight descending (ties broken by label
 ascending, byte order), then a threshold rule over a per-rank ratio yields
 the index value:
 
-* h-type: ratio at rank r is weight/r; the value is the largest rank whose
-  ratio is still >= 1, or 0 when no rank qualifies.
-* g-type: ratio at rank r is (cumulative weight through r)/r**2; the value is
-  the largest qualifying rank, capped at the number of items (no fictitious
-  zero-weight items are appended).
-* first-crossing: for externally supplied, possibly non-monotone ratios the
-  value is (smallest rank with ratio < 1) - 1; n when no rank crosses, 0 when
-  rank 1 already fails. Ranks after the first crossing are ignored even if
-  the ratio climbs back above 1.
+* first-crossing: the value is (smallest rank with ratio < 1) - 1; n when
+  no rank crosses, 0 when rank 1 already fails. Ranks after the first
+  crossing are not read, even where externally supplied ratios (raw ivw)
+  climb back above 1.
+* h-type: ratio at rank r is weight/r. Weights never increase down the
+  table and a correctly rounded division keeps that order, so the ratios
+  never increase either, and the largest rank whose ratio is still >= 1 is
+  the first crossing. Every h-type value is read that way: x, xc, xd and
+  its variants, and the inner values of xo and the nested indices, whose
+  scan stops at the crossing.
+* g-type: ratio at rank r is (cumulative weight through r)/r**2; the value
+  is the largest rank whose cumulative weight is >= r**2, capped at the
+  number of items (no fictitious zero-weight items are appended). g keeps
+  that literal rule: it compares each cumulative sum with r**2 directly,
+  not its ratio column, a second rounding, with 1, so no crossing of that
+  column decides it.
 
 All comparisons are exact floating comparisons; ratios are plain divisions
-with no rounding, so a weight exactly equal to its rank qualifies.
+with no further rounding, so a weight exactly equal to its rank qualifies.
 
 Tables are held in column form: a RankedTable is built from parallel
 labels, weights and ratios columns, with ranks implicit as 1..n. Ranking
@@ -27,7 +34,8 @@ view (RankRow tuples) is built on each read of RankedTable.rows. Like
 every frozen value of the library, a RankedTable rejects assignment and
 del, and compares, hashes, prints and pickles by its three columns. Inner
 values that no report prints (xo's per-category and nested's per-group
-values) come from h_value, which ranks weights alone and builds no table.
+values) come from h_value, which ranks weights alone, builds no table and
+divides no weight past the crossing.
 """
 
 from __future__ import annotations
@@ -50,10 +58,6 @@ class RankRow(NamedTuple):
     label: str
     weight: float
     ratio: float
-
-
-def _column(rows: Sequence[Sequence], field: int) -> tuple:
-    return tuple(map(itemgetter(field), rows))
 
 
 def _finite(value) -> bool:
@@ -146,28 +150,31 @@ def rank_items(items: Iterable[Item]) -> list[Item]:
 
 def _ranked_columns(items: Iterable[Item]) -> tuple[tuple, tuple]:
     ranked = rank_items(items)
-    return _column(ranked, 0), _column(ranked, 1)
+    return tuple(map(itemgetter(0), ranked)), tuple(map(itemgetter(1), ranked))
+
+
+def _first_crossing(ratios: Iterable[float], n: int) -> int:
+    """The count of ratios before the first one below 1, or n when none of
+    the n is; a lazy column is read no further than that ratio."""
+    return next(compress(count(), map(lt, ratios, repeat(1.0))), n)
 
 
 def h_type_index(items: Iterable[Item], kind: str = "x") -> IndexResult:
     labels, weights = _ranked_columns(items)
-    ranks = range(1, len(weights) + 1)
-    ratios = tuple(map(truediv, weights, ranks))
-    value = max(compress(ranks, map(ge, ratios, repeat(1.0))), default=0)
-    return IndexResult(kind, "h", value, RankedTable(labels, weights, ratios))
+    ratios = tuple(map(truediv, weights, count(1)))
+    return first_crossing_index(RankedTable(labels, weights, ratios), kind)
 
 
 def h_value(items: Collection[Item]) -> int:
     """h_type_index(items).value without the ranked table: the weights
-    sorted descending and the same exact w / r >= 1.0 rule. A largest
-    weight that is not finite raises NonFiniteWeight naming the label
-    h_type_index names (the smallest label of that weight), so items are
-    read a second time on that path only."""
+    sorted descending, divided by their ranks up to the first ratio below
+    1. A largest weight that is not finite raises NonFiniteWeight naming
+    the label h_type_index names (the smallest label of that weight), so
+    items are read a second time on that path only."""
     weights = sorted(map(itemgetter(1), items), reverse=True)
     if weights and not _finite(top := weights[0]):
         raise NonFiniteWeight(min(label for label, weight in items if weight == top))
-    ranks = range(1, len(weights) + 1)
-    return max(compress(ranks, map(ge, map(truediv, weights, ranks), repeat(1.0))), default=0)
+    return _first_crossing(map(truediv, weights, count(1)), len(weights))
 
 
 def g_type_index(items: Iterable[Item], kind: str = "x") -> IndexResult:
@@ -187,8 +194,7 @@ def first_crossing_index(ranked: RankedTable, kind: str = "ivw") -> IndexResult:
     The caller chooses the ranking basis and fills the ratio column; this
     only scans for the first rank where the ratio drops below 1.
     """
-    crossings = compress(count(), map(lt, ranked.ratios, repeat(1.0)))
-    return IndexResult(kind, "h", next(crossings, len(ranked)), ranked)
+    return IndexResult(kind, "h", _first_crossing(ranked.ratios, len(ranked)), ranked)
 
 
 def kernel_index(items: Iterable[Item], ratio_type: str, kind: str) -> IndexResult:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from xindices import PublicationRecord, build_corpus
 
 
 def items(*weights: float) -> list[tuple[str, float]]:
-    """Weight list -> (label, weight) items with distinct synthetic labels."""
-    return [(f"k{i:03d}", float(w)) for i, w in enumerate(weights)]
+    """Weight list -> (label, weight) items with distinct synthetic labels;
+    Fraction weights stay exact, the others become floats."""
+    return [(f"k{i:03d}", w if isinstance(w, Fraction) else float(w)) for i, w in enumerate(weights)]
 
 
 def record(

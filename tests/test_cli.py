@@ -633,7 +633,7 @@ def test_each_failure_exits_by_its_type(tmp_path, capsys, raised, argv, data, re
 def test_unwritable_out_exit_1(toy_csv, tmp_path, capsys, argv):
     target = tmp_path / "missing-dir" / "report"
     code, out, err = run(capsys, *argv, "--input", toy_csv, "--out", str(target))
-    lines = [line for line in err.splitlines() if not line.startswith("warning: ")]
+    lines = err.splitlines()  # stats warns only once its file is written
     assert (code, out) == (1, "")
     assert len(lines) == 1 and lines[0].startswith("error: ") and "missing-dir" in lines[0]
 
@@ -750,6 +750,53 @@ def test_closed_or_unencodable_stream_is_one_error_line(tmp_path, monkeypatch, c
     assert proc.returncode == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def _close_stderr():
+    os.close(2)
+
+
+def _read_only_stderr():
+    # the descriptor stays open, but every write to it fails
+    os.close(2)
+    os.open(os.devnull, os.O_RDONLY)
+
+
+# Each command with its exit code, on a one-row table (xdfn has no stats,
+# stats warns of the small sample) or one with a repeated id (validate).
+UNWRITABLE_STDERR_CASES = [
+    (("compute", "--index", "xdfn"), 2),
+    (("stats",), 0),
+    (("validate",), 1),
+]
+
+
+@pytest.mark.parametrize("stderr_setup", [_close_stderr, _read_only_stderr], ids=["closed", "read-only"])
+@pytest.mark.parametrize("argv, code", UNWRITABLE_STDERR_CASES, ids=[argv[0] for argv, _ in UNWRITABLE_STDERR_CASES])
+def test_unwritable_stderr_keeps_exit_code_and_output(tmp_path, stderr_setup, argv, code):
+    path = tmp_path / "in.csv"
+    rows = "p1,3,a,c,I1\np1,2,b,c,I2\n" if argv[0] == "validate" else "p1,3,a,c,I1\n"
+    path.write_text("id,citations,keywords,categories,institutions\n" + rows)
+    runs = []
+    for setup in (None, stderr_setup):
+        out_file = tmp_path / f"stats-{len(runs)}.csv"
+        extra = ["--out", str(out_file)] if argv[0] == "stats" else []
+        proc = _spawn([*argv, "--input", str(path), *extra], stdout=subprocess.PIPE, preexec_fn=setup)
+        out, err = proc.communicate(timeout=60)
+        written = out_file.read_bytes() if extra else None
+        runs.append((proc.returncode, out, written))
+        if setup is None:
+            assert err  # the message the closed stderr drops
+    assert runs[0][0] == code
+    assert runs[1] == runs[0]
+
+
+def test_missing_stderr_keeps_exit_code_and_stdout_empty(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "one.csv"
+    path.write_text("id,citations,keywords,categories,institutions\np1,3,a,c,I1\n")
+    monkeypatch.setattr(sys, "stderr", None)
+    code = main(["compute", "--index", "xdfn", "--input", str(path)])
+    assert (code, capsys.readouterr().out) == (2, "")
 
 
 def test_byte_order_mark_on_header_is_dropped(tmp_path, capsys):

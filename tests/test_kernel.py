@@ -21,10 +21,20 @@ from xindices.kernel import rank_items
 from conftest import items
 from oracles import naive_g_oracle, naive_h_oracle
 
+# Exact weights, as xdfn ranks them: any Fraction, and ones on an integer
+# rank or within 1e-12 of it, on either side.
+near_integers = st.builds(
+    lambda n, k: Fraction(n) + Fraction(k, 10**13),
+    st.integers(min_value=1, max_value=50),
+    st.integers(min_value=-10, max_value=10),
+)
+fractions = st.one_of(st.fractions(min_value=0, max_value=100), near_integers)
+
 weight_lists = st.lists(
     st.one_of(
         st.integers(min_value=0, max_value=100).map(float),
         st.floats(min_value=0, max_value=100, allow_nan=False),
+        fractions,
     ),
     max_size=50,
 )
@@ -177,6 +187,7 @@ edge_weights = st.one_of(
     st.integers(min_value=0, max_value=12).map(float),
     st.floats(min_value=0, max_value=12, allow_nan=False),
     st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+    fractions,
 )
 
 
