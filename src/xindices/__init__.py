@@ -6,12 +6,7 @@ inverse-variance-weighted variants), overall expertise (xo), and nested
 group-level aggregates, each in h-type and g-type form.
 """
 
-from .corpus import (
-    Corpus,
-    PublicationColumns,
-    PublicationRecord,
-    build_corpus,
-)
+from .corpus import Corpus, PublicationColumns, build_corpus
 from .errors import (
     AmbiguousSeparator,
     BadCitations,
@@ -49,7 +44,6 @@ from .ingest import (
     IngestConfig,
     ValidationReport,
     normalize_label,
-    parse_table,
     read_table,
     validate_records,
 )
@@ -75,12 +69,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Corpus",
     "PublicationColumns",
-    "PublicationRecord",
     "build_corpus",
     "IngestConfig",
     "ValidationReport",
     "normalize_label",
-    "parse_table",
     "read_table",
     "validate_records",
     "IndexResult",

@@ -194,6 +194,17 @@ def _resolve_stats(args: argparse.Namespace, ref_stats: ReferenceStats | None, c
     raise MissingStats()
 
 
+def _absent_warnings(table: TableData, config: IngestConfig, fields: Sequence[str]) -> list[str]:
+    """One warning per field in fields whose mapped column the header
+    lacks, naming the header looked for."""
+    return [
+        f"the header has no {field} column {config.column_for(field)!r}; "
+        f"every publication is read with no {field}"
+        for field in table.absent_fields
+        if field in fields
+    ]
+
+
 def _warnings(result: IndexResult, variance_floor: float | None) -> list[str]:
     """One warning per floored variance, then one naming the dropped
     categories."""
@@ -208,7 +219,8 @@ def _warnings(result: IndexResult, variance_floor: float | None) -> list[str]:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     config = _checked_config(args)
-    table = _read_input(args, config, INDEX_FIELDS[args.index])
+    fields = INDEX_FIELDS[args.index]
+    table = _read_input(args, config, fields)
     corpus = build_corpus(table.columns)
     ref_stats = None
     if args.ref_stats:
@@ -239,7 +251,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 strict=strict,
             )
 
-    report = Report(__version__, "compute", result, echo, _warnings(result, args.variance_floor))
+    warnings = _absent_warnings(table, config, fields) + _warnings(result, args.variance_floor)
+    report = Report(__version__, "compute", result, echo, warnings)
     _emit(args.out, lambda fh: report.write(fh, args.format))
     return 0
 
@@ -248,7 +261,8 @@ def cmd_nested(args: argparse.Namespace) -> int:
     if not args.group_col:
         raise InvalidConfig("--group-col is required")
     config = _checked_config(args, group_col=args.group_col)
-    table = _read_input(args, config, INDEX_FIELDS[args.inner])
+    fields = INDEX_FIELDS[args.inner]
+    table = _read_input(args, config, fields)
     corpus = build_corpus(table.columns)
 
     result = group_index(corpus, table.group_values, args.inner, args.type, strict=args.strict_groups)
@@ -262,7 +276,7 @@ def cmd_nested(args: argparse.Namespace) -> int:
             "strict_groups": args.strict_groups,
         }
     )
-    report = Report(__version__, "nested", result, echo)
+    report = Report(__version__, "nested", result, echo, _absent_warnings(table, config, fields))
     _emit(args.out, lambda fh: report.write(fh, args.format))
     return 0
 

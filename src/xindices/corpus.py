@@ -2,13 +2,12 @@
 
 A Corpus is a frozen value of one field, its publications in column form
 (PublicationColumns: parallel ids, citations and label-tuple columns), the
-one form the library keeps them in, validated eagerly; build_corpus
-converts records to columns at the edge. It rejects assignment and del,
-and compares, hashes, prints and pickles by its columns. Each derived view
-(keyword totals, per-category keyword totals, pair totals, category
-totals, per-category citation samples) is a pure function of the columns,
-built each time it is read and kept nowhere, so a command pays only for
-the views its index reads. Contributions are accumulated over the columns
+one form the library takes and keeps them in, validated eagerly. It
+rejects assignment and del, and compares, hashes, prints and pickles by
+its columns. Each derived view (keyword totals, per-category keyword
+totals, pair totals, category totals, per-category citation samples) is a
+pure function of the columns, built each time it is read and kept
+nowhere, so a command pays only for the views its index reads. Contributions are accumulated over the columns
 permuted into id order, so permuting the input, or reading the views in
 another order, yields bitwise-identical views and index values.
 """
@@ -19,7 +18,7 @@ import math
 import sys
 from functools import partial
 from itertools import repeat
-from operator import attrgetter, truediv
+from operator import truediv
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateId, MissingGroupLabel, NegativeCitations, NonFiniteCitations
@@ -32,54 +31,10 @@ PAIR_SEPARATOR = "@"
 UNGROUPED_LABEL = "(ungrouped)"
 
 
-def _dedupe(labels: Iterable[str]) -> tuple[str, ...]:
-    """Drop empty labels and duplicates, preserving first-occurrence order."""
-    return tuple(dict.fromkeys(filter(None, labels)))
-
-
 def _dedupe_each(label_lists: Iterable[Iterable[str]]) -> list[tuple[str, ...]]:
-    """_dedupe of each label list, in C-level map passes."""
+    """Each label list without empty labels or repeats, in first-occurrence
+    order, in C-level map passes."""
     return list(map(tuple, map(dict.fromkeys, map(filter, repeat(None), label_lists))))
-
-
-class PublicationRecord(FrozenValue):
-    """One publication: identity, citation count, and its label sets.
-
-    Labels are expected to be pre-normalised (ingest handles trimming and
-    case folding). Empty labels and duplicates within a list are dropped at
-    construction. An empty keyword list is legal (the record still counts
-    toward category-level indices), as is an empty category list.
-    """
-
-    __slots__ = _fields = ("id", "citations", "keywords", "categories", "institutions")
-
-    def __init__(
-        self,
-        id: str,
-        citations: float,
-        keywords: Iterable[str] = (),
-        categories: Iterable[str] = (),
-        institutions: Iterable[str] = (),
-    ) -> None:
-        if not id:
-            raise ValueError("publication id must be non-empty")
-        self._set(id, citations, _dedupe(keywords), _dedupe(categories), _dedupe(institutions))
-
-    @classmethod
-    def _from_normalised(
-        cls,
-        id: str,
-        citations: float,
-        keywords: tuple[str, ...],
-        categories: tuple[str, ...],
-        institutions: tuple[str, ...],
-    ) -> PublicationRecord:
-        """A record from fields already in the form __init__ makes
-        (non-empty id; label tuples without empty labels or repeats),
-        skipping its checks. For ingest, which builds the fields that way."""
-        rec = object.__new__(cls)
-        rec._set(id, citations, keywords, categories, institutions)
-        return rec
 
 
 #: A ranking candidate, the form views are held in: (label, weight). The
@@ -90,7 +45,7 @@ class PublicationRecord(FrozenValue):
 #: large views cost it nothing.
 Item = tuple[str, float]
 
-#: The record fields Corpus.items_by_group() totals per group.
+#: The label columns Corpus.items_by_group() totals per group.
 GROUP_VIEWS = ("keywords", "categories")
 
 _FLOAT_MAX = sys.float_info.max
@@ -98,22 +53,14 @@ _FLOAT_MAX = sys.float_info.max
 
 class PublicationColumns(NamedTuple):
     """Publications in column form: entry i of each column belongs to the
-    i-th publication. Label tuples are in the form PublicationRecord keeps
-    them, without empty labels or repeats; ids are non-empty."""
+    i-th publication. Label tuples hold no empty labels or repeats; ids
+    are non-empty."""
 
     ids: Sequence[str]
     citations: Sequence[float]
     keywords: Sequence[tuple[str, ...]]
     categories: Sequence[tuple[str, ...]]
     institutions: Sequence[tuple[str, ...]]
-
-    @classmethod
-    def from_records(cls, records: Sequence[PublicationRecord]) -> PublicationColumns:
-        return cls(*(list(map(attrgetter(name), records)) for name in PublicationRecord._fields))
-
-    def records(self) -> list[PublicationRecord]:
-        """One PublicationRecord per publication, in column order."""
-        return list(map(PublicationRecord._from_normalised, *self))
 
 
 class Corpus(FrozenValue):
@@ -233,8 +180,9 @@ def _in_id_order(columns: PublicationColumns, *parallel: Sequence) -> list[list]
 
 
 def _totals(columns: PublicationColumns, field: str, fractional: bool = False) -> tuple[Item, ...]:
-    """Citations summed per label of the record field; with fractional,
-    each record's citations are divided by its number of institutions."""
+    """Citations summed per label of the label column named field; with
+    fractional, each publication's citations are divided by its number of
+    institutions."""
     if fractional:
         citations, labels_column, institutions = _in_id_order(
             columns, getattr(columns, field), columns.institutions
@@ -300,17 +248,14 @@ ITEM_VIEWS = {
 }
 
 
-def build_corpus(publications: Iterable[PublicationRecord] | PublicationColumns) -> Corpus:
-    """Validate publication columns, or records converted to columns, into
-    a Corpus.
+def build_corpus(columns: PublicationColumns) -> Corpus:
+    """Validate publication columns into a Corpus: Corpus(columns).
 
     Raises DuplicateId if two publications share an id, NegativeCitations if
     any citation count is below zero, NonFiniteCitations if one is NaN,
     infinite or beyond the float range.
     """
-    if not isinstance(publications, PublicationColumns):
-        publications = PublicationColumns.from_records(list(publications))
-    return Corpus(publications)
+    return Corpus(columns)
 
 
 def _group_labels(

@@ -6,12 +6,13 @@ The field separator is autodetected from the header line, limited to comma
 vs tab; a header containing both raises rather than guessing. Multi-value
 cells (keywords, categories, institutions, group) are split on a
 configurable cell delimiter and normalised, each distinct part once per
-table; record label lists are also deduplicated. read_table returns the
-publications in column form, and can skip the label cells of record
-fields its caller does not read; parse_table converts them to records.
-A row the csv module cannot read (a field over csv.field_size_limit())
-or a header repeating a mapped column name raises MalformedRow.
-validate_records reads columns, converting records first.
+table; each publication's label tuples are also deduplicated. read_table
+returns the publications in column form, the one form the library takes
+them in, and can skip the label cells of fields its caller does not read;
+it notes the label fields whose mapped column the header lacks. A row the
+csv module cannot read (a field over csv.field_size_limit()) or a header
+repeating a mapped column name raises MalformedRow. validate_records
+reads the columns in whole-column passes.
 
 Row numbers in errors are 1-based record numbers counting the header as
 record 1, so the first data row is row 2.
@@ -28,7 +29,7 @@ from itertools import chain, compress, islice, repeat
 from operator import eq, itemgetter, not_
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .corpus import PublicationColumns, PublicationRecord, _dedupe_each
+from .corpus import PublicationColumns, _dedupe_each
 from .errors import (
     AmbiguousSeparator,
     BadCitations,
@@ -50,7 +51,7 @@ _BLOCK_ROWS = 4096
 
 ROLES = ("id", "citations", "keywords", "categories", "institutions", "group")
 
-#: The multi-value record fields, in PublicationRecord order.
+#: The label fields, in PublicationColumns order.
 LABEL_FIELDS = ("keywords", "categories", "institutions")
 
 
@@ -125,25 +126,27 @@ def normalize_label(raw: str, config: IngestConfig | None = None) -> str:
 
 class TableData(FrozenValue):
     """Everything parsed from one table: the publications in column form,
-    each publication's group labels, and the header names no role is
-    mapped to."""
+    each publication's group labels, the header names no role is mapped
+    to, and the label fields (of LABEL_FIELDS, in that order) whose mapped
+    column the header lacks, read as () for every publication."""
 
-    __slots__ = _fields = ("columns", "group_values", "unused_columns")
+    __slots__ = _fields = ("columns", "group_values", "unused_columns", "absent_fields")
 
     def __init__(
         self,
         columns: PublicationColumns,
         group_values: list[tuple[str, ...]],
         unused_columns: list[str],
+        absent_fields: tuple[str, ...] = (),
     ) -> None:
-        self._set(columns, group_values, unused_columns)
+        self._set(columns, group_values, unused_columns, absent_fields)
 
     @property
-    def records(self) -> list[PublicationRecord]:
-        """The publications as records, built anew on each read. Kept only
-        for perfbench/spans.py, which counts a traced table's publications
-        with it, until that count comes from the library."""
-        return self.columns.records()
+    def records(self) -> list[tuple]:
+        """One plain tuple per publication, its fields in column order,
+        built anew on each read. It exists only for perfbench/spans.py,
+        which counts a traced table's publications with it."""
+        return list(zip(*self.columns))
 
 
 def _detect_separator(header_line: str) -> str:
@@ -245,10 +248,12 @@ def read_table(
     """Parse a delimited byte stream into publication columns plus table
     metadata.
 
-    Only the label cells of the record fields named in fields (a subset of
+    Only the label cells of the fields named in fields (a subset of
     LABEL_FIELDS) are split and normalised; the others hold () for every
     publication. Label cells never raise, so every check and error is the
     same whatever fields holds, and the group column is always read.
+    TableData.absent_fields names every label field whose mapped column
+    the header lacks, whatever fields holds.
 
     The rows are checked, transposed and split in C-level passes over
     whole columns; when a check fails, the rows are walked in file order
@@ -286,6 +291,9 @@ def read_table(
             raise MissingColumn(column)
     mapped = {config.column_for(role) for role in index_of}
     unused = [h for h in headers if h not in mapped]
+    absent = tuple(
+        name for name in LABEL_FIELDS if name not in index_of and config.column_for(name) is not None
+    )
 
     layout = _Layout(len(headers), index_of["id"], index_of["citations"])
     group_at = index_of.get("group")
@@ -332,12 +340,7 @@ def read_table(
         if name not in label_columns:
             label_columns[name] = _dedupe_each(group_values) if name in field_at else blank
     columns = PublicationColumns(ids, citations, *map(label_columns.get, LABEL_FIELDS))
-    return TableData(columns, group_values, unused)
-
-
-def parse_table(stream: IO[bytes], config: IngestConfig | None = None) -> list[PublicationRecord]:
-    """Parse a delimited byte stream into publication records, in file order."""
-    return read_table(stream, config).columns.records()
+    return TableData(columns, group_values, unused, absent)
 
 
 class ValidationReport(FrozenValue):
@@ -406,11 +409,9 @@ class ValidationReport(FrozenValue):
         ]
 
 
-def validate_records(publications: Sequence[PublicationRecord] | PublicationColumns) -> ValidationReport:
-    """Report-only sanity pass over publication columns, or records
-    converted to columns, in whole-column passes; never raises."""
-    if not isinstance(publications, PublicationColumns):
-        publications = PublicationColumns.from_records(publications)
+def validate_records(publications: PublicationColumns) -> ValidationReport:
+    """Report-only sanity pass over publication columns, in whole-column
+    passes; never raises."""
     ids = publications.ids
     duplicate_ids: list[str] = []
     if len(set(ids)) < len(ids):

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterable, NamedTuple, Sequence
 
-from xindices import PublicationRecord, build_corpus
+from xindices import PublicationColumns, build_corpus
 
 
 def items(*weights: float) -> list[tuple[str, float]]:
@@ -14,32 +15,49 @@ def items(*weights: float) -> list[tuple[str, float]]:
     return [(f"k{i:03d}", w if isinstance(w, Fraction) else float(w)) for i, w in enumerate(weights)]
 
 
+class Record(NamedTuple):
+    """One publication as a test-side row, its fields in PublicationColumns
+    order."""
+
+    id: str
+    citations: float
+    keywords: tuple[str, ...] = ()
+    categories: tuple[str, ...] = ()
+    institutions: tuple[str, ...] = ()
+
+
+def _dedupe(labels: Iterable[str]) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(filter(None, labels)))
+
+
 def record(
     rec_id: str,
     citations: float,
-    keywords: tuple[str, ...] = (),
-    categories: tuple[str, ...] = (),
-    institutions: tuple[str, ...] = (),
-) -> PublicationRecord:
-    return PublicationRecord(
-        id=rec_id,
-        citations=citations,
-        keywords=keywords,
-        categories=categories,
-        institutions=institutions,
-    )
+    keywords: Iterable[str] = (),
+    categories: Iterable[str] = (),
+    institutions: Iterable[str] = (),
+) -> Record:
+    """A Record in the form read_table writes: a non-empty id, and label
+    tuples without empty labels or repeats (dropped here)."""
+    if not rec_id:
+        raise ValueError("publication id must be non-empty")
+    return Record(rec_id, citations, _dedupe(keywords), _dedupe(categories), _dedupe(institutions))
 
 
-def replaced(rec: PublicationRecord, **changes) -> PublicationRecord:
+def replaced(rec: Record, **changes) -> Record:
     """A copy of rec with the named fields changed."""
-    fields = {
-        "id": rec.id,
-        "citations": rec.citations,
-        "keywords": rec.keywords,
-        "categories": rec.categories,
-        "institutions": rec.institutions,
-    }
-    return PublicationRecord(**{**fields, **changes})
+    return record(*rec._replace(**changes))
+
+
+def columns_of(records: Sequence[Record]) -> PublicationColumns:
+    """The records transposed into publication columns, in record order."""
+    columns = list(zip(*records)) or [()] * len(Record._fields)
+    return PublicationColumns(*map(list, columns))
+
+
+def records_of(columns: PublicationColumns) -> list[Record]:
+    """The publication columns as one Record per publication, in order."""
+    return list(map(Record._make, zip(*columns)))
 
 
 def random_records(
@@ -50,7 +68,7 @@ def random_records(
     max_institutions: int = 10,
     min_citations: int = 0,
     max_citations: int = 100,
-) -> list[PublicationRecord]:
+) -> list[Record]:
     """Random publication records within the given vocabulary caps."""
     n = rng.randint(0, max_pubs)
     categories = [f"cat{i}" for i in range(rng.randint(1, max_categories))]
@@ -59,18 +77,16 @@ def random_records(
     records = []
     for i in range(n):
         records.append(
-            PublicationRecord(
-                id=f"p{i}",
-                citations=float(rng.randint(min_citations, max_citations)),
-                keywords=tuple(rng.sample(keywords, rng.randint(0, min(4, len(keywords))))),
-                categories=tuple(rng.sample(categories, rng.randint(0, min(3, len(categories))))),
-                institutions=tuple(
-                    rng.sample(institutions, rng.randint(0, min(3, len(institutions))))
-                ),
+            record(
+                f"p{i}",
+                float(rng.randint(min_citations, max_citations)),
+                tuple(rng.sample(keywords, rng.randint(0, min(4, len(keywords))))),
+                tuple(rng.sample(categories, rng.randint(0, min(3, len(categories))))),
+                tuple(rng.sample(institutions, rng.randint(0, min(3, len(institutions))))),
             )
         )
     return records
 
 
 def random_corpus(rng: random.Random, **kwargs):
-    return build_corpus(random_records(rng, **kwargs))
+    return build_corpus(columns_of(random_records(rng, **kwargs)))

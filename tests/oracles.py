@@ -21,8 +21,6 @@ from xindices import (
     Corpus,
     IndexResult,
     IngestConfig,
-    PublicationColumns,
-    PublicationRecord,
     build_corpus,
     h_value,
     normalize_label,
@@ -46,6 +44,8 @@ from xindices.ingest import (
     read_utf8,
 )
 from xindices.kernel import kernel_index
+
+from conftest import Record, columns_of
 
 
 def _parse_citations(cell: str, row: int) -> float:
@@ -99,9 +99,9 @@ def naive_xo_oracle(records, ratio_type: str = "h") -> int:
 
 def reference_read_table(data: bytes, config: IngestConfig | None = None) -> TableData:
     """read_table one cell part and one record at a time: every part goes
-    through normalize_label, every record through the public
-    PublicationRecord constructor (which drops empty and repeated labels).
-    Group values keep repeats, as group_index drops them."""
+    through normalize_label, and each record's label tuples drop empty and
+    repeated labels here. Group values keep repeats, as group_index drops
+    them."""
     if config is None:
         config = IngestConfig()
     text = read_utf8(io.BytesIO(data))
@@ -128,6 +128,13 @@ def reference_read_table(data: bytes, config: IngestConfig | None = None) -> Tab
         parts = cells[index_of[role]].split(config.cell_delimiter)
         return tuple(label for label in (normalize_label(p, config) for p in parts) if label)
 
+    def distinct(labels):
+        kept = []
+        for label in labels:
+            if label not in kept:
+                kept.append(label)
+        return tuple(kept)
+
     records, group_values = [], []
     for row_no, cells in enumerate(reader, start=2):
         if not cells:
@@ -139,17 +146,22 @@ def reference_read_table(data: bytes, config: IngestConfig | None = None) -> Tab
             raise MalformedRow(row_no, "empty id")
         citations = _parse_citations(cells[index_of["citations"]], row_no)
         records.append(
-            PublicationRecord(
+            Record(
                 id=rec_id,
                 citations=citations,
-                keywords=cell_labels(cells, "keywords"),
-                categories=cell_labels(cells, "categories"),
-                institutions=cell_labels(cells, "institutions"),
+                keywords=distinct(cell_labels(cells, "keywords")),
+                categories=distinct(cell_labels(cells, "categories")),
+                institutions=distinct(cell_labels(cells, "institutions")),
             )
         )
         group_values.append(cell_labels(cells, "group"))
     unused = [h for h in headers if h not in mapped]
-    return TableData(PublicationColumns.from_records(records), group_values, unused)
+    absent = tuple(
+        role
+        for role in ("keywords", "categories", "institutions")
+        if role not in index_of and config.column_for(role) is not None
+    )
+    return TableData(columns_of(records), group_values, unused, absent)
 
 
 def reference_views(records) -> dict:
@@ -194,7 +206,7 @@ def reference_views(records) -> dict:
     }
 
 
-def reference_validate(records: Sequence[PublicationRecord]) -> tuple[ValidationReport, list[str]]:
+def reference_validate(records: Sequence[Record]) -> tuple[ValidationReport, list[str]]:
     """validate_records one record at a time: the record loop that the
     whole-column passes replaced. Returns the report and, beside it, the
     categories under SMALL_SAMPLE_THRESHOLD publications, counted here."""
@@ -223,7 +235,7 @@ def reference_validate(records: Sequence[PublicationRecord]) -> tuple[Validation
 
 
 def partition_by_group(
-    records: Sequence[PublicationRecord],
+    records: Sequence[Record],
     group_values: Sequence[Sequence[str]],
     strict: bool = False,
 ) -> dict[str, Corpus]:
@@ -234,7 +246,7 @@ def partition_by_group(
     "(ungrouped)" otherwise."""
     if len(records) != len(group_values):
         raise ValueError("records and group values differ in length")
-    buckets: dict[str, list[PublicationRecord]] = {}
+    buckets: dict[str, list[Record]] = {}
     for rec, labels in zip(records, group_values):
         labels = tuple(dict.fromkeys(filter(None, labels)))
         if not labels:
@@ -243,7 +255,7 @@ def partition_by_group(
             labels = ("(ungrouped)",)
         for label in labels:
             buckets.setdefault(label, []).append(rec)
-    return {label: build_corpus(buckets[label]) for label in sorted(buckets)}
+    return {label: build_corpus(columns_of(buckets[label])) for label in sorted(buckets)}
 
 
 def nested_index(groups: dict[str, Corpus], inner: str = "x", ratio_type: str = "h") -> IndexResult:

@@ -21,7 +21,7 @@ from xindices import (
     h_type_index,
     group_index,
     ivw_xd_index,
-    parse_table,
+    read_table,
     x_index,
     xc_index,
     xd_index,
@@ -32,7 +32,7 @@ from xindices import (
 from xindices.cli import main
 from xindices.stats import ReferenceStats, StatsEntry
 
-from conftest import items, random_records, record
+from conftest import columns_of, items, random_records, record
 from oracles import naive_g_oracle, naive_h_oracle
 
 
@@ -68,7 +68,7 @@ def degeneracy_corpora():
             min_citations=1,
             max_citations=100,
         )
-        corpora.append((records, build_corpus(records)))
+        corpora.append((records, build_corpus(columns_of(records))))
     return corpora
 
 
@@ -94,11 +94,13 @@ def test_kernel_oracle_equivalence():
 def test_ivw_hand_worked_case():
     with criterion("hand-worked IVW case (t,v)=(9,2),(8,4),(5,10) -> 2"):
         corpus = build_corpus(
-            [
-                record("p1", 9, (), ("a",)),
-                record("p2", 8, (), ("b",)),
-                record("p3", 5, (), ("c",)),
-            ]
+            columns_of(
+                [
+                    record("p1", 9, (), ("a",)),
+                    record("p2", 8, (), ("b",)),
+                    record("p3", 5, (), ("c",)),
+                ]
+            )
         )
         stats = ReferenceStats(
             [
@@ -120,7 +122,7 @@ def test_xo_hand_worked_case():
             for k in range(inner):
                 pid += 1
                 records.append(record(f"p{pid}", inner, (f"c{c}k{k}",), (f"c{c}",)))
-        result = xo_index(build_corpus(records), "h")
+        result = xo_index(build_corpus(columns_of(records)), "h")
         assert [row.weight for row in result.table.rows] == [3.0, 2.0, 2.0, 1.0]
         assert result.value == 2
 
@@ -130,10 +132,12 @@ def test_degeneracy_identities(degeneracy_corpora):
         for records, corpus in degeneracy_corpora:
             # single institution per record -> fractional equals whole
             single = build_corpus(
-                [
-                    record(r.id, r.citations, r.keywords, r.categories, r.institutions[:1])
-                    for r in records
-                ]
+                columns_of(
+                    [
+                        record(r.id, r.citations, r.keywords, r.categories, r.institutions[:1])
+                        for r in records
+                    ]
+                )
             )
             assert xdf_index(single, "h").value == xd_index(single, "h").value
 
@@ -194,8 +198,8 @@ def test_monotonicity_under_extension():
                 tuple(f"cat{rng.randint(0, 19)}" for _ in range(rng.randint(0, 3))),
                 tuple(f"inst{rng.randint(0, 9)}" for _ in range(rng.randint(0, 2))),
             )
-            before = build_corpus(records)
-            after = build_corpus(records + [extra])
+            before = build_corpus(columns_of(records))
+            after = build_corpus(columns_of(records + [extra]))
             assert x_index(after, "h").value >= x_index(before, "h").value
             assert xc_index(after, "h").value >= xc_index(before, "h").value
             assert xd_index(after, "h").value >= xd_index(before, "h").value
@@ -203,7 +207,7 @@ def test_monotonicity_under_extension():
 
 def test_overlap_bias_worked_example():
     with criterion("overlap worked example: x = 1, x_c = 2"):
-        corpus = build_corpus([record("p1", 3, ("a",), ("c1", "c2"))])
+        corpus = build_corpus(columns_of([record("p1", 3, ("a",), ("c1", "c2"))]))
         assert x_index(corpus, "h").value == 1
         assert xc_index(corpus, "h").value == 2
 
@@ -260,10 +264,10 @@ def test_performance_at_scale(tmp_path):
 
         start = time.perf_counter()
         with open(data, "rb") as fh:
-            records = parse_table(fh)
-        corpus = build_corpus(records)
+            columns = read_table(fh).columns
+        corpus = build_corpus(columns)
         ingest_time = time.perf_counter() - start
-        assert sum(len(r.keywords) for r in records) > 190_000
+        assert sum(map(len, columns.keywords)) > 190_000
         assert ingest_time < 5.0, f"ingestion took {ingest_time:.2f}s"
 
         internal = estimate_stats(corpus)

@@ -20,8 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 import import_check
 import xindices.cli
-from xindices import PublicationRecord, errors
+from xindices import errors
 from xindices.cli import main
+from xindices.indices import INDEX_FIELDS
+from xindices.ingest import LABEL_FIELDS, TableData
 
 from test_acceptance import _synthetic_csv
 
@@ -921,14 +923,45 @@ def test_commands_load_only_the_modules_they_use():
     ],
 )
 def test_commands_build_no_publication_record(toy_csv, tmp_path, capsys, monkeypatch, argv):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a PublicationRecord was built")
+    def refuse(table):
+        raise AssertionError("TableData.records was read")
 
-    monkeypatch.setattr(PublicationRecord, "__init__", refuse)
-    monkeypatch.setattr(PublicationRecord, "_from_normalised", refuse)
+    # records is a per-publication list kept for perfbench/spans.py alone
+    monkeypatch.setattr(TableData, "records", property(refuse))
     out = () if argv[0] == "validate" else ("--out", str(tmp_path / "out"))
     code, _, err = run(capsys, *argv, "--input", toy_csv, *out)
     assert code == 0, err
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("compute", "--index", "x"), "keywords"),
+        (("compute", "--index", "xc"), "categories"),
+        (("compute", "--index", "xd"), "categories"),
+        (("compute", "--index", "xdf"), "institutions"),
+        (("compute", "--index", "xo"), "keywords"),
+        (("nested", "--group-col", "g", "--inner", "xd"), "categories"),
+    ],
+    ids=["x", "xc", "xd", "xdf", "xo", "nested-xd"],
+)
+def test_absent_read_column_warns(tmp_path, capsys, argv, field, fmt):
+    """One warning for a label column the index reads that the header
+    lacks, naming the header looked for; none for the absent columns it
+    does not read, and none for the read columns present."""
+    read = INDEX_FIELDS[argv[-1]]
+    renamed = {name: name.title() for name in LABEL_FIELDS if name == field or name not in read}
+    header = ["id", "citations", *(renamed.get(name, name) for name in LABEL_FIELDS), "g"]
+    path = tmp_path / "pubs.csv"
+    path.write_text(",".join(header) + "\np1,3,a,c1,i1,g1\np2,2,b,c2,i2,g1\n")
+    code, out, err = run(capsys, *argv, "--input", str(path), "--format", fmt)
+    assert (code, err) == (0, "")
+    warning = f"the header has no {field} column '{field}'; every publication is read with no {field}"
+    if fmt == "json":
+        assert json.loads(out)["warnings"] == [warning]
+    else:
+        assert [line for line in out.splitlines() if line.startswith("warning:")] == [f"warning: {warning}"]
 
 
 @pytest.mark.parametrize("collecting", [True, False])

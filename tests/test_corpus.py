@@ -18,7 +18,6 @@ from xindices import (
     NegativeCitations,
     NonFiniteCitations,
     PublicationColumns,
-    PublicationRecord,
     build_corpus,
     estimate_stats,
     ivw_xd_index,
@@ -33,7 +32,7 @@ import xindices.corpus as corpus_module
 from xindices.cli import main
 from xindices.corpus import GROUP_VIEWS, ITEM_VIEWS
 
-from conftest import random_records, record
+from conftest import columns_of, random_records, record
 from oracles import partition_by_group, reference_views
 
 
@@ -42,7 +41,7 @@ def weights(items):
 
 
 def test_empty_corpus():
-    corpus = build_corpus([])
+    corpus = build_corpus(columns_of([]))
     assert len(corpus) == 0
     assert corpus.items("keywords") == ()
     assert corpus.items("pairs") == ()
@@ -51,20 +50,20 @@ def test_empty_corpus():
 
 
 def test_singleton_corpus():
-    corpus = build_corpus([record("a", 3, ("k1",), ("c1",), ("i1",))])
+    corpus = build_corpus(columns_of([record("a", 3, ("k1",), ("c1",), ("i1",))]))
     assert len(corpus) == 1
     assert weights(corpus.items("keywords")) == {"k1": 3.0}
 
 
 def test_duplicate_id_rejected():
     with pytest.raises(DuplicateId) as err:
-        build_corpus([record("a", 1), record("a", 2)])
+        build_corpus(columns_of([record("a", 1), record("a", 2)]))
     assert err.value.id == "a"
 
 
 def test_negative_citations_rejected():
     with pytest.raises(NegativeCitations):
-        build_corpus([record("a", -1)])
+        build_corpus(columns_of([record("a", -1)]))
 
 
 @pytest.mark.parametrize(
@@ -73,7 +72,9 @@ def test_negative_citations_rejected():
 def test_non_finite_citations_rejected(citations):
     # estimate_stats and the totals views could not handle such a count
     with pytest.raises(NonFiniteCitations) as err:
-        build_corpus([record("a", 1, categories=("c",)), record("b", citations, categories=("c",))])
+        build_corpus(
+            columns_of([record("a", 1, categories=("c",)), record("b", citations, categories=("c",))])
+        )
     assert err.value.id == "b"
 
 
@@ -89,62 +90,68 @@ def test_record_requires_id():
 
 def test_keyword_totals_hand_sum():
     corpus = build_corpus(
-        [
-            record("p1", 6, keywords=("a", "b")),
-            record("p2", 1, keywords=("a",)),
-            record("p3", 2, keywords=("b", "c")),
-        ]
+        columns_of(
+            [
+                record("p1", 6, keywords=("a", "b")),
+                record("p2", 1, keywords=("a",)),
+                record("p3", 2, keywords=("b", "c")),
+            ]
+        )
     )
     assert weights(corpus.items("keywords")) == {"a": 7.0, "b": 8.0, "c": 2.0}
 
 
 def test_keyword_totals_replicates_full_count():
-    corpus = build_corpus([record("p1", 5, keywords=("a", "b", "c"))])
+    corpus = build_corpus(columns_of([record("p1", 5, keywords=("a", "b", "c"))]))
     assert weights(corpus.items("keywords")) == {"a": 5.0, "b": 5.0, "c": 5.0}
 
 
 def test_keyword_totals_empty_when_no_keywords():
-    corpus = build_corpus([record("p1", 5), record("p2", 2)])
+    corpus = build_corpus(columns_of([record("p1", 5), record("p2", 2)]))
     assert corpus.items("keywords") == ()
 
 
 def test_pair_totals_cross_product():
-    corpus = build_corpus([record("p1", 3, keywords=("a",), categories=("c1", "c2"))])
+    corpus = build_corpus(columns_of([record("p1", 3, keywords=("a",), categories=("c1", "c2"))]))
     assert weights(corpus.items("pairs")) == {"a@c1": 3.0, "a@c2": 3.0}
 
 
 def test_pair_totals_no_category_no_pair():
-    corpus = build_corpus([record("p1", 3, keywords=("a",))])
+    corpus = build_corpus(columns_of([record("p1", 3, keywords=("a",))]))
     assert corpus.items("pairs") == ()
 
 
 def test_pair_totals_hand_sum():
     corpus = build_corpus(
-        [
-            record("p1", 2, keywords=("a",), categories=("c1",)),
-            record("p2", 5, keywords=("a",), categories=("c1",)),
-        ]
+        columns_of(
+            [
+                record("p1", 2, keywords=("a",), categories=("c1",)),
+                record("p2", 5, keywords=("a",), categories=("c1",)),
+            ]
+        )
     )
     assert weights(corpus.items("pairs")) == {"a@c1": 7.0}
 
 
 def test_category_totals_whole():
     corpus = build_corpus(
-        [
-            record("p1", 9, categories=("a",)),
-            record("p2", 4, categories=("a", "b")),
-        ]
+        columns_of(
+            [
+                record("p1", 9, categories=("a",)),
+                record("p2", 4, categories=("a", "b")),
+            ]
+        )
     )
     assert weights(corpus.items("categories")) == {"a": 13.0, "b": 4.0}
 
 
 def test_category_totals_fractional_divides_by_institutions():
-    corpus = build_corpus([record("p1", 10, categories=("a",), institutions=("i1", "i2"))])
+    corpus = build_corpus(columns_of([record("p1", 10, categories=("a",), institutions=("i1", "i2"))]))
     assert weights(corpus.items("categories_fractional")) == {"a": 5.0}
 
 
 def test_category_totals_fractional_empty_institutions_divisor_one():
-    corpus = build_corpus([record("p1", 10, categories=("a",))])
+    corpus = build_corpus(columns_of([record("p1", 10, categories=("a",))]))
     assert weights(corpus.items("categories_fractional")) == {"a": 10.0}
 
 
@@ -154,28 +161,30 @@ def test_category_totals_fractional_equals_whole_for_single_institution():
         record(f"p{i}", rng.randint(0, 50), categories=("a", "b"), institutions=("i1",))
         for i in range(20)
     ]
-    corpus = build_corpus(records)
+    corpus = build_corpus(columns_of(records))
     assert corpus.items("categories_fractional") == corpus.items("categories")
 
 
 def test_category_totals_unknown_mode():
     with pytest.raises(ValueError, match="unknown view 'split'"):
-        build_corpus([]).items("split")
+        build_corpus(columns_of([])).items("split")
 
 
 def test_category_samples():
     corpus = build_corpus(
-        [
-            record("p1", 1, categories=("a",)),
-            record("p2", 2, categories=("a",)),
-            record("p3", 3, categories=("a",)),
-        ]
+        columns_of(
+            [
+                record("p1", 1, categories=("a",)),
+                record("p2", 2, categories=("a",)),
+                record("p3", 3, categories=("a",)),
+            ]
+        )
     )
     assert corpus.category_samples() == {"a": [1.0, 2.0, 3.0]}
 
 
 def test_category_samples_multi_category():
-    corpus = build_corpus([record("p1", 5, categories=("a", "b"))])
+    corpus = build_corpus(columns_of([record("p1", 5, categories=("a", "b"))]))
     assert corpus.category_samples() == {"a": [5.0], "b": [5.0]}
 
 
@@ -207,7 +216,7 @@ def test_partition_ungrouped_fallback_and_strict():
 
 
 def test_items_by_group_ungrouped_fallback_and_strict():
-    corpus = build_corpus([record("p2", 1, ("k",)), record("p1", 2, ("k",))])
+    corpus = build_corpus(columns_of([record("p2", 1, ("k",)), record("p1", 2, ("k",))]))
     groups = corpus.items_by_group([(), ("i1", "i1")], "keywords")
     assert {group: list(items) for group, items in groups.items()} == {
         "(ungrouped)": [("k", 1.0)],
@@ -251,7 +260,7 @@ def test_items_by_group_equals_views_of_partition(seed, view, strict):
         except MissingGroupLabel as exc:
             return MissingGroupLabel, exc.id
 
-    by_group = outcome(lambda: build_corpus(records).items_by_group(group_values, view, strict))
+    by_group = outcome(lambda: build_corpus(columns_of(records)).items_by_group(group_values, view, strict))
     partition = outcome(lambda: partition_by_group(records, group_values, strict))
     if isinstance(partition, dict):
         by_group = {group: list(items) for group, items in by_group.items()}
@@ -265,7 +274,7 @@ def test_permutation_invariance(seed):
     records = random_records(rng, max_pubs=40, max_categories=6, max_keywords=15)
     shuffled = list(records)
     rng.shuffle(shuffled)
-    a, b = build_corpus(records), build_corpus(shuffled)
+    a, b = build_corpus(columns_of(records)), build_corpus(columns_of(shuffled))
     assert a.items("keywords") == b.items("keywords")
     assert a.items("pairs") == b.items("pairs")
     assert a.items("categories") == b.items("categories")
@@ -282,7 +291,7 @@ def test_views_list_labels_in_first_seen_id_order(seed):
     rng = random.Random(seed)
     records = random_records(rng, max_pubs=40, max_categories=6, max_keywords=15)
     rng.shuffle(records)
-    corpus = build_corpus(records)
+    corpus = build_corpus(columns_of(records))
     by_id = sorted(records, key=lambda rec: rec.id)
 
     def first_seen(field, members=by_id):
@@ -307,7 +316,7 @@ def test_conservation_single_category(seed):
         record(f"p{i}", rng.randint(0, 30), categories=(f"c{rng.randint(0, 3)}",))
         for i in range(rng.randint(0, 25))
     ]
-    corpus = build_corpus(records)
+    corpus = build_corpus(columns_of(records))
     total = sum(weight for _, weight in corpus.items("categories"))
     assert total == sum(r.citations for r in records)
 
@@ -315,7 +324,7 @@ def test_conservation_single_category(seed):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_pair_weight_bounded_by_keyword_weight(seed):
     rng = random.Random(seed)
-    corpus = build_corpus(random_records(rng, max_pubs=40, max_categories=5, max_keywords=10))
+    corpus = build_corpus(columns_of(random_records(rng, max_pubs=40, max_categories=5, max_keywords=10)))
     kw = dict(corpus.items("keywords"))
     for label, weight in corpus.items("pairs"):
         keyword = label.rsplit("@", 1)[0]
@@ -325,14 +334,14 @@ def test_pair_weight_bounded_by_keyword_weight(seed):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_fractional_never_exceeds_whole(seed):
     rng = random.Random(seed)
-    corpus = build_corpus(random_records(rng, max_pubs=40))
+    corpus = build_corpus(columns_of(random_records(rng, max_pubs=40)))
     whole = dict(corpus.items("categories"))
     for label, weight in corpus.items("categories_fractional"):
         assert weight <= whole[label]
 
 
 def test_corpus_is_immutable():
-    corpus = build_corpus([record("p1", 1)])
+    corpus = build_corpus(columns_of([record("p1", 1)]))
     with pytest.raises(AttributeError):
         corpus.columns = corpus.columns
 
@@ -342,18 +351,17 @@ def test_corpus_is_immutable():
     [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
     ids=["copy", "deepcopy", "pickle"],
 )
-@pytest.mark.parametrize("from_columns", [False, True], ids=["records", "columns"])
-def test_corpus_and_stats_copy_and_pickle(clone, from_columns):
+def test_corpus_and_stats_copy_and_pickle(clone):
     records = [
         record("p2", 3, ("k1", "k2"), ("c1",), ("i1", "i2")),
         record("p1", 1.5, ("k1",), ("c1", "c2")),
     ]
-    corpus = build_corpus(PublicationColumns.from_records(records) if from_columns else records)
+    corpus = build_corpus(columns_of(records))
     corpus.items("pairs")  # a built view is not carried over, only rebuilt
     twin = clone(corpus)
     assert type(twin) is Corpus
     assert twin.columns == corpus.columns
-    assert twin.columns.records() == records
+    assert list(zip(*twin.columns)) == records
     for view in ITEM_VIEWS:
         assert twin.items(view) == corpus.items(view)
     stats = estimate_stats(corpus)
@@ -384,11 +392,11 @@ READERS = {
 def test_views_independent_of_first_read_order(seed):
     rng = random.Random(seed)
     records = random_records(rng, max_pubs=40, max_categories=6, max_keywords=15, min_citations=1)
-    reference = build_corpus(records)
+    reference = build_corpus(columns_of(records))
     expected = {name: read(reference) for name, read in READERS.items()}
     names = list(READERS)
     rng.shuffle(names)
-    corpus = build_corpus(records)
+    corpus = build_corpus(columns_of(records))
     assert {name: READERS[name](corpus) for name in names} == expected
     assert {name: READERS[name](corpus) for name in names} == expected
 
@@ -449,7 +457,7 @@ def test_each_command_builds_the_views_its_index_reads_once(tmp_path, capsys, mo
 
 
 def test_item_views_hold_plain_tuples():
-    corpus = build_corpus([record("p1", 3, ("k",), ("c",), ("i",))])
+    corpus = build_corpus(columns_of([record("p1", 3, ("k",), ("c",), ("i",))]))
     for view in ITEM_VIEWS:
         assert [type(item) for item in corpus.items(view)] == [tuple]
     assert corpus.items("pairs") == (("k@c", 3.0),)
@@ -499,12 +507,9 @@ def corpus_views(build, group_values):
 @settings(max_examples=300, deadline=None)
 def test_from_columns_equals_records_and_record_wise_views(rows, data):
     group_values = [data.draw(labels) for _ in rows]
-    records = [PublicationRecord(*row) for row in rows]
-    columns = PublicationColumns(*(list(column) for column in zip(*rows))) if rows else (
-        PublicationColumns([], [], [], [], [])
-    )
+    records = [record(*row) for row in rows]
+    columns = columns_of(rows)
     from_columns = corpus_views(lambda: Corpus(columns), group_values)
-    assert from_columns == corpus_views(lambda: build_corpus(records), group_values)
     expected = reference_views(records)
     if isinstance(expected, dict):
         in_group: dict[str, list] = {}
@@ -515,7 +520,6 @@ def test_from_columns_equals_records_and_record_wise_views(rows, data):
             expected[f"{view}_by_group"] = {
                 group: list(reference_views(members)[view]) for group, members in in_group.items()
             }
-        assert Corpus(columns).columns.records() == records
         # the reference lists each item view by label, a stable sort of first-seen order
         for view in ITEM_VIEWS:
             from_columns[view] = tuple(sorted(from_columns[view], key=itemgetter(0)))
@@ -527,20 +531,3 @@ def test_from_columns_checks_ids_and_lengths():
         Corpus(PublicationColumns(["p1", ""], [1.0, 2.0], [(), ()], [(), ()], [(), ()]))
     with pytest.raises(ValueError, match="differ in length"):
         Corpus(PublicationColumns(["p1"], [1.0, 2.0], [()], [()], [()]))
-
-
-def test_corpus_and_its_views_build_no_publication_record(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a PublicationRecord was built")
-
-    monkeypatch.setattr(PublicationRecord, "__init__", refuse)
-    monkeypatch.setattr(PublicationRecord, "_from_normalised", refuse)
-    columns = PublicationColumns(["p2", "p1"], [2.0, 1.5], [("k",), ()], [(), ("c",)], [(), ("i",)])
-    corpus = build_corpus(columns)
-    for view in ITEM_VIEWS:
-        corpus.items(view)
-    for view in GROUP_VIEWS:
-        corpus.items_by_group([("g",), ()], view)
-    corpus.keyword_items_by_category()
-    corpus.category_samples()
-    assert x_index(corpus).value == 1

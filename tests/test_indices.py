@@ -12,7 +12,6 @@ from xindices import (
     MissingStats,
     NonFiniteWeight,
     NonPositiveMean,
-    PublicationRecord,
     RankBasisUnsupported,
     ZeroOrMissingVariance,
     build_corpus,
@@ -31,7 +30,7 @@ from xindices.indices import INDEX_FIELDS
 from xindices.ingest import LABEL_FIELDS
 from xindices.stats import ReferenceStats, StatsEntry
 
-from conftest import random_records, record, replaced
+from conftest import columns_of, random_records, record, replaced
 from oracles import naive_h_oracle, naive_xo_oracle, nested_index, partition_by_group
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -51,22 +50,24 @@ def unit_stats(corpus, mean=1.0, variance=1.0):
 
 def test_x_hand_case():
     corpus = build_corpus(
-        [
-            record("p1", 6, keywords=("a", "b")),
-            record("p2", 1, keywords=("a",)),
-            record("p3", 2, keywords=("b", "c")),
-        ]
+        columns_of(
+            [
+                record("p1", 6, keywords=("a", "b")),
+                record("p2", 1, keywords=("a",)),
+                record("p3", 2, keywords=("b", "c")),
+            ]
+        )
     )
     assert naive_h_oracle([8, 7, 2]) == 2
     assert x_index(corpus, "h").value == 2
 
 
 def test_x_empty_corpus():
-    assert x_index(build_corpus([]), "h").value == 0
+    assert x_index(build_corpus(columns_of([])), "h").value == 0
 
 
 def test_x_single_keyword_single_citation():
-    corpus = build_corpus([record("p1", 1, keywords=("a",))])
+    corpus = build_corpus(columns_of([record("p1", 1, keywords=("a",))]))
     assert x_index(corpus, "h").value == 1
 
 
@@ -74,28 +75,30 @@ def test_x_single_keyword_single_citation():
 
 
 def test_xc_overlap_hand_case():
-    corpus = build_corpus([record("p1", 3, keywords=("a",), categories=("c1", "c2"))])
+    corpus = build_corpus(columns_of([record("p1", 3, keywords=("a",), categories=("c1", "c2"))]))
     assert x_index(corpus, "h").value == 1
     assert xc_index(corpus, "h").value == 2
 
 
 def test_xc_equals_x_when_categories_disjoint():
     corpus = build_corpus(
-        [
-            record("p1", 5, keywords=("a",), categories=("c1",)),
-            record("p2", 3, keywords=("b",), categories=("c2",)),
-        ]
+        columns_of(
+            [
+                record("p1", 5, keywords=("a",), categories=("c1",)),
+                record("p2", 3, keywords=("b",), categories=("c2",)),
+            ]
+        )
     )
     assert xc_index(corpus, "h").value == x_index(corpus, "h").value
 
 
 def test_xc_no_categorised_publications():
-    corpus = build_corpus([record("p1", 5, keywords=("a",))])
+    corpus = build_corpus(columns_of([record("p1", 5, keywords=("a",))]))
     assert xc_index(corpus, "h").value == 0
 
 
 def test_xc_table_labels_are_pairs():
-    corpus = build_corpus([record("p1", 3, keywords=("a",), categories=("c1", "c2"))])
+    corpus = build_corpus(columns_of([record("p1", 3, keywords=("a",), categories=("c1", "c2"))]))
     labels = [row.label for row in xc_index(corpus, "h").table.rows]
     assert labels == ["a@c1", "a@c2"]
 
@@ -103,10 +106,12 @@ def test_xc_table_labels_are_pairs():
 def test_xc_pairs_with_separator_in_labels_stay_apart():
     # Both pairs render as "a@b@c"; they are still two items of 5.
     corpus = build_corpus(
-        [
-            record("p1", 5, keywords=("a@b",), categories=("c",)),
-            record("p2", 5, keywords=("a",), categories=("b@c",)),
-        ]
+        columns_of(
+            [
+                record("p1", 5, keywords=("a@b",), categories=("c",)),
+                record("p2", 5, keywords=("a",), categories=("b@c",)),
+            ]
+        )
     )
     result = xc_index(corpus, "h")
     assert result.value == 2
@@ -121,12 +126,14 @@ def test_xc_pairs_with_separator_in_labels_stay_apart():
 
 def xd_corpus():
     return build_corpus(
-        [
-            record("p1", 9, categories=("a",)),
-            record("p2", 4, categories=("b",)),
-            record("p3", 2, categories=("c",)),
-            record("p4", 2, categories=("d",)),
-        ]
+        columns_of(
+            [
+                record("p1", 9, categories=("a",)),
+                record("p2", 4, categories=("b",)),
+                record("p3", 2, categories=("c",)),
+                record("p4", 2, categories=("d",)),
+            ]
+        )
     )
 
 
@@ -141,7 +148,7 @@ def test_xd_hand_case_g():
 
 
 def test_xd_no_categories():
-    assert xd_index(build_corpus([record("p1", 9)]), "h").value == 0
+    assert xd_index(build_corpus(columns_of([record("p1", 9)])), "h").value == 0
 
 
 # --- xdf --------------------------------------------------------------------
@@ -149,10 +156,12 @@ def test_xd_no_categories():
 
 def test_xdf_fractional_weights():
     corpus = build_corpus(
-        [
-            record("p1", 10, categories=("a",), institutions=("i1", "i2")),
-            record("p2", 3, categories=("a",), institutions=("i1",)),
-        ]
+        columns_of(
+            [
+                record("p1", 10, categories=("a",), institutions=("i1", "i2")),
+                record("p2", 3, categories=("a",), institutions=("i1",)),
+            ]
+        )
     )
     row = xdf_index(corpus, "h").table.rows[0]
     assert row.label == "a"
@@ -165,20 +174,20 @@ def test_xdf_equals_xd_single_institution():
         record(f"p{i}", rng.randint(0, 40), (), (f"c{rng.randint(0, 5)}",), ("i1",))
         for i in range(30)
     ]
-    corpus = build_corpus(records)
+    corpus = build_corpus(columns_of(records))
     for ratio_type in ("h", "g"):
         assert xdf_index(corpus, ratio_type).value == xd_index(corpus, ratio_type).value
 
 
 def test_xdf_empty():
-    assert xdf_index(build_corpus([]), "h").value == 0
+    assert xdf_index(build_corpus(columns_of([])), "h").value == 0
 
 
 # --- xdfn -------------------------------------------------------------------
 
 
 def test_xdfn_divides_by_mean():
-    corpus = build_corpus([record("p1", 12, categories=("a",))])
+    corpus = build_corpus(columns_of([record("p1", 12, categories=("a",))]))
     stats = ReferenceStats([StatsEntry("a", 2.0, 1.0, 10)])
     row = xdfn_index(corpus, "h", stats).table.rows[0]
     assert row.weight == 6.0
@@ -194,7 +203,7 @@ def test_xdfn_unit_means_equals_xd():
 def test_xdfn_internal_means_scores_are_publication_counts():
     rng = random.Random(5)
     records = random_records(rng, max_pubs=60, min_citations=1)
-    corpus = build_corpus(records)
+    corpus = build_corpus(columns_of(records))
     stats = estimate_stats(corpus)
     result = xdfn_index(corpus, "h", stats)
     counts = {}
@@ -215,7 +224,7 @@ def test_xdfn_internal_means_exact_on_awkward_totals():
     records = [record("p0", 9, (), ("a",))] + [
         record(f"p{i}", 0, (), ("a",)) for i in range(1, 7)
     ]
-    corpus = build_corpus(records)
+    corpus = build_corpus(columns_of(records))
     result = xdfn_index(corpus, "h", estimate_stats(corpus))
     assert result.table.rows[0].weight == 7
 
@@ -241,7 +250,7 @@ def test_xdfn_lenient_drops_missing_category():
 
 
 def test_xdfn_zero_mean_strict_raises():
-    corpus = build_corpus([record("p1", 0, categories=("a",))])
+    corpus = build_corpus(columns_of([record("p1", 0, categories=("a",))]))
     stats = estimate_stats(corpus)  # mean 0 for category a
     with pytest.raises(NonPositiveMean):
         xdfn_index(corpus, "h", stats, strict=True)
@@ -254,10 +263,12 @@ def test_xdfn_zero_mean_strict_raises():
 def test_xdfn_overflowing_total_raises_as_xd(ratio_type, internal):
     # a's total is finite; b's and c's overflow, and both indices name b
     corpus = build_corpus(
-        [
-            record("p1", 1.7e308, categories=("a", "b", "c")),
-            record("p2", 1.7e308, categories=("b", "c")),
-        ]
+        columns_of(
+            [
+                record("p1", 1.7e308, categories=("a", "b", "c")),
+                record("p2", 1.7e308, categories=("b", "c")),
+            ]
+        )
     )
     stats = estimate_stats(corpus) if internal else unit_stats(corpus, mean=2.0)
     with pytest.raises(NonFiniteWeight) as xd_err:
@@ -281,11 +292,13 @@ def test_xdfn_overflowing_total_raises_as_xd(ratio_type, internal):
 
 def ivw_fixture():
     corpus = build_corpus(
-        [
-            record("p1", 9, categories=("a",)),
-            record("p2", 8, categories=("b",)),
-            record("p3", 5, categories=("c",)),
-        ]
+        columns_of(
+            [
+                record("p1", 9, categories=("a",)),
+                record("p2", 8, categories=("b",)),
+                record("p3", 5, categories=("c",)),
+            ]
+        )
     )
     stats = ReferenceStats(
         [
@@ -320,11 +333,13 @@ def test_ivw_rank_stays_on_raw_totals():
 
 def test_ivw_non_monotone_crossing_ignores_recovery():
     corpus = build_corpus(
-        [
-            record("p1", 10, categories=("a",)),
-            record("p2", 9, categories=("b",)),
-            record("p3", 8, categories=("c",)),
-        ]
+        columns_of(
+            [
+                record("p1", 10, categories=("a",)),
+                record("p2", 9, categories=("b",)),
+                record("p3", 8, categories=("c",)),
+            ]
+        )
     )
     stats = ReferenceStats(
         [
@@ -340,7 +355,9 @@ def test_ivw_non_monotone_crossing_ignores_recovery():
 
 def test_ivw_zero_variance_rejected_without_floor():
     corpus = build_corpus(
-        [record("p1", 5, categories=("a",)), record("p2", 5, categories=("a",))]
+        columns_of(
+            [record("p1", 5, categories=("a",)), record("p2", 5, categories=("a",))]
+        )
     )
     stats = estimate_stats(corpus)  # all-equal citations -> variance 0
     with pytest.raises(ZeroOrMissingVariance):
@@ -348,7 +365,7 @@ def test_ivw_zero_variance_rejected_without_floor():
 
 
 def test_ivw_undefined_variance_rejected_without_floor():
-    corpus = build_corpus([record("p1", 5, categories=("a",))])
+    corpus = build_corpus(columns_of([record("p1", 5, categories=("a",))]))
     stats = estimate_stats(corpus, "sample")  # n = 1 -> undefined
     with pytest.raises(ZeroOrMissingVariance):
         ivw_xd_index(corpus, "h", stats)
@@ -356,7 +373,9 @@ def test_ivw_undefined_variance_rejected_without_floor():
 
 def test_ivw_variance_floor_substitutes():
     corpus = build_corpus(
-        [record("p1", 5, categories=("a",)), record("p2", 5, categories=("a",))]
+        columns_of(
+            [record("p1", 5, categories=("a",)), record("p2", 5, categories=("a",))]
+        )
     )
     stats = estimate_stats(corpus)
     result = ivw_xd_index(corpus, "h", stats, variance_floor=1.0)
@@ -411,7 +430,7 @@ def xo_corpus(inner_values=(3, 2, 2, 1)):
             records.append(
                 record(f"p{pid}", inner, (f"c{c}k{k}",), (f"c{c}",))
             )
-    return build_corpus(records)
+    return build_corpus(columns_of(records))
 
 
 def test_xo_hand_case():
@@ -423,7 +442,9 @@ def test_xo_hand_case():
 
 def test_xo_single_category():
     corpus = build_corpus(
-        [record(f"p{i}", 5, (f"k{i}",), ("c1",)) for i in range(5)]
+        columns_of(
+            [record(f"p{i}", 5, (f"k{i}",), ("c1",)) for i in range(5)]
+        )
     )
     result = xo_index(corpus, "h")
     assert result.table.rows[0].weight == 5.0
@@ -431,17 +452,19 @@ def test_xo_single_category():
 
 
 def test_xo_no_categorised_publications():
-    assert xo_index(build_corpus([record("p1", 9, ("k",))]), "h").value == 0
+    assert xo_index(build_corpus(columns_of([record("p1", 9, ("k",))])), "h").value == 0
 
 
 def test_xo_uses_in_category_citations():
     # both keywords reach a global total of 2, but inside each category they
     # only have 1 citation, so each inner x-index must stay at 1
     corpus = build_corpus(
-        [
-            record("p1", 1, ("k1", "k2"), ("a",)),
-            record("p2", 1, ("k1", "k2"), ("b",)),
-        ]
+        columns_of(
+            [
+                record("p1", 1, ("k1", "k2"), ("a",)),
+                record("p2", 1, ("k1", "k2"), ("b",)),
+            ]
+        )
     )
     result = xo_index(corpus, "h")
     weights = {row.label: row.weight for row in result.table.rows}
@@ -464,7 +487,7 @@ def test_xo_matches_oracle_with_separator_in_labels(seed):
         )
         for i in range(rng.randint(0, 30))
     ]
-    corpus = build_corpus(records)
+    corpus = build_corpus(columns_of(records))
     for ratio_type in ("h", "g"):
         assert xo_index(corpus, ratio_type).value == naive_xo_oracle(records, ratio_type)
 
@@ -474,10 +497,12 @@ def test_xo_matches_oracle_with_separator_in_labels(seed):
 
 def corpus_with_x(value: int, prefix: str):
     return build_corpus(
-        [
-            record(f"{prefix}p{k}", value, (f"{prefix}k{k}",), ())
-            for k in range(value)
-        ]
+        columns_of(
+            [
+                record(f"{prefix}p{k}", value, (f"{prefix}k{k}",), ())
+                for k in range(value)
+            ]
+        )
     )
 
 
@@ -494,7 +519,7 @@ def test_nested_hand_case():
 
 
 def test_nested_single_group_zero_inner():
-    groups = {"i1": build_corpus([record("p1", 0, ("k",))])}
+    groups = {"i1": build_corpus(columns_of([record("p1", 0, ("k",))]))}
     assert nested_index(groups, inner="x", ratio_type="h").value == 0
 
 
@@ -506,7 +531,9 @@ def test_nested_single_group_positive_inner():
 def test_nested_xd_inner():
     groups = {
         f"i{j}": build_corpus(
-            [record(f"g{j}p{k}", 2, (), (f"g{j}c{k}",)) for k in range(2)]
+            columns_of(
+                [record(f"g{j}p{k}", 2, (), (f"g{j}c{k}",)) for k in range(2)]
+            )
         )
         for j in range(3)
     }
@@ -555,13 +582,13 @@ def test_group_index_equals_nested_index_over_partition(seed, inner, ratio_type,
         lambda: nested_index(partition_by_group(records, group_values, strict), inner, ratio_type)
     )
     assert outcome(
-        lambda: group_index(build_corpus(records), group_values, inner, ratio_type, strict)
+        lambda: group_index(build_corpus(columns_of(records)), group_values, inner, ratio_type, strict)
     ) == expected
 
 
 def test_group_index_unknown_inner():
     with pytest.raises(ValueError):
-        group_index(build_corpus([]), [], inner="xc")
+        group_index(build_corpus(columns_of([])), [], inner="xc")
 
 
 # Every index of a kind in INDEX_FIELDS, at both ratio types.
@@ -587,10 +614,10 @@ def test_index_fields_hold_every_field_an_index_reads(seed):
     rng = random.Random(seed)
     records = random_records(rng, max_pubs=50, min_citations=1)
     group_values = [rec.institutions for rec in records]
-    full = build_corpus(records)
+    full = build_corpus(columns_of(records))
     for kind, fields in INDEX_FIELDS.items():
         blank = dict.fromkeys(set(LABEL_FIELDS) - set(fields), ())
-        projected = build_corpus([replaced(rec, **blank) for rec in records])
+        projected = build_corpus(columns_of([replaced(rec, **blank) for rec in records]))
         for ratio_type in ("h", "g"):
             read = INDEX_READERS[kind]
             assert read(projected, ratio_type) == read(full, ratio_type), (kind, ratio_type)
@@ -607,7 +634,7 @@ def test_index_fields_hold_every_field_an_index_reads(seed):
 @settings(max_examples=60, deadline=None)
 def test_definitional_consistency(seed):
     rng = random.Random(seed)
-    corpus = build_corpus(random_records(rng, max_pubs=50))
+    corpus = build_corpus(columns_of(random_records(rng, max_pubs=50)))
     for result in (x_index(corpus, "h"), xc_index(corpus, "h"), xd_index(corpus, "h")):
         v = result.value
         rows = result.table.rows
@@ -619,7 +646,7 @@ def test_definitional_consistency(seed):
 @settings(max_examples=60, deadline=None)
 def test_xo_bounded_by_xd(seed):
     rng = random.Random(seed)
-    corpus = build_corpus(random_records(rng, max_pubs=50))
+    corpus = build_corpus(columns_of(random_records(rng, max_pubs=50)))
     for ratio_type in ("h", "g"):
         assert xo_index(corpus, ratio_type).value <= xd_index(corpus, ratio_type).value
 
@@ -628,7 +655,7 @@ def test_xo_bounded_by_xd(seed):
 @settings(max_examples=60, deadline=None)
 def test_xdf_bounded_by_xd(seed):
     rng = random.Random(seed)
-    corpus = build_corpus(random_records(rng, max_pubs=50))
+    corpus = build_corpus(columns_of(random_records(rng, max_pubs=50)))
     assert xdf_index(corpus, "h").value <= xd_index(corpus, "h").value
 
 
@@ -643,8 +670,8 @@ def test_monotone_under_extension(seed):
         (f"kw{rng.randint(0, 99)}",),
         (f"cat{rng.randint(0, 19)}",),
     )
-    before = build_corpus(records)
-    after = build_corpus(records + [extra])
+    before = build_corpus(columns_of(records))
+    after = build_corpus(columns_of(records + [extra]))
     assert x_index(after, "h").value >= x_index(before, "h").value
     assert xc_index(after, "h").value >= xc_index(before, "h").value
     assert xd_index(after, "h").value >= xd_index(before, "h").value

@@ -19,10 +19,7 @@ from xindices import (
     InvalidConfig,
     MalformedRow,
     MissingColumn,
-    PublicationColumns,
-    PublicationRecord,
     normalize_label,
-    parse_table,
     read_table,
     validate_records,
 )
@@ -30,12 +27,12 @@ from xindices.errors import XIndicesError
 from xindices.ingest import LABEL_FIELDS, TableData
 from xindices.numfmt import format_number
 
-from conftest import record
+from conftest import columns_of, record, records_of
 from oracles import reference_read_table, reference_validate
 
 
 def parse(text: str, config: IngestConfig | None = None):
-    return parse_table(io.BytesIO(text.encode("utf-8")), config)
+    return records_of(read_table(io.BytesIO(text.encode("utf-8")), config).columns)
 
 
 def test_parse_basic_row():
@@ -75,13 +72,13 @@ def test_parse_digit_separator_citations_rejected(text):
 
 def test_parse_strips_byte_order_mark():
     data = "\ufeffid,citations,keywords\np1,3,a\n".encode("utf-8")
-    assert parse_table(io.BytesIO(data))[0].id == "p1"
+    assert read_table(io.BytesIO(data)).columns.ids[0] == "p1"
 
 
 def test_parse_non_utf8_bytes_rejected():
     data = b"id,citations,keywords\np1,3,a\np2,4,b\xffc\n"
     with pytest.raises(BadEncoding) as err:
-        parse_table(io.BytesIO(data))
+        read_table(io.BytesIO(data))
     assert (err.value.line, err.value.byte) == (3, 0xFF)
     assert str(err.value) == "line 3: input is not UTF-8 text (byte 0xff)"
 
@@ -218,11 +215,11 @@ def test_unused_columns_reported():
 def test_field_over_csv_limit_is_malformed_row():
     data = b"id,citations,keywords\np1,1,a\np2,1," + b"k" * 140_000 + b"\n"
     with pytest.raises(MalformedRow) as err:
-        parse_table(io.BytesIO(data))
+        read_table(io.BytesIO(data))
     assert err.value.row == 3
     assert "field larger than field limit" in str(err.value)
     with pytest.raises(MalformedRow) as err:
-        parse_table(io.BytesIO(b"id,citations," + b"k" * 140_000 + b"\n"))
+        read_table(io.BytesIO(b"id,citations," + b"k" * 140_000 + b"\n"))
     assert err.value.row == 1
 
 
@@ -301,7 +298,7 @@ def test_projected_read_equals_full_read_with_unread_fields_blank(table, fields)
     if isinstance(expected, TableData):
         blank = [()] * len(expected.columns.ids)
         columns = expected.columns._replace(**dict.fromkeys(set(LABEL_FIELDS) - fields, blank))
-        expected = TableData(columns, expected.group_values, expected.unused_columns)
+        expected = TableData(columns, expected.group_values, expected.unused_columns, expected.absent_fields)
     assert projected == expected
 
 
@@ -359,10 +356,10 @@ def test_read_table_in_blocks_equals_one_block(table, rows):
 def test_csv_error_row_and_precedence_in_blocks(rows):
     long_row = b"p3,1," + b"k" * 140_000 + b"\n"
     with block_rows(rows), pytest.raises(BadCitations) as err:
-        parse_table(io.BytesIO(b"id,citations,keywords\np1,1,a\np2,x,a\n" + long_row))
+        read_table(io.BytesIO(b"id,citations,keywords\np1,1,a\np2,x,a\n" + long_row))
     assert err.value.row == 3
     with block_rows(rows), pytest.raises(MalformedRow) as err:
-        parse_table(io.BytesIO(b"id,citations,keywords\np1,1,a\n\np2,1,a\n" + long_row))
+        read_table(io.BytesIO(b"id,citations,keywords\np1,1,a\n\np2,1,a\n" + long_row))
     assert err.value.row == 5
 
 
@@ -414,7 +411,7 @@ def test_each_distinct_part_normalised_once_per_read(monkeypatch):
     assert dict(calls) == dict.fromkeys(parts, 1)
     read_table(io.BytesIO(data), config)
     assert dict(calls) == dict.fromkeys(parts, 2)
-    assert table.records[0].keywords == ("a",)
+    assert table.columns.keywords[0] == ("a",)
     assert table.group_values == [("a",), ("i1",), ()]
 
 
@@ -481,23 +478,19 @@ def test_round_trip_preserves_real_citations():
 
 
 def test_validate_clean():
-    report = validate_records(
-        [record(f"p{i}", i + 1, ("k",), ("c",)) for i in range(5)]
-    )
+    report = validate_records(columns_of([record(f"p{i}", i + 1, ("k",), ("c",)) for i in range(5)]))
     assert report.errors == []
     assert report.warnings == []
 
 
 def test_validate_duplicates():
-    report = validate_records([record("p1", 1), record("p1", 2)])
+    report = validate_records(columns_of([record("p1", 1), record("p1", 2)]))
     assert report.duplicate_ids == ["p1"]
     assert "duplicate id: p1" in report.errors
 
 
 def test_validate_flags_record_gaps():
-    report = validate_records(
-        [record("p1", 0, (), ("c",)), record("p2", 2, ("k",), ())]
-    )
+    report = validate_records(columns_of([record("p1", 0, (), ("c",)), record("p2", 2, ("k",), ())]))
     assert report.no_keyword_ids == ["p1"]
     assert report.no_category_ids == ["p2"]
     assert report.zero_citation_ids == ["p1"]
@@ -505,7 +498,7 @@ def test_validate_flags_record_gaps():
 
 def test_validate_small_sample_note():
     records = [record(f"p{i}", 1, (), ("a",)) for i in range(40)]
-    report = validate_records(records)
+    report = validate_records(columns_of(records))
     assert report.category_counts == {"a": 40}
     assert report.small_sample_categories == ["a"]
     assert any("40" in note and "a" in note for note in report.notes)
@@ -513,7 +506,7 @@ def test_validate_small_sample_note():
 
 def test_validate_large_category_not_flagged():
     records = [record(f"p{i}", 1, (), ("a",)) for i in range(120)]
-    report = validate_records(records)
+    report = validate_records(columns_of(records))
     assert report.small_sample_categories == []
 
 
@@ -538,15 +531,14 @@ def validation_records(draw):
     n_bulk = draw(st.sampled_from([0, 1, 99, 100, 130]))
     bulk = [(f"b{i}", i % 3, ("k",) * (i % 2), ("big",)) for i in range(n_bulk)]
     cut = draw(st.integers(0, len(rows)))
-    return [PublicationRecord(*row) for row in rows[:cut] + bulk + rows[cut:]]
+    return [record(*row) for row in rows[:cut] + bulk + rows[cut:]]
 
 
 @settings(max_examples=300, deadline=None)
 @given(validation_records())
 def test_validate_records_and_columns_equal_record_loop(records):
     expected, small_sample_categories = reference_validate(records)
-    for publications in (records, PublicationColumns.from_records(records)):
-        report = validate_records(publications)
-        assert report == expected
-        assert report.small_sample_categories == small_sample_categories
-        assert list(report.category_counts) == list(expected.category_counts)
+    report = validate_records(columns_of(records))
+    assert report == expected
+    assert report.small_sample_categories == small_sample_categories
+    assert list(report.category_counts) == list(expected.category_counts)

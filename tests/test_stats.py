@@ -23,12 +23,14 @@ from xindices import (
 )
 from xindices.stats import ReferenceStats, StatsEntry
 
-from conftest import random_records, record
+from conftest import columns_of, random_records, record
 
 
 def corpus_with_samples(*citations):
     return build_corpus(
-        [record(f"p{i}", c, (), ("a",)) for i, c in enumerate(citations)]
+        columns_of(
+            [record(f"p{i}", c, (), ("a",)) for i, c in enumerate(citations)]
+        )
     )
 
 
@@ -49,18 +51,18 @@ def test_estimate_single_observation():
 
 
 def test_estimate_empty_corpus():
-    assert len(estimate_stats(build_corpus([]))) == 0
+    assert len(estimate_stats(build_corpus(columns_of([])))) == 0
 
 
 def test_estimate_unknown_kind():
     with pytest.raises(ValueError):
-        estimate_stats(build_corpus([]), "bootstrap")
+        estimate_stats(build_corpus(columns_of([])), "bootstrap")
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_estimate_mean_times_n_is_total(seed):
     rng = random.Random(seed)
-    corpus = build_corpus(random_records(rng, max_pubs=60, max_categories=6))
+    corpus = build_corpus(columns_of(random_records(rng, max_pubs=60, max_categories=6)))
     totals = dict(corpus.items("categories"))
     for entry in estimate_stats(corpus).entries():
         assert math.isclose(entry.mean * entry.n, totals[entry.category], rel_tol=1e-12)
@@ -69,7 +71,7 @@ def test_estimate_mean_times_n_is_total(seed):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_population_vs_sample_variance(seed):
     rng = random.Random(seed)
-    corpus = build_corpus(random_records(rng, max_pubs=60, max_categories=6))
+    corpus = build_corpus(columns_of(random_records(rng, max_pubs=60, max_categories=6)))
     sample = estimate_stats(corpus, "sample")
     population = estimate_stats(corpus, "population")
     for entry in sample.entries():
@@ -218,7 +220,7 @@ def test_dump_of_estimates_is_stable_after_one_load():
     # estimated (exact) means round to 17 significant digits on first write;
     # after that the file representation is a fixed point of dump(load(.))
     rng = random.Random(11)
-    corpus = build_corpus(random_records(rng, max_pubs=80, min_citations=1))
+    corpus = build_corpus(columns_of(random_records(rng, max_pubs=80, min_citations=1)))
     text = dump(estimate_stats(corpus))
     assert dump(load(text)) == text
 

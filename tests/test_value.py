@@ -15,7 +15,6 @@ from xindices import (
     IndexResult,
     IngestConfig,
     PublicationColumns,
-    PublicationRecord,
     RankedTable,
     ReferenceStats,
     StatsEntry,
@@ -37,16 +36,6 @@ def _list():
 # class, (field name, default, value) in field order
 CASES = [
     (
-        PublicationRecord,
-        [
-            ("id", NO_DEFAULT, "p1"),
-            ("citations", NO_DEFAULT, 3.5),
-            ("keywords", (), ("a", "b")),
-            ("categories", (), ("c",)),
-            ("institutions", (), ()),
-        ],
-    ),
-    (
         IngestConfig,
         [
             ("id_column", "id", "UT"),
@@ -67,6 +56,7 @@ CASES = [
             ("columns", NO_DEFAULT, PublicationColumns(["p1"], [1.0], [("k",)], [()], [()])),
             ("group_values", NO_DEFAULT, [()]),
             ("unused_columns", NO_DEFAULT, []),
+            ("absent_fields", (), ("categories",)),
         ],
     ),
     (
@@ -174,17 +164,11 @@ def test_mutable_defaults_are_not_shared():
     assert Report("v", "compute", RESULT).warnings is not Report("v", "compute", RESULT).warnings
 
 
-def test_publication_record_checks_and_dedupes():
-    assert PublicationRecord("p1", 1.0, ["a", "", "a", "b"]).keywords == ("a", "b")
-    with pytest.raises(ValueError):
-        PublicationRecord("", 1.0)
-
-
 def test_table_data_equality_ignores_built_records():
     columns = PublicationColumns(["p1"], [1.0], [()], [()], [()])
     table = TableData(columns, [()], [])
     other = TableData(columns, [()], [])
-    assert table.records == [PublicationRecord("p1", 1.0)]
+    assert table.records == [("p1", 1.0, (), (), ())]
     assert table == other and repr(table) == repr(other)
 
 
