@@ -1,24 +1,19 @@
 """Publication data model and the aggregation views every index is built on.
 
 A Corpus is a frozen value of one field, its publications in column form
-(PublicationColumns: parallel ids, citations and label-tuple columns), the
-one form the library takes and keeps them in, validated eagerly. It
-rejects assignment and del, and compares, hashes, prints and pickles by
-its columns. Each derived view (keyword totals, per-category keyword
-totals, pair totals, category totals, per-category citation samples) is a
-pure function of the columns, built each time it is read and kept
-nowhere, so a command pays only for the views its index reads. Contributions are accumulated over the columns
-permuted into id order, so permuting the input, or reading the views in
-another order, yields bitwise-identical views and index values.
+(PublicationColumns), validated eagerly, its citations held exactly as
+non-negative ints over one scale (ScaledCitations). Each view is a pure
+function of the columns, built when read: it sums ints in column order, so
+any order of the publications gives the same totals, and turns each total
+into a float once by int / int division, which rounds correctly.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from functools import partial
 from itertools import repeat
-from operator import truediv
+from operator import floordiv, methodcaller, mul, truediv
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateId, MissingGroupLabel, NegativeCitations, NonFiniteCitations
@@ -37,24 +32,46 @@ def _dedupe_each(label_lists: Iterable[Iterable[str]]) -> list[tuple[str, ...]]:
     return list(map(tuple, map(dict.fromkeys, map(filter, repeat(None), label_lists))))
 
 
-#: A ranking candidate, the form views are held in: (label, weight). The
-#: label is a keyword, a keyword@category pair, a category, or a group
-#: name; the weight is a citation total, an adjusted score, or an inner
-#: index value (a float, or an exact Fraction on the field-normalised
-#: path). The collector untracks plain tuples of a str and a float, so
-#: large views cost it nothing.
+#: A ranking candidate, the form views are held in: (label, weight), the
+#: weight a float, or a Fraction on the field-normalised path. The collector
+#: untracks plain tuples of a str and a float, so large views cost it nothing.
 Item = tuple[str, float]
+
+#: The least number that rounds beyond the float range.
+FLOAT_LIMIT = 2**1024 - 2**970
 
 #: The label columns Corpus.items_by_group() totals per group.
 GROUP_VIEWS = ("keywords", "categories")
 
-_FLOAT_MAX = sys.float_info.max
+
+class ScaledCitations(FrozenValue):
+    """A citation column held exactly, as a Corpus keeps it: count i is
+    ints[i] / scale, in lowest terms, so equal columns have equal fields.
+    Iterated, it gives ints, or Fractions when the scale is not 1."""
+
+    __slots__ = _fields = ("ints", "scale")
+
+    def __init__(self, ints: Iterable[int], scale: int = 1) -> None:
+        ints = tuple(ints)
+        common = math.gcd(scale, *ints)
+        self._set(tuple(map(floordiv, ints, repeat(common))) if common > 1 else ints, scale // common)
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __iter__(self):
+        if self.scale == 1:
+            return iter(self.ints)
+        from fractions import Fraction  # imported only by the runs that read exact values
+
+        return map(Fraction, self.ints, repeat(self.scale))
 
 
 class PublicationColumns(NamedTuple):
     """Publications in column form: entry i of each column belongs to the
     i-th publication. Label tuples hold no empty labels or repeats; ids
-    are non-empty."""
+    are non-empty. Citations are exact numbers (a float at its binary
+    value), or a ScaledCitations as read_table writes them."""
 
     ids: Sequence[str]
     citations: Sequence[float]
@@ -71,30 +88,30 @@ class Corpus(FrozenValue):
     __slots__ = _fields = ("columns",)
 
     def __init__(self, columns: PublicationColumns):
-        if "" in columns.ids:
+        ids, citations, *labels = columns
+        if "" in ids:
             raise ValueError("publication id must be non-empty")
-        columns = PublicationColumns(*map(tuple, columns))
-        if len(set(map(len, columns))) > 1:
+        ids, labels = tuple(ids), list(map(tuple, labels))
+        if len({len(ids), len(citations), *map(len, labels)}) > 1:
             raise ValueError("publication columns differ in length")
-        _check_publications(columns.ids, columns.citations)
-        self._set(columns)
+        self._set(PublicationColumns(ids, _checked(ids, citations), *labels))
 
     def __len__(self) -> int:
         return len(self.columns.ids)
 
     def items(self, view: str) -> tuple[Item, ...]:
-        """One of ITEM_VIEWS as plain (label, weight) tuples, unsorted: the
-        kernel input, in first-seen order over the publications in id order.
+        """One of ITEM_VIEWS as plain (label, weight) tuples in first-seen
+        order, the kernel input; a total beyond the float range is inf.
 
         "keywords": per keyword, the citations of all publications listing
         it (a publication's full count goes to each of its keywords).
         "pairs": per (keyword, category) pair, labelled "keyword@category",
         grouped by category, the full citations of every publication
-        carrying both; pairs whose labels coincide (an "@" in a label)
-        remain separate items. "categories": per category, whole citation
-        counts. "categories_fractional": per category, each publication's
-        citations divided by its number of institutions (1 when it has
-        none). Any other view raises ValueError.
+        carrying both; pairs whose labels coincide remain separate items.
+        "categories": per category, whole citation counts.
+        "categories_fractional": per category, each publication's citations
+        over its number of institutions (1 when it has none). Any other
+        view raises ValueError.
         """
         if view not in ITEM_VIEWS:
             raise ValueError(f"unknown view {view!r}")
@@ -103,7 +120,7 @@ class Corpus(FrozenValue):
     def keyword_items_by_category(self) -> dict[str, Collection[Item]]:
         """Per category, the (keyword, in-category total) items of its
         publications: the pair view before its labels are joined."""
-        return {cat: in_cat.items() for cat, in_cat in _keywords_by_category(self.columns).items()}
+        return _grouped_items(self.columns.citations, self.columns.keywords, self.columns.categories)
 
     def items_by_group(
         self,
@@ -112,10 +129,9 @@ class Corpus(FrozenValue):
         strict: bool = False,
     ) -> dict[str, Collection[Item]]:
         """Per group label, the (label, total) items of the "keywords" or
-        "categories" view over the publications in that group: bitwise and
-        in order the items(view) of a Corpus of the group's publications,
-        from one pass over this corpus and without building a Corpus per
-        group.
+        "categories" view over the publications in that group: in order
+        the items(view) of a Corpus of the group's publications, from one
+        pass over this corpus and without building a Corpus per group.
 
         group_values is parallel to the publications. Repeated group labels
         count once; a publication with none raises MissingGroupLabel in
@@ -125,118 +141,109 @@ class Corpus(FrozenValue):
             raise ValueError(f"unknown group view {view!r}")
         columns = self.columns
         groups = _group_labels(columns.ids, group_values, strict)
-        by_group = _grouped_totals(*_in_id_order(columns, getattr(columns, view), groups))
-        return {group: totals.items() for group, totals in by_group.items()}
+        return _grouped_items(columns.citations, getattr(columns, view), groups)
 
-    def category_samples(self) -> dict[str, list[float]]:
-        """Per category, the multiset of whole citation counts of the
-        publications tagged with it, in id order (input to the field-stats
-        estimators)."""
-        return _samples(self.columns)
+    def category_sums(self) -> dict:
+        """Per category in label order, (n, s1, s2): its number of
+        publications and the exact Fraction sums of their citations and of
+        the squares of those."""
+        from fractions import Fraction  # imported only by the runs that read these sums
+
+        citations = self.columns.citations
+        samples: dict[str, list[int]] = {}
+        for count, categories in zip(citations.ints, self.columns.categories):
+            for cat in categories:
+                samples.setdefault(cat, []).append(count)
+        scale = citations.scale
+        # label order decides which category an overflowed variance names
+        return {
+            cat: (len(ints), Fraction(sum(ints), scale), Fraction(sum(map(mul, ints, ints)), scale * scale))
+            for cat, ints in sorted(samples.items())
+        }
 
 
-def _in_float_range(citations: Sequence[float]) -> bool:
-    """True when every count is in [0, float max]; False may be a false
-    alarm (a float sum overflowing, a count C cannot compare)."""
-    if not citations:
-        return True
+def _finite(value) -> bool:  # value rounds to a finite float
     try:
-        # a NaN passes min and max unless it comes first, but not the sum
-        return 0 <= min(citations) and max(citations) <= _FLOAT_MAX and math.isfinite(sum(citations))
-    except (OverflowError, TypeError):
+        return math.isfinite(value)
+    except OverflowError:  # an int or a Fraction beyond the float range
         return False
 
 
-def _check_publications(ids: Sequence[str], citations: Sequence[float]) -> None:
-    """Raise for the first invalid publication in order: DuplicateId for a
-    repeated id, then NegativeCitations or NonFiniteCitations for a count
-    below zero or outside the float range. Set and min/max passes clear a
+def _checked(ids: tuple[str, ...], citations: Sequence) -> ScaledCitations:
+    """The citations as a ScaledCitations once every publication is valid,
+    else the error of the first invalid one: DuplicateId, then
+    NegativeCitations, or NonFiniteCitations for a count that is NaN or
+    does not round to a finite float. Set, min and max passes clear a
     valid table; only a failed pass walks the publications one by one."""
-    if len(set(ids)) == len(ids) and _in_float_range(citations):
-        return
+    try:
+        if not isinstance(citations, ScaledCitations):
+            ratios = list(map(methodcaller("as_integer_ratio"), citations))  # NaN, inf raise
+            scale = math.lcm(*{den for _, den in ratios})
+            citations = ScaledCitations([num * (scale // den) for num, den in ratios], scale)
+        ints, limit = citations.ints, FLOAT_LIMIT * citations.scale
+        if len(set(ids)) == len(ids) and 0 <= min(ints, default=0) <= max(ints, default=0) < limit:
+            return citations
+    except (ValueError, OverflowError):
+        pass
     seen: set[str] = set()
     for rec_id, count in zip(ids, citations):
         if rec_id in seen:
             raise DuplicateId(rec_id)
         seen.add(rec_id)
-        if not 0 <= count <= _FLOAT_MAX:
-            if count < 0:
-                raise NegativeCitations(rec_id)
+        if count < 0:
+            raise NegativeCitations(rec_id)
+        if not _finite(count):
             raise NonFiniteCitations(rec_id)
+    raise AssertionError("a failed pass found no invalid publication")
 
 
-# View builders: pure functions of the columns. Each accumulates over the
-# columns permuted into id order, so every float sum is independent of
-# input order.
+# View builders: pure functions of the columns that sum exact ints in column order.
 
 
-def _in_id_order(columns: PublicationColumns, *parallel: Sequence) -> list[list]:
-    """The citations as floats, then each column parallel to them, permuted
-    into id order: by the argsort of the ids, which are unique, so the
-    order is canonical."""
-    order = sorted(range(len(columns.ids)), key=columns.ids.__getitem__)
-    citations = list(map(float, map(columns.citations.__getitem__, order)))
-    return [citations, *(list(map(column.__getitem__, order)) for column in parallel)]
+def _floats(totals: Collection[int], scale: int) -> list[float]:
+    """Each total over scale, correctly rounded; inf beyond the float range."""
+    try:
+        return list(map(truediv, totals, repeat(scale)))
+    except OverflowError:
+        return [total / scale if total < FLOAT_LIMIT * scale else math.inf for total in totals]
 
 
-def _totals(columns: PublicationColumns, field: str, fractional: bool = False) -> tuple[Item, ...]:
-    """Citations summed per label of the label column named field; with
-    fractional, each publication's citations are divided by its number of
-    institutions."""
-    if fractional:
-        citations, labels_column, institutions = _in_id_order(
-            columns, getattr(columns, field), columns.institutions
-        )
-        citations = map(truediv, citations, map(max, map(len, institutions), repeat(1)))
-    else:
-        citations, labels_column = _in_id_order(columns, getattr(columns, field))
-    totals: dict[str, float] = {}
-    get = totals.get
-    for cits, labels in zip(citations, labels_column):
-        for label in labels:
-            totals[label] = get(label, 0.0) + cits
-    return tuple(totals.items())
-
-
-def _grouped_totals(
-    citations: Iterable[float],
-    labels_column: Iterable[tuple[str, ...]],
-    groups_column: Iterable[Iterable[str]],
-) -> dict[str, dict[str, float]]:
-    """Per group, citations summed per label, over parallel columns in id
-    order: bitwise the _totals of the group's own publications. A group is
-    kept even if its publications carry no label."""
-    by_group: dict[str, dict[str, float]] = {}
-    for cits, labels, groups in zip(citations, labels_column, groups_column):
+def _grouped_items(
+    citations: ScaledCitations, labels_column: Iterable[tuple[str, ...]], groups_column: Iterable[Iterable[str]]
+) -> dict[str, tuple[Item, ...]]:
+    """Per group, the (label, total) items of its publications, over
+    parallel columns. A group is kept even if its publications carry no
+    label."""
+    by_group: dict[str, dict[str, int]] = {}
+    for count, labels, groups in zip(citations.ints, labels_column, groups_column):
         for group in groups:
             in_group = by_group.get(group)
             if in_group is None:
                 in_group = by_group[group] = {}
             for label in labels:
-                in_group[label] = in_group.get(label, 0.0) + cits
-    return by_group
+                in_group[label] = in_group.get(label, 0) + count
+    scale = citations.scale
+    return {group: tuple(zip(totals, _floats(totals.values(), scale))) for group, totals in by_group.items()}
 
 
-def _keywords_by_category(columns: PublicationColumns) -> dict[str, dict[str, float]]:
-    return _grouped_totals(*_in_id_order(columns, columns.keywords, columns.categories))
+def _totals(columns: PublicationColumns, field: str, fractional: bool = False) -> tuple[Item, ...]:
+    """Citations summed per label of the label column named field; with
+    fractional, each count over its number of institutions, exactly: times
+    common // divisor over common * scale, common the divisors' lcm."""
+    citations = columns.citations
+    if fractional:
+        divisors = list(map(max, map(len, columns.institutions), repeat(1)))
+        common = math.lcm(*set(divisors))
+        shares = map(mul, citations.ints, map(floordiv, repeat(common), divisors))
+        citations = ScaledCitations(shares, citations.scale * common)
+    return _grouped_items(citations, getattr(columns, field), repeat(("",))).get("", ())
 
 
 def _pairs(columns: PublicationColumns) -> tuple[Item, ...]:
     # Keyed by category, then keyword: "a@b" in "c" and "a" in "b@c" stay two
     # items labelled "a@b@c", which the kernel's stable sort keeps in order.
-    by_category = _keywords_by_category(columns)
-    labels = [f"{kw}{PAIR_SEPARATOR}{cat}" for cat, in_cat in by_category.items() for kw in in_cat]
-    totals = [total for in_cat in by_category.values() for total in in_cat.values()]
-    return tuple(zip(labels, totals))
-
-
-def _samples(columns: PublicationColumns) -> dict[str, list[float]]:
-    samples: dict[str, list[float]] = {}
-    for cits, categories in zip(*_in_id_order(columns, columns.categories)):
-        for cat in categories:
-            samples.setdefault(cat, []).append(cits)
-    # label order decides which category an overflowed variance names
-    return {cat: samples[cat] for cat in sorted(samples)}
+    by_category = _grouped_items(columns.citations, columns.keywords, columns.categories).items()
+    return tuple((f"{kw}{PAIR_SEPARATOR}{cat}", total) for cat, items in by_category for kw, total in items)
 
 
 #: The views Corpus.items() serves: name -> its builder from the columns.
@@ -249,12 +256,8 @@ ITEM_VIEWS = {
 
 
 def build_corpus(columns: PublicationColumns) -> Corpus:
-    """Validate publication columns into a Corpus: Corpus(columns).
-
-    Raises DuplicateId if two publications share an id, NegativeCitations if
-    any citation count is below zero, NonFiniteCitations if one is NaN,
-    infinite or beyond the float range.
-    """
+    """Corpus(columns): raises DuplicateId for a repeated id,
+    NegativeCitations or NonFiniteCitations for an invalid count."""
     return Corpus(columns)
 
 

@@ -21,7 +21,7 @@ import math
 from contextlib import contextmanager
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .corpus import Corpus, Item
+from .corpus import Corpus, Item, _finite
 from .errors import (
     MissingStats,
     NonFiniteWeight,
@@ -85,7 +85,7 @@ def _divided_by(divisor: str, totals: Iterable[Item]):
     try:
         yield
     except NonFiniteWeight as exc:
-        if math.isfinite(dict(totals)[exc.label]):
+        if _finite(dict(totals)[exc.label]):
             raise NonFiniteWeight(exc.label, f"citation total over {divisor} overflows") from None
         raise
 
@@ -110,13 +110,10 @@ def xdfn_index(
     stats: ReferenceStats | None = None,
     strict: bool = True,
 ) -> IndexResult:
-    """Field-normalised breadth: each category total is divided by the
-    category's reference mean before ranking.
-
-    The division runs in exact rational arithmetic (floats embed exactly in
-    Fraction), so a total divided by its own internally estimated mean is
-    exactly the publication count rather than a float one ulp away; the
-    kernel compares rationals exactly.
+    """Field-normalised breadth: each exact category total (from
+    Corpus.category_sums) is divided by the category's reference mean in
+    exact rational arithmetic before ranking, so a total over its own
+    internally estimated mean is exactly the publication count.
 
     Categories absent from the stats (or with a non-positive mean) raise in
     strict mode; in lenient mode they are left out and named in the
@@ -130,7 +127,7 @@ def xdfn_index(
         raise MissingStats()
     dropped: list[str] = []
     scored = []
-    totals = sorted(corpus.items("categories"))
+    totals = [(label, total) for label, (_, total, _) in corpus.category_sums().items()]
     for label, total in totals:
         entry = _lookup(stats, label, strict, dropped)
         if entry is None:
@@ -141,8 +138,7 @@ def xdfn_index(
             dropped.append(label)
             continue
         # an overflowed total goes in as inf, so the kernel names it as xd does
-        weight = Fraction(total) / Fraction(entry.mean) if math.isfinite(total) else math.inf
-        scored.append((label, weight))
+        scored.append((label, total / Fraction(entry.mean) if _finite(total) else math.inf))
     with _divided_by("reference mean", totals):
         return _noting(kernel_index(scored, ratio_type, "xdfn"), dropped)
 

@@ -25,11 +25,12 @@ import io
 import math
 import re
 from collections import Counter
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from itertools import chain, compress, islice, repeat
-from operator import eq, itemgetter, not_
+from operator import eq, itemgetter, mul, not_
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .corpus import PublicationColumns, _dedupe_each
+from .corpus import FLOAT_LIMIT, PublicationColumns, ScaledCitations, _dedupe_each
 from .errors import (
     AmbiguousSeparator,
     BadCitations,
@@ -45,6 +46,12 @@ from .value import FrozenValue
 SMALL_SAMPLE_THRESHOLD = 100
 
 _WS_RUN = re.compile(r"\s+")
+
+#: Citations are read exactly to this many decimal places, rounded
+#: half-even beyond (a count below 2.5e-324 is the float 0 already), so no
+#: cell such as 1e-100000 makes every count a 100 000-digit int.
+MAX_PLACES = 340
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # no digit rounded
 
 #: Rows read_table checks and splits per pass.
 _BLOCK_ROWS = 4096
@@ -204,29 +211,46 @@ def _check_rows(rows: list[list[str]], first_row: int, layout: _Layout) -> None:
             raise BadCitations(row_no, cells[layout.citations_at])
 
 
-def _citations_column(cells: Sequence[str]) -> list[float] | None:
-    """The citation counts, or None when a cell may not parse (checked
-    in C-level passes; None can be a false alarm, such as a float sum
-    overflowing)."""
+def _citations_column(cells: Sequence[str]) -> tuple[list[int], int] | None:
+    """The counts read exactly, as ints over 10**places, or None when
+    float() may not read a stripped cell as a finite number >= 0 (checked
+    in C-level passes; None can be a false alarm, a float sum overflowing)."""
+    texts = list(map(str.strip, cells))
+    joined = ",".join(texts)
     # float() also reads Python literals such as "1_000", which no CSV writer means
-    if "_" in "".join(cells):
+    if "_" in joined:
         return None
+    # the common table: ASCII digits with one number of decimals in every cell
+    places = len(texts[0].partition(".")[2]) if texts else 0
+    digits = rf"[0-9]+\.[0-9]{{{places}}}" if places else "[0-9]+"
+    if joined.count(",") == len(texts) - 1 and re.fullmatch(f"{digits}(?:,{digits})*", joined):
+        ints = list(map(int, joined.replace(".", "").split(",")))
+        return (ints, places) if max(ints) < FLOAT_LIMIT * 10**places else None
     try:
-        values = list(map(float, map(str.strip, cells)))
+        values = list(map(float, texts))
     except ValueError:
         return None
     # a finite sum rules out NaN and infinities
     if values and not (min(values) >= 0 and math.isfinite(sum(values))):
         return None
-    return values
+    return _decimal_citations(texts)
+
+
+def _decimal_citations(texts: list[str]) -> tuple[list[int], int]:
+    """Cells float() reads, read exactly: ints over 10**places, places the
+    most decimals of any cell, at most MAX_PLACES."""
+    values = list(map(Decimal, texts))
+    places = min(max([0, *(-value.as_tuple().exponent for value in values)]), MAX_PLACES)
+    scaled = map(_EXACT.scaleb, values, repeat(places))
+    return list(map(int, map(_EXACT.to_integral_value, scaled))), places
 
 
 def _checked_columns(
     block: list[list[str]], first_row: int, layout: _Layout
-) -> tuple[list[list[str]], list[str], list[float]]:
+) -> tuple[list[list[str]], list[str], tuple[list[int], int]]:
     """The block's rows without blank lines, their ids and their citation
-    counts, checked in C-level passes; when a pass fails, the block is
-    walked row by row so the first bad row raises."""
+    counts as ints over 10**places, checked in C-level passes; when a pass
+    fails, the block is walked row by row so the first bad row raises."""
     widths = set(map(len, block))
     if not widths <= {0, layout.width}:
         _check_rows(block, first_row, layout)
@@ -236,7 +260,7 @@ def _checked_columns(
     citations = _citations_column(cells)
     if "" in ids or citations is None:
         _check_rows(block, first_row, layout)
-        citations = list(map(float, map(str.strip, cells)))
+        citations = _decimal_citations(list(map(str.strip, cells)))
     return rows, ids, citations
 
 
@@ -311,7 +335,7 @@ def read_table(
         return map(filter, repeat(None), map(map, repeat(label_of), parts))
 
     ids: list[str] = []
-    citations: list[float] = []
+    blocks: list[tuple[list[int], int]] = []  # each block's counts, over 10**places
     group_values: list[tuple[str, ...]] = []
     # Blocks of rows keep the csv lists of only one block alive at a time.
     first_row = 2
@@ -324,9 +348,9 @@ def read_table(
             raise MalformedRow(first_row + len(block), str(exc)) from None
         if not block:
             break
-        rows, block_ids, block_citations = _checked_columns(block, first_row, layout)
+        rows, block_ids, counts = _checked_columns(block, first_row, layout)
         ids += block_ids
-        citations += block_citations
+        blocks.append(counts)
         if group_at is not None:
             group_values += map(tuple, labels(rows, group_at))
         for name, column in label_columns.items():
@@ -339,6 +363,9 @@ def read_table(
     for name in LABEL_FIELDS:
         if name not in label_columns:
             label_columns[name] = _dedupe_each(group_values) if name in field_at else blank
+    places = max([0, *map(itemgetter(1), blocks)])
+    counts = chain.from_iterable(map(mul, ints, repeat(10 ** (places - at))) for ints, at in blocks)
+    citations = ScaledCitations(counts, 10**places)
     columns = PublicationColumns(ids, citations, *map(label_columns.get, LABEL_FIELDS))
     return TableData(columns, group_values, unused, absent)
 
@@ -413,6 +440,7 @@ def validate_records(publications: PublicationColumns) -> ValidationReport:
     """Report-only sanity pass over publication columns, in whole-column
     passes; never raises."""
     ids = publications.ids
+    cited = getattr(publications.citations, "ints", publications.citations)  # no Fraction read
     duplicate_ids: list[str] = []
     if len(set(ids)) < len(ids):
         seen: set[str] = set()
@@ -424,6 +452,6 @@ def validate_records(publications: PublicationColumns) -> ValidationReport:
         duplicate_ids,
         list(compress(ids, map(not_, publications.keywords))),
         list(compress(ids, map(not_, publications.categories))),
-        list(compress(ids, map(eq, publications.citations, repeat(0)))),
+        list(compress(ids, map(eq, cited, repeat(0)))),
         {cat: counts[cat] for cat in sorted(counts)},
     )

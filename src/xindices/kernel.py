@@ -40,12 +40,11 @@ divides no weight past the crossing.
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate, compress, count, repeat
 from operator import ge, itemgetter, lt, mul, truediv
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .corpus import Item
+from .corpus import Item, _finite
 from .errors import NonFiniteWeight
 from .value import FrozenValue
 
@@ -58,13 +57,6 @@ class RankRow(NamedTuple):
     label: str
     weight: float
     ratio: float
-
-
-def _finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an exact Fraction beyond the float range
-        return False
 
 
 class RankedTable(FrozenValue):

@@ -4,7 +4,8 @@ Statistics can be estimated from the corpus under study or loaded from an
 external reference file (header exactly ``category,mean,variance,n``).
 External reference sets take precedence when supplied: internally estimated
 values are convenient but inherit whatever geographic and temporal skew the
-corpus itself carries.
+corpus itself carries. Estimates come from the corpus's exact category
+sums, so they do not depend on the order of the publications.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from operator import itemgetter, mul
 from typing import IO, Iterable
 
 from .corpus import Corpus
@@ -71,43 +71,24 @@ class ReferenceStats(FrozenValue):
         return list(self._entries.values())
 
 
-def _scaled_sums(values: list[float]) -> tuple[int, int, int]:
-    """(s1, s2, den) with sum(values) == s1 / den and the sum of squares
-    == s2 / den**2, exactly. Each float is n / d with d a power of two, so
-    every d divides the largest, den, and each value is one integer over
-    den. An infinity raises OverflowError and a NaN ValueError, as
-    float.as_integer_ratio does."""
-    ratios = list(map(float.as_integer_ratio, values))
-    den = max(map(itemgetter(1), ratios))
-    scaled = [n * (den // d) for n, d in ratios]
-    return sum(scaled), sum(map(mul, scaled, scaled)), den
-
-
 def estimate_stats(corpus: Corpus, variance_kind: str = "sample") -> ReferenceStats:
-    """Estimate per-category stats from the corpus's own citation samples.
-
-    The mean is the exact rational mean. The variance is the exact rational
-    one, n * s2 - s1**2 over den**2 * n * (n - 1) (sample) or den**2 * n**2
-    (population), converted to float once by int/int division, which
-    rounds correctly: the value statistics.variance and pvariance give from
-    Python 3.11 on. variance_kind="sample" marks single-observation
-    categories as undefined; "population" gives zero for them. A variance
-    beyond the float range raises NonFiniteStats.
-    """
-    from fractions import Fraction  # imported only by the runs that estimate
-
+    """Estimate per-category stats from the corpus's exact category sums:
+    the mean s1 / n as a Fraction, and the variance (n * s2 - s1**2) over
+    n * (n - 1) (sample) or n**2 (population), rounded to float once, as
+    statistics.variance and pvariance give it from Python 3.11 on.
+    variance_kind="sample" marks single-observation categories as
+    undefined; "population" gives zero for them. A variance beyond the
+    float range raises NonFiniteStats."""
     if variance_kind not in ("sample", "population"):
         raise ValueError(f"unknown variance kind {variance_kind!r}")
     entries = []
-    for category, values in corpus.category_samples().items():
-        n = len(values)
-        s1, s2, den = _scaled_sums(values)
+    for category, (n, s1, s2) in corpus.category_sums().items():
         divisor = n * (n - 1) if variance_kind == "sample" else n * n
         try:
-            variance = (n * s2 - s1 * s1) / (den * den * divisor) if divisor else None
+            variance = float((n * s2 - s1 * s1) / divisor) if divisor else None
         except OverflowError:
             raise NonFiniteStats(category) from None
-        entries.append(StatsEntry(category, Fraction(s1, den * n), variance, n))
+        entries.append(StatsEntry(category, s1 / n, variance, n))
     return ReferenceStats(entries)
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from xindices import PublicationColumns, build_corpus
+from xindices.corpus import ScaledCitations
 
 
 def items(*weights: float) -> list[tuple[str, float]]:
@@ -53,6 +55,14 @@ def columns_of(records: Sequence[Record]) -> PublicationColumns:
     """The records transposed into publication columns, in record order."""
     columns = list(zip(*records)) or [()] * len(Record._fields)
     return PublicationColumns(*map(list, columns))
+
+
+def exact_column(values: Iterable) -> ScaledCitations:
+    """Exact counts (ints, floats at their binary value, Fractions) as the
+    ScaledCitations read_table writes and a Corpus keeps."""
+    fractions = list(map(Fraction, values))
+    scale = math.lcm(*{f.denominator for f in fractions})
+    return ScaledCitations([f.numerator * (scale // f.denominator) for f in fractions], scale)
 
 
 def records_of(columns: PublicationColumns) -> list[Record]:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-import sys
+from decimal import Decimal
+from fractions import Fraction
 from typing import Sequence
 
 from xindices import (
@@ -45,13 +46,14 @@ from xindices.ingest import (
 )
 from xindices.kernel import kernel_index
 
-from conftest import Record, columns_of
+from conftest import Record, columns_of, exact_column
 
 
-def _parse_citations(cell: str, row: int) -> float:
+def _parse_citations(cell: str, row: int) -> Fraction:
     """The citation count in a cell: the stripped text, without "_" (which
-    float() reads in Python literals such as "1_000"), parsed as a float
-    with 0 <= value < inf; anything else raises BadCitations."""
+    float() reads in Python literals such as "1_000"), that float() reads
+    as a number with 0 <= value < inf, read exactly as a decimal rounded
+    half-even to 340 places; anything else raises BadCitations."""
     text = cell.strip()
     if "_" in text:
         raise BadCitations(row, cell)
@@ -61,7 +63,15 @@ def _parse_citations(cell: str, row: int) -> float:
         raise BadCitations(row, cell) from None
     if not 0 <= value < math.inf:  # NaN fails every comparison
         raise BadCitations(row, cell)
-    return value
+    return round(Fraction(Decimal(text)), 340)
+
+
+def rounded(total: Fraction) -> float:
+    """The float an exact total rounds to, or inf beyond the float range."""
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf
 
 
 def naive_h_oracle(weights: Sequence[float]) -> int:
@@ -161,48 +171,54 @@ def reference_read_table(data: bytes, config: IngestConfig | None = None) -> Tab
         for role in ("keywords", "categories", "institutions")
         if role not in index_of and config.column_for(role) is not None
     )
-    return TableData(columns_of(records), group_values, unused, absent)
+    columns = columns_of(records)
+    return TableData(columns._replace(citations=exact_column(columns.citations)), group_values, unused, absent)
 
 
 def reference_views(records) -> dict:
     """Every Corpus view, and its citation check, read one record attribute
-    at a time over the records sorted by id: the record-wise builders the
-    column-form views replaced. Returns the error type and id the first
-    invalid record raises instead, if there is one."""
+    at a time in exact Fraction arithmetic, each total rounded to a float
+    once: the record-wise builders the column-form views replaced. Returns
+    the error type and id the first invalid record raises instead, if
+    there is one."""
     seen = set()
     for rec in records:
         if rec.id in seen:
             return DuplicateId, rec.id
         seen.add(rec.id)
-        if not 0 <= rec.citations <= sys.float_info.max:
-            return (NegativeCitations if rec.citations < 0 else NonFiniteCitations), rec.id
-    by_id = sorted(records, key=lambda rec: rec.id)
+        if rec.citations < 0:
+            return NegativeCitations, rec.id
+        if not rec.citations < math.inf or rounded(Fraction(rec.citations)) == math.inf:  # NaN included
+            return NonFiniteCitations, rec.id
 
     def totals(field, fractional=False):
         sums = {}
-        for rec in by_id:
-            cits = float(rec.citations)
-            if fractional:
-                cits = cits / (len(rec.institutions) or 1)
+        for rec in records:
+            cits = Fraction(rec.citations) / ((len(rec.institutions) or 1) if fractional else 1)
             for label in getattr(rec, field):
-                sums[label] = sums.get(label, 0.0) + cits
-        return tuple(sorted(sums.items()))
+                sums[label] = sums.get(label, 0) + cits
+        return tuple(sorted((label, rounded(total)) for label, total in sums.items()))
 
     by_category, samples = {}, {}
-    for rec in by_id:
+    for rec in records:
         for cat in rec.categories:
-            samples.setdefault(cat, []).append(float(rec.citations))
+            samples.setdefault(cat, []).append(Fraction(rec.citations))
             in_cat = by_category.setdefault(cat, {})
             for kw in rec.keywords:
-                in_cat[kw] = in_cat.get(kw, 0.0) + float(rec.citations)
-    pairs = [(f"{kw}@{cat}", total) for cat, in_cat in by_category.items() for kw, total in in_cat.items()]
+                in_cat[kw] = in_cat.get(kw, 0) + Fraction(rec.citations)
+    pairs = [(f"{kw}@{cat}", rounded(total)) for cat, in_cat in by_category.items() for kw, total in in_cat.items()]
     return {
         "keywords": totals("keywords"),
         "pairs": tuple(sorted(pairs, key=lambda item: item[0])),
         "categories": totals("categories"),
         "categories_fractional": totals("categories", fractional=True),
-        "keywords_by_category": {cat: sorted(in_cat.items()) for cat, in_cat in by_category.items()},
-        "samples": {cat: samples[cat] for cat in sorted(samples)},
+        "keywords_by_category": {
+            cat: sorted((kw, rounded(total)) for kw, total in in_cat.items()) for cat, in_cat in by_category.items()
+        },
+        "sums": {
+            cat: (len(values), sum(values), sum(value * value for value in values))
+            for cat, values in sorted(samples.items())
+        },
     }
 
 

@@ -342,9 +342,9 @@ def test_stats_empty_input(tmp_path, capsys):
 
 
 def test_stats_warns_when_the_written_mean_is_0(tmp_path, capsys):
-    # the exact mean, 2.5e-324, rounds to the float 0
+    # the exact mean, 2e-324, rounds to the float 0
     path = tmp_path / "in.csv"
-    path.write_text("id,citations,keywords,categories\np1,5e-324,a,c\np2,0,b,c\n")
+    path.write_text("id,citations,keywords,categories\np1,4e-324,a,c\np2,0,b,c\n")
     out_path = tmp_path / "stats.csv"
     code, _, err = run(capsys, "stats", "--input", str(path), "--out", str(out_path))
     assert code == 0

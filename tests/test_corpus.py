@@ -6,6 +6,7 @@ import copy
 import pickle
 import random
 from collections import Counter
+from fractions import Fraction
 from operator import itemgetter
 
 import pytest
@@ -46,7 +47,7 @@ def test_empty_corpus():
     assert corpus.items("keywords") == ()
     assert corpus.items("pairs") == ()
     assert corpus.items("categories") == ()
-    assert corpus.category_samples() == {}
+    assert corpus.category_sums() == {}
 
 
 def test_singleton_corpus():
@@ -170,22 +171,23 @@ def test_category_totals_unknown_mode():
         build_corpus(columns_of([])).items("split")
 
 
-def test_category_samples():
+def test_category_sums():
     corpus = build_corpus(
         columns_of(
             [
                 record("p1", 1, categories=("a",)),
-                record("p2", 2, categories=("a",)),
+                record("p2", 2.5, categories=("a",)),
                 record("p3", 3, categories=("a",)),
             ]
         )
     )
-    assert corpus.category_samples() == {"a": [1.0, 2.0, 3.0]}
+    assert corpus.category_sums() == {"a": (3, Fraction(13, 2), Fraction(65, 4))}
 
 
-def test_category_samples_multi_category():
-    corpus = build_corpus(columns_of([record("p1", 5, categories=("a", "b"))]))
-    assert corpus.category_samples() == {"a": [5.0], "b": [5.0]}
+def test_category_sums_multi_category():
+    corpus = build_corpus(columns_of([record("p1", 5, categories=("b", "a"))]))
+    assert corpus.category_sums() == {"a": (1, 5, 25), "b": (1, 5, 25)}
+    assert list(corpus.category_sums()) == ["a", "b"]
 
 
 def test_partition_by_group():
@@ -237,8 +239,8 @@ def test_items_by_group_ungrouped_fallback_and_strict():
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(GROUP_VIEWS), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_items_by_group_equals_views_of_partition(seed, view, strict):
-    # Decimal citations in shuffled id order: the per-group float sums are
-    # bitwise those of each group's own Corpus only when summed in id order.
+    # Decimal citations in shuffled id order: the per-group totals are
+    # exact, so they are those of each group's own Corpus in any order.
     rng = random.Random(seed)
     records = [
         record(
@@ -275,26 +277,23 @@ def test_permutation_invariance(seed):
     shuffled = list(records)
     rng.shuffle(shuffled)
     a, b = build_corpus(columns_of(records)), build_corpus(columns_of(shuffled))
-    assert a.items("keywords") == b.items("keywords")
-    assert a.items("pairs") == b.items("pairs")
-    assert a.items("categories") == b.items("categories")
-    assert a.items("categories_fractional") == b.items("categories_fractional")
-    assert a.category_samples() == b.category_samples()
+    for view in ITEM_VIEWS:  # the same items, in first-seen order of each input
+        assert sorted(a.items(view)) == sorted(b.items(view))
+    assert a.category_sums() == b.category_sums()
     assert x_index(a).value == x_index(b).value
     assert xd_index(a, "g").value == xd_index(b, "g").value
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_views_list_labels_in_first_seen_id_order(seed):
+def test_views_list_labels_in_first_seen_order(seed):
     # The view order contract: unsorted, each label where it first occurs
-    # over the publications in id order, whatever the input order.
+    # over the publications in input order (ids shuffled out of order).
     rng = random.Random(seed)
     records = random_records(rng, max_pubs=40, max_categories=6, max_keywords=15)
     rng.shuffle(records)
     corpus = build_corpus(columns_of(records))
-    by_id = sorted(records, key=lambda rec: rec.id)
 
-    def first_seen(field, members=by_id):
+    def first_seen(field, members=records):
         return list(dict.fromkeys(label for rec in members for label in getattr(rec, field)))
 
     def labels(view):
@@ -305,7 +304,7 @@ def test_views_list_labels_in_first_seen_id_order(seed):
     assert labels("pairs") == [
         f"{kw}@{cat}"
         for cat in first_seen("categories")
-        for kw in first_seen("keywords", [rec for rec in by_id if cat in rec.categories])
+        for kw in first_seen("keywords", [rec for rec in records if cat in rec.categories])
     ]
 
 
@@ -375,7 +374,7 @@ READERS = {
     "pairs": lambda c: c.items("pairs"),
     "whole": lambda c: c.items("categories"),
     "fractional": lambda c: c.items("categories_fractional"),
-    "samples": lambda c: c.category_samples(),
+    "sums": lambda c: c.category_sums(),
     "by_category": lambda c: {cat: list(kws) for cat, kws in c.keyword_items_by_category().items()},
     "x": lambda c: x_index(c, "g"),
     "xc": lambda c: xc_index(c, "h"),
@@ -413,18 +412,23 @@ TRAFFIC_STATS = "category,mean,variance,n\na,9.5,1,1\nb,6.75,2,2\nc,2.25,1,1\n"
 @pytest.mark.parametrize(
     "argv, built",
     [
-        (("compute", "--index", "x"), {"keywords"}),
-        (("compute", "--index", "xc"), {"pairs", "keywords_by_category", "grouped_totals"}),
-        (("compute", "--index", "xd"), {"categories"}),
-        (("compute", "--index", "xdf"), {"categories_fractional"}),
-        (("compute", "--index", "xo"), {"keywords_by_category", "grouped_totals"}),
-        (("compute", "--index", "xdfn", "--internal-stats"), {"samples", "categories"}),
-        (("compute", "--index", "xdfn", "--ref-stats", "STATS"), {"categories"}),
-        (("compute", "--index", "ivw", "--internal-stats", "--variance-floor", "0.5"), {"samples", "categories"}),
-        (("compute", "--index", "ivw", "--ref-stats", "STATS"), {"categories"}),
-        (("stats",), {"samples"}),
-        (("nested", "--group-col", "institutions", "--inner", "x"), {"grouped_totals"}),
-        (("nested", "--group-col", "institutions", "--inner", "xd"), {"grouped_totals"}),
+        # every item view sums over the columns in one _grouped_items pass
+        (("compute", "--index", "x"), {"keywords", "grouped_items"}),
+        (("compute", "--index", "xc"), {"pairs", "grouped_items"}),
+        (("compute", "--index", "xd"), {"categories", "grouped_items"}),
+        (("compute", "--index", "xdf"), {"categories_fractional", "grouped_items"}),
+        (("compute", "--index", "xo"), {"grouped_items"}),
+        # the stats estimate and the index each read the category sums
+        (("compute", "--index", "xdfn", "--internal-stats"), {"category_sums": 2}),
+        (("compute", "--index", "xdfn", "--ref-stats", "STATS"), {"category_sums"}),
+        (
+            ("compute", "--index", "ivw", "--internal-stats", "--variance-floor", "0.5"),
+            {"category_sums", "categories", "grouped_items"},
+        ),
+        (("compute", "--index", "ivw", "--ref-stats", "STATS"), {"categories", "grouped_items"}),
+        (("stats",), {"category_sums"}),
+        (("nested", "--group-col", "institutions", "--inner", "x"), {"grouped_items"}),
+        (("nested", "--group-col", "institutions", "--inner", "xd"), {"grouped_items"}),
         (("validate",), set()),
     ],
     ids=lambda value: "-".join(value) if isinstance(value, tuple) else None,
@@ -443,17 +447,15 @@ def test_each_command_builds_the_views_its_index_reads_once(tmp_path, capsys, mo
 
     for name, build in list(ITEM_VIEWS.items()):
         monkeypatch.setitem(ITEM_VIEWS, name, counting(name, build))
-    for name in ("keywords_by_category", "grouped_totals", "samples", "in_id_order"):
-        monkeypatch.setattr(corpus_module, f"_{name}", counting(name, getattr(corpus_module, f"_{name}")))
+    monkeypatch.setattr(corpus_module, "_grouped_items", counting("grouped_items", corpus_module._grouped_items))
+    monkeypatch.setattr(Corpus, "category_sums", counting("category_sums", Corpus.category_sums))
     (tmp_path / "in.csv").write_text(TRAFFIC_TABLE)
     (tmp_path / "stats.csv").write_text(TRAFFIC_STATS)
     argv = [str(tmp_path / "stats.csv") if arg == "STATS" else arg for arg in argv]
     out = () if argv[0] == "validate" else ("--out", str(tmp_path / "out"))
     code = main([*argv, "--input", str(tmp_path / "in.csv"), *out])
     assert code == 0, capsys.readouterr().err
-    # each of these sums over one pass of the columns in id order
-    passes = built & {"keywords", "categories", "categories_fractional", "samples", "grouped_totals"}
-    assert calls == Counter(dict.fromkeys(built, 1), in_id_order=len(passes))
+    assert calls == (Counter(built) if isinstance(built, dict) else Counter(dict.fromkeys(built, 1)))
 
 
 def test_item_views_hold_plain_tuples():
@@ -496,7 +498,7 @@ def corpus_views(build, group_values):
     views["keywords_by_category"] = {
         cat: sorted(items) for cat, items in corpus.keyword_items_by_category().items()
     }
-    views["samples"] = corpus.category_samples()
+    views["sums"] = corpus.category_sums()
     for view in GROUP_VIEWS:
         by_group = corpus.items_by_group(group_values, view)
         views[f"{view}_by_group"] = {group: sorted(items) for group, items in by_group.items()}
