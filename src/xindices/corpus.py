@@ -210,7 +210,7 @@ def _floats(totals: Collection[int], scale: int) -> list[float]:
 
 def _grouped_items(
     citations: ScaledCitations, labels_column: Iterable[tuple[str, ...]], groups_column: Iterable[Iterable[str]]
-) -> dict[str, tuple[Item, ...]]:
+) -> dict[str, Collection[Item]]:
     """Per group, the (label, total) items of its publications, over
     parallel columns. A group is kept even if its publications carry no
     label."""
@@ -222,8 +222,9 @@ def _grouped_items(
                 in_group = by_group[group] = {}
             for label in labels:
                 in_group[label] = in_group.get(label, 0) + count
-    scale = citations.scale
-    return {group: tuple(zip(totals, _floats(totals.values(), scale))) for group, totals in by_group.items()}
+    for totals in by_group.values():  # each total to its float, in place
+        totals.update(zip(totals, _floats(totals.values(), citations.scale)))
+    return {group: totals.items() for group, totals in by_group.items()}
 
 
 def _totals(columns: PublicationColumns, field: str, fractional: bool = False) -> tuple[Item, ...]:
@@ -236,7 +237,7 @@ def _totals(columns: PublicationColumns, field: str, fractional: bool = False) -
         common = math.lcm(*set(divisors))
         shares = map(mul, citations.ints, map(floordiv, repeat(common), divisors))
         citations = ScaledCitations(shares, citations.scale * common)
-    return _grouped_items(citations, getattr(columns, field), repeat(("",))).get("", ())
+    return tuple(_grouped_items(citations, getattr(columns, field), repeat(("",))).get("", ()))
 
 
 def _pairs(columns: PublicationColumns) -> tuple[Item, ...]:

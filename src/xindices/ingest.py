@@ -25,7 +25,6 @@ import io
 import math
 import re
 from collections import Counter
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from itertools import chain, compress, islice, repeat
 from operator import eq, itemgetter, mul, not_
 from typing import IO, Iterable, NamedTuple, Sequence
@@ -51,7 +50,6 @@ _WS_RUN = re.compile(r"\s+")
 #: half-even beyond (a count below 2.5e-324 is the float 0 already), so no
 #: cell such as 1e-100000 makes every count a 100 000-digit int.
 MAX_PLACES = 340
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # no digit rounded
 
 #: Rows read_table checks and splits per pass.
 _BLOCK_ROWS = 4096
@@ -239,10 +237,12 @@ def _citations_column(cells: Sequence[str]) -> tuple[list[int], int] | None:
 def _decimal_citations(texts: list[str]) -> tuple[list[int], int]:
     """Cells float() reads, read exactly: ints over 10**places, places the
     most decimals of any cell, at most MAX_PLACES."""
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal  # only for such tables
+
     values = list(map(Decimal, texts))
     places = min(max([0, *(-value.as_tuple().exponent for value in values)]), MAX_PLACES)
-    scaled = map(_EXACT.scaleb, values, repeat(places))
-    return list(map(int, map(_EXACT.to_integral_value, scaled))), places
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # only to_integral_value rounds
+    return list(map(int, map(exact.to_integral_value, map(exact.scaleb, values, repeat(places))))), places
 
 
 def _checked_columns(

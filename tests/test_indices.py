@@ -26,6 +26,7 @@ from xindices import (
     xdfn_index,
     xo_index,
 )
+from xindices.cli import main
 from xindices.indices import INDEX_FIELDS
 from xindices.ingest import LABEL_FIELDS
 from xindices.stats import ReferenceStats, StatsEntry
@@ -227,6 +228,27 @@ def test_xdfn_internal_means_exact_on_awkward_totals():
     corpus = build_corpus(columns_of(records))
     result = xdfn_index(corpus, "h", estimate_stats(corpus))
     assert result.table.rows[0].weight == 7
+
+
+DECIMAL_TABLE = (
+    "id,citations,categories\n"
+    "p1,0.10,a\np2,0.20,a\np3,0.30,a\n"
+    "p4,1.10,b\np5,2.20,b\np6,3.30,b\np7,0.70,b\n"
+)
+
+
+def test_decimal_table_prints_true_totals_and_publication_counts(tmp_path, capsys):
+    # Float sums read 0.1 + 0.2 + 0.3 as 0.6000000000000001, and a total
+    # over its own internal mean as 3.0000000000000004; exact sums do not.
+    path = tmp_path / "in.csv"
+    path.write_text(DECIMAL_TABLE)
+
+    def csv_rows(*argv):
+        assert main(["compute", "--input", str(path), "--format", "csv", *argv]) == 0
+        return capsys.readouterr().out.splitlines()[1:]
+
+    assert csv_rows("--index", "xdfn", "--internal-stats") == ["1,b,4,4", "2,a,3,1.5"]
+    assert csv_rows("--index", "xd") == ["1,b,7.3,7.3", "2,a,0.6,0.3"]
 
 
 def test_xdfn_requires_stats():

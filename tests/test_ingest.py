@@ -244,11 +244,31 @@ def read_bytes(data, config):
 
 
 @st.composite
-def tables(draw):
+def citation_cells(draw):
+    """A citation cell float() reads as a finite count of at least 0, with
+    0 to 3 decimals, written plainly, in exponent form or with a leading
+    +, inside optional spaces."""
+    units, places = draw(st.integers(0, 10**5)), draw(st.integers(0, 3))
+    text = draw(
+        st.sampled_from(
+            [
+                f"{units // 10**places}.{units % 10**places:0{places}d}" if places else str(units),
+                f"{units}e-{places}",
+                f".{units:06d}E{6 - places}",
+                f"+{units}E-{places}",
+            ]
+        )
+    )
+    return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", "  "]))
+
+
+@st.composite
+def tables(draw, part=st.text(alphabet=LABEL_CHARS, max_size=4)):
     """A CSV or TSV table and an ingest config: optional columns in any
-    order, multi-value cells whose parts repeat before or only after
-    normalisation, and a group column that is absent, the institutions
-    column or a column of its own."""
+    order, multi-value cells made of drawn parts, which by default repeat
+    before or only after normalisation, decimal citation cells, and a
+    group column that is absent, the institutions column or a column of
+    its own."""
     delimiter = draw(st.sampled_from(CELL_DELIMITERS))
     group = draw(st.sampled_from([None, "institutions", "country"]))
     config = IngestConfig(
@@ -262,10 +282,9 @@ def tables(draw):
     if group == "country":
         columns.append("country")
     columns = draw(st.permutations(columns))
-    part = st.text(alphabet=LABEL_CHARS, max_size=4)
     cells = {
         **dict.fromkeys(columns, st.lists(part, max_size=4).map(delimiter.join)),
-        "citations": st.sampled_from(["1", " 2.5", "0"]),
+        "citations": citation_cells(),
     }
     rows = [
         [f"p{i}" if c == "id" else draw(cells[c]) for c in columns]
