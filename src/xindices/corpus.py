@@ -69,9 +69,8 @@ class ScaledCitations(FrozenValue):
 
 class PublicationColumns(NamedTuple):
     """Publications in column form: entry i of each column belongs to the
-    i-th publication. Label tuples hold no empty labels or repeats; ids
-    are non-empty. Citations are exact numbers (a float at its binary
-    value), or a ScaledCitations as read_table writes them."""
+    i-th publication. Ids are non-empty, label tuples hold no empty labels
+    or repeats, and citations are exact numbers or a ScaledCitations."""
 
     ids: Sequence[str]
     citations: Sequence[float]
@@ -144,9 +143,8 @@ class Corpus(FrozenValue):
         return _grouped_items(columns.citations, getattr(columns, view), groups)
 
     def category_sums(self) -> dict:
-        """Per category in label order, (n, s1, s2): its number of
-        publications and the exact Fraction sums of their citations and of
-        the squares of those."""
+        """Per category in label order, (n, s1, s2): its number of publications
+        and the exact Fraction sums of their citations and of their squares."""
         from fractions import Fraction  # imported only by the runs that read these sums
 
         citations = self.columns.citations

@@ -218,10 +218,11 @@ def _citations_column(cells: Sequence[str]) -> tuple[list[int], int] | None:
     # float() also reads Python literals such as "1_000", which no CSV writer means
     if "_" in joined:
         return None
-    # the common table: ASCII digits with one number of decimals in every cell
+    # the common table: up to 400 ASCII digits, then one number of decimals, in every cell
     places = len(texts[0].partition(".")[2]) if texts else 0
-    digits = rf"[0-9]+\.[0-9]{{{places}}}" if places else "[0-9]+"
-    if joined.count(",") == len(texts) - 1 and re.fullmatch(f"{digits}(?:,{digits})*", joined):
+    digits = rf"[0-9]{{1,400}}\.[0-9]{{{places}}}" if places else "[0-9]{1,400}"
+    fixed = places <= MAX_PLACES and joined.count(",") == len(texts) - 1
+    if fixed and re.fullmatch(f"{digits}(?:,{digits})*", joined):
         ints = list(map(int, joined.replace(".", "").split(",")))
         return (ints, places) if max(ints) < FLOAT_LIMIT * 10**places else None
     try:

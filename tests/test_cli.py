@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import errno
 import gc
 import io
@@ -12,7 +13,9 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import traceback
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -24,6 +27,7 @@ from xindices import errors
 from xindices.cli import main
 from xindices.indices import INDEX_FIELDS
 from xindices.ingest import LABEL_FIELDS, TableData
+from xindices.numfmt import format_number
 
 from test_acceptance import _synthetic_csv
 
@@ -131,7 +135,8 @@ OVERFLOW = (
 )
 
 
-# xo sums citations within one category, so its case puts both rows there.
+# xo, xd and xdf sum citations within one category, so their cases put
+# both rows there.
 OVERFLOW_IN_ONE_CATEGORY = (
     "id,citations,keywords,categories,institutions\n"
     "p1,1e308,a,C,I1\n"
@@ -151,30 +156,33 @@ def test_xdfn_overflowing_category_total_exits_2(tmp_path, capsys, stats_flag, r
         argv += [stats_flag, str(stats)]
     else:
         argv.append(stats_flag)
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1
-    assert err.startswith("error: ") and "'c'" in err and "not a finite number" in err
+    assert run(capsys, *argv) == (2, "", overflow_error("c"))
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("compute", "--index", "x"),
-        ("compute", "--index", "xd", "--type", "g"),
-        ("nested", "--group-col", "institutions"),
-        ("compute", "--index", "xo"),
-    ],
-)
+def overflow_error(label: str) -> str:
+    return (
+        f"error: ranked weight or ratio of {label!r} is not a finite number "
+        "(citation totals overflow the float range)\n"
+    )
+
+
+# argv -> the table it runs on and the label its error names
+OVERFLOW_CASES = {
+    ("compute", "--index", "x"): (OVERFLOW, "a"),
+    ("compute", "--index", "xd", "--type", "g"): (OVERFLOW, "d"),
+    ("nested", "--group-col", "institutions"): (OVERFLOW, "a"),
+    ("compute", "--index", "xo"): (OVERFLOW_IN_ONE_CATEGORY, "a"),
+    ("compute", "--index", "xd"): (OVERFLOW_IN_ONE_CATEGORY, "c"),
+    ("compute", "--index", "xdf"): (OVERFLOW_IN_ONE_CATEGORY, "c"),
+}
+
+
+@pytest.mark.parametrize("argv", list(OVERFLOW_CASES))
 def test_overflowing_citation_totals_exit_2(tmp_path, capsys, argv):
+    table, label = OVERFLOW_CASES[argv]
     path = tmp_path / "huge.csv"
-    path.write_text(OVERFLOW_IN_ONE_CATEGORY if "xo" in argv else OVERFLOW)
-    code, out, err = run(capsys, *argv, "--input", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1
-    assert err.startswith("error: ") and "not a finite number" in err
+    path.write_text(table)
+    assert run(capsys, *argv, "--input", str(path)) == (2, "", overflow_error(label))
 
 
 def test_ivw_without_stats_exit_2(toy_csv, capsys):
@@ -1119,3 +1127,60 @@ def test_any_flag_draw_ends_in_a_report_or_one_error_line(flag_dir, data):
     if code == 2:
         assert argv[0] in ("compute", "nested", "stats")
     assert len(errors) == 1, err
+
+
+# --- hostile precision -----------------------------------------------------------
+
+HOSTILE_HEADER = "id,citations,keywords,categories\n"
+
+
+def timed_run(capsys, path, *argv):
+    """main on the table at path, as (exit code, stdout, stderr); a run
+    over 5 s fails, since an unbounded scale would take far longer."""
+    start = time.perf_counter()
+    result = run(capsys, *argv, "--input", str(path))
+    assert time.perf_counter() - start < 5
+    return result
+
+
+@pytest.mark.parametrize(
+    "cell, exact",
+    [("1e-100000", "0"), ("0." + "3" * 100_000, "0." + "3" * 340)],
+    ids=["exponent-1e-100000", "100000-decimals"],
+)
+def test_a_cell_is_read_to_340_places(tmp_path, capsys, cell, exact):
+    path = tmp_path / "in.csv"
+    path.write_text(f"{HOSTILE_HEADER}p1,{cell},a,c\np2,2.5,a,c\n")
+    code, out, err = timed_run(capsys, path, "compute", "--index", "x", "--format", "csv")
+    weight = format_number(float(Fraction(exact) + Fraction(5, 2)))
+    assert (code, out, err) == (0, f"rank,label,weight,ratio\n1,a,{weight},{weight}\n", "")
+
+
+def test_one_long_cell_in_a_large_table_keeps_totals_exact(tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    _synthetic_csv(path, 25_000, 4, 5_000, 150, 500, seed=33, decimal=True)
+    header, first, *rest = path.read_text().splitlines()
+    cells = first.split(",")
+    cells[1] = "1." + "7" * 1_000
+    rows = [cells, *(row.split(",") for row in rest)]
+    path.write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+    code, out, err = timed_run(capsys, path, "compute", "--index", "xd", "--format", "csv")
+    assert (code, err) == (0, "")
+    totals: dict[str, Fraction] = {}
+    for row in rows:
+        for category in dict.fromkeys(row[3].split(";")):
+            totals[category] = totals.get(category, 0) + round(Fraction(row[1]), 340)
+    weights = {label: weight for _, label, weight, _ in csv.reader(io.StringIO(out))}
+    assert weights.pop("label") == "weight"
+    assert weights == {label: format_number(float(total)) for label, total in totals.items()}
+
+
+def test_stats_on_subnormal_counts(tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_text(f"{HOSTILE_HEADER}p1,1e-320,,c\np2,4e-324,,c\n")
+    out_path = tmp_path / "stats.csv"
+    code, out, err = timed_run(capsys, path, "stats", "--out", str(out_path))
+    assert (code, out) == (0, "")
+    assert err.startswith("warning: category c has 2 publications")
+    # the exact mean, 5.002e-321, rounds to the subnormal float 5e-321
+    assert out_path.read_text() == "category,mean,variance,n\nc,5e-321,0,2\n"
