@@ -33,6 +33,10 @@ PARTS = st.sampled_from(["a", "A", "a@b", "b@c", "c", "Σ ", ""])
 #: The view each compute index ranks.
 COMPUTE_VIEWS = {"x": "keywords", "xc": "pairs", "xd": "categories", "xdf": "categories_fractional"}
 
+COMMANDS = [("compute", "--index", index) for index in (*COMPUTE_VIEWS, "xo")] + [
+    ("nested", "--group-col", "institutions", "--inner", inner) for inner in ("x", "xd")
+]
+
 
 def ranked(items: list[tuple[str, float]]) -> list[list]:
     """The rows a report lists for items: weight descending, then label."""
@@ -96,12 +100,7 @@ def reversed_rows(data: bytes) -> bytes:
     ("compute", "--index", "xc"),
     "g",
 )
-@given(
-    tables(part=PARTS),
-    st.sampled_from([("compute", "--index", index) for index in (*COMPUTE_VIEWS, "xo")]
-                    + [("nested", "--group-col", "institutions", "--inner", inner) for inner in ("x", "xd")]),
-    st.sampled_from(["h", "g"]),
-)
+@given(tables(part=PARTS), st.sampled_from(COMMANDS), st.sampled_from(["h", "g"]))
 def test_reports_carry_exact_totals_in_any_row_order(tmp_path_factory, table, command, ratio_type):
     data, config = table
     path = tmp_path_factory.mktemp("table") / "in.csv"
