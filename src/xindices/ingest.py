@@ -238,7 +238,7 @@ def _citations_column(cells: Sequence[str]) -> tuple[list[int], int] | None:
 def _decimal_citations(texts: list[str]) -> tuple[list[int], int]:
     """Cells float() reads, read exactly: ints over 10**places, places the
     most decimals of any cell, at most MAX_PLACES."""
-    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal  # only for such tables
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal  # only off the plain-digit path
 
     values = list(map(Decimal, texts))
     places = min(max([0, *(-value.as_tuple().exponent for value in values)]), MAX_PLACES)
