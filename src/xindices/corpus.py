@@ -4,8 +4,9 @@ A Corpus is a frozen value of one field, its publications in column form
 (PublicationColumns), validated eagerly, its citations held exactly as
 non-negative ints over one scale (ScaledCitations). Each view is a pure
 function of the columns, built when read: it sums ints in column order, so
-any order of the publications gives the same totals, and turns each total
-into a float once by int / int division, which rounds correctly.
+any order of the publications gives the same totals, and turns each
+distinct total into a float once by int / int division, which rounds
+correctly; equal totals share that float.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ class Corpus(FrozenValue):
     def keyword_items_by_category(self) -> dict[str, Collection[Item]]:
         """Per category, the (keyword, in-category total) items of its
         publications: the pair view before its labels are joined."""
-        return _grouped_items(self.columns.citations, self.columns.keywords, self.columns.categories)
+        return _rounded(_keyword_totals_by_category(self.columns), self.columns.citations.scale)
 
     def items_by_group(
         self,
@@ -136,11 +137,7 @@ class Corpus(FrozenValue):
         count once; a publication with none raises MissingGroupLabel in
         strict mode and falls into "(ungrouped)" otherwise.
         """
-        if view not in GROUP_VIEWS:
-            raise ValueError(f"unknown group view {view!r}")
-        columns = self.columns
-        groups = _group_labels(columns.ids, group_values, strict)
-        return _grouped_items(columns.citations, getattr(columns, view), groups)
+        return _rounded(_totals_by_group(self.columns, group_values, view, strict), self.columns.citations.scale)
 
     def category_sums(self) -> dict:
         """Per category in label order, (n, s1, s2): its number of publications
@@ -199,19 +196,24 @@ def _checked(ids: tuple[str, ...], citations: Sequence) -> ScaledCitations:
 
 
 def _floats(totals: Collection[int], scale: int) -> list[float]:
-    """Each total over scale, correctly rounded; inf beyond the float range."""
+    """Each total over scale, correctly rounded; inf beyond the float range.
+    Totals tie heavily, so each distinct total is divided once and equal
+    totals share its float: the kernel and the report then read a few
+    hundred floats, not one per item."""
+    distinct = set(totals)
     try:
-        return list(map(truediv, totals, repeat(scale)))
+        as_float = dict(zip(distinct, map(truediv, distinct, repeat(scale))))
     except OverflowError:
-        return [total / scale if total < FLOAT_LIMIT * scale else math.inf for total in totals]
+        as_float = {total: total / scale if total < FLOAT_LIMIT * scale else math.inf for total in distinct}
+    return list(map(as_float.__getitem__, totals))
 
 
-def _grouped_items(
+def _grouped_totals(
     citations: ScaledCitations, labels_column: Iterable[tuple[str, ...]], groups_column: Iterable[Iterable[str]]
-) -> dict[str, Collection[Item]]:
-    """Per group, the (label, total) items of its publications, over
-    parallel columns. A group is kept even if its publications carry no
-    label."""
+) -> dict[str, dict[str, int]]:
+    """Per group, each label's exact citation total over its publications,
+    an int over citations.scale, over parallel columns. A group is kept
+    even if its publications carry no label."""
     by_group: dict[str, dict[str, int]] = {}
     for count, labels, groups in zip(citations.ints, labels_column, groups_column):
         for group in groups:
@@ -220,9 +222,31 @@ def _grouped_items(
                 in_group = by_group[group] = {}
             for label in labels:
                 in_group[label] = in_group.get(label, 0) + count
-    for totals in by_group.values():  # each total to its float, in place
-        totals.update(zip(totals, _floats(totals.values(), citations.scale)))
+    return by_group
+
+
+def _rounded(by_group: dict[str, dict[str, int]], scale: int) -> dict[str, Collection[Item]]:
+    """Per group, its (label, total) items, each total over scale turned
+    into its float in place."""
+    for totals in by_group.values():
+        totals.update(zip(totals, _floats(totals.values(), scale)))
     return {group: totals.items() for group, totals in by_group.items()}
+
+
+def _keyword_totals_by_category(columns: PublicationColumns) -> dict[str, dict[str, int]]:
+    """Per category, its keywords' exact in-category totals (ints over the
+    citation scale), which the pair view and xo read."""
+    return _grouped_totals(columns.citations, columns.keywords, columns.categories)
+
+
+def _totals_by_group(
+    columns: PublicationColumns, group_values: Sequence[Sequence[str]], view: str, strict: bool
+) -> dict[str, dict[str, int]]:
+    """Per group label, the exact totals behind Corpus.items_by_group."""
+    if view not in GROUP_VIEWS:
+        raise ValueError(f"unknown group view {view!r}")
+    groups = _group_labels(columns.ids, group_values, strict)
+    return _grouped_totals(columns.citations, getattr(columns, view), groups)
 
 
 def _totals(columns: PublicationColumns, field: str, fractional: bool = False) -> tuple[Item, ...]:
@@ -235,14 +259,17 @@ def _totals(columns: PublicationColumns, field: str, fractional: bool = False) -
         common = math.lcm(*set(divisors))
         shares = map(mul, citations.ints, map(floordiv, repeat(common), divisors))
         citations = ScaledCitations(shares, citations.scale * common)
-    return tuple(_grouped_items(citations, getattr(columns, field), repeat(("",))).get("", ()))
+    by_group = _grouped_totals(citations, getattr(columns, field), repeat(("",)))
+    return tuple(_rounded(by_group, citations.scale).get("", ()))
 
 
 def _pairs(columns: PublicationColumns) -> tuple[Item, ...]:
     # Keyed by category, then keyword: "a@b" in "c" and "a" in "b@c" stay two
     # items labelled "a@b@c", which the kernel's stable sort keeps in order.
-    by_category = _grouped_items(columns.citations, columns.keywords, columns.categories).items()
-    return tuple((f"{kw}{PAIR_SEPARATOR}{cat}", total) for cat, items in by_category for kw, total in items)
+    by_category = _keyword_totals_by_category(columns)
+    labels = [f"{kw}{PAIR_SEPARATOR}{cat}" for cat, in_category in by_category.items() for kw in in_category]
+    totals = [total for in_category in by_category.values() for total in in_category.values()]
+    return tuple(zip(labels, _floats(totals, columns.citations.scale)))
 
 
 #: The views Corpus.items() serves: name -> its builder from the columns.

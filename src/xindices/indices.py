@@ -8,8 +8,10 @@ categories by their own nested keyword-level x-indices; group_index ranks
 the groups of one corpus (typically institutions) by their inner x or xd
 values.
 
-Inner values for xo and group_index are always h-type, from the kernel's
-h_value without a ranked table; ratio_type selects the outer kernel only.
+Inner values for xo and group_index are always h-type, read off each
+group's exact int totals without a ranked table, so only the totals down
+to the crossing are rounded to floats; ratio_type selects the outer kernel
+only.
 Each function reads only the views it ranks, as unsorted (label, weight)
 tuples the kernel orders; xdfn and ivw walk categories in label order.
 INDEX_FIELDS names the fields behind the views, for ingest to skip others.
@@ -19,9 +21,9 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus, Item, _finite
+from .corpus import Corpus, Item, _finite, _keyword_totals_by_category, _totals_by_group
 from .errors import (
     MissingStats,
     NonFiniteWeight,
@@ -32,9 +34,9 @@ from .errors import (
 from .kernel import (
     IndexResult,
     RankedTable,
+    _exact_h_value,
     _ranked_columns,
     first_crossing_index,
-    h_value,
     kernel_index,
 )
 from .stats import ReferenceStats
@@ -222,11 +224,12 @@ def ivw_xd_index(
 
 
 def _rank_inner(
-    items_by_label: Mapping[str, Collection[Item]], ratio_type: str, kind: str
+    totals_by_label: Mapping[str, Mapping[str, int]], scale: int, ratio_type: str, kind: str
 ) -> IndexResult:
-    """The outer kernel over each label's inner h-type value."""
+    """The outer kernel over each label's inner h-type value, read off its
+    exact int totals over scale."""
     # label order decides which group or category an overflow error names
-    scored = [(label, float(h_value(items_by_label[label]))) for label in sorted(items_by_label)]
+    scored = [(label, float(_exact_h_value(totals_by_label[label], scale))) for label in sorted(totals_by_label)]
     return kernel_index(scored, ratio_type, kind)
 
 
@@ -237,7 +240,8 @@ def xo_index(corpus: Corpus, ratio_type: str = "h") -> IndexResult:
     the publications tagged with it, weighted by in-category citations:
     the per-category keyword totals the pair view is built from.
     """
-    return _rank_inner(corpus.keyword_items_by_category(), ratio_type, "xo")
+    columns = corpus.columns
+    return _rank_inner(_keyword_totals_by_category(columns), columns.citations.scale, ratio_type, "xo")
 
 
 def group_index(
@@ -257,5 +261,6 @@ def group_index(
     a DuplicateId when the corpus is built."""
     if inner not in _INNER_VIEWS:
         raise ValueError(f"unknown inner index {inner!r}")
-    items_by_group = corpus.items_by_group(group_values, _INNER_VIEWS[inner], strict)
-    return _rank_inner(items_by_group, ratio_type, "nested")
+    columns = corpus.columns
+    totals_by_group = _totals_by_group(columns, group_values, _INNER_VIEWS[inner], strict)
+    return _rank_inner(totals_by_group, columns.citations.scale, ratio_type, "nested")

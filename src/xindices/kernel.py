@@ -25,31 +25,61 @@ the index value:
 All comparisons are exact floating comparisons; ratios are plain divisions
 with no further rounding, so a weight exactly equal to its rank qualifies.
 
+Ranking takes one of two paths, chosen from the input. Citation totals
+are whole counts and tie heavily (the pair view of a 25k-publication
+table holds 135k items but a few hundred distinct weights), so when the
+distinct weights are at most _BUCKET_SHARE of the items, rank_items puts
+the items into one bucket per weight in a single dict pass, and sorts
+only the distinct weights and each bucket by label. Otherwise, as on a
+table whose weights are all distinct, where a bucket per item costs more
+than it saves, it takes two stable C-keyed sorts, by label and then by
+weight. Both give the same list. The bucket pass counts the distinct
+weights as it goes: it runs 4 096 items at a time and gives way to the
+sorts as soon as the buckets outnumber that share, so on all-distinct
+items it reads only that far.
+
 Tables are held in column form: a RankedTable is built from parallel
-labels, weights and ratios columns, with ranks implicit as 1..n. Ranking
-is two stable C-keyed sorts, ratios and the value come from map/
-accumulate/compress passes, and the table invariants are checked by
-C-level passes, so no RankRow is built on the way to a report. The row
-view (RankRow tuples) is built on each read of RankedTable.rows. Like
-every frozen value of the library, a RankedTable rejects assignment and
-del, and compares, hashes, prints and pickles by its three columns. Inner
-values that no report prints (xo's per-category and nested's per-group
-values) come from h_value, which ranks weights alone, builds no table and
-divides no weight past the crossing.
+labels, weights and ratios columns, with ranks implicit as 1..n. Ratios
+and the value come from map/accumulate/compress passes, and the table
+invariants are checked by C-level passes, so no RankRow is built on the
+way to a report. A NaN weight fails the check that no weight is below 0,
+so it raises NonFiniteWeight naming the smallest label that carries one,
+whatever the input order. The row view (RankRow tuples) is built on each
+read of RankedTable.rows. Like every frozen value of the library, a
+RankedTable rejects assignment and del, and compares, hashes, prints and
+pickles by its three columns. Inner values that no report prints (xo's
+per-category and nested's per-group values) come from _exact_h_value,
+which ranks each group's exact int totals alone, builds no table and
+rounds and divides no total past the crossing; h_value does the same for
+float weights.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, count, repeat
-from operator import ge, itemgetter, lt, mul, truediv
-from typing import Collection, Iterable, NamedTuple, Sequence
+from collections import defaultdict, deque
+from itertools import accumulate, compress, count, islice, repeat
+from operator import ge, itemgetter, lt, mul, ne, truediv
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import Item, _finite
+from .corpus import FLOAT_LIMIT, Item, _finite
 from .errors import NonFiniteWeight
 from .value import FrozenValue
 
 INDEX_KINDS = ("x", "xc", "xd", "xdf", "xdfn", "ivw", "xo", "nested")
 RATIO_TYPES = ("h", "g")
+
+#: rank_items buckets items by weight when at most this share of them carry
+#: distinct weights, and sorts them twice otherwise. On 135k-item tables
+#: the buckets win up to a share of 0.15 with uniformly drawn weights and
+#: lose from 0.2; with one weight carrying most items beside singletons
+#: they break even near 0.1 (the sweep is in CHANGES.md).
+_BUCKET_SHARE = 0.125
+
+#: The cause NonFiniteWeight gives for a NaN weight.
+_NAN_CAUSE = "a NaN weight lies outside"
+
+_label = itemgetter(0)
+_weight = itemgetter(1)
 
 
 class RankRow(NamedTuple):
@@ -64,7 +94,8 @@ class RankedTable(FrozenValue):
 
     RankedTable(labels, weights, ratios) takes the parallel columns the
     kernel produces. A weight or ratio outside the float range raises
-    NonFiniteWeight, since no report could print it.
+    NonFiniteWeight, since no report could print it; a NaN weight raises it
+    naming the smallest label that carries one.
     """
 
     __slots__ = _fields = ("labels", "weights", "ratios")
@@ -73,7 +104,10 @@ class RankedTable(FrozenValue):
         labels, weights, ratios = tuple(labels), tuple(weights), tuple(ratios)
         if not len(labels) == len(weights) == len(ratios):
             raise ValueError("label, weight and ratio columns differ in length")
-        if any(map(lt, weights, repeat(0))):
+        # NaN fails every comparison, so this pass finds it too
+        if not all(map(ge, weights, repeat(0))):
+            if nan := [label for label, w in zip(labels, weights) if w != w]:
+                raise NonFiniteWeight(min(nan), _NAN_CAUSE)
             i = next(i for i, w in enumerate(weights, start=1) if w < 0)
             raise ValueError(f"negative weight at rank {i}")
         if any(map(lt, weights, weights[1:])):
@@ -127,22 +161,46 @@ class IndexResult(FrozenValue):
 
 def rank_items(items: Iterable[Item]) -> list[Item]:
     """Items given in any order, sorted descending by weight, ties by
-    label ascending: the one label sort on the way to a ranked table.
+    label ascending, and items sharing a label and weight in the order
+    given: the one label sort on the way to a ranked table.
 
-    Two stable sorts keyed in C: by label, then by weight reversed (a
-    reversed stable sort keeps equal keys in their prior order, so items
-    sharing a label and weight stay in the order given). The tie-break
-    makes table output byte-reproducible; it cannot affect the index
-    value, which depends on the weight multiset alone.
+    The path depends on the input; both give the same list. The items are
+    put into one bucket per weight in input order, in a single dict pass;
+    if at most _BUCKET_SHARE of them carry distinct weights, only the
+    distinct weights are sorted, descending, and each bucket is sorted
+    stably by label. As soon as the buckets outnumber that share, the pass
+    stops and two stable sorts keyed in C run instead: by label, then by
+    weight reversed (a reversed stable sort keeps equal keys in their
+    prior order). Equal weights share a bucket whatever their type
+    (an int, a float, a Fraction; 0.0 and -0.0), just as the sort keeps
+    them in label order. The tie-break makes table output
+    byte-reproducible; it cannot affect the index value, which depends on
+    the weight multiset alone.
     """
-    ranked = sorted(items, key=itemgetter(0))
-    ranked.sort(key=itemgetter(1), reverse=True)
+    if not isinstance(items, (list, tuple)):
+        items = list(items)
+    limit = _BUCKET_SHARE * len(items)
+    buckets: defaultdict[float, list[Item]] = defaultdict(list)
+    # each item appended to its weight's bucket in C, a block at a time; the
+    # deque keeps nothing
+    appends = map(list.append, map(buckets.__getitem__, map(_weight, items)), items)
+    for _ in range(0, len(items), 4096):
+        deque(islice(appends, 4096), maxlen=0)
+        if len(buckets) > limit:
+            ranked = sorted(items, key=_label)
+            ranked.sort(key=_weight, reverse=True)
+            return ranked
+    ranked = []
+    for weight in sorted(buckets, reverse=True):
+        bucket = buckets[weight]
+        bucket.sort(key=_label)
+        ranked += bucket
     return ranked
 
 
 def _ranked_columns(items: Iterable[Item]) -> tuple[tuple, tuple]:
     ranked = rank_items(items)
-    return tuple(map(itemgetter(0), ranked)), tuple(map(itemgetter(1), ranked))
+    return tuple(map(_label, ranked)), tuple(map(_weight, ranked))
 
 
 def _first_crossing(ratios: Iterable[float], n: int) -> int:
@@ -160,13 +218,29 @@ def h_type_index(items: Iterable[Item], kind: str = "x") -> IndexResult:
 def h_value(items: Collection[Item]) -> int:
     """h_type_index(items).value without the ranked table: the weights
     sorted descending, divided by their ranks up to the first ratio below
-    1. A largest weight that is not finite raises NonFiniteWeight naming
-    the label h_type_index names (the smallest label of that weight), so
-    items are read a second time on that path only."""
-    weights = sorted(map(itemgetter(1), items), reverse=True)
+    1. A NaN weight, or a largest weight that is not finite, raises
+    NonFiniteWeight naming the label h_type_index names (the smallest label
+    of that weight), so items are read a second time on those paths only."""
+    weights = sorted(map(_weight, items), reverse=True)
+    if any(map(ne, weights, weights)):
+        raise NonFiniteWeight(min(label for label, weight in items if weight != weight), _NAN_CAUSE)
     if weights and not _finite(top := weights[0]):
         raise NonFiniteWeight(min(label for label, weight in items if weight == top))
     return _first_crossing(map(truediv, weights, count(1)), len(weights))
+
+
+def _exact_h_value(totals: Mapping[str, int], scale: int) -> int:
+    """h_value of the items (label, total / scale), from exact int totals
+    over one scale: the totals are sorted as ints, and only those down to
+    the first ratio below 1 are rounded to floats and divided by their
+    ranks, with the same two roundings, so the value is h_value's. Totals
+    that round beyond the float range raise NonFiniteWeight naming the
+    smallest of their labels, the label h_value names for those items."""
+    ints = sorted(totals.values(), reverse=True)
+    limit = FLOAT_LIMIT * scale
+    if ints and ints[0] >= limit:
+        raise NonFiniteWeight(min(label for label, total in totals.items() if total >= limit))
+    return _first_crossing(map(truediv, map(truediv, ints, repeat(scale)), count(1)), len(ints))
 
 
 def g_type_index(items: Iterable[Item], kind: str = "x") -> IndexResult:

@@ -10,7 +10,13 @@ the ranked table in blocks of _BLOCK_ROWS rows and writes each block to
 the open text stream as it goes, so a report is never held whole.
 render(fmt) writes into a StringIO and returns its text. Number texts
 come from numfmt.format_column, one block of a column at a time, and are
-the same in all three formats.
+the same in all three formats. Citation totals tie heavily, so the
+weights column, which never increases, is formatted once per run of
+equal values: a block of plain floats has each run's first weight
+formatted and its text repeated down the run (equal plain floats print
+alike, 0.0 and -0.0 both as 0). A block holding anything else (ints,
+Fractions, float subclasses) or no tie at all is formatted value by
+value.
 
 to_dict is the readable specification of the json report: the json format
 is exactly json.dumps(to_dict(), indent=2, ensure_ascii=False) plus a
@@ -30,8 +36,9 @@ from __future__ import annotations
 
 import csv
 import io
-from itertools import repeat
-from typing import Any, Iterator, TextIO
+from itertools import chain, compress, count, repeat
+from operator import ne, sub
+from typing import Any, Iterator, Sequence, TextIO
 
 from .kernel import IndexResult
 from .numfmt import canonical_json_value, format_column
@@ -49,6 +56,21 @@ _JSON_LABEL = ',\n      "label": '
 _JSON_WEIGHT = ',\n      "weight": '
 _JSON_RATIO = ',\n      "ratio": '
 _JSON_CLOSE = "\n    }"
+
+
+def _weight_texts(weights: Sequence[float]) -> list[str]:
+    """format_column(weights) for a block of the never-increasing weights
+    column, formatting a block of plain floats once per run of equal
+    weights."""
+    if {*map(type, weights)} != {float}:
+        return format_column(weights)
+    n = len(weights)
+    # the index of each weight that differs from the one before it
+    starts = list(compress(count(), map(ne, weights, chain((None,), weights))))
+    if len(starts) == n:
+        return format_column(weights)
+    texts = format_column(list(map(weights.__getitem__, starts)))
+    return list(chain.from_iterable(map(repeat, texts, map(sub, chain(starts[1:], (n,)), starts))))
 
 
 class Report(FrozenValue):
@@ -113,7 +135,7 @@ class Report(FrozenValue):
             yield (
                 map(str, range(start + 1, stop + 1)),
                 table.labels[start:stop],
-                format_column(table.weights[start:stop]),
+                _weight_texts(table.weights[start:stop]),
                 format_column(table.ratios[start:stop]),
             )
 
@@ -178,7 +200,7 @@ class Report(FrozenValue):
         widths = (
             len(str(len(table))),
             max(map(len, table.labels), default=0),
-            max((max(map(len, format_column(table.weights[i : i + _BLOCK_ROWS]))) for i in starts), default=0),
+            max((max(map(len, _weight_texts(table.weights[i : i + _BLOCK_ROWS]))) for i in starts), default=0),
         )
         # Every column but the last is padded to its widest cell, header
         # included; the last is never padded, which drops the trailing

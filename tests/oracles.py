@@ -1,5 +1,5 @@
-"""Brute-force re-implementations of the rank-threshold rules, a row-wise
-reference reader for ingest, record-wise reference corpus views and
+"""Brute-force re-implementations of the rank-threshold rules, the
+two-sort ranking by its definition, a row-wise reference reader for ingest, record-wise reference corpus views and
 validation, and the one-Corpus-per-group reference for group-level values.
 
 Deliberately naive (O(n^2), no shared code with the kernel) so the test
@@ -91,6 +91,15 @@ def naive_g_oracle(weights: Sequence[float]) -> int:
         if sum(ordered[:r]) >= r * r:
             return r
     return 0
+
+
+def two_sort_rank(items) -> list:
+    """Items by weight descending, ties by label ascending, and equal items
+    in the order given: two stable sorts, by label, then by weight
+    reversed (a reversed stable sort keeps equal keys in their order)."""
+    ranked = sorted(items, key=lambda item: item[0])
+    ranked.sort(key=lambda item: item[1], reverse=True)
+    return ranked
 
 
 def naive_xo_oracle(records, ratio_type: str = "h") -> int:

@@ -412,7 +412,7 @@ TRAFFIC_STATS = "category,mean,variance,n\na,9.5,1,1\nb,6.75,2,2\nc,2.25,1,1\n"
 @pytest.mark.parametrize(
     "argv, built",
     [
-        # every item view sums over the columns in one _grouped_items pass
+        # every item view sums over the columns in one _grouped_totals pass
         (("compute", "--index", "x"), {"keywords", "grouped_items"}),
         (("compute", "--index", "xc"), {"pairs", "grouped_items"}),
         (("compute", "--index", "xd"), {"categories", "grouped_items"}),
@@ -447,7 +447,7 @@ def test_each_command_builds_the_views_its_index_reads_once(tmp_path, capsys, mo
 
     for name, build in list(ITEM_VIEWS.items()):
         monkeypatch.setitem(ITEM_VIEWS, name, counting(name, build))
-    monkeypatch.setattr(corpus_module, "_grouped_items", counting("grouped_items", corpus_module._grouped_items))
+    monkeypatch.setattr(corpus_module, "_grouped_totals", counting("grouped_items", corpus_module._grouped_totals))
     monkeypatch.setattr(Corpus, "category_sums", counting("category_sums", Corpus.category_sums))
     (tmp_path / "in.csv").write_text(TRAFFIC_TABLE)
     (tmp_path / "stats.csv").write_text(TRAFFIC_STATS)

@@ -6,8 +6,10 @@ with a leading + or inside spaces. Each command runs through main in
 process. Its report must carry, for every label, the float that the exact
 Fraction total, computed from the raw cell texts by the row-wise oracles of
 tests/oracles.py, rounds to; an index value that follows the rule over
-those floats, by the brute-force oracles; and the same bytes when the data
-rows come in reverse order.
+those floats, by the brute-force oracles; the same bytes when the data
+rows come in reverse order; and, in csv and table format, the same rank,
+label, weight and ratio texts, and in table format the same value text,
+as the json report.
 """
 
 from __future__ import annotations
@@ -84,6 +86,26 @@ def expected(argv: list[str], data: bytes, config: IngestConfig) -> tuple[int, o
     return 0, (rule([w for _, w in items], ratio_type), ranked(items))
 
 
+def printed(fmt: str, out: str) -> tuple[str | None, list[list[str]]]:
+    """The value text (None in csv, which prints none) and each table row's
+    rank, label, weight and ratio texts, as a report in fmt prints them. A
+    table format label is its whole padded cell."""
+    if fmt == "json":
+        report = json.loads(out, parse_int=str, parse_float=str)
+        return report["value"], [[row["rank"], row["label"], row["weight"], row["ratio"]] for row in report["table"]]
+    if fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(out, newline=""))
+        assert header == ["rank", "label", "weight", "ratio"]
+        return None, rows
+    _title, header, *lines, value = out[:-1].split("\n")
+    lines = [line for line in lines if not line.startswith("warning: ")]  # a row starts with its rank
+    label, weight, ratio = map(header.index, ("label", "weight", "ratio"))
+    rows = [
+        [line[:label].rstrip(), line[label : weight - 2], line[weight:ratio].rstrip(), line[ratio:]] for line in lines
+    ]
+    return value, rows
+
+
 def reversed_rows(data: bytes) -> bytes:
     """The table with its data rows in reverse order."""
     text = data.decode("utf-8")
@@ -122,3 +144,15 @@ def test_reports_carry_exact_totals_in_any_row_order(tmp_path_factory, table, co
         return
     report = json.loads(out)
     assert (report["value"], [[row["label"], row["weight"]] for row in report["table"]]) == want
+    value, rows = printed("json", out)
+    path.write_bytes(data)
+    for fmt in ("csv", "table"):
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
+            assert main([*argv, "--input", str(path), "--format", fmt]) == 0
+        fmt_value, fmt_rows = printed(fmt, text.getvalue())
+        if fmt == "table":
+            assert fmt_value == value
+            width = max((len(row[1]) for row in rows), default=0)
+            rows = [[rank, label.ljust(max(width, len("label"))), weight, ratio] for rank, label, weight, ratio in rows]
+        assert fmt_rows == rows

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from xindices import (
     NonFiniteWeight,
@@ -16,10 +18,12 @@ from xindices import (
     h_type_index,
     h_value,
 )
-from xindices.kernel import rank_items
+from xindices import kernel
+from xindices.kernel import _ranked_columns, rank_items
+from xindices.report import Report
 
 from conftest import items
-from oracles import naive_g_oracle, naive_h_oracle
+from oracles import naive_g_oracle, naive_h_oracle, two_sort_rank
 
 # Exact weights, as xdfn ranks them: any Fraction, and ones on an integer
 # rank or within 1e-12 of it, on either side.
@@ -282,3 +286,77 @@ def test_non_finite_weights_raise_typed_error(weights):
 def test_rank_items_is_deterministic():
     mixed = [("z", 1.0), ("a", 1.0), ("m", 2.0)]
     assert [label for label, _ in rank_items(mixed)] == ["m", "a", "z"]
+
+
+# --- rank_items paths ----------------------------------------------------------
+
+#: Weights that tie across types: one value as an int, a float and a
+#: Fraction, 0.0 beside -0.0, 10**17 beside 1e17, and inf.
+TIED = [0, 0.0, -0.0, 1, 1.0, Fraction(1), 2.5, Fraction(5, 2), 3.0, 10**17, 1e17, float("inf")]
+
+
+@st.composite
+def rank_inputs(draw):
+    """Items over a pool of weights that is small next to the items (the
+    bucket path) or as large as they are (the sorts), with repeated labels
+    and repeated (label, weight) items."""
+    n = draw(st.integers(min_value=0, max_value=60))
+    pool = draw(
+        st.lists(
+            st.one_of(st.sampled_from(TIED), st.floats(min_value=0, max_value=100, allow_nan=False)),
+            min_size=1,
+            max_size=draw(st.sampled_from([1, 2, max(1, n // 8), max(1, n)])),
+        )
+    )
+    labels = st.sampled_from(["a", "b", "ab", "B", "é", ""])
+    entries = draw(st.lists(st.tuples(labels, st.sampled_from(pool)), min_size=n, max_size=n))
+    return entries + draw(st.lists(st.sampled_from(entries), max_size=5)) if entries else entries
+
+
+@given(rank_inputs(), st.randoms(use_true_random=False))
+@example([("b", 0.0), ("a", -0.0), ("a", 0.0), ("c", 0)] * 4, None)
+@example([(f"k{i}", float(i)) for i in range(20)], None)
+def test_rank_items_equals_two_sorts_on_either_path(entries, rng):
+    expected = two_sort_rank(entries)
+    # the chosen path, and each path forced: 0 always sorts, 1 always buckets
+    for share in (kernel._BUCKET_SHARE, 0, 1):
+        with mock.patch.object(kernel, "_BUCKET_SHARE", share):
+            ranked = rank_items(iter(entries))
+        assert ranked == expected
+        # the same objects in the same places, not just equal values
+        assert list(map(id, ranked)) == list(map(id, expected))
+    if rng is None:
+        return
+    # Items equal in label and weight keep their input order, so an int and
+    # a Fraction of one value would divide differently; as floats, every
+    # order gives the same table and the same report.
+    finite = [(label, float(w)) for label, w in entries if w != float("inf")]
+    shuffled = list(finite)
+    rng.shuffle(shuffled)
+    for index in (h_type_index, g_type_index):
+        assert index(shuffled).table == index(finite).table
+        csv = Report("0", "compute", index(finite)).render("csv")
+        assert Report("0", "compute", index(shuffled)).render("csv") == csv
+
+
+# --- NaN weights ----------------------------------------------------------------
+
+NAN, OTHER_NAN = float("nan"), float("nan")
+
+
+def _raw_ivw(weighted):
+    """The raw ivw kernel path: rank by weight, ratio w / r, first crossing."""
+    labels, weights = _ranked_columns(weighted)
+    return first_crossing_index(RankedTable(labels, weights, [w / r for r, w in enumerate(weights, start=1)]))
+
+
+@pytest.mark.parametrize("share", [None, 0, 1], ids=["chosen", "sorts", "buckets"])
+@pytest.mark.parametrize("index", [h_type_index, g_type_index, h_value, _raw_ivw])
+def test_nan_weight_names_its_smallest_label_in_any_order(index, share):
+    # "b" is the smallest label with a NaN, though "a" is smaller and "d" overflows
+    weighted = [("c", NAN), ("a", 2.0), ("d", float("inf")), ("b", OTHER_NAN), ("e", NAN), ("b", 2.0)]
+    with mock.patch.object(kernel, "_BUCKET_SHARE", kernel._BUCKET_SHARE if share is None else share):
+        for order in permutations(weighted):
+            with pytest.raises(NonFiniteWeight, match="NaN") as err:
+                index(list(order))
+            assert err.value.label == "b"

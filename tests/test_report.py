@@ -123,6 +123,8 @@ weights = st.one_of(
     st.integers(min_value=10**16 - 3, max_value=10**18).map(float),
     st.just(1e16),
     st.fractions(min_value=0, max_value=10**6),
+    # values that tie across types and signs
+    st.sampled_from([0.0, -0.0, 0, 2.5, Fraction(5, 2), 10**17, 1e17]),
 )
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | awkward_labels,
@@ -276,37 +278,51 @@ class RecordingSink(io.StringIO):
         return super().write(text)
 
 
-def _streamed_report(n_rows, kernel):
-    """A report whose n_rows labels each carry the marker "row-"; the
-    weights mix integral and fractional floats, a value past 1e16 and a
-    Fraction, so blocks take both paths of format_column."""
+def _streamed_weights(n_rows, ties):
+    """n_rows weights. "none" mixes integral and fractional floats, a value
+    past 1e16 and a Fraction, so blocks take both paths of format_column.
+    "floats" ties plain floats in runs of 3 that cross the block edges,
+    0.0 beside -0.0 in the last run. "mixed" ties an int 10**17 with
+    1e17, 5/2 as a Fraction with 2.5, and 1 with 1.0, Fraction(1) and True."""
+    if ties == "floats":
+        return [float((n_rows - 1 - i) // 3) or (-0.0 if i % 2 else 0.0) for i in range(n_rows)]
+    if ties == "mixed":
+        cycle = [10**17, 1e17, 1e17, 10**17, Fraction(5, 2), 2.5, 2.5, 1, 1.0, Fraction(1), True, 0.0, -0.0]
+        return [cycle[i % len(cycle)] for i in range(n_rows)]
     weights = [float(3 * i) / 2 for i in range(n_rows)]
     if n_rows > 2:
         weights[0], weights[1] = 2e16, Fraction(7, 3)
-    entries = [(f"row-{i:03d}", w) for i, w in enumerate(weights)]
+    return weights
+
+
+def _streamed_report(n_rows, kernel, ties="none"):
+    """A report whose n_rows labels each carry the marker "row-", with the
+    weights of _streamed_weights."""
+    entries = [(f"row-{i:03d}", w) for i, w in enumerate(_streamed_weights(n_rows, ties))]
     return Report("0.1.0", "compute", kernel(entries, "xc"), {"input": "t.csv"}, ["one warning"])
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 @pytest.mark.parametrize("kernel", [h_type_index, g_type_index], ids=["h", "g"])
-@pytest.mark.parametrize("n_rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("n_rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 4 * BLOCK + 3])
 def test_write_streams_blocks_that_add_up_to_render(monkeypatch, fmt, kernel, n_rows):
-    report = _streamed_report(n_rows, kernel)
-    reference = {
-        "json": lambda: json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n",
-        "csv": lambda: _csv_from_rows(report),
-        "table": lambda: _table_from_rows(report),
-    }[fmt]()
     monkeypatch.setattr(xindices.report, "_BLOCK_ROWS", BLOCK)
-    sink = RecordingSink()
-    report.write(sink, fmt)
-    assert sink.getvalue() == report.render(fmt) == reference
-    rows_per_write = [text.count("row-") for text in sink.writes]
-    assert sum(rows_per_write) == n_rows
-    # No write call carries more than one block of rows, so a report is
-    # never held whole; n rows take at least ceil(n / BLOCK) writes.
-    assert max(rows_per_write) <= BLOCK
-    assert sum(map(bool, rows_per_write)) >= -(-n_rows // BLOCK)
+    for ties in ("none", "floats", "mixed"):
+        report = _streamed_report(n_rows, kernel, ties)
+        reference = {
+            "json": lambda: json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n",
+            "csv": lambda: _csv_from_rows(report),
+            "table": lambda: _table_from_rows(report),
+        }[fmt]()
+        sink = RecordingSink()
+        report.write(sink, fmt)
+        assert sink.getvalue() == report.render(fmt) == reference
+        rows_per_write = [text.count("row-") for text in sink.writes]
+        assert sum(rows_per_write) == n_rows
+        # No write call carries more than one block of rows, so a report is
+        # never held whole; n rows take at least ceil(n / BLOCK) writes.
+        assert max(rows_per_write) <= BLOCK
+        assert sum(map(bool, rows_per_write)) >= -(-n_rows // BLOCK)
 
 
 def test_write_rejects_an_unknown_format_before_writing():
