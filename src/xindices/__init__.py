@@ -54,7 +54,6 @@ from .kernel import (
     first_crossing_index,
     g_type_index,
     h_type_index,
-    h_value,
 )
 from .stats import (
     ReferenceStats,
@@ -80,7 +79,6 @@ __all__ = [
     "RankRow",
     "h_type_index",
     "g_type_index",
-    "h_value",
     "first_crossing_index",
     "ReferenceStats",
     "StatsEntry",

@@ -4,9 +4,10 @@ A Corpus is a frozen value of one field, its publications in column form
 (PublicationColumns), validated eagerly, its citations held exactly as
 non-negative ints over one scale (ScaledCitations). Each view is a pure
 function of the columns, built when read: it sums ints in column order, so
-any order of the publications gives the same totals, and turns each
-distinct total into a float once by int / int division, which rounds
-correctly; equal totals share that float.
+any order of the publications gives the same totals. An item view turns
+each distinct total into a float once by int / int division, which rounds
+correctly, and equal totals share that float; the per-group totals that
+xo and the nested indices rank stay exact ints.
 """
 
 from __future__ import annotations
@@ -17,14 +18,11 @@ from itertools import repeat
 from operator import floordiv, methodcaller, mul, truediv
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .errors import DuplicateId, MissingGroupLabel, NegativeCitations, NonFiniteCitations
+from .errors import DuplicateId, NegativeCitations, NonFiniteCitations
 from .value import FrozenValue
 
 #: Pair labels are rendered as "<keyword>@<category>".
 PAIR_SEPARATOR = "@"
-
-#: Group label assigned to records with no group value in non-strict mode.
-UNGROUPED_LABEL = "(ungrouped)"
 
 
 def _dedupe_each(label_lists: Iterable[Iterable[str]]) -> list[tuple[str, ...]]:
@@ -41,18 +39,18 @@ Item = tuple[str, float]
 #: The least number that rounds beyond the float range.
 FLOAT_LIMIT = 2**1024 - 2**970
 
-#: The label columns Corpus.items_by_group() totals per group.
-GROUP_VIEWS = ("keywords", "categories")
-
 
 class ScaledCitations(FrozenValue):
     """A citation column held exactly, as a Corpus keeps it: count i is
     ints[i] / scale, in lowest terms, so equal columns have equal fields.
-    Iterated, it gives ints, or Fractions when the scale is not 1."""
+    Iterated, it gives ints, or Fractions when the scale is not 1. A scale
+    below 1 raises ValueError."""
 
     __slots__ = _fields = ("ints", "scale")
 
     def __init__(self, ints: Iterable[int], scale: int = 1) -> None:
+        if scale < 1:
+            raise ValueError(f"citation scale must be at least 1, not {scale!r}")
         ints = tuple(ints)
         common = math.gcd(scale, *ints)
         self._set(tuple(map(floordiv, ints, repeat(common))) if common > 1 else ints, scale // common)
@@ -117,27 +115,18 @@ class Corpus(FrozenValue):
             raise ValueError(f"unknown view {view!r}")
         return ITEM_VIEWS[view](self.columns)
 
-    def keyword_items_by_category(self) -> dict[str, Collection[Item]]:
-        """Per category, the (keyword, in-category total) items of its
-        publications: the pair view before its labels are joined."""
-        return _rounded(_keyword_totals_by_category(self.columns), self.columns.citations.scale)
-
-    def items_by_group(
-        self,
-        group_values: Sequence[Sequence[str]],
-        view: str,
-        strict: bool = False,
-    ) -> dict[str, Collection[Item]]:
-        """Per group label, the (label, total) items of the "keywords" or
-        "categories" view over the publications in that group: in order
-        the items(view) of a Corpus of the group's publications, from one
-        pass over this corpus and without building a Corpus per group.
-
-        group_values is parallel to the publications. Repeated group labels
-        count once; a publication with none raises MissingGroupLabel in
-        strict mode and falls into "(ungrouped)" otherwise.
-        """
-        return _rounded(_totals_by_group(self.columns, group_values, view, strict), self.columns.citations.scale)
+    def totals_by_group(self, field: str, groups: Sequence[Iterable[str]]) -> dict[str, dict[str, int]]:
+        """Per group, each label of the label column named field with its
+        exact citation total over the group's publications, an int over
+        columns.citations.scale, in one pass; groups and labels in
+        first-seen order. groups is parallel to the publications and holds
+        each one's distinct group labels; one with none counts in no group.
+        Another field, or groups of another length, raises ValueError."""
+        if field not in PublicationColumns._fields[2:]:
+            raise ValueError(f"unknown label field {field!r}")
+        if len(groups) != len(self):
+            raise ValueError("publications and groups differ in length")
+        return _grouped_totals(self.columns.citations, getattr(self.columns, field), groups)
 
     def category_sums(self) -> dict:
         """Per category in label order, (n, s1, s2): its number of publications
@@ -225,30 +214,6 @@ def _grouped_totals(
     return by_group
 
 
-def _rounded(by_group: dict[str, dict[str, int]], scale: int) -> dict[str, Collection[Item]]:
-    """Per group, its (label, total) items, each total over scale turned
-    into its float in place."""
-    for totals in by_group.values():
-        totals.update(zip(totals, _floats(totals.values(), scale)))
-    return {group: totals.items() for group, totals in by_group.items()}
-
-
-def _keyword_totals_by_category(columns: PublicationColumns) -> dict[str, dict[str, int]]:
-    """Per category, its keywords' exact in-category totals (ints over the
-    citation scale), which the pair view and xo read."""
-    return _grouped_totals(columns.citations, columns.keywords, columns.categories)
-
-
-def _totals_by_group(
-    columns: PublicationColumns, group_values: Sequence[Sequence[str]], view: str, strict: bool
-) -> dict[str, dict[str, int]]:
-    """Per group label, the exact totals behind Corpus.items_by_group."""
-    if view not in GROUP_VIEWS:
-        raise ValueError(f"unknown group view {view!r}")
-    groups = _group_labels(columns.ids, group_values, strict)
-    return _grouped_totals(columns.citations, getattr(columns, view), groups)
-
-
 def _totals(columns: PublicationColumns, field: str, fractional: bool = False) -> tuple[Item, ...]:
     """Citations summed per label of the label column named field; with
     fractional, each count over its number of institutions, exactly: times
@@ -259,14 +224,14 @@ def _totals(columns: PublicationColumns, field: str, fractional: bool = False) -
         common = math.lcm(*set(divisors))
         shares = map(mul, citations.ints, map(floordiv, repeat(common), divisors))
         citations = ScaledCitations(shares, citations.scale * common)
-    by_group = _grouped_totals(citations, getattr(columns, field), repeat(("",)))
-    return tuple(_rounded(by_group, citations.scale).get("", ()))
+    totals = _grouped_totals(citations, getattr(columns, field), repeat(("",))).get("", {})
+    return tuple(zip(totals, _floats(totals.values(), citations.scale)))
 
 
 def _pairs(columns: PublicationColumns) -> tuple[Item, ...]:
     # Keyed by category, then keyword: "a@b" in "c" and "a" in "b@c" stay two
     # items labelled "a@b@c", which the kernel's stable sort keeps in order.
-    by_category = _keyword_totals_by_category(columns)
+    by_category = _grouped_totals(columns.citations, columns.keywords, columns.categories)
     labels = [f"{kw}{PAIR_SEPARATOR}{cat}" for cat, in_category in by_category.items() for kw in in_category]
     totals = [total for in_category in by_category.values() for total in in_category.values()]
     return tuple(zip(labels, _floats(totals, columns.citations.scale)))
@@ -286,20 +251,3 @@ def build_corpus(columns: PublicationColumns) -> Corpus:
     NegativeCitations or NonFiniteCitations for an invalid count."""
     return Corpus(columns)
 
-
-def _group_labels(
-    ids: Sequence[str],
-    group_values: Sequence[Sequence[str]],
-    strict: bool,
-) -> list[tuple[str, ...]]:
-    """Each publication's distinct group labels, checked in input order:
-    none raises MissingGroupLabel in strict mode and is "(ungrouped)"
-    otherwise."""
-    if len(ids) != len(group_values):
-        raise ValueError("records and group values differ in length")
-    groups = _dedupe_each(group_values)
-    if () in groups:
-        if strict:
-            raise MissingGroupLabel(ids[groups.index(())])
-        groups = [labels or (UNGROUPED_LABEL,) for labels in groups]
-    return groups

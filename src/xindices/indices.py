@@ -8,10 +8,11 @@ categories by their own nested keyword-level x-indices; group_index ranks
 the groups of one corpus (typically institutions) by their inner x or xd
 values.
 
-Inner values for xo and group_index are always h-type, read off each
-group's exact int totals without a ranked table, so only the totals down
-to the crossing are rounded to floats; ratio_type selects the outer kernel
-only.
+Inner values for xo and group_index are always h-type: each is the
+h_type_index(items).value of a Corpus of the group's publications, read
+off the group's exact int totals (Corpus.totals_by_group) without a ranked
+table, so only the totals down to the crossing are rounded to floats;
+ratio_type selects the outer kernel only.
 Each function reads only the views it ranks, as unsorted (label, weight)
 tuples the kernel orders; xdfn and ivw walk categories in label order.
 INDEX_FIELDS names the fields behind the views, for ingest to skip others.
@@ -21,10 +22,11 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .corpus import Corpus, Item, _finite, _keyword_totals_by_category, _totals_by_group
+from .corpus import Corpus, Item, _dedupe_each, _finite
 from .errors import (
+    MissingGroupLabel,
     MissingStats,
     NonFiniteWeight,
     NonPositiveMean,
@@ -54,8 +56,11 @@ INDEX_FIELDS = {
     "xo": ("keywords", "categories"),
 }
 
-#: Per inner index of a nested index, the view its h-type value ranks.
-_INNER_VIEWS = {"x": "keywords", "xd": "categories"}
+#: Per inner index of a nested index, the label field its h-type value ranks.
+_INNER_FIELDS = {"x": "keywords", "xd": "categories"}
+
+#: Group label assigned to publications with no group value in non-strict mode.
+UNGROUPED_LABEL = "(ungrouped)"
 
 
 def x_index(corpus: Corpus, ratio_type: str = "h") -> IndexResult:
@@ -223,13 +228,13 @@ def ivw_xd_index(
     return _noting(first_crossing_index(table, "ivw"), dropped, floored)
 
 
-def _rank_inner(
-    totals_by_label: Mapping[str, Mapping[str, int]], scale: int, ratio_type: str, kind: str
-) -> IndexResult:
-    """The outer kernel over each label's inner h-type value, read off its
-    exact int totals over scale."""
+def _rank_inner(corpus: Corpus, field: str, groups: Sequence[Iterable[str]], ratio_type: str, kind: str) -> IndexResult:
+    """The outer kernel over each group's inner h-type value, read off the
+    exact totals of the label column named field over its publications."""
+    totals_by_group = corpus.totals_by_group(field, groups)
+    scale = corpus.columns.citations.scale
     # label order decides which group or category an overflow error names
-    scored = [(label, float(_exact_h_value(totals_by_label[label], scale))) for label in sorted(totals_by_label)]
+    scored = [(group, float(_exact_h_value(totals_by_group[group], scale))) for group in sorted(totals_by_group)]
     return kernel_index(scored, ratio_type, kind)
 
 
@@ -238,10 +243,10 @@ def xo_index(corpus: Corpus, ratio_type: str = "h") -> IndexResult:
 
     Each category's inner value is the h-type x-index over the keywords of
     the publications tagged with it, weighted by in-category citations:
-    the per-category keyword totals the pair view is built from.
+    the per-category keyword totals the pair view is built from. A
+    publication with no category counts in no category.
     """
-    columns = corpus.columns
-    return _rank_inner(_keyword_totals_by_category(columns), columns.citations.scale, ratio_type, "xo")
+    return _rank_inner(corpus, "keywords", corpus.columns.categories, ratio_type, "xo")
 
 
 def group_index(
@@ -259,8 +264,25 @@ def group_index(
     in strict mode and falls into "(ungrouped)" otherwise. Ids are unique
     across the whole corpus, so a publication id repeated in two groups is
     a DuplicateId when the corpus is built."""
-    if inner not in _INNER_VIEWS:
+    if inner not in _INNER_FIELDS:
         raise ValueError(f"unknown inner index {inner!r}")
-    columns = corpus.columns
-    totals_by_group = _totals_by_group(columns, group_values, _INNER_VIEWS[inner], strict)
-    return _rank_inner(totals_by_group, columns.citations.scale, ratio_type, "nested")
+    groups = _group_labels(corpus.columns.ids, group_values, strict)
+    return _rank_inner(corpus, _INNER_FIELDS[inner], groups, ratio_type, "nested")
+
+
+def _group_labels(
+    ids: Sequence[str],
+    group_values: Sequence[Sequence[str]],
+    strict: bool,
+) -> list[tuple[str, ...]]:
+    """Each publication's distinct group labels, checked in input order:
+    none raises MissingGroupLabel in strict mode and is "(ungrouped)"
+    otherwise."""
+    if len(ids) != len(group_values):
+        raise ValueError("records and group values differ in length")
+    groups = _dedupe_each(group_values)
+    if () in groups:
+        if strict:
+            raise MissingGroupLabel(ids[groups.index(())])
+        groups = [labels or (UNGROUPED_LABEL,) for labels in groups]
+    return groups

@@ -44,22 +44,21 @@ and the value come from map/accumulate/compress passes, and the table
 invariants are checked by C-level passes, so no RankRow is built on the
 way to a report. A NaN weight fails the check that no weight is below 0,
 so it raises NonFiniteWeight naming the smallest label that carries one,
-whatever the input order. The row view (RankRow tuples) is built on each
-read of RankedTable.rows. Like every frozen value of the library, a
-RankedTable rejects assignment and del, and compares, hashes, prints and
-pickles by its three columns. Inner values that no report prints (xo's
-per-category and nested's per-group values) come from _exact_h_value,
-which ranks each group's exact int totals alone, builds no table and
-rounds and divides no total past the crossing; h_value does the same for
-float weights.
+whatever the input order; a NaN ratio raises it the same way. The row
+view (RankRow tuples) is built on each read of RankedTable.rows. Like
+every frozen value of the library, a RankedTable rejects assignment and
+del, and compares, hashes, prints and pickles by its three columns. Inner values that no report prints (xo's
+per-category and nested's per-group values) come from _exact_h_value: it
+gives h_type_index(items).value from each group's exact int totals alone,
+builds no table and rounds and divides no total past the crossing.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from itertools import accumulate, compress, count, islice, repeat
-from operator import ge, itemgetter, lt, mul, ne, truediv
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from operator import ge, itemgetter, lt, mul, truediv
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import FLOAT_LIMIT, Item, _finite
 from .errors import NonFiniteWeight
@@ -75,8 +74,8 @@ RATIO_TYPES = ("h", "g")
 #: they break even near 0.1 (the sweep is in CHANGES.md).
 _BUCKET_SHARE = 0.125
 
-#: The cause NonFiniteWeight gives for a NaN weight.
-_NAN_CAUSE = "a NaN weight lies outside"
+#: The cause NonFiniteWeight gives for a NaN weight or ratio.
+_NAN_CAUSE = "a NaN weight or ratio lies outside"
 
 _label = itemgetter(0)
 _weight = itemgetter(1)
@@ -94,8 +93,8 @@ class RankedTable(FrozenValue):
 
     RankedTable(labels, weights, ratios) takes the parallel columns the
     kernel produces. A weight or ratio outside the float range raises
-    NonFiniteWeight, since no report could print it; a NaN weight raises it
-    naming the smallest label that carries one.
+    NonFiniteWeight, since no report could print it; a NaN weight, or else
+    a NaN ratio, raises it naming the smallest label that carries one.
     """
 
     __slots__ = _fields = ("labels", "weights", "ratios")
@@ -116,8 +115,13 @@ class RankedTable(FrozenValue):
         # The first weight is the largest, so an overflowed total shows there.
         if weights and not _finite(weights[0]):
             raise NonFiniteWeight(labels[0])
-        if ratios and not _finite(top := max(ratios)):
-            raise NonFiniteWeight(labels[ratios.index(top)])
+        # A NaN or overflowed ratio makes the sum not finite (max would skip
+        # a NaN that is not first); only then are the ratios read one by one.
+        if not _finite(sum(ratios)):
+            if nan := [label for label, r in zip(labels, ratios) if r != r]:
+                raise NonFiniteWeight(min(nan), _NAN_CAUSE)
+            if not _finite(top := max(ratios)):
+                raise NonFiniteWeight(labels[ratios.index(top)])
         self._set(labels, weights, ratios)
 
     @property
@@ -215,27 +219,14 @@ def h_type_index(items: Iterable[Item], kind: str = "x") -> IndexResult:
     return first_crossing_index(RankedTable(labels, weights, ratios), kind)
 
 
-def h_value(items: Collection[Item]) -> int:
-    """h_type_index(items).value without the ranked table: the weights
-    sorted descending, divided by their ranks up to the first ratio below
-    1. A NaN weight, or a largest weight that is not finite, raises
-    NonFiniteWeight naming the label h_type_index names (the smallest label
-    of that weight), so items are read a second time on those paths only."""
-    weights = sorted(map(_weight, items), reverse=True)
-    if any(map(ne, weights, weights)):
-        raise NonFiniteWeight(min(label for label, weight in items if weight != weight), _NAN_CAUSE)
-    if weights and not _finite(top := weights[0]):
-        raise NonFiniteWeight(min(label for label, weight in items if weight == top))
-    return _first_crossing(map(truediv, weights, count(1)), len(weights))
-
-
 def _exact_h_value(totals: Mapping[str, int], scale: int) -> int:
-    """h_value of the items (label, total / scale), from exact int totals
-    over one scale: the totals are sorted as ints, and only those down to
-    the first ratio below 1 are rounded to floats and divided by their
-    ranks, with the same two roundings, so the value is h_value's. Totals
-    that round beyond the float range raise NonFiniteWeight naming the
-    smallest of their labels, the label h_value names for those items."""
+    """h_type_index(items).value of the items (label, total / scale), from
+    exact int totals over one scale, without the ranked table: the totals
+    are sorted as ints, and only those down to the first ratio below 1 are
+    rounded to floats and divided by their ranks, with the two roundings
+    h_type_index makes. Totals that round beyond the float range raise
+    NonFiniteWeight naming the smallest of their labels, the label
+    h_type_index names for those items."""
     ints = sorted(totals.values(), reverse=True)
     limit = FLOAT_LIMIT * scale
     if ints and ints[0] >= limit:

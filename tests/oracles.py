@@ -23,7 +23,7 @@ from xindices import (
     IndexResult,
     IngestConfig,
     build_corpus,
-    h_value,
+    h_type_index,
     normalize_label,
 )
 from xindices.errors import (
@@ -208,13 +208,11 @@ def reference_views(records) -> dict:
                 sums[label] = sums.get(label, 0) + cits
         return tuple(sorted((label, rounded(total)) for label, total in sums.items()))
 
-    by_category, samples = {}, {}
+    samples = {}
     for rec in records:
         for cat in rec.categories:
             samples.setdefault(cat, []).append(Fraction(rec.citations))
-            in_cat = by_category.setdefault(cat, {})
-            for kw in rec.keywords:
-                in_cat[kw] = in_cat.get(kw, 0) + Fraction(rec.citations)
+    by_category = reference_totals_by_group(records, "keywords", [rec.categories for rec in records])
     pairs = [(f"{kw}@{cat}", rounded(total)) for cat, in_cat in by_category.items() for kw, total in in_cat.items()]
     return {
         "keywords": totals("keywords"),
@@ -229,6 +227,22 @@ def reference_views(records) -> dict:
             for cat, values in sorted(samples.items())
         },
     }
+
+
+def reference_totals_by_group(records, field: str, groups) -> dict:
+    """Per group, each label of the record field with its exact Fraction
+    citation total over the group's records, summed one record at a time:
+    the reference for Corpus.totals_by_group. groups is parallel to
+    records; a record counts once in each of its distinct groups, and in
+    none when it has none. A group is kept even if its records carry no
+    label."""
+    by_group: dict[str, dict[str, Fraction]] = {}
+    for rec, labels in zip(records, groups):
+        for group in dict.fromkeys(labels):
+            in_group = by_group.setdefault(group, {})
+            for label in getattr(rec, field):
+                in_group[label] = in_group.get(label, 0) + Fraction(rec.citations)
+    return by_group
 
 
 def reference_validate(records: Sequence[Record]) -> tuple[ValidationReport, list[str]]:
@@ -265,7 +279,7 @@ def partition_by_group(
     strict: bool = False,
 ) -> dict[str, Corpus]:
     """One Corpus per group label, in label order: the reference for
-    Corpus.items_by_group. group_values is parallel to records; a record
+    group_index. group_values is parallel to records; a record
     counts once in each of its distinct non-empty group labels. A record
     with none raises MissingGroupLabel in strict mode and falls into
     "(ungrouped)" otherwise."""
@@ -290,5 +304,5 @@ def nested_index(groups: dict[str, Corpus], inner: str = "x", ratio_type: str = 
     views = {"x": "keywords", "xd": "categories"}
     if inner not in views:
         raise ValueError(f"unknown inner index {inner!r}")
-    scored = [(label, float(h_value(groups[label].items(views[inner])))) for label in sorted(groups)]
+    scored = [(label, float(h_type_index(groups[label].items(views[inner])).value)) for label in sorted(groups)]
     return kernel_index(scored, ratio_type, "nested")

@@ -21,6 +21,7 @@ from xindices import (
     PublicationColumns,
     build_corpus,
     estimate_stats,
+    group_index,
     ivw_xd_index,
     x_index,
     xc_index,
@@ -31,14 +32,22 @@ from xindices import (
 )
 import xindices.corpus as corpus_module
 from xindices.cli import main
-from xindices.corpus import GROUP_VIEWS, ITEM_VIEWS
+from xindices.corpus import ITEM_VIEWS, ScaledCitations
+from xindices.ingest import LABEL_FIELDS
 
 from conftest import columns_of, random_records, record
-from oracles import partition_by_group, reference_views
+from oracles import partition_by_group, reference_totals_by_group, reference_views
 
 
 def weights(items):
     return dict(items)
+
+
+def exact(by_group, scale):
+    """totals_by_group's int totals as the Fractions they stand for."""
+    return {
+        group: {label: Fraction(total, scale) for label, total in totals.items()} for group, totals in by_group.items()
+    }
 
 
 def test_empty_corpus():
@@ -218,29 +227,36 @@ def test_partition_ungrouped_fallback_and_strict():
 
 
 def test_items_by_group_ungrouped_fallback_and_strict():
+    # totals_by_group counts a publication with no group in none; group_index
+    # puts it in "(ungrouped)", or raises MissingGroupLabel in strict mode
     corpus = build_corpus(columns_of([record("p2", 1, ("k",)), record("p1", 2, ("k",))]))
-    groups = corpus.items_by_group([(), ("i1", "i1")], "keywords")
-    assert {group: list(items) for group, items in groups.items()} == {
-        "(ungrouped)": [("k", 1.0)],
-        "i1": [("k", 2.0)],
-    }
+    assert corpus.totals_by_group("keywords", [(), ("i1",)]) == {"i1": {"k": 2}}
+    assert group_index(corpus, [(), ("i1", "i1")]).table.labels == ("(ungrouped)", "i1")
     with pytest.raises(MissingGroupLabel) as err:
-        corpus.items_by_group([("i1",), ()], "keywords", strict=True)
+        group_index(corpus, [("i1",), ()], strict=True)
     assert err.value.id == "p1"
-    with pytest.raises(ValueError):
-        corpus.items_by_group([()], "keywords")
-    with pytest.raises(ValueError):
-        corpus.items_by_group([(), ()], "pairs")
+    for read in (lambda: corpus.totals_by_group("keywords", [()]), lambda: group_index(corpus, [()])):
+        with pytest.raises(ValueError, match="differ in length"):
+            read()
+    with pytest.raises(ValueError, match="unknown label field"):
+        corpus.totals_by_group("pairs", [(), ()])
+
+
+@pytest.mark.parametrize("scale", [0, -2])
+def test_scaled_citations_reject_a_scale_below_one(scale):
+    # a zero scale ended in ZeroDivisionError, a negative one in NegativeCitations
+    with pytest.raises(ValueError, match="scale"):
+        Corpus(PublicationColumns(("p",), ScaledCitations([1], scale), [()], [()], [()]))
 
 
 # --- properties ---------------------------------------------------------------
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(GROUP_VIEWS), st.booleans())
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(LABEL_FIELDS))
 @settings(max_examples=100, deadline=None)
-def test_items_by_group_equals_views_of_partition(seed, view, strict):
+def test_items_by_group_equals_views_of_partition(seed, field):
     # Decimal citations in shuffled id order: the per-group totals are
-    # exact, so they are those of each group's own Corpus in any order.
+    # exact, so they are the Fraction sums over each group's publications.
     rng = random.Random(seed)
     records = [
         record(
@@ -251,23 +267,13 @@ def test_items_by_group_equals_views_of_partition(seed, view, strict):
         )
         for i, rec in enumerate(random_records(rng, max_pubs=60, max_categories=5, max_keywords=8))
     ]
-    group_values = [
-        tuple(rng.choice(["i1", "i2", "i3", "i2"]) for _ in range(rng.randint(0, 3)))
+    groups = [
+        tuple(dict.fromkeys(rng.choice(["i1", "i2", "i3", "i2"]) for _ in range(rng.randint(0, 3))))
         for _ in records
     ]
-
-    def outcome(read):
-        try:
-            return read()
-        except MissingGroupLabel as exc:
-            return MissingGroupLabel, exc.id
-
-    by_group = outcome(lambda: build_corpus(columns_of(records)).items_by_group(group_values, view, strict))
-    partition = outcome(lambda: partition_by_group(records, group_values, strict))
-    if isinstance(partition, dict):
-        by_group = {group: list(items) for group, items in by_group.items()}
-        partition = {group: list(corpus.items(view)) for group, corpus in partition.items()}
-    assert by_group == partition
+    corpus = build_corpus(columns_of(records))
+    by_group = corpus.totals_by_group(field, groups)
+    assert exact(by_group, corpus.columns.citations.scale) == reference_totals_by_group(records, field, groups)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -375,7 +381,7 @@ READERS = {
     "whole": lambda c: c.items("categories"),
     "fractional": lambda c: c.items("categories_fractional"),
     "sums": lambda c: c.category_sums(),
-    "by_category": lambda c: {cat: list(kws) for cat, kws in c.keyword_items_by_category().items()},
+    "by_category": lambda c: c.totals_by_group("keywords", c.columns.categories),
     "x": lambda c: x_index(c, "g"),
     "xc": lambda c: xc_index(c, "h"),
     "xd": lambda c: xd_index(c, "g"),
@@ -494,14 +500,12 @@ def corpus_views(build, group_values):
         corpus = build()
     except (DuplicateId, NegativeCitations, NonFiniteCitations) as exc:
         return type(exc), exc.id
+    scale = corpus.columns.citations.scale
     views = {view: corpus.items(view) for view in ITEM_VIEWS}
-    views["keywords_by_category"] = {
-        cat: sorted(items) for cat, items in corpus.keyword_items_by_category().items()
-    }
+    views["keywords_by_category"] = exact(corpus.totals_by_group("keywords", corpus.columns.categories), scale)
     views["sums"] = corpus.category_sums()
-    for view in GROUP_VIEWS:
-        by_group = corpus.items_by_group(group_values, view)
-        views[f"{view}_by_group"] = {group: sorted(items) for group, items in by_group.items()}
+    for field in LABEL_FIELDS:
+        views[f"{field}_by_group"] = exact(corpus.totals_by_group(field, group_values), scale)
     return views
 
 
@@ -514,14 +518,11 @@ def test_from_columns_equals_records_and_record_wise_views(rows, data):
     from_columns = corpus_views(lambda: Corpus(columns), group_values)
     expected = reference_views(records)
     if isinstance(expected, dict):
-        in_group: dict[str, list] = {}
-        for rec, groups in zip(records, group_values):
-            for group in dict.fromkeys(groups) or ("(ungrouped)",):
-                in_group.setdefault(group, []).append(rec)
-        for view in GROUP_VIEWS:
-            expected[f"{view}_by_group"] = {
-                group: list(reference_views(members)[view]) for group, members in in_group.items()
-            }
+        # grouped totals compare exactly, not after rounding
+        categories = [rec.categories for rec in records]
+        expected["keywords_by_category"] = reference_totals_by_group(records, "keywords", categories)
+        for field in LABEL_FIELDS:
+            expected[f"{field}_by_group"] = reference_totals_by_group(records, field, group_values)
         # the reference lists each item view by label, a stable sort of first-seen order
         for view in ITEM_VIEWS:
             from_columns[view] = tuple(sorted(from_columns[view], key=itemgetter(0)))

@@ -19,7 +19,6 @@ from xindices import (
     estimate_stats,
     group_index,
     h_type_index,
-    h_value,
     ivw_xd_index,
     x_index,
     xc_index,
@@ -614,18 +613,20 @@ def test_group_index_equals_nested_index_over_partition(seed, inner, ratio_type,
 @given(seeds, st.sampled_from(["h", "g"]))
 @settings(max_examples=100, deadline=None)
 def test_xo_index_equals_the_kernel_over_each_categorys_float_items(seed, ratio_type):
-    # xo ranks each category's exact int totals; the reference rounds every
-    # total to its float first and reads h_value off those items
+    # xo ranks each category's exact int totals; the reference builds a
+    # Corpus of each category's publications, whose keyword view rounds
+    # every total to its float first, and ranks those items
     rng = random.Random(seed)
     records = [
         replaced(rec, citations=rng.choice([rng.randrange(10**5) / 100, 1e308]))
         for rec in random_records(rng, max_pubs=60, max_categories=6, max_keywords=10)
     ]
     corpus = build_corpus(columns_of(records))
-    by_category = corpus.keyword_items_by_category()
+    categorised = [rec for rec in records if rec.categories]  # the rest count in no category
 
     def reference():
-        scored = [(cat, float(h_value(by_category[cat]))) for cat in sorted(by_category)]
+        by_category = partition_by_group(categorised, [rec.categories for rec in categorised])
+        scored = [(cat, float(h_type_index(by_category[cat].items("keywords")).value)) for cat in sorted(by_category)]
         return kernel_index(scored, ratio_type, "xo")
 
     expected = outcome(reference)
@@ -636,7 +637,7 @@ def test_inner_values_round_each_total_before_dividing_it_by_its_rank():
     # the total 2.9999999999999998 rounds to the float 3.0, whose ratio at
     # rank 3 is not below 1, though the exact total over 3 is
     corpus = build_corpus(columns_of([record("p1", Fraction("2.9999999999999998"), ("a", "b", "c"), ("C",), ("I",))]))
-    assert h_value(corpus.items("keywords")) == 3
+    assert h_type_index(corpus.items("keywords")).value == 3
     assert xo_index(corpus).table.weights == (3.0,)
     assert group_index(corpus, [("I",)]).table.weights == (3.0,)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations
 from unittest import mock
@@ -16,14 +17,13 @@ from xindices import (
     first_crossing_index,
     g_type_index,
     h_type_index,
-    h_value,
 )
 from xindices import kernel
-from xindices.kernel import _ranked_columns, rank_items
+from xindices.kernel import _exact_h_value, _ranked_columns, rank_items
 from xindices.report import Report
 
 from conftest import items
-from oracles import naive_g_oracle, naive_h_oracle, two_sort_rank
+from oracles import naive_g_oracle, naive_h_oracle, rounded, two_sort_rank
 
 # Exact weights, as xdfn ranks them: any Fraction, and ones on an integer
 # rank or within 1e-12 of it, on either side.
@@ -203,22 +203,22 @@ def value_or_error(index, items):
 
 
 @given(
-    st.lists(
-        st.tuples(st.sampled_from("abcd"), st.one_of(edge_weights, st.just(float("inf")))),
-        max_size=30,
+    st.dictionaries(
+        st.sampled_from("abcdefgh"),
+        st.one_of(edge_weights.map(Fraction), st.integers(2**1023, 2**1025)),
+        max_size=8,
     )
 )
-def test_h_value_equals_h_type_index_value(weighted):
-    expected = value_or_error(lambda it: h_type_index(it).value, weighted)
-    assert value_or_error(h_value, weighted) == expected
-
-
-def test_h_value_names_the_label_h_type_index_names():
-    weighted = [("b", float("inf")), ("c", 1.0), ("a", float("inf"))]
-    with pytest.raises(NonFiniteWeight) as err:
-        h_value(weighted)
-    assert err.value.label == "a"
-    assert value_or_error(h_type_index, weighted) == (NonFiniteWeight, "a")
+# 3 - 2e-16 rounds to the float 3.0, whose ratio at rank 3 is 1, though the
+# exact total over 3 rounds below 1
+@example({"a": Fraction(3) - Fraction(2, 10**16), "b": Fraction(5), "c": Fraction(4)})
+def test_exact_h_value_equals_h_type_index_value_of_the_rounded_totals(exact_weights):
+    # xo and the nested indices read each group's h value off its exact totals
+    scale = math.lcm(*(weight.denominator for weight in exact_weights.values()))
+    totals = {label: int(weight * scale) for label, weight in exact_weights.items()}
+    items = [(label, rounded(Fraction(total, scale))) for label, total in totals.items()]
+    expected = value_or_error(lambda it: h_type_index(it).value, items)
+    assert value_or_error(lambda t: _exact_h_value(t, scale), totals) == expected
 
 
 # --- table shape -------------------------------------------------------------
@@ -351,7 +351,7 @@ def _raw_ivw(weighted):
 
 
 @pytest.mark.parametrize("share", [None, 0, 1], ids=["chosen", "sorts", "buckets"])
-@pytest.mark.parametrize("index", [h_type_index, g_type_index, h_value, _raw_ivw])
+@pytest.mark.parametrize("index", [h_type_index, g_type_index, _raw_ivw])
 def test_nan_weight_names_its_smallest_label_in_any_order(index, share):
     # "b" is the smallest label with a NaN, though "a" is smaller and "d" overflows
     weighted = [("c", NAN), ("a", 2.0), ("d", float("inf")), ("b", OTHER_NAN), ("e", NAN), ("b", 2.0)]
@@ -360,3 +360,13 @@ def test_nan_weight_names_its_smallest_label_in_any_order(index, share):
             with pytest.raises(NonFiniteWeight, match="NaN") as err:
                 index(list(order))
             assert err.value.label == "b"
+
+
+def test_nan_ratio_names_its_smallest_label_in_any_order():
+    # NaN ratios first and after the first rank, where max(ratios) skips
+    # them, beside an overflowed ratio
+    rows = [("c", 1.0, NAN), ("a", 1.0, 0.5), ("e", 1.0, float("inf")), ("d", 1.0, OTHER_NAN), ("b", 1.0, NAN)]
+    for order in permutations(rows):
+        with pytest.raises(NonFiniteWeight, match="NaN") as err:
+            RankedTable(*zip(*order))
+        assert err.value.label == "b"
