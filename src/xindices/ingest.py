@@ -27,7 +27,7 @@ import re
 from collections import Counter
 from itertools import chain, compress, islice, repeat
 from operator import eq, itemgetter, mul, not_
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import FLOAT_LIMIT, PublicationColumns, ScaledCitations, _dedupe_each
 from .errors import (
@@ -51,7 +51,7 @@ _WS_RUN = re.compile(r"\s+")
 #: cell such as 1e-100000 makes every count a 100 000-digit int.
 MAX_PLACES = 340
 
-#: Rows read_table checks and splits per pass.
+#: Rows per block of read_rows; read_table checks and splits a block per pass.
 _BLOCK_ROWS = 4096
 
 ROLES = ("id", "citations", "keywords", "categories", "institutions", "group")
@@ -154,16 +154,6 @@ class TableData(FrozenValue):
         return list(zip(*self.columns))
 
 
-def _detect_separator(header_line: str) -> str:
-    has_comma = "," in header_line
-    has_tab = "\t" in header_line
-    if has_comma and has_tab:
-        raise AmbiguousSeparator()
-    if has_tab:
-        return "\t"
-    return ","
-
-
 class _LabelMemo(dict):
     """Raw cell part -> its normalize_label result. Each distinct part is
     normalised once per table, and records share the label str it maps to."""
@@ -177,13 +167,45 @@ class _LabelMemo(dict):
         return label
 
 
-def read_utf8(stream: IO[bytes]) -> str:
-    """The whole stream decoded as UTF-8, without a leading byte-order mark."""
+def read_rows(
+    stream: IO[bytes], error: Callable[[int, str], Exception], no_header: str, separator: str | None = None
+) -> tuple[str, Iterator[list[list[str]]]]:
+    """The field separator of a delimited byte stream, decoded and (when
+    separator is None) detected as the module docstring says, and a lazy
+    iterator of its rows: the header alone, then blocks of up to _BLOCK_ROWS.
+    Rows count from the header as row 1, blank lines included: no header
+    raises error(1, no_header), and a row the csv module cannot read raises
+    error(row, its message) once the rows before it are yielded."""
     data = stream.read()
     try:
-        return data.decode("utf-8-sig")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise BadEncoding(data.count(b"\n", 0, exc.start) + 1, data[exc.start]) from None
+        at = exc.start + len(data) - len(exc.object)  # exc.start counts from after a BOM
+        raise BadEncoding(data.count(b"\n", 0, at) + 1, data[at]) from None
+    if separator is None:
+        header_line = text[: text.find("\n")] if "\n" in text else text
+        if "," in header_line and "\t" in header_line:
+            raise AmbiguousSeparator()
+        separator = "\t" if "\t" in header_line else ","
+    return separator, _blocks(csv.reader(io.StringIO(text, newline=""), delimiter=separator), error, no_header)
+
+
+def _blocks(reader: Iterator[list[str]], error: Callable[[int, str], Exception], no_header: str):
+    row, size = 1, 1  # the number of the block's first row, and its most rows
+    while True:
+        block: list[list[str]] = []
+        try:
+            block.extend(islice(reader, size))  # keeps the rows read before a csv.Error
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            if block:
+                yield block
+            raise error(row + len(block), str(exc)) from None
+        if not block:
+            if row == 1:
+                raise error(1, no_header)
+            return
+        yield block
+        row, size = row + len(block), _BLOCK_ROWS
 
 
 class _Layout(NamedTuple):
@@ -289,19 +311,10 @@ def read_table(
     fields = frozenset(fields)
     if not fields <= set(LABEL_FIELDS):
         raise ValueError(f"unknown record fields: {sorted(fields - set(LABEL_FIELDS))}")
-    text = read_utf8(stream)
-    header_end = text.find("\n")
-    separator = _detect_separator(text if header_end < 0 else text[:header_end])
+    separator, reader = read_rows(stream, MalformedRow, "input has no header row")
     if config.cell_delimiter == separator:
         raise InvalidConfig("cell delimiter equals the field separator")
-
-    reader = csv.reader(io.StringIO(text, newline=""), delimiter=separator)
-    try:
-        headers = next(reader)
-    except StopIteration:
-        raise MalformedRow(1, "input has no header row") from None
-    except csv.Error as exc:
-        raise MalformedRow(1, str(exc)) from None
+    headers = next(reader)[0]
 
     index_of: dict[str, int] = {}
     for role in ROLES:
@@ -340,15 +353,7 @@ def read_table(
     group_values: list[tuple[str, ...]] = []
     # Blocks of rows keep the csv lists of only one block alive at a time.
     first_row = 2
-    while True:
-        block: list[list[str]] = []
-        try:
-            block.extend(islice(reader, _BLOCK_ROWS))  # keeps the rows read before a csv.Error
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            _check_rows(block, first_row, layout)
-            raise MalformedRow(first_row + len(block), str(exc)) from None
-        if not block:
-            break
+    for block in reader:
         rows, block_ids, counts = _checked_columns(block, first_row, layout)
         ids += block_ids
         blocks.append(counts)

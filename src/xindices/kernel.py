@@ -44,12 +44,15 @@ and the value come from map/accumulate/compress passes, and the table
 invariants are checked by C-level passes, so no RankRow is built on the
 way to a report. A NaN weight fails the check that no weight is below 0,
 so it raises NonFiniteWeight naming the smallest label that carries one,
-whatever the input order; a NaN ratio raises it the same way. The row
-view (RankRow tuples) is built on each read of RankedTable.rows. Like
-every frozen value of the library, a RankedTable rejects assignment and
-del, and compares, hashes, prints and pickles by its three columns. Inner values that no report prints (xo's
-per-category and nested's per-group values) come from _exact_h_value: it
-gives h_type_index(items).value from each group's exact int totals alone,
+whatever the input order; a NaN ratio, an overflowed weight and an
+overflowed ratio raise it the same way. The row view (RankRow tuples) is
+built on each read of RankedTable.rows. Like every frozen value of the
+library, a RankedTable rejects assignment and del, and compares, hashes,
+prints and pickles by its three columns.
+
+Inner values that no report prints (xo's per-category and nested's
+per-group values) come from _exact_h_value: it gives
+h_type_index(items).value from each group's exact int totals alone,
 builds no table and rounds and divides no total past the crossing.
 """
 
@@ -93,8 +96,9 @@ class RankedTable(FrozenValue):
 
     RankedTable(labels, weights, ratios) takes the parallel columns the
     kernel produces. A weight or ratio outside the float range raises
-    NonFiniteWeight, since no report could print it; a NaN weight, or else
-    a NaN ratio, raises it naming the smallest label that carries one.
+    NonFiniteWeight, since no report could print it. It names the smallest
+    label with a NaN weight, else an overflowed weight, else a NaN ratio,
+    else an overflowed ratio; finite ratios may sum past the float range.
     """
 
     __slots__ = _fields = ("labels", "weights", "ratios")
@@ -114,14 +118,14 @@ class RankedTable(FrozenValue):
             raise ValueError(f"weights increase at rank {i + 1}")
         # The first weight is the largest, so an overflowed total shows there.
         if weights and not _finite(weights[0]):
-            raise NonFiniteWeight(labels[0])
+            raise NonFiniteWeight(min(label for label, w in zip(labels, weights) if not _finite(w)))
         # A NaN or overflowed ratio makes the sum not finite (max would skip
         # a NaN that is not first); only then are the ratios read one by one.
         if not _finite(sum(ratios)):
             if nan := [label for label, r in zip(labels, ratios) if r != r]:
                 raise NonFiniteWeight(min(nan), _NAN_CAUSE)
-            if not _finite(top := max(ratios)):
-                raise NonFiniteWeight(labels[ratios.index(top)])
+            if inf := [label for label, r in zip(labels, ratios) if not _finite(r)]:
+                raise NonFiniteWeight(min(inf))
         self._set(labels, weights, ratios)
 
     @property

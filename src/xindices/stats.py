@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+from itertools import chain
 from typing import IO, Iterable
 
 from .corpus import Corpus
 from .errors import BadStatsRow, MissingColumn, NonFiniteStats, NonPositiveMean
-from .ingest import read_utf8
+from .ingest import read_rows
 from .numfmt import format_number
 from .value import FrozenValue
 
@@ -98,31 +99,20 @@ def load_reference_stats(stream: IO[bytes]) -> ReferenceStats:
     Raises BadStatsRow for malformed or non-finite numbers, a repeated
     category or a row the csv module cannot read, and NonPositiveMean when
     a mean is zero or negative (it would later be used as a divisor). An
-    empty variance cell loads as undefined. The text is decoded as in
-    read_table.
+    empty variance cell loads as undefined. The file is read as read_table
+    reads a table, through read_rows, but with a comma as its only separator.
     """
-    text = read_utf8(stream)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise BadStatsRow(1, "stats file has no header") from None
-    except csv.Error as exc:
-        raise BadStatsRow(1, str(exc)) from None
-    if tuple(header) != STATS_HEADER:
+    _, blocks = read_rows(stream, BadStatsRow, "stats file has no header", ",")
+    if tuple(next(blocks)[0]) != STATS_HEADER:
         raise MissingColumn(",".join(STATS_HEADER))
     entries: dict[str, StatsEntry] = {}
-    row_no = 1
-    try:
-        for row_no, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            entry = _stats_entry(cells, row_no)
-            if entry.category in entries:
-                raise BadStatsRow(row_no, f"duplicate category {entry.category!r}")
-            entries[entry.category] = entry
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise BadStatsRow(row_no + 1, str(exc)) from None
+    for row_no, cells in enumerate(chain.from_iterable(blocks), start=2):
+        if not cells:
+            continue
+        entry = _stats_entry(cells, row_no)
+        if entry.category in entries:
+            raise BadStatsRow(row_no, f"duplicate category {entry.category!r}")
+        entries[entry.category] = entry
     return ReferenceStats(entries.values())
 
 

@@ -27,7 +27,9 @@ from xindices import (
     normalize_label,
 )
 from xindices.errors import (
+    AmbiguousSeparator,
     BadCitations,
+    BadEncoding,
     DuplicateId,
     InvalidConfig,
     MalformedRow,
@@ -41,8 +43,6 @@ from xindices.ingest import (
     SMALL_SAMPLE_THRESHOLD,
     TableData,
     ValidationReport,
-    _detect_separator,
-    read_utf8,
 )
 from xindices.kernel import kernel_index
 
@@ -123,8 +123,16 @@ def reference_read_table(data: bytes, config: IngestConfig | None = None) -> Tab
     them."""
     if config is None:
         config = IngestConfig()
-    text = read_utf8(io.BytesIO(data))
-    separator = _detect_separator(text.split("\n", 1)[0])
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the codec drops a leading BOM before it decodes, so exc.start counts from there
+        bad = exc.start + 3 * data.startswith(b"\xef\xbb\xbf")
+        raise BadEncoding(data[:bad].count(b"\n") + 1, data[bad]) from None
+    header = text.split("\n", 1)[0]
+    if "," in header and "\t" in header:
+        raise AmbiguousSeparator()
+    separator = "\t" if "\t" in header else ","
     if config.cell_delimiter == separator:
         raise InvalidConfig("cell delimiter equals the field separator")
     reader = csv.reader(io.StringIO(text, newline=""), delimiter=separator)

@@ -9,7 +9,8 @@ tests/oracles.py, rounds to; an index value that follows the rule over
 those floats, by the brute-force oracles; the same bytes when the data
 rows come in reverse order; and, in csv and table format, the same rank,
 label, weight and ratio texts, and in table format the same value text,
-as the json report.
+as the json report, which must also validate against
+schema/report.schema.json.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import contextlib
 import csv
 import io
 import json
+import pathlib
 
+import jsonschema
 from hypothesis import example, given, settings, strategies as st
 
 from xindices import IngestConfig
@@ -31,6 +34,10 @@ from test_ingest import tables
 
 #: Label parts that repeat across rows, an "@" among them.
 PARTS = st.sampled_from(["a", "A", "a@b", "b@c", "c", "Σ ", ""])
+
+SCHEMA = json.loads((pathlib.Path(__file__).resolve().parents[1] / "schema" / "report.schema.json").read_text())
+#: Checks a report against SCHEMA, built once for all drawn reports.
+validate_report = jsonschema.validators.validator_for(SCHEMA)(SCHEMA).validate
 
 #: The view each compute index ranks.
 COMPUTE_VIEWS = {"x": "keywords", "xc": "pairs", "xd": "categories", "xdf": "categories_fractional"}
@@ -143,6 +150,7 @@ def test_reports_carry_exact_totals_in_any_row_order(tmp_path_factory, table, co
         assert err == want
         return
     report = json.loads(out)
+    validate_report(report)
     assert (report["value"], [[row["label"], row["weight"]] for row in report["table"]]) == want
     value, rows = printed("json", out)
     path.write_bytes(data)

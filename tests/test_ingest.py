@@ -6,6 +6,7 @@ import collections
 import contextlib
 import csv
 import io
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from xindices import (
     InvalidConfig,
     MalformedRow,
     MissingColumn,
+    load_reference_stats,
     normalize_label,
     read_table,
     validate_records,
@@ -82,6 +84,16 @@ def test_parse_non_utf8_bytes_rejected():
         read_table(io.BytesIO(data))
     assert (err.value.line, err.value.byte) == (3, 0xFF)
     assert str(err.value) == "line 3: input is not UTF-8 text (byte 0xff)"
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
+def test_non_utf8_byte_after_a_bom_names_its_own_line_and_byte(bom):
+    # the codec counts offsets from after a leading BOM; the error counts from the first byte
+    message = "line 3: input is not UTF-8 text (byte 0xff)"
+    with pytest.raises(BadEncoding, match=f"^{re.escape(message)}$"):
+        read_table(io.BytesIO(bom + b"id,citations\np1,1\n\xff2,1\n"))
+    with pytest.raises(BadEncoding, match=f"^{re.escape(message)}$"):
+        load_reference_stats(io.BytesIO(bom + b"category,mean,variance,n\na,1,1,3\n\xff,1,1,3\n"))
 
 
 def test_parse_decimal_citations_allowed():

@@ -370,3 +370,23 @@ def test_nan_ratio_names_its_smallest_label_in_any_order():
         with pytest.raises(NonFiniteWeight, match="NaN") as err:
             RankedTable(*zip(*order))
         assert err.value.label == "b"
+
+
+def test_overflow_names_its_smallest_label_in_any_order():
+    # an overflowed weight, or else an overflowed ratio, names the smallest
+    # label that carries one, not the first in rank order
+    inf = float("inf")
+    cases = [
+        ([("c", inf, inf), ("b", inf, 1.0), ("d", inf, 0.5), ("a", 2.0, inf)], "b"),
+        ([("c", 1.0, inf), ("b", 1.0, inf), ("a", 1.0, 0.5), ("d", 1.0, inf)], "b"),
+    ]
+    for rows, label in cases:
+        for order in permutations(rows):
+            weights = [weight for _, weight, _ in order]
+            if weights != sorted(weights, reverse=True):
+                continue
+            with pytest.raises(NonFiniteWeight) as err:
+                RankedTable(*zip(*order))
+            assert err.value.label == label
+    # finite ratios whose sum overflows are printable
+    assert RankedTable(("a", "b"), (1e308, 1e308), (1e308, 1e308)).ratios == (1e308, 1e308)

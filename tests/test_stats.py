@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 import random
@@ -21,6 +22,7 @@ from xindices import (
     load_reference_stats,
     write_reference_stats,
 )
+from xindices.cli import main
 from xindices.stats import ReferenceStats, StatsEntry
 
 from conftest import columns_of, random_records, record
@@ -214,6 +216,50 @@ def test_load_field_over_csv_limit_is_bad_stats_row():
         load("category,mean,variance,n\n" + "c" * 140_000 + ",1,1,3\n")
     assert err.value.row == 2
     assert "field larger than field limit" in str(err.value)
+
+
+OVER_LIMIT = "c" * 140_000
+OVER_LIMIT_MESSAGE = f"field larger than field limit ({csv.field_size_limit()})"
+HEADER = "category,mean,variance,n\n"
+
+# (stats file bytes, error type, its message): the stats-file cases no other
+# test reads
+STATS_FILE_ERRORS = [
+    pytest.param(b"", BadStatsRow, "stats row 1: stats file has no header", id="empty"),
+    pytest.param(b"\xef\xbb\xbf", BadStatsRow, "stats row 1: stats file has no header", id="bom-only"),
+    pytest.param(
+        f"{OVER_LIMIT},mean,variance,n\n".encode(), BadStatsRow, f"stats row 1: {OVER_LIMIT_MESSAGE}",
+        id="over-limit-header",
+    ),
+    pytest.param(
+        f"{HEADER}\na,1,1,3\nb,1,1,{OVER_LIMIT}\n".encode(), BadStatsRow, f"stats row 4: {OVER_LIMIT_MESSAGE}",
+        id="over-limit-after-blank-line",
+    ),
+    pytest.param(f"{HEADER}a,1,1\n".encode(), BadStatsRow, "stats row 2: expected 4 columns", id="3-cells"),
+    pytest.param(f"{HEADER}a,1,1,3,4\n".encode(), BadStatsRow, "stats row 2: expected 4 columns", id="5-cells"),
+    pytest.param(
+        b"category\tmean\tvariance\tn\na\t1\t1\t3\n", MissingColumn,
+        "required column 'category,mean,variance,n' not found in header", id="tsv",
+    ),
+]
+
+
+@pytest.mark.parametrize("data, error, message", STATS_FILE_ERRORS)
+def test_load_stats_file_errors(data, error, message):
+    with pytest.raises(error) as err:
+        load_reference_stats(io.BytesIO(data))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("data, error, message", STATS_FILE_ERRORS)
+def test_stats_file_errors_through_the_cli(tmp_path, capsys, data, error, message):
+    (tmp_path / "in.csv").write_bytes(b"id,citations,categories\np1,3,a\np2,1,a\n")
+    (tmp_path / "ref.csv").write_bytes(data)
+    code = main(
+        ["compute", "--index", "ivw", "--input", str(tmp_path / "in.csv"), "--ref-stats", str(tmp_path / "ref.csv")]
+    )
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
 
 
 def test_dump_of_estimates_is_stable_after_one_load():
