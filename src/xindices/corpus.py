@@ -4,10 +4,8 @@ A Corpus is a frozen value of one field, its publications in column form
 (PublicationColumns), validated eagerly, its citations held exactly as
 non-negative ints over one scale (ScaledCitations). Each view is a pure
 function of the columns, built when read: it sums ints in column order, so
-any order of the publications gives the same totals. An item view turns
-each distinct total into a float once by int / int division, which rounds
-correctly, and equal totals share that float; the per-group totals that
-xo and the nested indices rank stay exact ints.
+any order of the publications gives the same totals, and hands them on as
+ints over one scale; the kernel rounds each distinct total once.
 """
 
 from __future__ import annotations
@@ -15,8 +13,8 @@ from __future__ import annotations
 import math
 from functools import partial
 from itertools import repeat
-from operator import floordiv, methodcaller, mul, truediv
-from typing import Collection, Iterable, NamedTuple, Sequence
+from operator import floordiv, methodcaller, mul
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateId, NegativeCitations, NonFiniteCitations
 from .value import FrozenValue
@@ -32,8 +30,9 @@ def _dedupe_each(label_lists: Iterable[Iterable[str]]) -> list[tuple[str, ...]]:
 
 
 #: A ranking candidate, the form views are held in: (label, weight), the
-#: weight a float, or a Fraction on the field-normalised path. The collector
-#: untracks plain tuples of a str and a float, so large views cost it nothing.
+#: weight an int total over the view's scale, or any real number handed to
+#: the kernel. The collector untracks plain tuples of a str and an int, so
+#: large views cost it nothing.
 Item = tuple[str, float]
 
 #: The least number that rounds beyond the float range.
@@ -97,9 +96,10 @@ class Corpus(FrozenValue):
     def __len__(self) -> int:
         return len(self.columns.ids)
 
-    def items(self, view: str) -> tuple[Item, ...]:
-        """One of ITEM_VIEWS as plain (label, weight) tuples in first-seen
-        order, the kernel input; a total beyond the float range is inf.
+    def items(self, view: str) -> tuple[tuple[Item, ...], int]:
+        """One of ITEM_VIEWS as (items, scale), the kernel input: plain
+        (label, total) tuples in first-seen order, each total an exact int
+        over scale.
 
         "keywords": per keyword, the citations of all publications listing
         it (a publication's full count goes to each of its keywords).
@@ -184,19 +184,6 @@ def _checked(ids: tuple[str, ...], citations: Sequence) -> ScaledCitations:
 # View builders: pure functions of the columns that sum exact ints in column order.
 
 
-def _floats(totals: Collection[int], scale: int) -> list[float]:
-    """Each total over scale, correctly rounded; inf beyond the float range.
-    Totals tie heavily, so each distinct total is divided once and equal
-    totals share its float: the kernel and the report then read a few
-    hundred floats, not one per item."""
-    distinct = set(totals)
-    try:
-        as_float = dict(zip(distinct, map(truediv, distinct, repeat(scale))))
-    except OverflowError:
-        as_float = {total: total / scale if total < FLOAT_LIMIT * scale else math.inf for total in distinct}
-    return list(map(as_float.__getitem__, totals))
-
-
 def _grouped_totals(
     citations: ScaledCitations, labels_column: Iterable[tuple[str, ...]], groups_column: Iterable[Iterable[str]]
 ) -> dict[str, dict[str, int]]:
@@ -214,7 +201,7 @@ def _grouped_totals(
     return by_group
 
 
-def _totals(columns: PublicationColumns, field: str, fractional: bool = False) -> tuple[Item, ...]:
+def _totals(columns: PublicationColumns, field: str, fractional: bool = False) -> tuple[tuple[Item, ...], int]:
     """Citations summed per label of the label column named field; with
     fractional, each count over its number of institutions, exactly: times
     common // divisor over common * scale, common the divisors' lcm."""
@@ -225,16 +212,16 @@ def _totals(columns: PublicationColumns, field: str, fractional: bool = False) -
         shares = map(mul, citations.ints, map(floordiv, repeat(common), divisors))
         citations = ScaledCitations(shares, citations.scale * common)
     totals = _grouped_totals(citations, getattr(columns, field), repeat(("",))).get("", {})
-    return tuple(zip(totals, _floats(totals.values(), citations.scale)))
+    return tuple(totals.items()), citations.scale
 
 
-def _pairs(columns: PublicationColumns) -> tuple[Item, ...]:
+def _pairs(columns: PublicationColumns) -> tuple[tuple[Item, ...], int]:
     # Keyed by category, then keyword: "a@b" in "c" and "a" in "b@c" stay two
     # items labelled "a@b@c", which the kernel's stable sort keeps in order.
     by_category = _grouped_totals(columns.citations, columns.keywords, columns.categories)
     labels = [f"{kw}{PAIR_SEPARATOR}{cat}" for cat, in_category in by_category.items() for kw in in_category]
     totals = [total for in_category in by_category.values() for total in in_category.values()]
-    return tuple(zip(labels, _floats(totals, columns.citations.scale)))
+    return tuple(zip(labels, totals)), columns.citations.scale
 
 
 #: The views Corpus.items() serves: name -> its builder from the columns.

@@ -8,13 +8,12 @@ categories by their own nested keyword-level x-indices; group_index ranks
 the groups of one corpus (typically institutions) by their inner x or xd
 values.
 
-Inner values for xo and group_index are always h-type: each is the
-h_type_index(items).value of a Corpus of the group's publications, read
-off the group's exact int totals (Corpus.totals_by_group) without a ranked
-table, so only the totals down to the crossing are rounded to floats;
-ratio_type selects the outer kernel only.
-Each function reads only the views it ranks, as unsorted (label, weight)
-tuples the kernel orders; xdfn and ivw walk categories in label order.
+Inner values for xo and group_index are always h-type: the kernel's one
+rule over each group's exact int totals (Corpus.totals_by_group), with no
+ranked table; ratio_type selects the outer kernel only.
+Each function reads only the views it ranks, as unsorted (label, total)
+tuples over one scale that the kernel orders; xdfn and ivw walk
+categories in label order.
 INDEX_FIELDS names the fields behind the views, for ingest to skip others.
 """
 
@@ -22,9 +21,11 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from itertools import accumulate
+from operator import mul, truediv
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, Item, _dedupe_each, _finite
+from .corpus import FLOAT_LIMIT, Corpus, Item, _dedupe_each, _finite
 from .errors import (
     MissingGroupLabel,
     MissingStats,
@@ -36,10 +37,11 @@ from .errors import (
 from .kernel import (
     IndexResult,
     RankedTable,
-    _exact_h_value,
-    _ranked_columns,
+    _index_value,
+    _scaled,
     first_crossing_index,
     kernel_index,
+    rank_items,
 )
 from .stats import ReferenceStats
 
@@ -117,10 +119,10 @@ def xdfn_index(
     stats: ReferenceStats | None = None,
     strict: bool = True,
 ) -> IndexResult:
-    """Field-normalised breadth: each exact category total (from
-    Corpus.category_sums) is divided by the category's reference mean in
-    exact rational arithmetic before ranking, so a total over its own
-    internally estimated mean is exactly the publication count.
+    """Field-normalised breadth: each exact category total is divided by
+    the category's reference mean in exact rational arithmetic before
+    ranking, so a total over its own internally estimated mean is exactly
+    the publication count.
 
     Categories absent from the stats (or with a non-positive mean) raise in
     strict mode; in lenient mode they are left out and named in the
@@ -134,7 +136,8 @@ def xdfn_index(
         raise MissingStats()
     dropped: list[str] = []
     scored = []
-    totals = [(label, total) for label, (_, total, _) in corpus.category_sums().items()]
+    items, scale = corpus.items("categories")
+    totals = [(label, Fraction(total, scale)) for label, total in sorted(items)]
     for label, total in totals:
         entry = _lookup(stats, label, strict, dropped)
         if entry is None:
@@ -147,7 +150,8 @@ def xdfn_index(
         # an overflowed total goes in as inf, so the kernel names it as xd does
         scored.append((label, total / Fraction(entry.mean) if _finite(total) else math.inf))
     with _divided_by("reference mean", totals):
-        return _noting(kernel_index(scored, ratio_type, "xdfn"), dropped)
+        result = kernel_index(_scaled(scored), ratio_type, "xdfn")
+    return IndexResult("xdfn", ratio_type, result.value, result.table, dropped)
 
 
 def _variance_for(
@@ -165,11 +169,6 @@ def _variance_for(
     if variance is None or variance <= 0:
         raise ZeroOrMissingVariance(category)
     return variance
-
-
-def _noting(result: IndexResult, dropped: Sequence[str], floored: Sequence[str] = ()) -> IndexResult:
-    """result with the dropped and floored categories recorded on it."""
-    return IndexResult(result.kind, result.ratio_type, result.value, result.table, dropped, floored)
 
 
 def ivw_xd_index(
@@ -208,34 +207,47 @@ def ivw_xd_index(
     dropped: list[str] = []
     floored: list[str] = []
     kept = []
-    for label, total in sorted(corpus.items("categories")):
+    items, scale = corpus.items("categories")
+    for label, total in sorted(items):
         entry = _lookup(stats, label, strict, dropped)
         if entry is None:
             continue
-        kept.append((label, total, _variance_for(entry, label, variance_floor, floored)))
+        weight = total / scale if total < FLOAT_LIMIT * scale else math.inf  # an overflowed total raises as in xd
+        kept.append((label, weight, _variance_for(entry, label, variance_floor, floored)))
 
     totals = [(label, total) for label, total, _ in kept]
-    if rank_basis == "weighted":
-        scored = [(label, total / v) for label, total, v in kept]
-        with _divided_by("variance", totals):
-            return _noting(kernel_index(scored, ratio_type, "ivw"), dropped, floored)
-
     variance_of = {label: v for label, _, v in kept}
-    labels, weights = _ranked_columns(totals)
-    ratios = [w / (variance_of[label] * r) for r, (label, w) in enumerate(zip(labels, weights), start=1)]
     with _divided_by("variance", totals):
-        table = RankedTable(labels, weights, ratios)
-    return _noting(first_crossing_index(table, "ivw"), dropped, floored)
+        if rank_basis == "raw":
+            ranked = rank_items(totals)
+            ratios = [w / (variance_of[label] * r) for r, (label, w) in enumerate(ranked, start=1)]
+            table = RankedTable([label for label, _ in ranked], [w for _, w in ranked], ratios)
+            value = first_crossing_index(table).value
+        else:
+            scored = [(label, total / variance_of[label]) for label, total in totals]
+            result = kernel_index(_scaled(scored), ratio_type, "ivw")
+            value, table = result.value, result.table
+        if ratio_type == "g":
+            # Scores over a float variance are rounded quotients that no exact
+            # total stands behind; like the raw ratio t/(v*r), the g ratio
+            # stays float arithmetic: the scores' running float sum over r**2.
+            ranks = range(1, len(table) + 1)
+            ratios = map(truediv, accumulate(table.weights), map(mul, ranks, ranks))
+            table = RankedTable(table.labels, table.weights, ratios)
+    return IndexResult("ivw", ratio_type, value, table, dropped, floored)
 
 
 def _rank_inner(corpus: Corpus, field: str, groups: Sequence[Iterable[str]], ratio_type: str, kind: str) -> IndexResult:
-    """The outer kernel over each group's inner h-type value, read off the
-    exact totals of the label column named field over its publications."""
+    """The outer kernel over each group's inner h-type value, the kernel's
+    rule over the exact totals of the label column named field."""
     totals_by_group = corpus.totals_by_group(field, groups)
     scale = corpus.columns.citations.scale
-    # label order decides which group or category an overflow error names
-    scored = [(group, float(_exact_h_value(totals_by_group[group], scale))) for group in sorted(totals_by_group)]
-    return kernel_index(scored, ratio_type, kind)
+    # label order decides which group's label an overflow error names
+    scored = [
+        (group, _index_value(sorted(totals.values(), reverse=True), scale, "h", totals.items()))
+        for group, totals in sorted(totals_by_group.items())
+    ]
+    return kernel_index((scored, 1), ratio_type, kind)
 
 
 def xo_index(corpus: Corpus, ratio_type: str = "h") -> IndexResult:

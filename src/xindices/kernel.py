@@ -1,67 +1,57 @@
 """Generic rank-ratio engine behind every index in the family.
 
 Items are plain (label, weight) tuples in any order, read through
-itemgetter. They are ranked by weight descending (ties broken by label
-ascending, byte order), then a threshold rule over a per-rank ratio yields
-the index value:
+itemgetter. kernel_index takes a view, (items, scale) with each weight an
+exact int total over scale, as Corpus.items gives them; h_type_index and
+g_type_index take any real weights (ints, floats, Fractions) and put each
+at its exact value over the lcm of their denominators. One rule,
+_index_value, gives every h-type and g-type value from the exact totals in
+descending order, comparing ints only, so a total equal to its bound
+qualifies:
 
-* first-crossing: the value is (smallest rank with ratio < 1) - 1; n when
-  no rank crosses, 0 when rank 1 already fails. Ranks after the first
-  crossing are not read, even where externally supplied ratios (raw ivw)
-  climb back above 1.
-* h-type: ratio at rank r is weight/r. Weights never increase down the
-  table and a correctly rounded division keeps that order, so the ratios
-  never increase either, and the largest rank whose ratio is still >= 1 is
-  the first crossing. Every h-type value is read that way: x, xc, xd and
-  its variants, and the inner values of xo and the nested indices, whose
-  scan stops at the crossing.
-* g-type: ratio at rank r is (cumulative weight through r)/r**2; the value
-  is the largest rank whose cumulative weight is >= r**2, capped at the
-  number of items (no fictitious zero-weight items are appended). g keeps
-  that literal rule: it compares each cumulative sum with r**2 directly,
-  not its ratio column, a second rounding, with 1, so no crossing of that
-  column decides it.
+* h-type: the number of ranks r before the first total below r * scale;
+* g-type: the largest rank r whose cumulative total reaches
+  r**2 * scale, capped at the number of items (no fictitious zero-weight
+  items are appended), or 0.
 
-All comparisons are exact floating comparisons; ratios are plain divisions
-with no further rounding, so a weight exactly equal to its rank qualifies.
+kernel_index applies it to the items it ranks, and the indices to the
+inner values of xo and the nested indices, for which no table is built.
+The table is what a report prints: each distinct total is rounded to a
+float once (int / int division rounds correctly), rows are ranked by those
+floats descending, ties by label ascending (byte order), and each ratio is
+the correctly rounded exact quotient, the row's total over r * scale (h)
+or the cumulative total of rows 1..r over r**2 * scale (g). Two distinct
+totals can round to one float; the table orders them by label while the
+value follows their exact order, and a ratio within half an ulp of 1 can
+print as 1 where the exact total falls short of its rank.
+first_crossing_index reads a table whose ratios its caller filled in (raw
+ivw divides by a float variance): the count of ratios before the first
+one below 1, whether or not later ratios climb back above it.
 
-Ranking takes one of two paths, chosen from the input. Citation totals
-are whole counts and tie heavily (the pair view of a 25k-publication
-table holds 135k items but a few hundred distinct weights), so when the
-distinct weights are at most _BUCKET_SHARE of the items, rank_items puts
-the items into one bucket per weight in a single dict pass, and sorts
-only the distinct weights and each bucket by label. Otherwise, as on a
-table whose weights are all distinct, where a bucket per item costs more
-than it saves, it takes two stable C-keyed sorts, by label and then by
-weight. Both give the same list. The bucket pass counts the distinct
-weights as it goes: it runs 4 096 items at a time and gives way to the
-sorts as soon as the buckets outnumber that share, so on all-distinct
-items it reads only that far.
+Citation totals tie heavily (the pair view of a 25k-publication table
+holds 135k items but a few hundred distinct weights), so rank_items sorts
+only the distinct weights and each weight's bucket by label when few
+weights are distinct, and sorts all items twice otherwise.
 
 Tables are held in column form: a RankedTable is built from parallel
-labels, weights and ratios columns, with ranks implicit as 1..n. Ratios
-and the value come from map/accumulate/compress passes, and the table
-invariants are checked by C-level passes, so no RankRow is built on the
-way to a report. A NaN weight fails the check that no weight is below 0,
-so it raises NonFiniteWeight naming the smallest label that carries one,
-whatever the input order; a NaN ratio, an overflowed weight and an
-overflowed ratio raise it the same way. The row view (RankRow tuples) is
-built on each read of RankedTable.rows. Like every frozen value of the
+labels, weights and ratios columns, ranks implicit as 1..n, its invariants
+checked by C-level passes, so no RankRow is built on the way to a report;
+the row view is built on each read of RankedTable.rows. A total that
+rounds beyond the float range raises NonFiniteWeight naming the smallest
+label whose total does, whatever the input order; a NaN weight names the
+smallest label that carries one, and a RankedTable raises it the same way
+for a NaN or overflowed weight or ratio. Like every frozen value of the
 library, a RankedTable rejects assignment and del, and compares, hashes,
 prints and pickles by its three columns.
-
-Inner values that no report prints (xo's per-category and nested's
-per-group values) come from _exact_h_value: it gives
-h_type_index(items).value from each group's exact int totals alone,
-builds no table and rounds and divides no total past the crossing.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 from itertools import accumulate, compress, count, islice, repeat
 from operator import ge, itemgetter, lt, mul, truediv
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import FLOAT_LIMIT, Item, _finite
 from .errors import NonFiniteWeight
@@ -206,47 +196,65 @@ def rank_items(items: Iterable[Item]) -> list[Item]:
     return ranked
 
 
-def _ranked_columns(items: Iterable[Item]) -> tuple[tuple, tuple]:
+def _first_crossing(values: Iterable, floors: Iterable, n: int) -> int:
+    """The count of values before the first one below its floor, or n when
+    none of the n is; lazy columns are read no further than that value."""
+    return next(compress(count(), map(lt, values, floors)), n)
+
+
+def _scaled(items: Iterable[Item]) -> tuple[list[Item], int]:
+    """items with each weight at its exact value as an int over one scale,
+    the lcm of the weights' denominators, and that scale. An infinite
+    weight becomes the least total that rounds to it; a NaN one raises
+    NonFiniteWeight naming the smallest label that carries one."""
+    items = list(items)
+    if nan := [label for label, weight in items if weight != weight]:
+        raise NonFiniteWeight(min(nan), _NAN_CAUSE)
+    ratios = [(FLOAT_LIMIT, 1) if weight == math.inf else weight.as_integer_ratio() for _, weight in items]
+    scale = math.lcm(*{den for _, den in ratios})
+    return [(label, num * (scale // den)) for (label, _), (num, den) in zip(items, ratios)], scale
+
+
+def _index_value(totals: Sequence[int], scale: int, ratio_type: str, items: Iterable[Item]) -> int:
+    """The value of ratio_type's rule over exact totals in descending
+    order, each an int over scale. A total that rounds beyond the float
+    range raises NonFiniteWeight naming the smallest label in items, the
+    same (label, total) pairs, whose total does."""
+    n, limit = len(totals), FLOAT_LIMIT * scale
+    if n and totals[0] >= limit:
+        raise NonFiniteWeight(min(label for label, total in items if total >= limit))
+    floors = range(scale, (n + 1) * scale, scale)
+    if ratio_type == "h":
+        return _first_crossing(totals, floors, n)
+    return max(compress(count(1), map(ge, accumulate(totals), map(mul, floors, count(1)))), default=0)
+
+
+def kernel_index(view: tuple[Iterable[Item], int], ratio_type: str, kind: str) -> IndexResult:
+    """The index of kind over a view, (items, scale) with each weight an
+    int total over scale, by ratio_type's rule, with its table; IndexResult
+    rejects another ratio_type."""
+    items, scale = view
     ranked = rank_items(items)
-    return tuple(map(_label, ranked)), tuple(map(_weight, ranked))
-
-
-def _first_crossing(ratios: Iterable[float], n: int) -> int:
-    """The count of ratios before the first one below 1, or n when none of
-    the n is; a lazy column is read no further than that ratio."""
-    return next(compress(count(), map(lt, ratios, repeat(1.0))), n)
+    labels, totals = tuple(map(_label, ranked)), tuple(map(_weight, ranked))
+    value = _index_value(totals, scale, ratio_type, ranked)
+    distinct = set(totals)  # each rounded once, now that none rounds beyond the float range
+    as_float = dict(zip(distinct, map(truediv, distinct, repeat(scale))))
+    if len(set(as_float.values())) < len(as_float):  # distinct totals that print alike go in label order
+        labels, _, totals = map(tuple, zip(*rank_items(zip(labels, map(as_float.__getitem__, totals), totals))))
+    floors = range(scale, (len(totals) + 1) * scale, scale)
+    if ratio_type == "h":
+        ratios = map(truediv, totals, floors)
+    else:
+        ratios = map(truediv, accumulate(totals), map(mul, floors, count(1)))
+    return IndexResult(kind, ratio_type, value, RankedTable(labels, map(as_float.__getitem__, totals), ratios))
 
 
 def h_type_index(items: Iterable[Item], kind: str = "x") -> IndexResult:
-    labels, weights = _ranked_columns(items)
-    ratios = tuple(map(truediv, weights, count(1)))
-    return first_crossing_index(RankedTable(labels, weights, ratios), kind)
-
-
-def _exact_h_value(totals: Mapping[str, int], scale: int) -> int:
-    """h_type_index(items).value of the items (label, total / scale), from
-    exact int totals over one scale, without the ranked table: the totals
-    are sorted as ints, and only those down to the first ratio below 1 are
-    rounded to floats and divided by their ranks, with the two roundings
-    h_type_index makes. Totals that round beyond the float range raise
-    NonFiniteWeight naming the smallest of their labels, the label
-    h_type_index names for those items."""
-    ints = sorted(totals.values(), reverse=True)
-    limit = FLOAT_LIMIT * scale
-    if ints and ints[0] >= limit:
-        raise NonFiniteWeight(min(label for label, total in totals.items() if total >= limit))
-    return _first_crossing(map(truediv, map(truediv, ints, repeat(scale)), count(1)), len(ints))
+    return kernel_index(_scaled(items), "h", kind)
 
 
 def g_type_index(items: Iterable[Item], kind: str = "x") -> IndexResult:
-    labels, weights = _ranked_columns(items)
-    ranks = range(1, len(weights) + 1)
-    squares = tuple(map(mul, ranks, ranks))
-    # int start keeps exact (rational) weights exact; drop the start itself
-    cumulative = tuple(accumulate(weights, initial=0))[1:]
-    ratios = tuple(map(truediv, cumulative, squares))
-    value = max(compress(ranks, map(ge, cumulative, squares)), default=0)
-    return IndexResult(kind, "g", value, RankedTable(labels, weights, ratios))
+    return kernel_index(_scaled(items), "g", kind)
 
 
 def first_crossing_index(ranked: RankedTable, kind: str = "ivw") -> IndexResult:
@@ -255,12 +263,4 @@ def first_crossing_index(ranked: RankedTable, kind: str = "ivw") -> IndexResult:
     The caller chooses the ranking basis and fills the ratio column; this
     only scans for the first rank where the ratio drops below 1.
     """
-    return IndexResult(kind, "h", _first_crossing(ranked.ratios, len(ranked)), ranked)
-
-
-def kernel_index(items: Iterable[Item], ratio_type: str, kind: str) -> IndexResult:
-    if ratio_type == "h":
-        return h_type_index(items, kind)
-    if ratio_type == "g":
-        return g_type_index(items, kind)
-    raise ValueError(f"unknown ratio type {ratio_type!r}")
+    return IndexResult(kind, "h", _first_crossing(ranked.ratios, repeat(1.0), len(ranked)), ranked)

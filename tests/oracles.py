@@ -16,6 +16,7 @@ import io
 import math
 from decimal import Decimal
 from fractions import Fraction
+from itertools import count
 from typing import Sequence
 
 from xindices import (
@@ -23,7 +24,6 @@ from xindices import (
     IndexResult,
     IngestConfig,
     build_corpus,
-    h_type_index,
     normalize_label,
 )
 from xindices.errors import (
@@ -84,11 +84,12 @@ def naive_h_oracle(weights: Sequence[float]) -> int:
 
 
 def naive_g_oracle(weights: Sequence[float]) -> int:
-    """Largest r <= n such that the r largest weights sum to at least r**2."""
+    """Largest r <= n such that the r largest weights, summed exactly, reach
+    r**2."""
     ordered = sorted(weights, reverse=True)
     n = len(ordered)
     for r in range(n, 0, -1):
-        if sum(ordered[:r]) >= r * r:
+        if sum(map(Fraction, ordered[:r])) >= r * r:
             return r
     return 0
 
@@ -136,8 +137,16 @@ def reference_read_table(data: bytes, config: IngestConfig | None = None) -> Tab
     if config.cell_delimiter == separator:
         raise InvalidConfig("cell delimiter equals the field separator")
     reader = csv.reader(io.StringIO(text, newline=""), delimiter=separator)
+
+    def next_row(row_no):
+        # a row the csv module cannot read (a field over csv.field_size_limit())
+        try:
+            return next(reader)
+        except csv.Error as exc:
+            raise MalformedRow(row_no, str(exc)) from None
+
     try:
-        headers = next(reader)
+        headers = next_row(1)
     except StopIteration:
         raise MalformedRow(1, "input has no header row") from None
     index_of = {}
@@ -163,7 +172,11 @@ def reference_read_table(data: bytes, config: IngestConfig | None = None) -> Tab
         return tuple(kept)
 
     records, group_values = [], []
-    for row_no, cells in enumerate(reader, start=2):
+    for row_no in count(2):
+        try:
+            cells = next_row(row_no)
+        except StopIteration:
+            break
         if not cells:
             continue
         if len(cells) != len(headers):
@@ -194,10 +207,10 @@ def reference_read_table(data: bytes, config: IngestConfig | None = None) -> Tab
 
 def reference_views(records) -> dict:
     """Every Corpus view, and its citation check, read one record attribute
-    at a time in exact Fraction arithmetic, each total rounded to a float
-    once: the record-wise builders the column-form views replaced. Returns
-    the error type and id the first invalid record raises instead, if
-    there is one."""
+    at a time in exact Fraction arithmetic: the record-wise builders the
+    column-form views replaced, each item view as (label, exact total)
+    pairs in label order. Returns the error type and id the first invalid
+    record raises instead, if there is one."""
     seen = set()
     for rec in records:
         if rec.id in seen:
@@ -214,22 +227,20 @@ def reference_views(records) -> dict:
             cits = Fraction(rec.citations) / ((len(rec.institutions) or 1) if fractional else 1)
             for label in getattr(rec, field):
                 sums[label] = sums.get(label, 0) + cits
-        return tuple(sorted((label, rounded(total)) for label, total in sums.items()))
+        return tuple(sorted(sums.items()))
 
     samples = {}
     for rec in records:
         for cat in rec.categories:
             samples.setdefault(cat, []).append(Fraction(rec.citations))
     by_category = reference_totals_by_group(records, "keywords", [rec.categories for rec in records])
-    pairs = [(f"{kw}@{cat}", rounded(total)) for cat, in_cat in by_category.items() for kw, total in in_cat.items()]
+    pairs = [(f"{kw}@{cat}", total) for cat, in_cat in by_category.items() for kw, total in in_cat.items()]
     return {
         "keywords": totals("keywords"),
         "pairs": tuple(sorted(pairs, key=lambda item: item[0])),
         "categories": totals("categories"),
         "categories_fractional": totals("categories", fractional=True),
-        "keywords_by_category": {
-            cat: sorted((kw, rounded(total)) for kw, total in in_cat.items()) for cat, in_cat in by_category.items()
-        },
+        "keywords_by_category": by_category,
         "sums": {
             cat: (len(values), sum(values), sum(value * value for value in values))
             for cat, values in sorted(samples.items())
@@ -312,5 +323,5 @@ def nested_index(groups: dict[str, Corpus], inner: str = "x", ratio_type: str = 
     views = {"x": "keywords", "xd": "categories"}
     if inner not in views:
         raise ValueError(f"unknown inner index {inner!r}")
-    scored = [(label, float(h_type_index(groups[label].items(views[inner])).value)) for label in sorted(groups)]
-    return kernel_index(scored, ratio_type, "nested")
+    scored = [(label, kernel_index(groups[label].items(views[inner]), "h", "x").value) for label in sorted(groups)]
+    return kernel_index((scored, 1), ratio_type, "nested")

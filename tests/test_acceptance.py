@@ -48,7 +48,7 @@ def criterion(name: str):
 
 def unit_stats(corpus, mean=1.0, variance=1.0):
     return ReferenceStats(
-        [StatsEntry(label, mean, variance, 1) for label, _ in corpus.items("categories")]
+        [StatsEntry(label, mean, variance, 1) for label, _ in corpus.items("categories")[0]]
     )
 
 

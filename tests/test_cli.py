@@ -169,7 +169,7 @@ def overflow_error(label: str) -> str:
 # argv -> the table it runs on and the label its error names
 OVERFLOW_CASES = {
     ("compute", "--index", "x"): (OVERFLOW, "a"),
-    ("compute", "--index", "xd", "--type", "g"): (OVERFLOW, "d"),
+    ("compute", "--index", "xd", "--type", "g"): (OVERFLOW_IN_ONE_CATEGORY, "c"),
     ("nested", "--group-col", "institutions"): (OVERFLOW, "a"),
     ("compute", "--index", "xo"): (OVERFLOW_IN_ONE_CATEGORY, "a"),
     ("compute", "--index", "xd"): (OVERFLOW_IN_ONE_CATEGORY, "c"),
@@ -183,6 +183,30 @@ def test_overflowing_citation_totals_exit_2(tmp_path, capsys, argv):
     path = tmp_path / "huge.csv"
     path.write_text(table)
     assert run(capsys, *argv, "--input", str(path)) == (2, "", overflow_error(label))
+
+
+def test_g_type_sums_totals_past_the_float_range_exactly(tmp_path, capsys):
+    # Two categories cited 1e308 times each: the cumulative total 2e308 is
+    # beyond the float range, but the g rule reads it exactly, and its ratio
+    # over 2**2 is finite.
+    path = tmp_path / "huge.csv"
+    path.write_text(OVERFLOW)
+    code, out, err = run(capsys, "compute", "--index", "xd", "--type", "g", "--input", str(path), "--format", "csv")
+    assert (code, out, err) == (0, "rank,label,weight,ratio\n1,c,1e+308,1e+308\n2,d,1e+308,5e+307\n", "")
+
+
+THREE_CATEGORIES = "id,citations,categories\np1,4.02,a\np2,3.03,b\np3,1.95,c\n"
+
+
+def test_g_type_value_follows_the_exact_cumulative_totals(tmp_path, capsys):
+    # 4.02 + 3.03 + 1.95 is exactly 9 = 3**2, though the three floats sum to
+    # 9 - 6.7e-16: the g value is 3, and the ratio at rank 3 prints 1.
+    path = tmp_path / "three.csv"
+    path.write_text(THREE_CATEGORIES)
+    code, out, _ = run(capsys, "compute", "--index", "xd", "--type", "g", "--input", str(path), "--format", "table")
+    assert code == 0
+    *_, last_row, value = out.splitlines()
+    assert (last_row.split(), value) == (["3", "c", "1.95", "1"], "3")
 
 
 def test_ivw_without_stats_exit_2(toy_csv, capsys):
@@ -1173,6 +1197,24 @@ def test_one_long_cell_in_a_large_table_keeps_totals_exact(tmp_path, capsys):
     weights = {label: weight for _, label, weight, _ in csv.reader(io.StringIO(out))}
     assert weights.pop("label") == "weight"
     assert weights == {label: format_number(float(total)) for label, total in totals.items()}
+
+
+@pytest.mark.parametrize("decimal", [False, True], ids=["integral", "two-decimal"])
+def test_xdfn_ref_stats_prints_tied_weights_in_label_order(tmp_path, capsys, decimal):
+    # Each category total over the mean stats wrote for it lies within a few
+    # ulps of the category's publication count, so distinct exact scores
+    # often print alike; the report must still list those rows by label.
+    path, stats = tmp_path / "in.csv", tmp_path / "stats.csv"
+    _synthetic_csv(path, 2_000, 4, 400, 30, 50, seed=2027, decimal=decimal)
+    assert run(capsys, "stats", "--input", str(path), "--out", str(stats))[0] == 0
+    code, out, err = run(
+        capsys, "compute", "--index", "xdfn", "--ref-stats", str(stats), "--input", str(path), "--format", "csv"
+    )
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    tied = [(above[1], below[1]) for above, below in zip(rows, rows[1:]) if above[2] == below[2]]
+    assert tied  # the table holds printed ties
+    assert [pair for pair in tied if pair[0] > pair[1]] == []
 
 
 def test_stats_on_subnormal_counts(tmp_path, capsys):

@@ -39,8 +39,10 @@ from conftest import columns_of, random_records, record
 from oracles import partition_by_group, reference_totals_by_group, reference_views
 
 
-def weights(items):
-    return dict(items)
+def weights(view):
+    """A view's (items, scale) as each label's exact total."""
+    items, scale = view
+    return {label: Fraction(total, scale) for label, total in items}
 
 
 def exact(by_group, scale):
@@ -53,9 +55,9 @@ def exact(by_group, scale):
 def test_empty_corpus():
     corpus = build_corpus(columns_of([]))
     assert len(corpus) == 0
-    assert corpus.items("keywords") == ()
-    assert corpus.items("pairs") == ()
-    assert corpus.items("categories") == ()
+    assert corpus.items("keywords") == ((), 1)
+    assert corpus.items("pairs") == ((), 1)
+    assert corpus.items("categories") == ((), 1)
     assert corpus.category_sums() == {}
 
 
@@ -118,7 +120,7 @@ def test_keyword_totals_replicates_full_count():
 
 def test_keyword_totals_empty_when_no_keywords():
     corpus = build_corpus(columns_of([record("p1", 5), record("p2", 2)]))
-    assert corpus.items("keywords") == ()
+    assert corpus.items("keywords") == ((), 1)
 
 
 def test_pair_totals_cross_product():
@@ -128,7 +130,7 @@ def test_pair_totals_cross_product():
 
 def test_pair_totals_no_category_no_pair():
     corpus = build_corpus(columns_of([record("p1", 3, keywords=("a",))]))
-    assert corpus.items("pairs") == ()
+    assert corpus.items("pairs") == ((), 1)
 
 
 def test_pair_totals_hand_sum():
@@ -283,8 +285,9 @@ def test_permutation_invariance(seed):
     shuffled = list(records)
     rng.shuffle(shuffled)
     a, b = build_corpus(columns_of(records)), build_corpus(columns_of(shuffled))
-    for view in ITEM_VIEWS:  # the same items, in first-seen order of each input
-        assert sorted(a.items(view)) == sorted(b.items(view))
+    for view in ITEM_VIEWS:  # the same items over the same scale, in first-seen order of each input
+        (items_a, scale_a), (items_b, scale_b) = a.items(view), b.items(view)
+        assert (sorted(items_a), scale_a) == (sorted(items_b), scale_b)
     assert a.category_sums() == b.category_sums()
     assert x_index(a).value == x_index(b).value
     assert xd_index(a, "g").value == xd_index(b, "g").value
@@ -303,7 +306,7 @@ def test_views_list_labels_in_first_seen_order(seed):
         return list(dict.fromkeys(label for rec in members for label in getattr(rec, field)))
 
     def labels(view):
-        return [label for label, _ in corpus.items(view)]
+        return [label for label, _ in corpus.items(view)[0]]
 
     assert labels("keywords") == first_seen("keywords")
     assert labels("categories") == labels("categories_fractional") == first_seen("categories")
@@ -322,7 +325,7 @@ def test_conservation_single_category(seed):
         for i in range(rng.randint(0, 25))
     ]
     corpus = build_corpus(columns_of(records))
-    total = sum(weight for _, weight in corpus.items("categories"))
+    total = sum(weights(corpus.items("categories")).values())
     assert total == sum(r.citations for r in records)
 
 
@@ -330,8 +333,8 @@ def test_conservation_single_category(seed):
 def test_pair_weight_bounded_by_keyword_weight(seed):
     rng = random.Random(seed)
     corpus = build_corpus(columns_of(random_records(rng, max_pubs=40, max_categories=5, max_keywords=10)))
-    kw = dict(corpus.items("keywords"))
-    for label, weight in corpus.items("pairs"):
+    kw = weights(corpus.items("keywords"))
+    for label, weight in weights(corpus.items("pairs")).items():
         keyword = label.rsplit("@", 1)[0]
         assert weight <= kw[keyword]
 
@@ -340,8 +343,8 @@ def test_pair_weight_bounded_by_keyword_weight(seed):
 def test_fractional_never_exceeds_whole(seed):
     rng = random.Random(seed)
     corpus = build_corpus(columns_of(random_records(rng, max_pubs=40)))
-    whole = dict(corpus.items("categories"))
-    for label, weight in corpus.items("categories_fractional"):
+    whole = weights(corpus.items("categories"))
+    for label, weight in weights(corpus.items("categories_fractional")).items():
         assert weight <= whole[label]
 
 
@@ -424,9 +427,9 @@ TRAFFIC_STATS = "category,mean,variance,n\na,9.5,1,1\nb,6.75,2,2\nc,2.25,1,1\n"
         (("compute", "--index", "xd"), {"categories", "grouped_items"}),
         (("compute", "--index", "xdf"), {"categories_fractional", "grouped_items"}),
         (("compute", "--index", "xo"), {"grouped_items"}),
-        # the stats estimate and the index each read the category sums
-        (("compute", "--index", "xdfn", "--internal-stats"), {"category_sums": 2}),
-        (("compute", "--index", "xdfn", "--ref-stats", "STATS"), {"category_sums"}),
+        # the stats estimate reads the category sums, and the index the category totals
+        (("compute", "--index", "xdfn", "--internal-stats"), {"category_sums", "categories", "grouped_items"}),
+        (("compute", "--index", "xdfn", "--ref-stats", "STATS"), {"categories", "grouped_items"}),
         (
             ("compute", "--index", "ivw", "--internal-stats", "--variance-floor", "0.5"),
             {"category_sums", "categories", "grouped_items"},
@@ -467,8 +470,10 @@ def test_each_command_builds_the_views_its_index_reads_once(tmp_path, capsys, mo
 def test_item_views_hold_plain_tuples():
     corpus = build_corpus(columns_of([record("p1", 3, ("k",), ("c",), ("i",))]))
     for view in ITEM_VIEWS:
-        assert [type(item) for item in corpus.items(view)] == [tuple]
-    assert corpus.items("pairs") == (("k@c", 3.0),)
+        items, scale = corpus.items(view)
+        assert [type(item) for item in items] == [tuple]
+        assert [type(total) for _, total in items] == [int]
+    assert corpus.items("pairs") == ((("k@c", 3),), 1)
     with pytest.raises(ValueError):
         corpus.items("samples")
 
@@ -501,7 +506,12 @@ def corpus_views(build, group_values):
     except (DuplicateId, NegativeCitations, NonFiniteCitations) as exc:
         return type(exc), exc.id
     scale = corpus.columns.citations.scale
-    views = {view: corpus.items(view) for view in ITEM_VIEWS}
+    views = {}
+    for view in ITEM_VIEWS:
+        # exact totals in label order, a stable sort of first-seen order as
+        # the reference lists them; coinciding pair labels stay two items
+        items, view_scale = corpus.items(view)
+        views[view] = tuple(sorted(((label, Fraction(total, view_scale)) for label, total in items), key=itemgetter(0)))
     views["keywords_by_category"] = exact(corpus.totals_by_group("keywords", corpus.columns.categories), scale)
     views["sums"] = corpus.category_sums()
     for field in LABEL_FIELDS:
@@ -518,14 +528,8 @@ def test_from_columns_equals_records_and_record_wise_views(rows, data):
     from_columns = corpus_views(lambda: Corpus(columns), group_values)
     expected = reference_views(records)
     if isinstance(expected, dict):
-        # grouped totals compare exactly, not after rounding
-        categories = [rec.categories for rec in records]
-        expected["keywords_by_category"] = reference_totals_by_group(records, "keywords", categories)
         for field in LABEL_FIELDS:
             expected[f"{field}_by_group"] = reference_totals_by_group(records, field, group_values)
-        # the reference lists each item view by label, a stable sort of first-seen order
-        for view in ITEM_VIEWS:
-            from_columns[view] = tuple(sorted(from_columns[view], key=itemgetter(0)))
     assert from_columns == expected
 
 

@@ -3,14 +3,17 @@
 tables() from tests/test_ingest.py draws the table: labels that repeat
 across rows, and citation cells with up to 3 decimals, in exponent form,
 with a leading + or inside spaces. Each command runs through main in
-process. Its report must carry, for every label, the float that the exact
-Fraction total, computed from the raw cell texts by the row-wise oracles of
-tests/oracles.py, rounds to; an index value that follows the rule over
-those floats, by the brute-force oracles; the same bytes when the data
-rows come in reverse order; and, in csv and table format, the same rank,
-label, weight and ratio texts, and in table format the same value text,
-as the json report, which must also validate against
-schema/report.schema.json.
+process. The row-wise oracles of tests/oracles.py compute each label's
+exact Fraction total from the raw cell texts. The report must carry the
+index value that the brute-force oracles give over those exact totals;
+rows ranked by the floats the totals round to, ties by label, so adjacent
+rows whose weights print alike are in label order; for every row, the
+float its exact total rounds to as its weight, and the correctly rounded
+exact ratio: its total over its rank r (h), or the exact cumulative total
+of rows 1..r over r**2 (g); the same bytes when the data rows come in
+reverse order; and, in csv and table format, the same rank, label, weight
+and ratio texts, and in table format the same value text, as the json
+report, which must also validate against schema/report.schema.json.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import csv
 import io
 import json
 import pathlib
+from fractions import Fraction
 
 import jsonschema
 from hypothesis import example, given, settings, strategies as st
@@ -29,7 +33,7 @@ from xindices.cli import main
 from xindices.errors import XIndicesError
 
 from conftest import records_of
-from oracles import naive_g_oracle, naive_h_oracle, reference_read_table, reference_views
+from oracles import naive_g_oracle, naive_h_oracle, reference_read_table, reference_views, rounded
 from test_ingest import tables
 
 #: Label parts that repeat across rows, an "@" among them.
@@ -47,12 +51,17 @@ COMMANDS = [("compute", "--index", index) for index in (*COMPUTE_VIEWS, "xo")] +
 ]
 
 
-def ranked(items: list[tuple[str, float]]) -> list[list]:
-    """The rows a report lists for items: weight descending, then label."""
-    return [[label, weight] for label, weight in sorted(items, key=lambda item: (-item[1], item[0]))]
+def ranked(items: list[tuple[str, Fraction]], ratio_type: str) -> list[list]:
+    """The rows a report lists for items of exact totals: label, weight and
+    ratio, by printed weight descending, then label."""
+    rows, cumulative = [], 0
+    for r, (label, total) in enumerate(sorted(items, key=lambda item: (-rounded(item[1]), item[0])), start=1):
+        cumulative += total
+        rows.append([label, rounded(total), rounded(total / r if ratio_type == "h" else cumulative / (r * r))])
+    return rows
 
 
-def rule(weights: list[float], ratio_type: str) -> int:
+def rule(weights: list[Fraction], ratio_type: str) -> int:
     return naive_h_oracle(weights) if ratio_type == "h" else naive_g_oracle(weights)
 
 
@@ -82,15 +91,15 @@ def expected(argv: list[str], data: bytes, config: IngestConfig) -> tuple[int, o
                 in_group.setdefault(group, []).append(rec)
         view = "keywords" if argv[argv.index("--inner") + 1] == "x" else "categories"
         items = [
-            (group, float(naive_h_oracle([w for _, w in reference_views(members)[view]])))
+            (group, Fraction(naive_h_oracle([w for _, w in reference_views(members)[view]])))
             for group, members in in_group.items()
         ]
     elif argv[2] == "xo":
         by_category = views["keywords_by_category"]
-        items = [(cat, float(naive_h_oracle([w for _, w in kws]))) for cat, kws in by_category.items()]
+        items = [(cat, Fraction(naive_h_oracle(kws.values()))) for cat, kws in by_category.items()]
     else:
         items = list(views[COMPUTE_VIEWS[argv[2]]])
-    return 0, (rule([w for _, w in items], ratio_type), ranked(items))
+    return 0, (rule([w for _, w in items], ratio_type), ranked(items, ratio_type))
 
 
 def printed(fmt: str, out: str) -> tuple[str | None, list[list[str]]]:
@@ -129,6 +138,11 @@ def reversed_rows(data: bytes) -> bytes:
     ("compute", "--index", "xc"),
     "g",
 )
+@example(  # 4.02 + 3.03 + 1.95 is exactly 3**2, though their floats sum below it: g is 3
+    (b"id,citations,categories\np1,4.02,a\np2,3.03,b\np3,1.95,c\n", IngestConfig()),
+    ("compute", "--index", "xd"),
+    "g",
+)
 @given(tables(part=PARTS), st.sampled_from(COMMANDS), st.sampled_from(["h", "g"]))
 def test_reports_carry_exact_totals_in_any_row_order(tmp_path_factory, table, command, ratio_type):
     data, config = table
@@ -151,7 +165,9 @@ def test_reports_carry_exact_totals_in_any_row_order(tmp_path_factory, table, co
         return
     report = json.loads(out)
     validate_report(report)
-    assert (report["value"], [[row["label"], row["weight"]] for row in report["table"]]) == want
+    assert (report["value"], [[row["label"], row["weight"], row["ratio"]] for row in report["table"]]) == want
+    for above, below in zip(report["table"], report["table"][1:]):  # printed ties in label order
+        assert above["weight"] > below["weight"] or above["label"] <= below["label"]
     value, rows = printed("json", out)
     path.write_bytes(data)
     for fmt in ("csv", "table"):

@@ -43,7 +43,7 @@ def unit_stats(corpus, mean=1.0, variance=1.0):
     return ReferenceStats(
         [
             StatsEntry(label, mean, variance, 1)
-            for label, _ in corpus.items("categories")
+            for label, _ in corpus.items("categories")[0]
         ]
     )
 
@@ -612,10 +612,9 @@ def test_group_index_equals_nested_index_over_partition(seed, inner, ratio_type,
 
 @given(seeds, st.sampled_from(["h", "g"]))
 @settings(max_examples=100, deadline=None)
-def test_xo_index_equals_the_kernel_over_each_categorys_float_items(seed, ratio_type):
-    # xo ranks each category's exact int totals; the reference builds a
-    # Corpus of each category's publications, whose keyword view rounds
-    # every total to its float first, and ranks those items
+def test_xo_index_equals_the_kernel_over_each_categorys_exact_items(seed, ratio_type):
+    # xo reads each category's exact int totals; the reference builds a
+    # Corpus of each category's publications and ranks its keyword view
     rng = random.Random(seed)
     records = [
         replaced(rec, citations=rng.choice([rng.randrange(10**5) / 100, 1e308]))
@@ -626,20 +625,24 @@ def test_xo_index_equals_the_kernel_over_each_categorys_float_items(seed, ratio_
 
     def reference():
         by_category = partition_by_group(categorised, [rec.categories for rec in categorised])
-        scored = [(cat, float(h_type_index(by_category[cat].items("keywords")).value)) for cat in sorted(by_category)]
-        return kernel_index(scored, ratio_type, "xo")
+        # partition_by_group lists the categories in label order
+        scored = [(cat, kernel_index(group.items("keywords"), "h", "x").value) for cat, group in by_category.items()]
+        return kernel_index((scored, 1), ratio_type, "xo")
 
     expected = outcome(reference)
     assert outcome(lambda: xo_index(corpus, ratio_type)) == expected
 
 
 def test_inner_values_round_each_total_before_dividing_it_by_its_rank():
-    # the total 2.9999999999999998 rounds to the float 3.0, whose ratio at
-    # rank 3 is not below 1, though the exact total over 3 is
+    # The total 2.9999999999999998 prints as the float 3.0, but the rule
+    # reads the exact total, which is below its rank 3, and so does the
+    # printed ratio: the value is 2, where ranking the rounded totals gave 3.
     corpus = build_corpus(columns_of([record("p1", Fraction("2.9999999999999998"), ("a", "b", "c"), ("C",), ("I",))]))
-    assert h_type_index(corpus.items("keywords")).value == 3
-    assert xo_index(corpus).table.weights == (3.0,)
-    assert group_index(corpus, [("I",)]).table.weights == (3.0,)
+    result = kernel_index(corpus.items("keywords"), "h", "x")
+    assert (result.value, result.table.weights) == (2, (3.0, 3.0, 3.0))
+    assert result.table.ratios[2] == 0.9999999999999999
+    assert xo_index(corpus).table.weights == (2.0,)
+    assert group_index(corpus, [("I",)]).table.weights == (2.0,)
 
 
 def test_group_index_unknown_inner():

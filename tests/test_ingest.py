@@ -395,6 +395,18 @@ def test_csv_error_row_and_precedence_in_blocks(rows):
     assert err.value.row == 5
 
 
+@pytest.mark.parametrize("rows", [1, 4096])
+def test_over_limit_field_raises_as_in_row_wise_reference(rows):
+    # a field over csv.field_size_limit() on a late row, after a blank line
+    # that still counts as a row
+    data = b"id,citations,keywords\np1,1,a\n\np2,1,b\np3,1," + b"k" * 140_000 + b"\n"
+    config = IngestConfig()
+    with block_rows(rows):
+        got = outcome(read_bytes, data, config)
+    assert got[0] is MalformedRow and got[1].startswith("row 5: field larger than field limit")
+    assert outcome(reference_read_table, data, config) == got
+
+
 def test_read_table_rejects_unknown_fields():
     with pytest.raises(ValueError, match="keyword"):
         read_table(io.BytesIO(b"id,citations\n"), fields=("keyword",))

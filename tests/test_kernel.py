@@ -19,11 +19,11 @@ from xindices import (
     h_type_index,
 )
 from xindices import kernel
-from xindices.kernel import _exact_h_value, _ranked_columns, rank_items
+from xindices.kernel import _index_value, rank_items
 from xindices.report import Report
 
 from conftest import items
-from oracles import naive_g_oracle, naive_h_oracle, rounded, two_sort_rank
+from oracles import naive_g_oracle, naive_h_oracle, two_sort_rank
 
 # Exact weights, as xdfn ranks them: any Fraction, and ones on an integer
 # rank or within 1e-12 of it, on either side.
@@ -130,9 +130,16 @@ def test_first_crossing_empty():
 
 
 @given(weight_lists)
+@example([Fraction(2**64 - 1, 2**64)])
 def test_first_crossing_equals_h_on_monotone_ratios(weights):
+    # The h value follows the exact totals; the first crossing of the printed
+    # ratios equals it unless a ratio within an ulp of 1 hides which side of
+    # 1 its exact quotient lies on (1 - 2**-64 prints as the ratio 1).
     result = h_type_index(items(*weights))
-    assert first_crossing_index(result.table).value == result.value
+    near_one = any(abs(ratio - 1) <= 2**-52 for ratio in result.table.ratios)
+    assert first_crossing_index(result.table).value == result.value or near_one
+    if weights == [Fraction(2**64 - 1, 2**64)]:
+        assert (result.value, result.table.ratios) == (0, (1.0,))
 
 
 # --- oracle equivalence and ordering properties ------------------------------
@@ -209,16 +216,20 @@ def value_or_error(index, items):
         max_size=8,
     )
 )
-# 3 - 2e-16 rounds to the float 3.0, whose ratio at rank 3 is 1, though the
-# exact total over 3 rounds below 1
+# 3 - 2e-16 rounds to the float 3.0, but the exact total is below its rank 3
 @example({"a": Fraction(3) - Fraction(2, 10**16), "b": Fraction(5), "c": Fraction(4)})
-def test_exact_h_value_equals_h_type_index_value_of_the_rounded_totals(exact_weights):
-    # xo and the nested indices read each group's h value off its exact totals
+def test_inner_value_equals_the_kernel_value_of_the_exact_totals(exact_weights):
+    # xo and the nested indices read each group's value off its exact int
+    # totals through the rule the kernel applies to the items it ranks
     scale = math.lcm(*(weight.denominator for weight in exact_weights.values()))
     totals = {label: int(weight * scale) for label, weight in exact_weights.items()}
-    items = [(label, rounded(Fraction(total, scale))) for label, total in totals.items()]
-    expected = value_or_error(lambda it: h_type_index(it).value, items)
-    assert value_or_error(lambda t: _exact_h_value(t, scale), totals) == expected
+    for ratio_type in ("h", "g"):
+        index = h_type_index if ratio_type == "h" else g_type_index
+        expected = value_or_error(lambda it: index(it).value, list(exact_weights.items()))
+        inner = value_or_error(
+            lambda t: _index_value(sorted(t.values(), reverse=True), scale, ratio_type, t.items()), totals
+        )
+        assert inner == expected
 
 
 # --- table shape -------------------------------------------------------------
@@ -231,6 +242,19 @@ def test_table_sorted_with_label_tiebreak():
         (2, "a", 5.0),
         (3, "b", 5.0),
     ]
+
+
+def test_totals_that_print_alike_are_listed_by_label():
+    # b's exact total is the larger, but both print as 3.0: the table lists
+    # a first, each row keeps its own exact ratio, and the value reads the
+    # exact order
+    b = Fraction(3) + Fraction(1, 10**20)
+    for index, ratios in ((h_type_index, (3.0, 1.5)), (g_type_index, (3.0, 1.5))):
+        result = index([("b", b), ("a", Fraction(3)), ("c", 1)])
+        assert result.table.labels == ("a", "b", "c")
+        assert result.table.weights == (3.0, 3.0, 1.0)
+        assert result.table.ratios[:2] == ratios
+    assert h_type_index([("b", b), ("a", Fraction(3))]).value == 2
 
 
 def test_table_ratios():
@@ -274,7 +298,7 @@ def test_ranked_table_rejects_ragged_columns():
     "weights",
     [
         (float("inf"), 3.0),  # an overflowed total ranks first
-        (1e308, 1e308),  # g-type: the cumulative weight overflows
+        (2**1024, 1e308),  # an int beyond the float range
         (Fraction(10**400), 3),  # exact, but beyond the float range
     ],
 )
@@ -346,7 +370,7 @@ NAN, OTHER_NAN = float("nan"), float("nan")
 
 def _raw_ivw(weighted):
     """The raw ivw kernel path: rank by weight, ratio w / r, first crossing."""
-    labels, weights = _ranked_columns(weighted)
+    labels, weights = zip(*rank_items(weighted))
     return first_crossing_index(RankedTable(labels, weights, [w / r for r, w in enumerate(weights, start=1)]))
 
 

@@ -8,6 +8,7 @@ import math
 import random
 import statistics
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,7 +66,8 @@ def test_estimate_unknown_kind():
 def test_estimate_mean_times_n_is_total(seed):
     rng = random.Random(seed)
     corpus = build_corpus(columns_of(random_records(rng, max_pubs=60, max_categories=6)))
-    totals = dict(corpus.items("categories"))
+    items, scale = corpus.items("categories")
+    totals = {label: Fraction(total, scale) for label, total in items}
     for entry in estimate_stats(corpus).entries():
         assert math.isclose(entry.mean * entry.n, totals[entry.category], rel_tol=1e-12)
 
