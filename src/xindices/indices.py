@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from itertools import accumulate
-from operator import mul, truediv
 from typing import Iterable, Sequence
 
 from .corpus import FLOAT_LIMIT, Corpus, Item, _dedupe_each, _finite
@@ -104,12 +103,16 @@ def _lookup(
     category: str,
     strict: bool,
     dropped: list[str],
+    positive_mean: bool = False,
 ):
+    """The stats entry of category, or None once category is put in dropped
+    for lacking one or, with positive_mean, a positive mean; strict raises."""
     entry = stats.get(category)
-    if entry is None:
+    if entry is None or positive_mean and entry.mean <= 0:
         if strict:
-            raise MissingStats(category)
+            raise MissingStats(category) if entry is None else NonPositiveMean(category)
         dropped.append(category)
+        return None
     return entry
 
 
@@ -139,13 +142,8 @@ def xdfn_index(
     items, scale = corpus.items("categories")
     totals = [(label, Fraction(total, scale)) for label, total in sorted(items)]
     for label, total in totals:
-        entry = _lookup(stats, label, strict, dropped)
+        entry = _lookup(stats, label, strict, dropped, positive_mean=True)
         if entry is None:
-            continue
-        if entry.mean <= 0:
-            if strict:
-                raise NonPositiveMean(label)
-            dropped.append(label)
             continue
         # an overflowed total goes in as inf, so the kernel names it as xd does
         scored.append((label, total / Fraction(entry.mean) if _finite(total) else math.inf))
@@ -186,7 +184,13 @@ def ivw_xd_index(
     t/(v*r); the ratio need not be monotone, and no g-type rule exists for
     this basis. rank_basis="weighted" ranks by the adjusted score t/v and
     supports both ratio types, mirroring how the mean-normalised variant
-    ranks by its adjusted scores.
+    ranks by its adjusted scores. A score over a float variance is a
+    rounded quotient, so its ratios stay float arithmetic as the raw ones:
+    the score over r, or at g the scores' running float sum over r**2.
+    Every value is read off the ratios by the first-crossing rule. At g
+    that is also the last rank whose ratio reaches 1: the scores never
+    increase, so below 2**26 ranks a running sum short of r**2 stays short
+    of every later square.
 
     Zero or undefined variances raise unless variance_floor substitutes
     max(variance, floor); the categories whose variance it raises are
@@ -206,46 +210,38 @@ def ivw_xd_index(
 
     dropped: list[str] = []
     floored: list[str] = []
-    kept = []
+    totals, variance_of = [], {}
     items, scale = corpus.items("categories")
     for label, total in sorted(items):
         entry = _lookup(stats, label, strict, dropped)
         if entry is None:
             continue
-        weight = total / scale if total < FLOAT_LIMIT * scale else math.inf  # an overflowed total raises as in xd
-        kept.append((label, weight, _variance_for(entry, label, variance_floor, floored)))
+        # an overflowed total goes in as inf, so it raises as in xd
+        totals.append((label, total / scale if total < FLOAT_LIMIT * scale else math.inf))
+        variance_of[label] = _variance_for(entry, label, variance_floor, floored)
 
-    totals = [(label, total) for label, total, _ in kept]
-    variance_of = {label: v for label, _, v in kept}
     with _divided_by("variance", totals):
         if rank_basis == "raw":
             ranked = rank_items(totals)
             ratios = [w / (variance_of[label] * r) for r, (label, w) in enumerate(ranked, start=1)]
-            table = RankedTable([label for label, _ in ranked], [w for _, w in ranked], ratios)
-            value = first_crossing_index(table).value
         else:
-            scored = [(label, total / variance_of[label]) for label, total in totals]
-            result = kernel_index(_scaled(scored), ratio_type, "ivw")
-            value, table = result.value, result.table
-        if ratio_type == "g":
-            # Scores over a float variance are rounded quotients that no exact
-            # total stands behind; like the raw ratio t/(v*r), the g ratio
-            # stays float arithmetic: the scores' running float sum over r**2.
-            ranks = range(1, len(table) + 1)
-            ratios = map(truediv, accumulate(table.weights), map(mul, ranks, ranks))
-            table = RankedTable(table.labels, table.weights, ratios)
-    return IndexResult("ivw", ratio_type, value, table, dropped, floored)
+            ranked = rank_items([(label, total / variance_of[label]) for label, total in totals])
+            if ratio_type == "h":
+                ratios = [w / r for r, (_, w) in enumerate(ranked, start=1)]
+            else:
+                ratios = [s / (r * r) for r, s in enumerate(accumulate(w for _, w in ranked), start=1)]
+        table = RankedTable([label for label, _ in ranked], [w for _, w in ranked], ratios)
+    return IndexResult("ivw", ratio_type, first_crossing_index(table).value, table, dropped, floored)
 
 
 def _rank_inner(corpus: Corpus, field: str, groups: Sequence[Iterable[str]], ratio_type: str, kind: str) -> IndexResult:
     """The outer kernel over each group's inner h-type value, the kernel's
     rule over the exact totals of the label column named field."""
-    totals_by_group = corpus.totals_by_group(field, groups)
     scale = corpus.columns.citations.scale
     # label order decides which group's label an overflow error names
     scored = [
         (group, _index_value(sorted(totals.values(), reverse=True), scale, "h", totals.items()))
-        for group, totals in sorted(totals_by_group.items())
+        for group, totals in sorted(corpus.totals_by_group(field, groups).items())
     ]
     return kernel_index((scored, 1), ratio_type, kind)
 

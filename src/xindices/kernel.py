@@ -22,10 +22,12 @@ floats descending, ties by label ascending (byte order), and each ratio is
 the correctly rounded exact quotient, the row's total over r * scale (h)
 or the cumulative total of rows 1..r over r**2 * scale (g). Two distinct
 totals can round to one float; the table orders them by label while the
-value follows their exact order, and a ratio within half an ulp of 1 can
-print as 1 where the exact total falls short of its rank.
-first_crossing_index reads a table whose ratios its caller filled in (raw
-ivw divides by a float variance): the count of ratios before the first
+value follows their exact order. So the ratios cross 1 where the value
+does but within half an ulp of 1: one past the value can print as 1, and
+where two totals that print alike straddle the value, label order can put
+the one short of its rank at the value's rank.
+first_crossing_index reads a table whose ratios its caller filled in (ivw
+divides by a float variance): the count of ratios before the first
 one below 1, whether or not later ratios climb back above it.
 
 Citation totals tie heavily (the pair view of a 25k-publication table
@@ -206,10 +208,13 @@ def _scaled(items: Iterable[Item]) -> tuple[list[Item], int]:
     """items with each weight at its exact value as an int over one scale,
     the lcm of the weights' denominators, and that scale. An infinite
     weight becomes the least total that rounds to it; a NaN one raises
-    NonFiniteWeight naming the smallest label that carries one."""
+    NonFiniteWeight naming the smallest label that carries one, and then a
+    negative one (-inf too) RankedTable's ValueError, before any rounding."""
     items = list(items)
     if nan := [label for label, weight in items if weight != weight]:
         raise NonFiniteWeight(min(nan), _NAN_CAUSE)
+    if any(weight < 0 for _, weight in items):
+        raise ValueError(f"negative weight at rank {sum(weight >= 0 for _, weight in items) + 1}")
     ratios = [(FLOAT_LIMIT, 1) if weight == math.inf else weight.as_integer_ratio() for _, weight in items]
     scale = math.lcm(*{den for _, den in ratios})
     return [(label, num * (scale // den)) for (label, _), (num, den) in zip(items, ratios)], scale

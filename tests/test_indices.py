@@ -428,6 +428,25 @@ def test_ivw_weighted_basis_ranks_by_score():
     assert g_result.value >= result.value
 
 
+def test_ivw_weighted_g_value_reads_its_float_ratios():
+    # scores 3 and 1 - 2**-52: their exact sum falls short of 4, but the
+    # running float sum the g ratio is read off rounds to 4, so rank 2 counts
+    corpus = build_corpus(columns_of([record("p1", 3, categories=("a",)), record("p2", 1, categories=("b",))]))
+    stats = ReferenceStats([StatsEntry("a", 1.0, 1.0, 1), StatsEntry("b", 1.0, 1 + 2**-52, 1)])
+    result = ivw_xd_index(corpus, "g", stats, rank_basis="weighted")
+    assert result.table.weights == (3.0, 1 - 2**-52)
+    assert (result.value, result.table.ratios) == (2, (3.0, 1.0))
+
+
+@given(seeds, st.sampled_from(["h", "g"]), st.sampled_from([1e-3, 0.5, 7.0]))
+@settings(max_examples=60, deadline=None)
+def test_ivw_weighted_value_is_the_last_rank_whose_ratio_reaches_1(seed, ratio_type, floor):
+    corpus = build_corpus(columns_of(random_records(random.Random(seed), max_pubs=60)))
+    result = ivw_xd_index(corpus, ratio_type, estimate_stats(corpus), "weighted", variance_floor=floor)
+    reaching = [r for r, ratio in enumerate(result.table.ratios, start=1) if ratio >= 1]
+    assert result.value == max(reaching, default=0)
+
+
 def test_ivw_requires_stats():
     with pytest.raises(MissingStats):
         ivw_xd_index(xd_corpus(), "h", None)

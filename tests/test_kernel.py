@@ -131,15 +131,28 @@ def test_first_crossing_empty():
 
 @given(weight_lists)
 @example([Fraction(2**64 - 1, 2**64)])
+@example([10, 10, Fraction(3) - Fraction(1, 2**52), 3])
 def test_first_crossing_equals_h_on_monotone_ratios(weights):
-    # The h value follows the exact totals; the first crossing of the printed
-    # ratios equals it unless a ratio within an ulp of 1 hides which side of
-    # 1 its exact quotient lies on (1 - 2**-64 prints as the ratio 1).
+    # The h value follows the exact totals and each printed ratio is its
+    # exact quotient rounded, so the first crossing of the printed ratios
+    # leaves the value in two ways only: the ratio just past the value
+    # prints as 1 (1 - 2**-64 does), or two totals that print alike
+    # straddle the value and label order puts the one short of its rank at
+    # the value's rank (3 - 2**-52 prints as 3, over 3 as 1 - 2**-53).
     result = h_type_index(items(*weights))
-    near_one = any(abs(ratio - 1) <= 2**-52 for ratio in result.table.ratios)
-    assert first_crossing_index(result.table).value == result.value or near_one
+    value, table = result.value, result.table
+    crossing = first_crossing_index(table).value
+    assert (
+        crossing == value
+        or crossing > value
+        and table.ratios[value] == 1.0
+        or crossing == value - 1
+        and table.weights[value - 1] == table.weights[value]
+    )
     if weights == [Fraction(2**64 - 1, 2**64)]:
-        assert (result.value, result.table.ratios) == (0, (1.0,))
+        assert (value, table.ratios) == (0, (1.0,))
+    if weights == [10, 10, Fraction(3) - Fraction(1, 2**52), 3]:
+        assert (value, crossing, table.labels[2], table.ratios[2]) == (3, 2, "k002", 1 - 2**-53)
 
 
 # --- oracle equivalence and ordering properties ------------------------------
@@ -305,6 +318,20 @@ def test_ranked_table_rejects_ragged_columns():
 def test_non_finite_weights_raise_typed_error(weights):
     with pytest.raises(NonFiniteWeight):
         g_type_index([(f"k{i}", w) for i, w in enumerate(weights)])
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (3.0, float("-inf")),  # as_integer_ratio would overflow on it
+        (Fraction(-(10**400)), 2.0),  # rounds below the float range
+        (float("inf"), -1.0),  # the negative weight is named before the overflow
+    ],
+)
+@pytest.mark.parametrize("index", [h_type_index, g_type_index])
+def test_negative_weights_raise_the_tables_error(weights, index):
+    with pytest.raises(ValueError, match="negative weight at rank 2"):
+        index([(f"k{i}", w) for i, w in enumerate(weights)])
 
 
 def test_rank_items_is_deterministic():
