@@ -13,7 +13,8 @@ rule over each group's exact int totals (Corpus.totals_by_group), with no
 ranked table; ratio_type selects the outer kernel only.
 Each function reads only the views it ranks, as unsorted (label, total)
 tuples over one scale that the kernel orders; xdfn and ivw walk
-categories in label order.
+categories in label order, and xdfn and weighted ivw rank one float score
+per category, the number the report prints.
 INDEX_FIELDS names the fields behind the views, for ingest to skip others.
 """
 
@@ -21,10 +22,9 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .corpus import FLOAT_LIMIT, Corpus, Item, _dedupe_each, _finite
+from .corpus import FLOAT_LIMIT, Corpus, Item, _dedupe_each
 from .errors import (
     MissingGroupLabel,
     MissingStats,
@@ -87,15 +87,26 @@ def xdf_index(corpus: Corpus, ratio_type: str = "h") -> IndexResult:
 
 
 @contextmanager
-def _divided_by(divisor: str, totals: Iterable[Item]):
+def _divided_by(divisor: str, view: tuple[Iterable[Item], int]):
     """Name the cause of a NonFiniteWeight raised in the block for a label
-    whose citation total is finite: that total over its divisor."""
+    whose exact citation total in view, (items, scale), is finite: that
+    total over its divisor."""
+    items, scale = view
     try:
         yield
     except NonFiniteWeight as exc:
-        if _finite(dict(totals)[exc.label]):
+        if dict(items)[exc.label] < FLOAT_LIMIT * scale:
             raise NonFiniteWeight(exc.label, f"citation total over {divisor} overflows") from None
         raise
+
+
+def _over(total: int, scale: int, divisor) -> float:
+    """total / scale over divisor, an int, float or Fraction, as the exact
+    quotient rounded once; inf when total / scale or the quotient lies
+    beyond the float range, so the kernel names the label as xd does."""
+    num, den = divisor.as_integer_ratio()
+    limit = FLOAT_LIMIT * scale
+    return total * den / (scale * num) if total < limit and total * den < limit * num else math.inf
 
 
 def _lookup(
@@ -122,10 +133,10 @@ def xdfn_index(
     stats: ReferenceStats | None = None,
     strict: bool = True,
 ) -> IndexResult:
-    """Field-normalised breadth: each exact category total is divided by
-    the category's reference mean in exact rational arithmetic before
-    ranking, so a total over its own internally estimated mean is exactly
-    the publication count.
+    """Field-normalised breadth: each category's score is its exact total
+    over its reference mean, rounded once to the float the report prints,
+    and the kernel ranks those scores. A total over its own internally
+    estimated mean, an exact rational, is exactly the publication count.
 
     Categories absent from the stats (or with a non-positive mean) raise in
     strict mode; in lenient mode they are left out and named in the
@@ -133,22 +144,17 @@ def xdfn_index(
     over its mean, beyond the float range raises NonFiniteWeight naming the
     category and which of the two overflowed.
     """
-    from fractions import Fraction  # imported only by the runs that normalise
-
     if stats is None:
         raise MissingStats()
     dropped: list[str] = []
-    scored = []
-    items, scale = corpus.items("categories")
-    totals = [(label, Fraction(total, scale)) for label, total in sorted(items)]
-    for label, total in totals:
+    scores = []
+    view = items, scale = corpus.items("categories")
+    for label, total in sorted(items):
         entry = _lookup(stats, label, strict, dropped, positive_mean=True)
-        if entry is None:
-            continue
-        # an overflowed total goes in as inf, so the kernel names it as xd does
-        scored.append((label, total / Fraction(entry.mean) if _finite(total) else math.inf))
-    with _divided_by("reference mean", totals):
-        result = kernel_index(_scaled(scored), ratio_type, "xdfn")
+        if entry is not None:
+            scores.append((label, _over(total, scale, entry.mean)))
+    with _divided_by("reference mean", view):
+        result = kernel_index(_scaled(scores), ratio_type, "xdfn")
     return IndexResult("xdfn", ratio_type, result.value, result.table, dropped)
 
 
@@ -182,15 +188,10 @@ def ivw_xd_index(
     rank_basis="raw" (default) ranks categories by their whole citation
     totals and evaluates the literal first-crossing rule on the ratio
     t/(v*r); the ratio need not be monotone, and no g-type rule exists for
-    this basis. rank_basis="weighted" ranks by the adjusted score t/v and
-    supports both ratio types, mirroring how the mean-normalised variant
-    ranks by its adjusted scores. A score over a float variance is a
-    rounded quotient, so its ratios stay float arithmetic as the raw ones:
-    the score over r, or at g the scores' running float sum over r**2.
-    Every value is read off the ratios by the first-crossing rule. At g
-    that is also the last rank whose ratio reaches 1: the scores never
-    increase, so below 2**26 ranks a running sum short of r**2 stays short
-    of every later square.
+    this basis. rank_basis="weighted" scores each category by t/v, its
+    total rounded to a float over its variance, and hands the scores to
+    the kernel as xdfn does: both ratio types, by the kernel's one rule
+    over the scores' exact values, with correctly rounded ratios.
 
     Zero or undefined variances raise unless variance_floor substitutes
     max(variance, floor); the categories whose variance it raises are
@@ -211,27 +212,23 @@ def ivw_xd_index(
     dropped: list[str] = []
     floored: list[str] = []
     totals, variance_of = [], {}
-    items, scale = corpus.items("categories")
+    view = items, scale = corpus.items("categories")
     for label, total in sorted(items):
         entry = _lookup(stats, label, strict, dropped)
         if entry is None:
             continue
-        # an overflowed total goes in as inf, so it raises as in xd
-        totals.append((label, total / scale if total < FLOAT_LIMIT * scale else math.inf))
+        totals.append((label, _over(total, scale, 1)))
         variance_of[label] = _variance_for(entry, label, variance_floor, floored)
 
-    with _divided_by("variance", totals):
-        if rank_basis == "raw":
+    with _divided_by("variance", view):
+        if rank_basis == "weighted":
+            scores = [(label, total / variance_of[label]) for label, total in totals]
+            result = kernel_index(_scaled(scores), ratio_type, "ivw")
+        else:
             ranked = rank_items(totals)
             ratios = [w / (variance_of[label] * r) for r, (label, w) in enumerate(ranked, start=1)]
-        else:
-            ranked = rank_items([(label, total / variance_of[label]) for label, total in totals])
-            if ratio_type == "h":
-                ratios = [w / r for r, (_, w) in enumerate(ranked, start=1)]
-            else:
-                ratios = [s / (r * r) for r, s in enumerate(accumulate(w for _, w in ranked), start=1)]
-        table = RankedTable([label for label, _ in ranked], [w for _, w in ranked], ratios)
-    return IndexResult("ivw", ratio_type, first_crossing_index(table).value, table, dropped, floored)
+            result = first_crossing_index(RankedTable([label for label, _ in ranked], [w for _, w in ranked], ratios))
+    return IndexResult("ivw", ratio_type, result.value, result.table, dropped, floored)
 
 
 def _rank_inner(corpus: Corpus, field: str, groups: Sequence[Iterable[str]], ratio_type: str, kind: str) -> IndexResult:

@@ -4,7 +4,9 @@ Items are plain (label, weight) tuples in any order, read through
 itemgetter. kernel_index takes a view, (items, scale) with each weight an
 exact int total over scale, as Corpus.items gives them; h_type_index and
 g_type_index take any real weights (ints, floats, Fractions) and put each
-at its exact value over the lcm of their denominators. One rule,
+at its exact value over the lcm of their denominators (_scaled). xdfn and
+weighted ivw score their categories as floats and rank them the same way,
+so their scale is a power of two whatever the number of items. One rule,
 _index_value, gives every h-type and g-type value from the exact totals in
 descending order, comparing ints only, so a total equal to its bound
 qualifies:
@@ -26,8 +28,8 @@ value follows their exact order. So the ratios cross 1 where the value
 does but within half an ulp of 1: one past the value can print as 1, and
 where two totals that print alike straddle the value, label order can put
 the one short of its rank at the value's rank.
-first_crossing_index reads a table whose ratios its caller filled in (ivw
-divides by a float variance): the count of ratios before the first
+first_crossing_index reads a table whose ratios its caller filled in (raw
+ivw's t/(v*r), by a float variance): the count of ratios before the first
 one below 1, whether or not later ratios climb back above it.
 
 Citation totals tie heavily (the pair view of a 25k-publication table

@@ -4,11 +4,11 @@ Each command runs in a fresh ``python -S`` interpreter with src on sys.path,
 through xindices.cli.main, and its sys.modules is checked afterwards:
 
 - dataclasses, inspect and logging are never loaded;
-- fractions is loaded only by stats, xdfn and --internal-stats runs;
+- fractions is loaded only by stats and --internal-stats runs;
 - json is loaded only by runs that render a json report.
 
 The commands are --version and those of both benchmark workloads, plus one
-run of each other fractions path. Run ``python tests/import_check.py`` to
+run of xdfn with each stats source and of ivw with internal stats. Run ``python tests/import_check.py`` to
 check the interpreter that runs it without pytest; it exits 1 on a failure.
 """
 
@@ -70,7 +70,7 @@ def expected(argv: tuple[str, ...]) -> dict[str, bool]:
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
     return {
         **dict.fromkeys(NEVER, False),
-        "fractions": argv[0] == "stats" or "xdfn" in argv or "--internal-stats" in argv,
+        "fractions": argv[0] == "stats" or "--internal-stats" in argv,
         "json": argv[0] in ("compute", "nested") and fmt == "json",
     }
 

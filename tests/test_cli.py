@@ -1215,6 +1215,9 @@ def test_xdfn_ref_stats_prints_tied_weights_in_label_order(tmp_path, capsys, dec
     tied = [(above[1], below[1]) for above, below in zip(rows, rows[1:]) if above[2] == below[2]]
     assert tied  # the table holds printed ties
     assert [pair for pair in tied if pair[0] > pair[1]] == []
+    # each score is rounded once, so each h ratio is its printed weight over
+    # its rank, correctly rounded, not the exact score's quotient
+    assert [row for row in rows if float(row[3]) != float(row[2]) / int(row[0])] == []
 
 
 def test_stats_on_subnormal_counts(tmp_path, capsys):

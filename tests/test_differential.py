@@ -2,10 +2,14 @@
 
 tables() from tests/test_ingest.py draws the table: labels that repeat
 across rows, and citation cells with up to 3 decimals, in exponent form,
-with a leading + or inside spaces. Each command runs through main in
-process. The row-wise oracles of tests/oracles.py compute each label's
-exact Fraction total from the raw cell texts. The report must carry the
-index value that the brute-force oracles give over those exact totals;
+with a leading + or inside spaces, after an optional BOM, and rarely a
+field too large to read. Each command runs through main in process. The
+row-wise oracles of tests/oracles.py compute each label's exact Fraction
+total from the raw cell texts; xdfn and weighted ivw rank each category's
+score instead, formed from those totals and rounded once (scores()). A
+table that does not read must fail as the reference reader does. The
+report must carry the index value that the brute-force oracles give over
+those exact totals;
 rows ranked by the floats the totals round to, ties by label, so adjacent
 rows whose weights print alike are in label order; for every row, the
 float its exact total rounds to as its weight, and the correctly rounded
@@ -30,7 +34,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from xindices import IngestConfig
 from xindices.cli import main
-from xindices.errors import XIndicesError
+from xindices.errors import NonPositiveMean, XIndicesError
 
 from conftest import records_of
 from oracles import naive_g_oracle, naive_h_oracle, reference_read_table, reference_views, rounded
@@ -46,8 +50,17 @@ validate_report = jsonschema.validators.validator_for(SCHEMA)(SCHEMA).validate
 #: The view each compute index ranks.
 COMPUTE_VIEWS = {"x": "keywords", "xc": "pairs", "xd": "categories", "xdf": "categories_fractional"}
 
+#: In a command, the path of the stats file that the stats command writes
+#: from the same table.
+STATS_FILE = "stats.csv"
+
 COMMANDS = [("compute", "--index", index) for index in (*COMPUTE_VIEWS, "xo")] + [
     ("nested", "--group-col", "institutions", "--inner", inner) for inner in ("x", "xd")
+] + [
+    # lenient, since a category cited 0 times has mean 0
+    ("compute", "--index", "xdfn", "--internal-stats", "--lenient-stats"),
+    ("compute", "--index", "xdfn", "--ref-stats", STATS_FILE),
+    ("compute", "--index", "ivw", "--rank-basis", "weighted", "--internal-stats", "--variance-floor", "0.5"),
 ]
 
 
@@ -59,6 +72,29 @@ def ranked(items: list[tuple[str, Fraction]], ratio_type: str) -> list[list]:
         cumulative += total
         rows.append([label, rounded(total), rounded(total / r if ratio_type == "h" else cumulative / (r * r))])
     return rows
+
+
+def scores(argv: list[str], views: dict) -> list[tuple[str, Fraction]]:
+    """Each category's score as a report prints it, from the exact sums:
+    for xdfn its total over its mean (internal: the exact mean; from the
+    stats file: the mean rounded as stats writes it), rounded once; for
+    weighted ivw its rounded total over its floored variance, the variance
+    rounded once. Lenient xdfn leaves out a category with mean 0; loading
+    a stats file with one raises NonPositiveMean for the first."""
+    items = []
+    for label, total in views["categories"]:
+        n, s1, s2 = views["sums"][label]
+        if argv[2] == "ivw":
+            variance = rounded((n * s2 - s1 * s1) / (n * (n - 1))) if n > 1 else None
+            score = rounded(total) / (variance if variance is not None and variance >= 0.5 else 0.5)
+        elif s1 == 0:
+            if "--lenient-stats" in argv:
+                continue
+            raise NonPositiveMean(label)
+        else:
+            score = rounded(total / (s1 / n if "--internal-stats" in argv else Fraction(rounded(s1 / n))))
+        items.append((label, Fraction(score)))
+    return items
 
 
 def rule(weights: list[Fraction], ratio_type: str) -> int:
@@ -94,6 +130,11 @@ def expected(argv: list[str], data: bytes, config: IngestConfig) -> tuple[int, o
             (group, Fraction(naive_h_oracle([w for _, w in reference_views(members)[view]])))
             for group, members in in_group.items()
         ]
+    elif argv[2] in ("xdfn", "ivw"):
+        try:
+            items = scores(argv, views)
+        except NonPositiveMean as exc:
+            return 2, f"error: {exc}\n"
     elif argv[2] == "xo":
         by_category = views["keywords_by_category"]
         items = [(cat, Fraction(naive_h_oracle(kws.values()))) for cat, kws in by_category.items()]
@@ -143,22 +184,36 @@ def reversed_rows(data: bytes) -> bytes:
     ("compute", "--index", "xd"),
     "g",
 )
+@example(  # 0.1 over the mean stats writes, the float 0.1, lies below 1 but rounds to 1: h is 1
+    (b"id,citations,categories\np1,0.1,a\n", IngestConfig()),
+    ("compute", "--index", "xdfn", "--ref-stats", STATS_FILE),
+    "h",
+)
 @given(tables(part=PARTS), st.sampled_from(COMMANDS), st.sampled_from(["h", "g"]))
 def test_reports_carry_exact_totals_in_any_row_order(tmp_path_factory, table, command, ratio_type):
     data, config = table
     path = tmp_path_factory.mktemp("table") / "in.csv"
-    argv = [*command, "--type", ratio_type, "--cell-delimiter", config.cell_delimiter]
-    argv += ["--no-case-fold"] * (not config.case_fold) + ["--no-trim"] * (not config.trim)
+    flags = ["--cell-delimiter", config.cell_delimiter]
+    flags += ["--no-case-fold"] * (not config.case_fold) + ["--no-trim"] * (not config.trim)
+    argv = [*command, "--type", ratio_type, *flags]
+    if STATS_FILE in argv:
+        stats = path.with_name(STATS_FILE)
+        argv[argv.index(STATS_FILE)] = str(stats)
+        path.write_bytes(data)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            main(["stats", "--input", str(path), "--out", str(stats), *flags])
+    want_code, want = expected(argv, data, config)
     outputs = []
-    for rows in (data, reversed_rows(data)):
+    # the row a read fails on moves with the row order, so only tables that
+    # read are also run with their rows reversed
+    for rows in (data,) if want_code == 1 else (data, reversed_rows(data)):
         path.write_bytes(rows)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, "--input", str(path)])
         outputs.append((code, out.getvalue(), err.getvalue()))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[-1]
     code, out, err = outputs[0]
-    want_code, want = expected(argv, data, config)
     assert code == want_code
     if code:
         assert err == want

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import random
 from fractions import Fraction
 
@@ -17,9 +18,11 @@ from xindices import (
     ZeroOrMissingVariance,
     build_corpus,
     estimate_stats,
+    g_type_index,
     group_index,
     h_type_index,
     ivw_xd_index,
+    load_reference_stats,
     x_index,
     xc_index,
     xd_index,
@@ -194,6 +197,25 @@ def test_xdfn_divides_by_mean():
     stats = ReferenceStats([StatsEntry("a", 2.0, 1.0, 10)])
     row = xdfn_index(corpus, "h", stats).table.rows[0]
     assert row.weight == 6.0
+
+
+def test_xdfn_scores_reach_the_kernel_over_a_power_of_two_scale(monkeypatch):
+    # 2 000 file means with distinct odd numerators: exact quotients by them
+    # would go over their lcm, whose size grows with the category count
+    categories = [f"c{i:04d}" for i in range(2_000)]
+    corpus = build_corpus(columns_of([record(f"p{i}", i % 97, categories=(c,)) for i, c in enumerate(categories)]))
+    text = "category,mean,variance,n\n" + "".join(f"{c},{1 + i / 3!r},1,10\n" for i, c in enumerate(categories))
+    stats = load_reference_stats(io.BytesIO(text.encode()))
+    scales = []
+
+    def spy(view, ratio_type, kind):
+        scales.append(view[1])
+        return kernel_index(view, ratio_type, kind)
+
+    monkeypatch.setattr("xindices.indices.kernel_index", spy)
+    for ratio_type in ("h", "g"):
+        xdfn_index(corpus, ratio_type, stats)
+    assert len(scales) == 2 and all(scale & (scale - 1) == 0 for scale in scales)
 
 
 def test_xdfn_unit_means_equals_xd():
@@ -428,23 +450,25 @@ def test_ivw_weighted_basis_ranks_by_score():
     assert g_result.value >= result.value
 
 
-def test_ivw_weighted_g_value_reads_its_float_ratios():
-    # scores 3 and 1 - 2**-52: their exact sum falls short of 4, but the
-    # running float sum the g ratio is read off rounds to 4, so rank 2 counts
+def test_ivw_weighted_g_value_follows_the_kernel_rule():
+    # scores 3 and 1 - 2**-52: their exact sum falls short of 4, so rank 2
+    # does not count, though its ratio (4 - 2**-52) / 4 prints as 1 (the
+    # kernel's half-ulp edge)
     corpus = build_corpus(columns_of([record("p1", 3, categories=("a",)), record("p2", 1, categories=("b",))]))
     stats = ReferenceStats([StatsEntry("a", 1.0, 1.0, 1), StatsEntry("b", 1.0, 1 + 2**-52, 1)])
     result = ivw_xd_index(corpus, "g", stats, rank_basis="weighted")
     assert result.table.weights == (3.0, 1 - 2**-52)
-    assert (result.value, result.table.ratios) == (2, (3.0, 1.0))
+    assert (result.value, result.table.ratios) == (1, (3.0, 1.0))
 
 
 @given(seeds, st.sampled_from(["h", "g"]), st.sampled_from([1e-3, 0.5, 7.0]))
 @settings(max_examples=60, deadline=None)
-def test_ivw_weighted_value_is_the_last_rank_whose_ratio_reaches_1(seed, ratio_type, floor):
+def test_ivw_weighted_equals_the_kernel_over_its_printed_scores(seed, ratio_type, floor):
     corpus = build_corpus(columns_of(random_records(random.Random(seed), max_pubs=60)))
     result = ivw_xd_index(corpus, ratio_type, estimate_stats(corpus), "weighted", variance_floor=floor)
-    reaching = [r for r, ratio in enumerate(result.table.ratios, start=1) if ratio >= 1]
-    assert result.value == max(reaching, default=0)
+    rule = h_type_index if ratio_type == "h" else g_type_index
+    kernel = rule(zip(result.table.labels, result.table.weights), "ivw")
+    assert (result.value, result.table) == (kernel.value, kernel.table)
 
 
 def test_ivw_requires_stats():

@@ -280,7 +280,8 @@ def tables(draw, part=st.text(alphabet=LABEL_CHARS, max_size=4)):
     order, multi-value cells made of drawn parts, which by default repeat
     before or only after normalisation, decimal citation cells, and a
     group column that is absent, the institutions column or a column of
-    its own."""
+    its own. The table may start with a BOM, and rarely (one choice in 16)
+    a cell of its last row is over csv.field_size_limit()."""
     delimiter = draw(st.sampled_from(CELL_DELIMITERS))
     group = draw(st.sampled_from([None, "institutions", "country"]))
     config = IngestConfig(
@@ -302,11 +303,13 @@ def tables(draw, part=st.text(alphabet=LABEL_CHARS, max_size=4)):
         [f"p{i}" if c == "id" else draw(cells[c]) for c in columns]
         for i in range(draw(st.integers(0, 6)))
     ]
+    if rows and draw(st.sampled_from([False] * 15 + [True])):
+        rows[-1][draw(st.integers(0, len(columns) - 1))] = "k" * (csv.field_size_limit() + 1)
     out = io.StringIO()
     writer = csv.writer(out, delimiter=draw(st.sampled_from([",", "\t"])), lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)
-    return out.getvalue().encode("utf-8"), config
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + out.getvalue().encode("utf-8"), config
 
 
 @settings(max_examples=300, deadline=None)
