@@ -23,12 +23,6 @@ from .value import FrozenValue
 PAIR_SEPARATOR = "@"
 
 
-def _dedupe_each(label_lists: Iterable[Iterable[str]]) -> list[tuple[str, ...]]:
-    """Each label list without empty labels or repeats, in first-occurrence
-    order, in C-level map passes."""
-    return list(map(tuple, map(dict.fromkeys, map(filter, repeat(None), label_lists))))
-
-
 #: A ranking candidate, the form views are held in: (label, weight), the
 #: weight an int total over the view's scale, or any real number handed to
 #: the kernel. The collector untracks plain tuples of a str and an int, so

@@ -24,7 +24,7 @@ import math
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
-from .corpus import FLOAT_LIMIT, Corpus, Item, _dedupe_each
+from .corpus import FLOAT_LIMIT, Corpus, Item
 from .errors import (
     MissingGroupLabel,
     MissingStats,
@@ -264,11 +264,12 @@ def group_index(
     """Group-level index: the kernel applied to each group's inner h-type
     x or xd value (the xx and xx_d aggregates), from one pass over corpus.
 
-    group_values is parallel to the publications; a publication counts in
-    each of its distinct groups, and one with none raises MissingGroupLabel
-    in strict mode and falls into "(ungrouped)" otherwise. Ids are unique
-    across the whole corpus, so a publication id repeated in two groups is
-    a DuplicateId when the corpus is built."""
+    group_values is parallel to the publications and holds each one's
+    distinct non-empty group labels, as read_table writes them; a
+    publication counts in each of its groups, and one with none raises
+    MissingGroupLabel in strict mode and falls into "(ungrouped)"
+    otherwise. Ids are unique across the whole corpus, so a publication id
+    repeated in two groups is a DuplicateId when the corpus is built."""
     if inner not in _INNER_FIELDS:
         raise ValueError(f"unknown inner index {inner!r}")
     groups = _group_labels(corpus.columns.ids, group_values, strict)
@@ -279,15 +280,14 @@ def _group_labels(
     ids: Sequence[str],
     group_values: Sequence[Sequence[str]],
     strict: bool,
-) -> list[tuple[str, ...]]:
-    """Each publication's distinct group labels, checked in input order:
-    none raises MissingGroupLabel in strict mode and is "(ungrouped)"
+) -> Sequence[Sequence[str]]:
+    """Each publication's group labels, checked in input order: none
+    raises MissingGroupLabel in strict mode and is "(ungrouped)"
     otherwise."""
     if len(ids) != len(group_values):
         raise ValueError("records and group values differ in length")
-    groups = _dedupe_each(group_values)
-    if () in groups:
+    if not all(group_values):
         if strict:
-            raise MissingGroupLabel(ids[groups.index(())])
-        groups = [labels or (UNGROUPED_LABEL,) for labels in groups]
-    return groups
+            raise MissingGroupLabel(next(rec_id for rec_id, labels in zip(ids, group_values) if not labels))
+        group_values = [labels or (UNGROUPED_LABEL,) for labels in group_values]
+    return group_values

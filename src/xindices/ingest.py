@@ -6,13 +6,14 @@ The field separator is autodetected from the header line, limited to comma
 vs tab; a header containing both raises rather than guessing. Multi-value
 cells (keywords, categories, institutions, group) are split on a
 configurable cell delimiter and normalised, each distinct part once per
-table; each publication's label tuples are also deduplicated. read_table
-returns the publications in column form, the one form the library takes
-them in, and can skip the label cells of fields its caller does not read;
-it notes the label fields whose mapped column the header lacks. A row the
-csv module cannot read (a field over csv.field_size_limit()) or a header
-repeating a mapped column name raises MalformedRow. validate_records
-reads the columns in whole-column passes.
+table; each publication's label and group tuples are also deduplicated,
+in one pass per column, so a column mapped to two roles is split once.
+read_table returns the publications in column form, the one form the
+library takes them in, and can skip the label cells of fields its caller
+does not read; it notes the label fields whose mapped column the header
+lacks. A row the csv module cannot read (a field over
+csv.field_size_limit()) or a header repeating a mapped column name raises
+MalformedRow. validate_records reads the columns in whole-column passes.
 
 Row numbers in errors are 1-based record numbers counting the header as
 record 1, so the first data row is row 2.
@@ -29,7 +30,7 @@ from itertools import chain, compress, islice, repeat
 from operator import eq, itemgetter, mul, not_
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import FLOAT_LIMIT, PublicationColumns, ScaledCitations, _dedupe_each
+from .corpus import FLOAT_LIMIT, PublicationColumns, ScaledCitations
 from .errors import (
     AmbiguousSeparator,
     BadCitations,
@@ -131,9 +132,9 @@ def normalize_label(raw: str, config: IngestConfig | None = None) -> str:
 
 class TableData(FrozenValue):
     """Everything parsed from one table: the publications in column form,
-    each publication's group labels, the header names no role is mapped
-    to, and the label fields (of LABEL_FIELDS, in that order) whose mapped
-    column the header lacks, read as () for every publication."""
+    each publication's distinct group labels, the header names no role is
+    mapped to, and the label fields (of LABEL_FIELDS, in that order) whose
+    mapped column the header lacks, read as () for every publication."""
 
     __slots__ = _fields = ("columns", "group_values", "unused_columns", "absent_fields")
 
@@ -334,45 +335,32 @@ def read_table(
     )
 
     layout = _Layout(len(headers), index_of["id"], index_of["citations"])
-    group_at = index_of.get("group")
-    field_at = {name: index_of[name] for name in LABEL_FIELDS if name in fields and name in index_of}
-    # An institutions column that is also the group column is split once, as the group.
-    label_columns: dict[str, list[tuple[str, ...]]] = {
-        name: [] for name, at in field_at.items() if at != group_at
-    }
+    read_at = {role: index_of[role] for role in (*sorted(fields), "group") if role in index_of}
+    # one list per column read, so a column mapped to two roles is split once
+    split: dict[int, list[tuple[str, ...]]] = {at: [] for at in read_at.values()}
     label_of = _LabelMemo(config).__getitem__
     delimiter = config.cell_delimiter
 
-    def labels(rows: list[list[str]], at: int):
-        """Per row, its cell at's normalised non-empty labels, in cell order."""
-        parts = map(str.split, map(itemgetter(at), rows), repeat(delimiter))
-        return map(filter, repeat(None), map(map, repeat(label_of), parts))
-
     ids: list[str] = []
     blocks: list[tuple[list[int], int]] = []  # each block's counts, over 10**places
-    group_values: list[tuple[str, ...]] = []
     # Blocks of rows keep the csv lists of only one block alive at a time.
     first_row = 2
     for block in reader:
         rows, block_ids, counts = _checked_columns(block, first_row, layout)
         ids += block_ids
         blocks.append(counts)
-        if group_at is not None:
-            group_values += map(tuple, labels(rows, group_at))
-        for name, column in label_columns.items():
-            column += map(tuple, map(dict.fromkeys, labels(rows, field_at[name])))
+        for at, column in split.items():
+            parts = map(str.split, map(itemgetter(at), rows), repeat(delimiter))
+            # per row, its distinct normalised non-empty labels, in cell order
+            column += map(tuple, map(dict.fromkeys, map(filter, repeat(None), map(map, repeat(label_of), parts))))
         first_row += len(block)
 
     blank = [()] * len(ids)
-    if group_at is None:
-        group_values = blank
-    for name in LABEL_FIELDS:
-        if name not in label_columns:
-            label_columns[name] = _dedupe_each(group_values) if name in field_at else blank
+    *labels, group_values = [split[read_at[role]] if role in read_at else blank for role in (*LABEL_FIELDS, "group")]
     places = max([0, *map(itemgetter(1), blocks)])
     counts = chain.from_iterable(map(mul, ints, repeat(10 ** (places - at))) for ints, at in blocks)
     citations = ScaledCitations(counts, 10**places)
-    columns = PublicationColumns(ids, citations, *map(label_columns.get, LABEL_FIELDS))
+    columns = PublicationColumns(ids, citations, *labels)
     return TableData(columns, group_values, unused, absent)
 
 

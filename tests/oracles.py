@@ -119,9 +119,8 @@ def naive_xo_oracle(records, ratio_type: str = "h") -> int:
 
 def reference_read_table(data: bytes, config: IngestConfig | None = None) -> TableData:
     """read_table one cell part and one record at a time: every part goes
-    through normalize_label, and each record's label tuples drop empty and
-    repeated labels here. Group values keep repeats, as group_index drops
-    them."""
+    through normalize_label, and each record's label and group tuples drop
+    empty and repeated labels here."""
     if config is None:
         config = IngestConfig()
     try:
@@ -194,7 +193,7 @@ def reference_read_table(data: bytes, config: IngestConfig | None = None) -> Tab
                 institutions=distinct(cell_labels(cells, "institutions")),
             )
         )
-        group_values.append(cell_labels(cells, "group"))
+        group_values.append(distinct(cell_labels(cells, "group")))
     unused = [h for h in headers if h not in mapped]
     absent = tuple(
         role

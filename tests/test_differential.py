@@ -6,8 +6,10 @@ with a leading + or inside spaces, after an optional BOM, and rarely a
 field too large to read. Each command runs through main in process. The
 row-wise oracles of tests/oracles.py compute each label's exact Fraction
 total from the raw cell texts; xdfn and weighted ivw rank each category's
-score instead, formed from those totals and rounded once (scores()). A
-table that does not read must fail as the reference reader does. The
+score instead, formed from those totals and rounded once (scores()), and
+raw ivw's ratios and first crossing are read off the rounded totals and
+the variances the stats file prints (raw_ivw()). A table that does not
+read must fail as the reference reader does. The
 report must carry the index value that the brute-force oracles give over
 those exact totals;
 rows ranked by the floats the totals round to, ties by label, so adjacent
@@ -34,7 +36,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from xindices import IngestConfig
 from xindices.cli import main
-from xindices.errors import NonPositiveMean, XIndicesError
+from xindices.errors import NonPositiveMean, RankBasisUnsupported, XIndicesError
 
 from conftest import records_of
 from oracles import naive_g_oracle, naive_h_oracle, reference_read_table, reference_views, rounded
@@ -57,10 +59,14 @@ STATS_FILE = "stats.csv"
 COMMANDS = [("compute", "--index", index) for index in (*COMPUTE_VIEWS, "xo")] + [
     ("nested", "--group-col", "institutions", "--inner", inner) for inner in ("x", "xd")
 ] + [
-    # lenient, since a category cited 0 times has mean 0
+    # one column read as a label field and as the group
+    ("nested", "--group-col", "categories", "--inner", "xd"),
+    # strict: a category cited 0 times has mean 0
+    ("compute", "--index", "xdfn", "--internal-stats"),
     ("compute", "--index", "xdfn", "--internal-stats", "--lenient-stats"),
     ("compute", "--index", "xdfn", "--ref-stats", STATS_FILE),
     ("compute", "--index", "ivw", "--rank-basis", "weighted", "--internal-stats", "--variance-floor", "0.5"),
+    ("compute", "--index", "ivw", "--ref-stats", STATS_FILE, "--variance-floor", "0.5"),
 ]
 
 
@@ -79,8 +85,9 @@ def scores(argv: list[str], views: dict) -> list[tuple[str, Fraction]]:
     for xdfn its total over its mean (internal: the exact mean; from the
     stats file: the mean rounded as stats writes it), rounded once; for
     weighted ivw its rounded total over its floored variance, the variance
-    rounded once. Lenient xdfn leaves out a category with mean 0; loading
-    a stats file with one raises NonPositiveMean for the first."""
+    rounded once. Lenient xdfn leaves out a category with mean 0; strict
+    xdfn, and loading a stats file with one, raise NonPositiveMean for the
+    first in label order."""
     items = []
     for label, total in views["categories"]:
         n, s1, s2 = views["sums"][label]
@@ -97,6 +104,26 @@ def scores(argv: list[str], views: dict) -> list[tuple[str, Fraction]]:
     return items
 
 
+def raw_ivw(argv: list[str], views: dict) -> tuple[int, list[list]]:
+    """Raw ivw's value and rows: categories by rounded total descending,
+    ties by label; each ratio the rounded total over the variance the
+    stats file prints, floored at 0.5, times the rank; the value the
+    number of ratios before the first below 1. Loading a stats file with
+    a mean-0 category raises NonPositiveMean for the first in label order,
+    and only then does g raise RankBasisUnsupported."""
+    for label, (_n, s1, _s2) in views["sums"].items():
+        if s1 == 0:
+            raise NonPositiveMean(label)
+    if argv[argv.index("--type") + 1] == "g":
+        raise RankBasisUnsupported()
+    with open(argv[argv.index("--ref-stats") + 1], encoding="utf-8", newline="") as stats:
+        variance = {row["category"]: float(row["variance"] or 0) for row in csv.DictReader(stats)}
+    rows = []
+    for r, (label, total) in enumerate(sorted(views["categories"], key=lambda item: (-rounded(item[1]), item[0])), 1):
+        rows.append([label, rounded(total), rounded(total) / (max(variance[label], 0.5) * r)])
+    return next((r for r, row in enumerate(rows) if row[2] < 1), len(rows)), rows
+
+
 def rule(weights: list[Fraction], ratio_type: str) -> int:
     return naive_h_oracle(weights) if ratio_type == "h" else naive_g_oracle(weights)
 
@@ -107,7 +134,7 @@ def expected(argv: list[str], data: bytes, config: IngestConfig) -> tuple[int, o
     nested = argv[0] == "nested"
     if nested:
         config = IngestConfig(
-            group_column="institutions",
+            group_column=argv[argv.index("--group-col") + 1],
             cell_delimiter=config.cell_delimiter,
             case_fold=config.case_fold,
             trim=config.trim,
@@ -123,7 +150,7 @@ def expected(argv: list[str], data: bytes, config: IngestConfig) -> tuple[int, o
     if nested:
         in_group: dict[str, list] = {}
         for rec, groups in zip(records, table.group_values):
-            for group in dict.fromkeys(groups) or ("(ungrouped)",):
+            for group in groups or ("(ungrouped)",):
                 in_group.setdefault(group, []).append(rec)
         view = "keywords" if argv[argv.index("--inner") + 1] == "x" else "categories"
         items = [
@@ -132,8 +159,10 @@ def expected(argv: list[str], data: bytes, config: IngestConfig) -> tuple[int, o
         ]
     elif argv[2] in ("xdfn", "ivw"):
         try:
+            if argv[2] == "ivw" and "--rank-basis" not in argv:
+                return 0, raw_ivw(argv, views)
             items = scores(argv, views)
-        except NonPositiveMean as exc:
+        except (NonPositiveMean, RankBasisUnsupported) as exc:
             return 2, f"error: {exc}\n"
     elif argv[2] == "xo":
         by_category = views["keywords_by_category"]
@@ -187,6 +216,27 @@ def reversed_rows(data: bytes) -> bytes:
 @example(  # 0.1 over the mean stats writes, the float 0.1, lies below 1 but rounds to 1: h is 1
     (b"id,citations,categories\np1,0.1,a\n", IngestConfig()),
     ("compute", "--index", "xdfn", "--ref-stats", STATS_FILE),
+    "h",
+)
+@example(  # categories both weighted and grouped by: one split, its repeats dropped
+    (b"id,citations,categories\np1,3,A;a;B\np2,2,b\np3,1,\n", IngestConfig()),
+    ("nested", "--group-col", "categories", "--inner", "xd"),
+    "g",
+)
+@example(  # c and a are cited 0 times; strict xdfn names a, the first in label order
+    (b"id,citations,categories\np1,1,b\np2,0,c\np3,0,a\n", IngestConfig()),
+    ("compute", "--index", "xdfn", "--internal-stats"),
+    "h",
+)
+@example(  # the stats file loads before raw ivw rejects g, so its mean 0 is named
+    (b"id,citations,categories\np1,1,b\np2,0,a\n", IngestConfig()),
+    ("compute", "--index", "ivw", "--ref-stats", STATS_FILE, "--variance-floor", "0.5"),
+    "g",
+)
+@example(  # ratios 9/(0.5*1) and 7/(0.5*2), undefined variances floored, then 5/(4.5*3),
+    # which prints ...35, where 5/4.5/3 prints ...4: h is 2
+    (b"id,citations,categories\np1,9,a\np2,7,b\np3,1,c\np4,4,c\n", IngestConfig()),
+    ("compute", "--index", "ivw", "--ref-stats", STATS_FILE, "--variance-floor", "0.5"),
     "h",
 )
 @given(tables(part=PARTS), st.sampled_from(COMMANDS), st.sampled_from(["h", "g"]))

@@ -641,10 +641,8 @@ def test_group_index_equals_nested_index_over_partition(seed, inner, ratio_type,
         for rec in random_records(rng, max_pubs=60, max_categories=6, max_keywords=10)
     ]
     rng.shuffle(records)
-    group_values = [
-        tuple(rng.choice(["i1", "i2", "i3", "i2"]) for _ in range(rng.randint(0, 3)))
-        for _ in records
-    ]
+    # distinct, non-empty group labels, as read_table writes them
+    group_values = [tuple(rng.sample(["i1", "i2", "i3"], rng.randint(0, 3))) for _ in records]
     expected = outcome(
         lambda: nested_index(partition_by_group(records, group_values, strict), inner, ratio_type)
     )
@@ -686,6 +684,15 @@ def test_inner_values_round_each_total_before_dividing_it_by_its_rank():
     assert result.table.ratios[2] == 0.9999999999999999
     assert xo_index(corpus).table.weights == (2.0,)
     assert group_index(corpus, [("I",)]).table.weights == (2.0,)
+
+
+def test_group_index_reads_list_valued_group_values():
+    # a publication whose groups are an empty list, not (), has none
+    corpus = build_corpus(columns_of([record("p1", 3, ("a",)), record("p2", 2, ("b",))]))
+    result = group_index(corpus, [["i1"], []])
+    assert result.table.labels == ("(ungrouped)", "i1")
+    with pytest.raises(MissingGroupLabel, match="p2"):
+        group_index(corpus, [["i1"], []], strict=True)
 
 
 def test_group_index_unknown_inner():

@@ -220,6 +220,19 @@ def test_group_values_parsed_when_mapped():
     assert data.group_values == [("in", "au"), ()]
 
 
+def test_group_cell_labels_are_distinct():
+    config = IngestConfig(group_column="institutions")
+    data = read_table(io.BytesIO(b"id,citations,institutions\np1,7,I1; i1 ;I1\n"), config, fields=())
+    assert data.group_values == [("i1",)]
+
+
+def test_column_mapped_to_a_label_field_and_the_group_is_split_once():
+    config = IngestConfig(group_column="categories")
+    data = read_table(io.BytesIO(b"id,citations,categories\np1,7,C1;c1;C2\np2,1,\n"), config, fields=("categories",))
+    assert data.columns.categories == [("c1", "c2"), ()]
+    assert data.group_values is data.columns.categories
+
+
 def test_unused_columns_reported():
     data = read_table(io.BytesIO(b"id,citations,notes\np1,7,hello\n"))
     assert data.unused_columns == ["notes"]
