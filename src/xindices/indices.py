@@ -13,18 +13,17 @@ rule over each group's exact int totals (Corpus.totals_by_group), with no
 ranked table; ratio_type selects the outer kernel only.
 Each function reads only the views it ranks, as unsorted (label, total)
 tuples over one scale that the kernel orders; xdfn and ivw walk
-categories in label order, and xdfn and weighted ivw rank one float score
-per category, the number the report prints.
+categories in label order, and xdfn and weighted ivw rank one score per
+category, its exact total over a mean or variance rounded once (_score).
 INDEX_FIELDS names the fields behind the views, for ingest to skip others.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from typing import Iterable, Sequence
 
-from .corpus import FLOAT_LIMIT, Corpus, Item
+from .corpus import FLOAT_LIMIT, Corpus
 from .errors import (
     MissingGroupLabel,
     MissingStats,
@@ -40,7 +39,6 @@ from .kernel import (
     _scaled,
     first_crossing_index,
     kernel_index,
-    rank_items,
 )
 from .stats import ReferenceStats
 
@@ -86,27 +84,18 @@ def xdf_index(corpus: Corpus, ratio_type: str = "h") -> IndexResult:
     return kernel_index(corpus.items("categories_fractional"), ratio_type, "xdf")
 
 
-@contextmanager
-def _divided_by(divisor: str, view: tuple[Iterable[Item], int]):
-    """Name the cause of a NonFiniteWeight raised in the block for a label
-    whose exact citation total in view, (items, scale), is finite: that
-    total over its divisor."""
-    items, scale = view
-    try:
-        yield
-    except NonFiniteWeight as exc:
-        if dict(items)[exc.label] < FLOAT_LIMIT * scale:
-            raise NonFiniteWeight(exc.label, f"citation total over {divisor} overflows") from None
-        raise
-
-
-def _over(total: int, scale: int, divisor) -> float:
+def _score(label: str, total: int, scale: int, divisor, name: str) -> float:
     """total / scale over divisor, an int, float or Fraction, as the exact
-    quotient rounded once; inf when total / scale or the quotient lies
-    beyond the float range, so the kernel names the label as xd does."""
+    quotient rounded once. A total beyond the float range raises
+    NonFiniteWeight naming label, as xd does; a finite total whose quotient
+    is beyond it raises one that names the divisor, name."""
     num, den = divisor.as_integer_ratio()
     limit = FLOAT_LIMIT * scale
-    return total * den / (scale * num) if total < limit and total * den < limit * num else math.inf
+    if total >= limit:
+        raise NonFiniteWeight(label)
+    if total * den >= limit * num:
+        raise NonFiniteWeight(label, f"citation total over {name} overflows")
+    return total * den / (scale * num)
 
 
 def _lookup(
@@ -147,14 +136,14 @@ def xdfn_index(
     if stats is None:
         raise MissingStats()
     dropped: list[str] = []
-    scores = []
-    view = items, scale = corpus.items("categories")
+    kept = []
+    items, scale = corpus.items("categories")
     for label, total in sorted(items):
         entry = _lookup(stats, label, strict, dropped, positive_mean=True)
         if entry is not None:
-            scores.append((label, _over(total, scale, entry.mean)))
-    with _divided_by("reference mean", view):
-        result = kernel_index(_scaled(scores), ratio_type, "xdfn")
+            kept.append((label, total, entry.mean))
+    scores = [(label, _score(label, total, scale, mean, "reference mean")) for label, total, mean in kept]
+    result = kernel_index(_scaled(scores), ratio_type, "xdfn")
     return IndexResult("xdfn", ratio_type, result.value, result.table, dropped)
 
 
@@ -186,11 +175,11 @@ def ivw_xd_index(
     """Inverse-variance-weighted breadth.
 
     rank_basis="raw" (default) ranks categories by their whole citation
-    totals and evaluates the literal first-crossing rule on the ratio
-    t/(v*r); the ratio need not be monotone, and no g-type rule exists for
-    this basis. rank_basis="weighted" scores each category by t/v, its
-    total rounded to a float over its variance, and hands the scores to
-    the kernel as xdfn does: both ratio types, by the kernel's one rule
+    totals as xd does and evaluates the literal first-crossing rule on the
+    float ratio t/(v*r); the ratio need not be monotone, and no g-type rule
+    exists for this basis. rank_basis="weighted" scores each category by
+    its exact total over its variance, rounded once, and hands the scores
+    to the kernel as xdfn does: both ratio types, by the kernel's one rule
     over the scores' exact values, with correctly rounded ratios.
 
     Zero or undefined variances raise unless variance_floor substitutes
@@ -212,22 +201,23 @@ def ivw_xd_index(
     dropped: list[str] = []
     floored: list[str] = []
     totals, variance_of = [], {}
-    view = items, scale = corpus.items("categories")
+    items, scale = corpus.items("categories")
     for label, total in sorted(items):
         entry = _lookup(stats, label, strict, dropped)
-        if entry is None:
-            continue
-        totals.append((label, _over(total, scale, 1)))
-        variance_of[label] = _variance_for(entry, label, variance_floor, floored)
+        if entry is not None:
+            totals.append((label, total))
+            variance_of[label] = _variance_for(entry, label, variance_floor, floored)
 
-    with _divided_by("variance", view):
-        if rank_basis == "weighted":
-            scores = [(label, total / variance_of[label]) for label, total in totals]
-            result = kernel_index(_scaled(scores), ratio_type, "ivw")
-        else:
-            ranked = rank_items(totals)
-            ratios = [w / (variance_of[label] * r) for r, (label, w) in enumerate(ranked, start=1)]
-            result = first_crossing_index(RankedTable([label for label, _ in ranked], [w for _, w in ranked], ratios))
+    if rank_basis == "weighted":
+        scores = [(label, _score(label, total, scale, variance_of[label], "variance")) for label, total in totals]
+        result = kernel_index(_scaled(scores), ratio_type, "ivw")
+    else:
+        table = kernel_index((totals, scale), "h", "ivw").table
+        ratios = [w / (variance_of[label] * r) for r, (label, w) in enumerate(zip(table.labels, table.weights), 1)]
+        if math.inf in ratios:
+            overflowed = min(label for label, ratio in zip(table.labels, ratios) if ratio == math.inf)
+            raise NonFiniteWeight(overflowed, "citation total over variance overflows")
+        result = first_crossing_index(RankedTable(table.labels, table.weights, ratios))
     return IndexResult("ivw", ratio_type, result.value, result.table, dropped, floored)
 
 

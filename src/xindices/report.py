@@ -18,18 +18,19 @@ alike, 0.0 and -0.0 both as 0). A block holding anything else (ints,
 Fractions, float subclasses) or no tie at all is formatted value by
 value.
 
-to_dict is the readable specification of the json report: the json format
-is exactly json.dumps(to_dict(), indent=2, ensure_ascii=False) plus a
-newline. It is laid out by hand rather than through the pure-Python
-encoder that indent=2 selects. Each table row is the concatenation of
-fixed pieces that carry the indent=2 whitespace with the row's texts:
-labels through the C string encoder json.encoder.encode_basestring, and
-numbers from format_column, which equal the int.__repr__ / float.__repr__
-of canonical_json_value that json.dumps prints. The envelope is laid out
-the same way, with every scalar encoded by json's C encoder; the small
-config and warnings go through json.dumps, re-indented. No RankRow or
-per-row dict is built. Only the json format imports json, so a csv or
-table run never loads it.
+The json format is exactly json.dumps of the report's data (version,
+command, index, ratio_type, value, table, config, warnings) with indent=2
+and ensure_ascii=False, plus a newline. It is laid out by hand rather
+than through the pure-Python encoder that indent=2 selects. Each table row
+is the concatenation of fixed pieces that carry the indent=2 whitespace
+with the row's texts: labels through the C string encoder
+json.encoder.encode_basestring, and numbers from format_column, which
+print integral values without ".0", as json.dumps prints the ints
+numfmt.canonical_json_value gives. The envelope is laid out the same way,
+with every scalar encoded by json's C encoder; the small config and
+warnings go through json.dumps, re-indented. No RankRow or per-row dict
+is built. Only the json format imports json, so a csv or table run never
+loads it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from operator import ne, sub
 from typing import Any, Iterator, Sequence, TextIO
 
 from .kernel import IndexResult
-from .numfmt import canonical_json_value, format_column
+from .numfmt import format_column
 from .value import FrozenValue
 
 TABLE_COLUMNS = ("rank", "label", "weight", "ratio")
@@ -87,26 +88,6 @@ class Report(FrozenValue):
         warnings: list[str] | None = None,
     ) -> None:
         self._set(version, command, result, {} if config is None else config, [] if warnings is None else warnings)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "version": self.version,
-            "command": self.command,
-            "index": self.result.kind,
-            "ratio_type": self.result.ratio_type,
-            "value": self.result.value,
-            "table": [
-                {
-                    "rank": row.rank,
-                    "label": row.label,
-                    "weight": canonical_json_value(row.weight),
-                    "ratio": canonical_json_value(row.ratio),
-                }
-                for row in self.result.table.rows
-            ],
-            "config": self.config,
-            "warnings": list(self.warnings),
-        }
 
     def write(self, fh: TextIO, fmt: str) -> None:
         """Write the report in fmt ("json", "csv" or "table") to the text

@@ -142,7 +142,9 @@ def _stats_entry(cells: list[str], row_no: int) -> StatsEntry:
 
 
 def write_reference_stats(stats: ReferenceStats, stream: IO[bytes]) -> None:
-    """Write stats in the canonical file format; load(write(s)) == s."""
+    """Write stats in the canonical file format. load(write(s)) == s holds
+    for loaded stats; an estimated mean, an exact Fraction, is written as
+    its float (a mean of Fraction(2, 3) loads back as 0.6666666666666666)."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(STATS_HEADER)

@@ -1,6 +1,7 @@
 """Brute-force re-implementations of the rank-threshold rules, the
 two-sort ranking by its definition, a row-wise reference reader for ingest, record-wise reference corpus views and
-validation, and the one-Corpus-per-group reference for group-level values.
+validation, the one-Corpus-per-group reference for group-level values,
+and the json report as Python data (report_dict).
 
 Deliberately naive (O(n^2), no shared code with the kernel) so the test
 suite can cross-check the fast implementations against an independent
@@ -17,7 +18,7 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 from itertools import count
-from typing import Sequence
+from typing import Any, Sequence
 
 from xindices import (
     Corpus,
@@ -45,6 +46,8 @@ from xindices.ingest import (
     ValidationReport,
 )
 from xindices.kernel import kernel_index
+from xindices.numfmt import canonical_json_value
+from xindices.report import Report
 
 from conftest import Record, columns_of, exact_column
 
@@ -324,3 +327,28 @@ def nested_index(groups: dict[str, Corpus], inner: str = "x", ratio_type: str = 
         raise ValueError(f"unknown inner index {inner!r}")
     scored = [(label, kernel_index(groups[label].items(views[inner]), "h", "x").value) for label in sorted(groups)]
     return kernel_index((scored, 1), ratio_type, "nested")
+
+
+def report_dict(report: Report) -> dict[str, Any]:
+    """The json report as Python data, the readable specification of its
+    layout: report.render("json") is exactly json.dumps(report_dict(report),
+    indent=2, ensure_ascii=False) plus a newline."""
+    result = report.result
+    return {
+        "version": report.version,
+        "command": report.command,
+        "index": result.kind,
+        "ratio_type": result.ratio_type,
+        "value": result.value,
+        "table": [
+            {
+                "rank": row.rank,
+                "label": row.label,
+                "weight": canonical_json_value(row.weight),
+                "ratio": canonical_json_value(row.ratio),
+            }
+            for row in result.table.rows
+        ],
+        "config": report.config,
+        "warnings": list(report.warnings),
+    }

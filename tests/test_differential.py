@@ -6,10 +6,12 @@ with a leading + or inside spaces, after an optional BOM, and rarely a
 field too large to read. Each command runs through main in process. The
 row-wise oracles of tests/oracles.py compute each label's exact Fraction
 total from the raw cell texts; xdfn and weighted ivw rank each category's
-score instead, formed from those totals and rounded once (scores()), and
-raw ivw's ratios and first crossing are read off the rounded totals and
-the variances the stats file prints (raw_ivw()). A table that does not
-read must fail as the reference reader does. The
+score instead, its exact total over its mean or variance rounded once
+(scores()), and raw ivw's ratios and first crossing are read off the
+rounded totals and the variances (raw_ivw()). ivw divides by the variance
+the stats file prints, or by the exact sample variance rounded once
+(variances()). A table that does not read must fail as the reference
+reader does, and a stats check as its rule says. The
 report must carry the index value that the brute-force oracles give over
 those exact totals;
 rows ranked by the floats the totals round to, ties by label, so adjacent
@@ -28,6 +30,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import pathlib
 from fractions import Fraction
 
@@ -36,7 +39,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from xindices import IngestConfig
 from xindices.cli import main
-from xindices.errors import NonPositiveMean, RankBasisUnsupported, XIndicesError
+from xindices.errors import NonPositiveMean, RankBasisUnsupported, XIndicesError, ZeroOrMissingVariance
 
 from conftest import records_of
 from oracles import naive_g_oracle, naive_h_oracle, reference_read_table, reference_views, rounded
@@ -67,6 +70,9 @@ COMMANDS = [("compute", "--index", index) for index in (*COMPUTE_VIEWS, "xo")] +
     ("compute", "--index", "xdfn", "--ref-stats", STATS_FILE),
     ("compute", "--index", "ivw", "--rank-basis", "weighted", "--internal-stats", "--variance-floor", "0.5"),
     ("compute", "--index", "ivw", "--ref-stats", STATS_FILE, "--variance-floor", "0.5"),
+    # no floor: a category of one publication, or of equal counts, has no usable variance
+    ("compute", "--index", "ivw", "--ref-stats", STATS_FILE),
+    ("compute", "--index", "ivw", "--rank-basis", "weighted", "--ref-stats", STATS_FILE),
 ]
 
 
@@ -80,47 +86,67 @@ def ranked(items: list[tuple[str, Fraction]], ratio_type: str) -> list[list]:
     return rows
 
 
+def variances(argv: list[str], views: dict) -> dict[str, float]:
+    """Each category's variance as ivw divides by it, in label order: the
+    one the stats file prints, or the exact sample variance rounded once;
+    under --variance-floor 0.5, one undefined or below 0.5 is 0.5. Loading
+    a stats file with a mean-0 category raises NonPositiveMean for the
+    first in label order; raw ivw at g then raises RankBasisUnsupported,
+    and with no floor the first category in label order whose variance is
+    undefined or 0 raises ZeroOrMissingVariance."""
+    if "--ref-stats" in argv:
+        for label, (_n, s1, _s2) in views["sums"].items():
+            if s1 == 0:
+                raise NonPositiveMean(label)
+        with open(argv[argv.index("--ref-stats") + 1], encoding="utf-8", newline="") as stats:
+            variance = {row["category"]: float(row["variance"] or "nan") for row in csv.DictReader(stats)}
+    else:
+        variance = {
+            label: rounded((n * s2 - s1 * s1) / (n * (n - 1))) if n > 1 else math.nan
+            for label, (n, s1, s2) in views["sums"].items()
+        }
+    if "--rank-basis" not in argv and argv[argv.index("--type") + 1] == "g":
+        raise RankBasisUnsupported()
+    if "--variance-floor" in argv:
+        return {label: v if v >= 0.5 else 0.5 for label, v in variance.items()}
+    for label, v in variance.items():
+        if not v > 0:  # NaN included
+            raise ZeroOrMissingVariance(label)
+    return variance
+
+
 def scores(argv: list[str], views: dict) -> list[tuple[str, Fraction]]:
     """Each category's score as a report prints it, from the exact sums:
     for xdfn its total over its mean (internal: the exact mean; from the
-    stats file: the mean rounded as stats writes it), rounded once; for
-    weighted ivw its rounded total over its floored variance, the variance
-    rounded once. Lenient xdfn leaves out a category with mean 0; strict
-    xdfn, and loading a stats file with one, raise NonPositiveMean for the
-    first in label order."""
+    stats file: the mean rounded as stats writes it), for weighted ivw its
+    total over its variance (variances()), each quotient exact and rounded
+    once. Lenient xdfn leaves out a category with mean 0; strict xdfn, and
+    loading a stats file with one, raise NonPositiveMean for the first in
+    label order."""
+    if argv[2] == "ivw":
+        variance = variances(argv, views)
+        return [(label, Fraction(rounded(total / Fraction(variance[label])))) for label, total in views["categories"]]
     items = []
     for label, total in views["categories"]:
-        n, s1, s2 = views["sums"][label]
-        if argv[2] == "ivw":
-            variance = rounded((n * s2 - s1 * s1) / (n * (n - 1))) if n > 1 else None
-            score = rounded(total) / (variance if variance is not None and variance >= 0.5 else 0.5)
-        elif s1 == 0:
+        n, s1, _s2 = views["sums"][label]
+        if s1 == 0:
             if "--lenient-stats" in argv:
                 continue
             raise NonPositiveMean(label)
-        else:
-            score = rounded(total / (s1 / n if "--internal-stats" in argv else Fraction(rounded(s1 / n))))
+        score = rounded(total / (s1 / n if "--internal-stats" in argv else Fraction(rounded(s1 / n))))
         items.append((label, Fraction(score)))
     return items
 
 
 def raw_ivw(argv: list[str], views: dict) -> tuple[int, list[list]]:
     """Raw ivw's value and rows: categories by rounded total descending,
-    ties by label; each ratio the rounded total over the variance the
-    stats file prints, floored at 0.5, times the rank; the value the
-    number of ratios before the first below 1. Loading a stats file with
-    a mean-0 category raises NonPositiveMean for the first in label order,
-    and only then does g raise RankBasisUnsupported."""
-    for label, (_n, s1, _s2) in views["sums"].items():
-        if s1 == 0:
-            raise NonPositiveMean(label)
-    if argv[argv.index("--type") + 1] == "g":
-        raise RankBasisUnsupported()
-    with open(argv[argv.index("--ref-stats") + 1], encoding="utf-8", newline="") as stats:
-        variance = {row["category"]: float(row["variance"] or 0) for row in csv.DictReader(stats)}
+    ties by label; each ratio the rounded total over the category's
+    variance (variances()) times the rank; the value the number of ratios
+    before the first below 1."""
+    variance = variances(argv, views)
     rows = []
     for r, (label, total) in enumerate(sorted(views["categories"], key=lambda item: (-rounded(item[1]), item[0])), 1):
-        rows.append([label, rounded(total), rounded(total) / (max(variance[label], 0.5) * r)])
+        rows.append([label, rounded(total), rounded(total) / (variance[label] * r)])
     return next((r for r, row in enumerate(rows) if row[2] < 1), len(rows)), rows
 
 
@@ -162,7 +188,7 @@ def expected(argv: list[str], data: bytes, config: IngestConfig) -> tuple[int, o
             if argv[2] == "ivw" and "--rank-basis" not in argv:
                 return 0, raw_ivw(argv, views)
             items = scores(argv, views)
-        except (NonPositiveMean, RankBasisUnsupported) as exc:
+        except (NonPositiveMean, RankBasisUnsupported, ZeroOrMissingVariance) as exc:
             return 2, f"error: {exc}\n"
     elif argv[2] == "xo":
         by_category = views["keywords_by_category"]
@@ -237,6 +263,16 @@ def reversed_rows(data: bytes) -> bytes:
     # which prints ...35, where 5/4.5/3 prints ...4: h is 2
     (b"id,citations,categories\np1,9,a\np2,7,b\np3,1,c\np4,4,c\n", IngestConfig()),
     ("compute", "--index", "ivw", "--ref-stats", STATS_FILE, "--variance-floor", "0.5"),
+    "h",
+)
+@example(  # a's total 1.7 over its variance 1.445, rounded once, prints ...42; 1.7 / 1.445 prints ...4
+    (b"id,citations,categories\np1,0,a\np2,1.7,a\n", IngestConfig()),
+    ("compute", "--index", "ivw", "--rank-basis", "weighted", "--internal-stats", "--variance-floor", "0.5"),
+    "h",
+)
+@example(  # no floor, every variance 2: ratios 6/(2*1) and 4/(2*2), h is 2
+    (b"id,citations,categories\np1,3,a\np2,1,a\np3,2,b\np4,4,b\n", IngestConfig()),
+    ("compute", "--index", "ivw", "--ref-stats", STATS_FILE),
     "h",
 )
 @given(tables(part=PARTS), st.sampled_from(COMMANDS), st.sampled_from(["h", "g"]))

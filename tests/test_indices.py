@@ -471,6 +471,46 @@ def test_ivw_weighted_equals_the_kernel_over_its_printed_scores(seed, ratio_type
     assert (result.value, result.table) == (kernel.value, kernel.table)
 
 
+def test_ivw_weighted_score_is_the_exact_total_over_the_variance_rounded_once():
+    # a's total 1.7 over its sample variance, the float 1.445: rounding the
+    # total first, 1.7 / 1.445, would print 1.176470588235294
+    pubs = [record("p1", 0, categories=("a",)), record("p2", Fraction(17, 10), categories=("a",))]
+    corpus = build_corpus(columns_of(pubs))
+    stats = estimate_stats(corpus)
+    assert stats.get("a").variance == 1.445
+    result = ivw_xd_index(corpus, "h", stats, "weighted", variance_floor=0.5)
+    assert result.table.weights == (float(Fraction(17, 10) / Fraction(1.445)),)
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_raw_ivw_ranks_the_kept_categories_as_xd_does(seed):
+    rng = random.Random(seed)
+    records = random_records(rng, max_pubs=60)
+    corpus = build_corpus(columns_of(records))
+    entries = estimate_stats(corpus).entries()
+    kept = {entry.category for entry in rng.sample(entries, rng.randint(0, len(entries)))}
+    stats = ReferenceStats([entry for entry in entries if entry.category in kept])
+    result = ivw_xd_index(corpus, "h", stats, variance_floor=0.5, strict=False)
+    only_kept = [replaced(rec, categories=[cat for cat in rec.categories if cat in kept]) for rec in records]
+    xd = xd_index(build_corpus(columns_of(only_kept)), "h")
+    assert (result.table.labels, result.table.weights) == (xd.table.labels, xd.table.weights)
+
+
+@pytest.mark.parametrize("rank_basis", ["raw", "weighted"])
+def test_ivw_stats_checks_come_before_a_score_that_overflows(rank_basis):
+    # a's total is finite but over its variance overflows; b lacks stats
+    corpus = build_corpus(columns_of([record("p1", 5, categories=("a",)), record("p2", 3, categories=("b",))]))
+    stats = ReferenceStats([StatsEntry("a", 1.0, 1e-320, 2)])
+    with pytest.raises(MissingStats) as missing:
+        ivw_xd_index(corpus, "h", stats, rank_basis, strict=True)
+    assert missing.value.category == "b"
+    with pytest.raises(NonFiniteWeight) as err:
+        ivw_xd_index(corpus, "h", stats, rank_basis, strict=False)
+    assert err.value.label == "a"
+    assert "citation total over variance overflows" in str(err.value)
+
+
 def test_ivw_requires_stats():
     with pytest.raises(MissingStats):
         ivw_xd_index(xd_corpus(), "h", None)
