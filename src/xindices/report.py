@@ -3,7 +3,7 @@
 Identical inputs and flags must produce byte-identical output, so key order
 is fixed, numbers are canonicalised (integral floats print without ".0",
 everything else as shortest round-trip repr), and rows follow table rank.
-The json layout is described by schema/report.schema.json in the repo.
+The json content is described by schema/report.schema.json in the repo.
 
 Report.write(fh, fmt) is the one implementation of each format: it formats
 the ranked table in blocks of _BLOCK_ROWS rows and writes each block to
@@ -18,19 +18,20 @@ alike, 0.0 and -0.0 both as 0). A block holding anything else (ints,
 Fractions, float subclasses) or no tie at all is formatted value by
 value.
 
-The json format is exactly json.dumps of the report's data (version,
-command, index, ratio_type, value, table, config, warnings) with indent=2
-and ensure_ascii=False, plus a newline. It is laid out by hand rather
-than through the pure-Python encoder that indent=2 selects. Each table row
-is the concatenation of fixed pieces that carry the indent=2 whitespace
-with the row's texts: labels through the C string encoder
-json.encoder.encode_basestring, and numbers from format_column, which
-print integral values without ".0", as json.dumps prints the ints
-numfmt.canonical_json_value gives. The envelope is laid out the same way,
-with every scalar encoded by json's C encoder; the small config and
-warnings go through json.dumps, re-indented. No RankRow or per-row dict
-is built. Only the json format imports json, so a csv or table run never
-loads it.
+The json format is json.dumps of the report's data (version, command,
+index, ratio_type, value, table, config, warnings) with indent=2 and
+ensure_ascii=False, plus a newline, except that each table row takes one
+line: four spaces, then json.dumps(row, ensure_ascii=False). So rows can
+be grepped and diffed line by line, and each takes 30 bytes less than at
+indent=2. The report is laid out by hand rather than through json's
+encoder. Each table row is one f-string of the row's texts: labels
+through the C string encoder json.encoder.encode_basestring, and numbers
+from format_column, which print integral values without ".0", as
+json.dumps prints the ints numfmt.canonical_json_value gives. The
+envelope is laid out the same way, with every scalar encoded by json's C
+encoder; the small config and warnings go through json.dumps,
+re-indented. No RankRow or per-row dict is built. Only the json format
+imports json, so a csv or table run never loads it.
 """
 
 from __future__ import annotations
@@ -49,14 +50,6 @@ TABLE_COLUMNS = ("rank", "label", "weight", "ratio")
 
 # Rows are formatted and written this many at a time.
 _BLOCK_ROWS = 4096
-
-# The fixed pieces of one table row at json.dumps(indent=2) depth 2, around
-# its rank, label, weight and ratio texts.
-_JSON_RANK = '    {\n      "rank": '
-_JSON_LABEL = ',\n      "label": '
-_JSON_WEIGHT = ',\n      "weight": '
-_JSON_RATIO = ',\n      "ratio": '
-_JSON_CLOSE = "\n    }"
 
 
 def _weight_texts(weights: Sequence[float]) -> list[str]:
@@ -143,14 +136,18 @@ class Report(FrozenValue):
         separator = "[\n"
         for ranks, labels, weights, ratios in self._row_blocks():
             fh.write(separator)
-            rows = zip(
-                repeat(_JSON_RANK), ranks,
-                repeat(_JSON_LABEL), map(encode_basestring, labels),
-                repeat(_JSON_WEIGHT), weights,
-                repeat(_JSON_RATIO), ratios,
-                repeat(_JSON_CLOSE),
+            # each row as the line "    " + json.dumps(row, ensure_ascii=False)
+            # gives; an f-string builds it as fast as joining fixed pieces,
+            # where a %-template takes a sixth longer
+            rows = zip(ranks, map(encode_basestring, labels), weights, ratios)
+            fh.write(
+                ",\n".join(
+                    [
+                        f'    {{"rank": {rank}, "label": {label}, "weight": {weight}, "ratio": {ratio}}}'
+                        for rank, label, weight, ratio in rows
+                    ]
+                )
             )
-            fh.write(",\n".join(map("".join, rows)))
             separator = ",\n"
         fh.write(
             ("\n  ]" if len(self.result.table) else "[]")

@@ -1,7 +1,8 @@
 """Brute-force re-implementations of the rank-threshold rules, the
 two-sort ranking by its definition, a row-wise reference reader for ingest, record-wise reference corpus views and
 validation, the one-Corpus-per-group reference for group-level values,
-and the json report as Python data (report_dict).
+and the json report as Python data (report_dict) and as text from
+json.dumps pieces (report_json).
 
 Deliberately naive (O(n^2), no shared code with the kernel) so the test
 suite can cross-check the fast implementations against an independent
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -331,8 +333,8 @@ def nested_index(groups: dict[str, Corpus], inner: str = "x", ratio_type: str = 
 
 def report_dict(report: Report) -> dict[str, Any]:
     """The json report as Python data, the readable specification of its
-    layout: report.render("json") is exactly json.dumps(report_dict(report),
-    indent=2, ensure_ascii=False) plus a newline."""
+    content: json.loads(report.render("json")) gives this data, and
+    report_json lays it out."""
     result = report.result
     return {
         "version": report.version,
@@ -352,3 +354,23 @@ def report_dict(report: Report) -> dict[str, Any]:
         "config": report.config,
         "warnings": list(report.warnings),
     }
+
+
+def json_row_line(row: dict[str, Any]) -> str:
+    """One table row of report_dict as the json report's line for it: four
+    spaces, then json.dumps of the row, without the comma between rows."""
+    return "    " + json.dumps(row, ensure_ascii=False)
+
+
+def report_json(report: Report) -> str:
+    """The json report text from json.dumps pieces alone: report_dict at
+    indent=2 with an empty table, whose "table": [] then takes one
+    json_row_line per row, and a newline. Every " inside a json string is
+    escaped, so the first "table": [] is the report's own key; a config
+    key "table" comes later."""
+    data = report_dict(report)
+    text = json.dumps({**data, "table": []}, indent=2, ensure_ascii=False)
+    if data["table"]:
+        rows = ",\n".join(map(json_row_line, data["table"]))
+        text = text.replace('"table": []', f'"table": [\n{rows}\n  ]', 1)
+    return text + "\n"

@@ -1,9 +1,15 @@
-"""Every ranking command on drawn decimal tables, against one exact oracle.
+"""Every ranking command, and stats, on drawn decimal tables, against one
+exact oracle.
 
 tables() from tests/test_ingest.py draws the table: labels that repeat
 across rows, and citation cells with up to 3 decimals, in exponent form,
 with a leading + or inside spaces, after an optional BOM, and rarely a
-field too large to read. Each command runs through main in process. The
+field too large to read. The table is drawn for its command
+(command_tables()): a nested command's group column is always there, and
+so is the categories column of xdfn, ivw and stats, whose citation cells
+are often 0 or 1, so that a category cited 0 times or with equal counts is
+common. Each command runs through main in process, and records an event
+per command and exit code for --hypothesis-show-statistics. The
 row-wise oracles of tests/oracles.py compute each label's exact Fraction
 total from the raw cell texts; xdfn and weighted ivw rank each category's
 score instead, its exact total over its mean or variance rounded once
@@ -22,6 +28,9 @@ of rows 1..r over r**2 (g); the same bytes when the data rows come in
 reverse order; and, in csv and table format, the same rank, label, weight
 and ratio texts, and in table format the same value text, as the json
 report, which must also validate against schema/report.schema.json.
+The stats file must give each category's n, and its mean and sample or
+population variance from the exact sums rounded once, in label order,
+and the same bytes when the data rows come in reverse order.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import pathlib
 from fractions import Fraction
 
 import jsonschema
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from xindices import IngestConfig
 from xindices.cli import main
@@ -43,7 +52,7 @@ from xindices.errors import NonPositiveMean, RankBasisUnsupported, XIndicesError
 
 from conftest import records_of
 from oracles import naive_g_oracle, naive_h_oracle, reference_read_table, reference_views, rounded
-from test_ingest import tables
+from test_ingest import citation_cells, tables
 
 #: Label parts that repeat across rows, an "@" among them.
 PARTS = st.sampled_from(["a", "A", "a@b", "b@c", "c", "Σ ", ""])
@@ -74,6 +83,23 @@ COMMANDS = [("compute", "--index", index) for index in (*COMPUTE_VIEWS, "xo")] +
     ("compute", "--index", "ivw", "--ref-stats", STATS_FILE),
     ("compute", "--index", "ivw", "--rank-basis", "weighted", "--ref-stats", STATS_FILE),
 ]
+
+#: The command of one example, drawn once and shared by its table.
+COMMAND = st.shared(st.sampled_from(COMMANDS), key="command")
+
+#: Citation cells of which half are 0 or 1.
+FEW_COUNTS = st.sampled_from(["0", "1"]) | citation_cells()
+
+
+def command_tables(command: tuple[str, ...]) -> st.SearchStrategy:
+    """tables() for one command: with the group column of nested, and with
+    the categories column and FEW_COUNTS citations for xdfn and ivw, so
+    a category with mean or variance 0 is common."""
+    if command[0] == "nested":
+        return tables(part=PARTS, required=(command[2],))
+    if command[2] in ("xdfn", "ivw"):
+        return tables(part=PARTS, required=("categories",), citations=FEW_COUNTS)
+    return tables(part=PARTS)
 
 
 def ranked(items: list[tuple[str, Fraction]], ratio_type: str) -> list[list]:
@@ -228,6 +254,20 @@ def reversed_rows(data: bytes) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+def cli_flags(config: IngestConfig) -> list[str]:
+    """The flags that read a table as config says."""
+    flags = ["--cell-delimiter", config.cell_delimiter]
+    return flags + ["--no-case-fold"] * (not config.case_fold) + ["--no-trim"] * (not config.trim)
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv) in process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=300, deadline=None)
 @example(  # pairs whose labels coincide stay two items
     (b"id,citations,keywords,categories\np1,0.1,a@b,c\np2,0.2,a,b@c\np3,0.3,a@b,c\n", IngestConfig()),
@@ -275,31 +315,27 @@ def reversed_rows(data: bytes) -> bytes:
     ("compute", "--index", "ivw", "--ref-stats", STATS_FILE),
     "h",
 )
-@given(tables(part=PARTS), st.sampled_from(COMMANDS), st.sampled_from(["h", "g"]))
+@given(COMMAND.flatmap(command_tables), COMMAND, st.sampled_from(["h", "g"]))
 def test_reports_carry_exact_totals_in_any_row_order(tmp_path_factory, table, command, ratio_type):
     data, config = table
     path = tmp_path_factory.mktemp("table") / "in.csv"
-    flags = ["--cell-delimiter", config.cell_delimiter]
-    flags += ["--no-case-fold"] * (not config.case_fold) + ["--no-trim"] * (not config.trim)
+    flags = cli_flags(config)
     argv = [*command, "--type", ratio_type, *flags]
     if STATS_FILE in argv:
         stats = path.with_name(STATS_FILE)
         argv[argv.index(STATS_FILE)] = str(stats)
         path.write_bytes(data)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            main(["stats", "--input", str(path), "--out", str(stats), *flags])
+        run(["stats", "--input", str(path), "--out", str(stats), *flags])
     want_code, want = expected(argv, data, config)
     outputs = []
     # the row a read fails on moves with the row order, so only tables that
     # read are also run with their rows reversed
     for rows in (data,) if want_code == 1 else (data, reversed_rows(data)):
         path.write_bytes(rows)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--input", str(path)])
-        outputs.append((code, out.getvalue(), err.getvalue()))
+        outputs.append(run([*argv, "--input", str(path)]))
     assert outputs[0] == outputs[-1]
     code, out, err = outputs[0]
+    event(f"{' '.join(command)} --type {ratio_type}: exit {code}")
     assert code == want_code
     if code:
         assert err == want
@@ -312,12 +348,48 @@ def test_reports_carry_exact_totals_in_any_row_order(tmp_path_factory, table, co
     value, rows = printed("json", out)
     path.write_bytes(data)
     for fmt in ("csv", "table"):
-        text = io.StringIO()
-        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
-            assert main([*argv, "--input", str(path), "--format", fmt]) == 0
-        fmt_value, fmt_rows = printed(fmt, text.getvalue())
+        fmt_code, text, _err = run([*argv, "--input", str(path), "--format", fmt])
+        assert fmt_code == 0
+        fmt_value, fmt_rows = printed(fmt, text)
         if fmt == "table":
             assert fmt_value == value
             width = max((len(row[1]) for row in rows), default=0)
             rows = [[rank, label.ljust(max(width, len("label"))), weight, ratio] for rank, label, weight, ratio in rows]
         assert fmt_rows == rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(part=PARTS, required=("categories",), citations=FEW_COUNTS), st.sampled_from(["sample", "population"]))
+def test_stats_file_carries_exact_sums_in_any_row_order(tmp_path_factory, table, variance):
+    data, config = table
+    path = tmp_path_factory.mktemp("table") / "in.csv"
+    stats = path.with_name(STATS_FILE)
+    argv = ["stats", "--variance", variance, "--input", str(path), "--out", str(stats), *cli_flags(config)]
+    try:
+        records = records_of(reference_read_table(data, config).columns)
+    except XIndicesError as exc:
+        path.write_bytes(data)
+        assert run(argv) == (1, "", f"error: {exc}\n")
+        event(f"stats --variance {variance}: exit 1")
+        return
+    outputs = []
+    for rows in (data, reversed_rows(data)):
+        path.write_bytes(rows)
+        outputs.append((run(argv), stats.read_bytes()))
+    assert outputs[0] == outputs[1]
+    (code, out, err), written = outputs[0]
+    event(f"stats --variance {variance}: exit {code}")
+    assert (code, out) == (0, "")
+    want = []
+    for label, (n, s1, s2) in reference_views(records)["sums"].items():
+        divisor = n * (n - 1) if variance == "sample" else n * n
+        want.append([label, rounded(s1 / n), rounded((n * s2 - s1 * s1) / divisor) if divisor else None, n])
+    header, *rows = csv.reader(io.StringIO(written.decode("utf-8"), newline=""))
+    assert header == ["category", "mean", "variance", "n"]
+    assert [[label, float(mean), float(v) if v else None, int(n)] for label, mean, v, n in rows] == want
+    assert err == "".join(
+        f"warning: category {label} has {n} publications (fewer than 100); estimated variance may not be "
+        "robust for inverse-variance weighting\n"
+        + f"warning: category {label} has mean 0 and cannot be loaded back as reference stats\n" * (mean == 0)
+        for label, mean, _v, n in want
+    )

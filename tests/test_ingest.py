@@ -288,13 +288,14 @@ def citation_cells(draw):
 
 
 @st.composite
-def tables(draw, part=st.text(alphabet=LABEL_CHARS, max_size=4)):
+def tables(draw, part=st.text(alphabet=LABEL_CHARS, max_size=4), required=(), citations=citation_cells()):
     """A CSV or TSV table and an ingest config: optional columns in any
-    order, multi-value cells made of drawn parts, which by default repeat
-    before or only after normalisation, decimal citation cells, and a
-    group column that is absent, the institutions column or a column of
-    its own. The table may start with a BOM, and rarely (one choice in 16)
-    a cell of its last row is over csv.field_size_limit()."""
+    order, those named in required always among them, multi-value cells
+    made of drawn parts, which by default repeat before or only after
+    normalisation, citation cells drawn from citations (by default
+    decimals), and a group column that is absent, the institutions column
+    or a column of its own. The table may start with a BOM, and rarely
+    (one choice in 16) a cell of its last row is over csv.field_size_limit()."""
     delimiter = draw(st.sampled_from(CELL_DELIMITERS))
     group = draw(st.sampled_from([None, "institutions", "country"]))
     config = IngestConfig(
@@ -304,13 +305,13 @@ def tables(draw, part=st.text(alphabet=LABEL_CHARS, max_size=4)):
         trim=draw(st.booleans()),
     )
     optional = ["keywords", "categories", "institutions", "notes"]
-    columns = ["id", "citations"] + [c for c in optional if draw(st.booleans())]
+    columns = ["id", "citations"] + [c for c in optional if c in required or draw(st.booleans())]
     if group == "country":
         columns.append("country")
     columns = draw(st.permutations(columns))
     cells = {
         **dict.fromkeys(columns, st.lists(part, max_size=4).map(delimiter.join)),
-        "citations": citation_cells(),
+        "citations": citations,
     }
     rows = [
         [f"p{i}" if c == "id" else draw(cells[c]) for c in columns]

@@ -1,5 +1,6 @@
-"""Report rendering: pinned bytes, the hand-laid JSON against json.dumps, and
-streamed writes block by block against the whole-report references."""
+"""Report rendering: pinned bytes, the hand-laid JSON against an oracle built
+from json.dumps pieces, one line per table row, and streamed writes block
+by block against the whole-report references."""
 
 from __future__ import annotations
 
@@ -19,17 +20,19 @@ from xindices.kernel import INDEX_KINDS
 from xindices.numfmt import format_number
 from xindices.report import Report
 
-from oracles import report_dict
+from oracles import json_row_line, report_dict, report_json
 from test_acceptance import _synthetic_csv
 
 # SHA-256 of `compute --index xc` reports on a 2 000-publication corpus,
 # recorded before the column-form kernel and renderer replaced the row-wise
-# ones. Report bytes are a promise: a change here needs a CHANGES.md entry.
+# ones; json re-recorded when each table row came to take one line, with
+# the same data. Report bytes are a promise: a change here needs a
+# CHANGES.md entry.
 GOLDEN_XC = {
-    ("h", "json"): "96ad9e5b126b9979c8b6dd846977d4b6c6913e23d674383c56d37e594ad91f8e",
+    ("h", "json"): "34a6ec0825a89f16f4183ab7e29794774435a980de7b53a473ee01195bd04e1b",
     ("h", "csv"): "dc18bb207097b29fc5f56717d3e179479dd81251435b8bc3c339b06ad1ea9533",
     ("h", "table"): "74cfe0a0efdb6cc7081cfacafacb5b444b76e836ea10ba1f48968d83aeb0cf56",
-    ("g", "json"): "575d004750d9f7a6d7b37d5a1cea53290f9ddb9369dd3705466c53f40282251f",
+    ("g", "json"): "2f43d05d96b9753bc15a7996431bf1cf2d3ac391e2afdad35493f29c5bfc9097",
 }
 
 
@@ -54,12 +57,13 @@ def test_xc_report_bytes_are_pinned(tmp_path, monkeypatch, ratio_type, fmt):
 # recorded before ingest and the corpus views moved to column form. stats
 # and ivw were re-recorded when citations came to be read as exact
 # decimals: their means and totals lost the residue of float sums (48.157
-# for 48.157000000000004), and no other byte moved.
+# for 48.157000000000004), and no other byte moved. nested.json was
+# re-recorded when each json table row came to take one line.
 GOLDEN_DECIMAL = {
     "stats.csv": "00adaf901306bd76e9c2a3d883ff7d37cb87af0f5008c3ae38dabfafd635c0fe",
     "ivw.csv": "a55fc19999625d0581c931a0c6c780cbf828ca991afb5d826da157129e36da47",
     "xo.txt": "431753c7b617d2163269571a22751cdb8527c3bd6a8fdca78296e56fda3162c0",
-    "nested.json": "9732448c6daa3ebd4c8fb991ed7d4565937f387df44192838d2e4c9d84e5ad64",
+    "nested.json": "112c1c378bd5299fa16701b39bae326f90a5cb2ee856eccb7b18551770f919be",
 }
 
 DECIMAL_COMMANDS = {
@@ -114,7 +118,9 @@ def test_validate_report_bytes_are_pinned(tmp_path, capsys):
 awkward_labels = st.text(
     alphabet=st.one_of(
         st.characters(),
-        st.sampled_from('"\\\x00\x07\x1f\x7f\n\t\r  é中@;,'),
+        # U+2028 and U+2029 (written raw) and U+0085 break lines for
+        # str.splitlines, but json.dumps leaves them raw, unlike \n
+        st.sampled_from('"\\\x00\x07\x1f\x7f\n\t\r  \x85é中@;,'),
     ),
     max_size=12,
 )
@@ -171,8 +177,23 @@ def _table_from_rows(report: Report) -> str:
 
 @settings(deadline=None)
 @given(reports())
-def test_to_json_equals_indented_dumps_of_to_dict(report):
-    assert report.render("json") == json.dumps(report_dict(report), indent=2, ensure_ascii=False) + "\n"
+def test_json_equals_the_oracle_from_json_dumps_pieces(report):
+    assert report.render("json") == report_json(report)
+
+
+@settings(deadline=None)
+@given(reports())
+def test_json_writes_each_table_row_on_one_line(report):
+    # split on "\n" alone: a label may hold U+2028 or U+0085, which json
+    # leaves raw and str.splitlines would break at
+    lines = report.render("json").split("\n")
+    rows = list(map(json_row_line, report_dict(report)["table"]))
+    assert sum(line.startswith('    {"rank": ') for line in lines) == len(rows)
+    if rows:
+        start = lines.index('  "table": [') + 1
+        assert lines[start : start + len(rows) + 1] == [row + "," for row in rows[:-1]] + [rows[-1], "  ],"]
+    else:
+        assert '  "table": [],' in lines
 
 
 @settings(deadline=None)
@@ -193,7 +214,8 @@ def test_empty_table_and_envelope_layout():
 
 # Reports that carry warnings: xdfn with a category its stats lack, and ivw
 # with categories floored and one dropped. SHA-256 recorded while the index
-# functions logged their warnings and the CLI collected them.
+# functions logged their warnings and the CLI collected them; json
+# re-recorded when each table row came to take one line.
 WARNING_CORPUS = (
     "id,citations,keywords,categories,institutions\n"
     'p1,9,"alpha; beta",A,I1\n'
@@ -233,15 +255,15 @@ WARNING_CASES = {
 }
 
 GOLDEN_WARNINGS = {
-    ("xdfn-dropped", "json"): "37397ccc349f5046054c81c68093589e6543bbb0d8be0590732a88efdae5579c",
+    ("xdfn-dropped", "json"): "4ed203cf20a8049f4b1606a3f832f241cbd7367bae5c59a38d7fc44a0876310d",
     ("xdfn-dropped", "csv"): "4c529006e449a263a224d2d23aeacc3939f8df88b84d602350a6fdd102848e5e",
     ("xdfn-dropped", "table"): "b4ca2f458d6fd810c4f579a99b138b633d46bf0c4ddaac23f2ea62e62f5926b2",
-    ("ivw-floored-dropped", "json"): "84ae03881806ae62a1f8e1730c197700b4165f5333f641460b7f369907abbe18",
+    ("ivw-floored-dropped", "json"): "b7a946b588b46ee6040d0fe3f2ee07a7ee72f1666c2ad58d0f01f603950a34e3",
     ("ivw-floored-dropped", "csv"): "0c3ecdd77ba171b9bfd61d2ba6833152ab55ac3913ec358e3fb4cbbf38ad7ad0",
     ("ivw-floored-dropped", "table"): "f83c1a84b6c369426da831052e01b6b3591d2a5306d5730ea52e42d78163ad3c",
     # the rank-3 ratio is the exact sum of the three printed scores over 9,
     # 2.8703703703703702, not their running float sum's 2.8703703703703707
-    ("ivw-weighted-g", "json"): "264237cfff9d9022d4a6fae2df8783256ae80af83aa74976553ecc91f3895475",
+    ("ivw-weighted-g", "json"): "b1429845e2b04d85d7dd8c4fc14c119d952822162b0d352de4d3df1ffc7e6e69",
     ("ivw-weighted-g", "table"): "a5a199053725228eeca95e39f8782f5e6ffbd190a4fa88ab3f138410d88afdea",
 }
 
@@ -313,7 +335,7 @@ def test_write_streams_blocks_that_add_up_to_render(monkeypatch, fmt, kernel, n_
     for ties in ("none", "floats", "mixed"):
         report = _streamed_report(n_rows, kernel, ties)
         reference = {
-            "json": lambda: json.dumps(report_dict(report), indent=2, ensure_ascii=False) + "\n",
+            "json": lambda: report_json(report),
             "csv": lambda: _csv_from_rows(report),
             "table": lambda: _table_from_rows(report),
         }[fmt]()
