@@ -13,14 +13,15 @@ rule over each group's exact int totals (Corpus.totals_by_group), with no
 ranked table; ratio_type selects the outer kernel only.
 Each function reads only the views it ranks, as unsorted (label, total)
 tuples over one scale that the kernel orders; xdfn and ivw walk
-categories in label order, and xdfn and weighted ivw rank one score per
-category, its exact total over a mean or variance rounded once (_score).
+categories in label order; xdfn and weighted ivw rank one score per
+category, and raw ivw prints one ratio per rank, each an exact total over
+a mean or variance (times the rank) rounded once (_score).
 INDEX_FIELDS names the fields behind the views, for ingest to skip others.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import count, repeat
 from typing import Iterable, Sequence
 
 from .corpus import FLOAT_LIMIT, Corpus
@@ -35,9 +36,9 @@ from .errors import (
 from .kernel import (
     IndexResult,
     RankedTable,
+    _first_crossing,
     _index_value,
     _scaled,
-    first_crossing_index,
     kernel_index,
 )
 from .stats import ReferenceStats
@@ -175,12 +176,13 @@ def ivw_xd_index(
     """Inverse-variance-weighted breadth.
 
     rank_basis="raw" (default) ranks categories by their whole citation
-    totals as xd does and evaluates the literal first-crossing rule on the
-    float ratio t/(v*r); the ratio need not be monotone, and no g-type rule
-    exists for this basis. rank_basis="weighted" scores each category by
-    its exact total over its variance, rounded once, and hands the scores
-    to the kernel as xdfn does: both ratio types, by the kernel's one rule
-    over the scores' exact values, with correctly rounded ratios.
+    totals as xd does; the ratio at rank r, t/(v*r), is the exact quotient
+    rounded once, and the value is the literal first crossing of the exact
+    ratios (a ratio that prints as 1 can sit there); ratios need not be
+    monotone, and no g-type rule exists for this basis. "weighted" scores
+    each category by t/v, rounded once, and hands the scores to the kernel
+    as xdfn does: both ratio types, by the kernel's one rule over the
+    scores' exact values, with correctly rounded ratios.
 
     Zero or undefined variances raise unless variance_floor substitutes
     max(variance, floor); the categories whose variance it raises are
@@ -211,14 +213,17 @@ def ivw_xd_index(
     if rank_basis == "weighted":
         scores = [(label, _score(label, total, scale, variance_of[label], "variance")) for label, total in totals]
         result = kernel_index(_scaled(scores), ratio_type, "ivw")
-    else:
-        table = kernel_index((totals, scale), "h", "ivw").table
-        ratios = [w / (variance_of[label] * r) for r, (label, w) in enumerate(zip(table.labels, table.weights), 1)]
-        if math.inf in ratios:
-            overflowed = min(label for label, ratio in zip(table.labels, ratios) if ratio == math.inf)
-            raise NonFiniteWeight(overflowed, "citation total over variance overflows")
-        result = first_crossing_index(RankedTable(table.labels, table.weights, ratios))
-    return IndexResult("ivw", ratio_type, result.value, result.table, dropped, floored)
+        return IndexResult("ivw", ratio_type, result.value, result.table, dropped, floored)
+    table = kernel_index((totals, scale), "h", "ivw").table
+    rank_of = dict(zip(table.labels, count(1)))
+    ratio_of, excess_of = {}, {}
+    for label, total in totals:  # label order decides which category an overflow error names
+        (num, den), r = variance_of[label].as_integer_ratio(), rank_of[label]
+        ratio_of[label] = _score(label, total, scale * r, variance_of[label], "variance")
+        excess_of[label] = total * den - scale * num * r  # below 0 where the exact ratio is below 1
+    value = _first_crossing(map(excess_of.get, table.labels), repeat(0), len(table))
+    ranked = RankedTable(table.labels, table.weights, map(ratio_of.get, table.labels))
+    return IndexResult("ivw", ratio_type, value, ranked, dropped, floored)
 
 
 def _rank_inner(corpus: Corpus, field: str, groups: Sequence[Iterable[str]], ratio_type: str, kind: str) -> IndexResult:

@@ -184,7 +184,7 @@ def read_rows(
         at = exc.start + len(data) - len(exc.object)  # exc.start counts from after a BOM
         raise BadEncoding(data.count(b"\n", 0, at) + 1, data[at]) from None
     if separator is None:
-        header_line = text[: text.find("\n")] if "\n" in text else text
+        header_line = text.partition("\n")[0].partition("\r")[0]  # csv ends a row at either
         if "," in header_line and "\t" in header_line:
             raise AmbiguousSeparator()
         separator = "\t" if "\t" in header_line else ","

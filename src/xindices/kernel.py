@@ -28,8 +28,8 @@ value follows their exact order. So the ratios cross 1 where the value
 does but within half an ulp of 1: one past the value can print as 1, and
 where two totals that print alike straddle the value, label order can put
 the one short of its rank at the value's rank.
-first_crossing_index reads a table whose ratios its caller filled in (raw
-ivw's t/(v*r), by a float variance): the count of ratios before the first
+first_crossing_index, kept for callers outside the commands, reads a table
+whose ratios its caller filled in: the count of ratios before the first
 one below 1, whether or not later ratios climb back above it.
 
 Citation totals tie heavily (the pair view of a 25k-publication table
@@ -267,7 +267,8 @@ def g_type_index(items: Iterable[Item], kind: str = "x") -> IndexResult:
 def first_crossing_index(ranked: RankedTable, kind: str = "ivw") -> IndexResult:
     """Literal first-crossing rule over an already-ratioed table.
 
-    The caller chooses the ranking basis and fills the ratio column; this
-    only scans for the first rank where the ratio drops below 1.
+    Kept for callers outside the commands: the caller chooses the ranking
+    basis and fills the ratio column; this only scans for the first rank
+    where the ratio drops below 1.
     """
     return IndexResult(kind, "h", _first_crossing(ranked.ratios, repeat(1.0), len(ranked)), ranked)

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import count
@@ -134,7 +135,7 @@ def reference_read_table(data: bytes, config: IngestConfig | None = None) -> Tab
         # the codec drops a leading BOM before it decodes, so exc.start counts from there
         bad = exc.start + 3 * data.startswith(b"\xef\xbb\xbf")
         raise BadEncoding(data[:bad].count(b"\n") + 1, data[bad]) from None
-    header = text.split("\n", 1)[0]
+    header = re.split("[\r\n]", text, maxsplit=1)[0]
     if "," in header and "\t" in header:
         raise AmbiguousSeparator()
     separator = "\t" if "\t" in header else ","

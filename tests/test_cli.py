@@ -240,6 +240,29 @@ def test_ivw_zero_variance_exit_2(tmp_path, capsys):
     assert code == 0
 
 
+IVW_CROSSING = "id,citations,categories\np1,9,a\np2,5,b\np3,1,c\n"
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_raw_ivw_ratio_is_the_exact_quotient_rounded_once(tmp_path, capsys, reverse):
+    # c's variance times its rank 3 is exactly 1 + 2**-53, which a float
+    # product rounds to 1; 1 over the exact product rounds to
+    # 0.9999999999999999, so c's ratio falls below 1 and the value is 2
+    header, *rows = IVW_CROSSING.splitlines(keepends=True)
+    path, stats = tmp_path / "t.csv", tmp_path / "s.csv"
+    path.write_text(header + "".join(rows[::-1] if reverse else rows))
+    stats.write_text("category,mean,variance,n\na,1,1,1\nb,1,1,1\nc,1,0.33333333333333337,1\n")
+    argv = ["compute", "--index", "ivw", "--input", str(path), "--ref-stats", str(stats)]
+    code, out, _ = run(capsys, *argv)
+    report = json.loads(out)
+    assert (code, report["value"], report["table"][2]) == (
+        0, 2, {"rank": 3, "label": "c", "weight": 1, "ratio": 0.9999999999999999}
+    )
+    assert run(capsys, *argv, "--format", "csv")[1].splitlines()[-1] == "3,c,1,0.9999999999999999"
+    *_, last_row, value = run(capsys, *argv, "--format", "table")[1].splitlines()
+    assert (last_row.split(), value) == (["3", "c", "1", "0.9999999999999999"], "2")
+
+
 def test_xdfn_with_reference_stats(toy_csv, tmp_path, capsys):
     stats = tmp_path / "ref.csv"
     stats.write_text(

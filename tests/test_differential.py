@@ -8,16 +8,18 @@ field too large to read. The table is drawn for its command
 (command_tables()): a nested command's group column is always there, and
 so is the categories column of xdfn, ivw and stats, whose citation cells
 are often 0 or 1, so that a category cited 0 times or with equal counts is
-common. Each command runs through main in process, and records an event
-per command and exit code for --hypothesis-show-statistics. The
-row-wise oracles of tests/oracles.py compute each label's exact Fraction
-total from the raw cell texts; xdfn and weighted ivw rank each category's
-score instead, its exact total over its mean or variance rounded once
-(scores()), and raw ivw's ratios and first crossing are read off the
-rounded totals and the variances (raw_ivw()). ivw divides by the variance
-the stats file prints, or by the exact sample variance rounded once
-(variances()). A table that does not read must fail as the reference
-reader does, and a stats check as its rule says. The
+common. Each (command, ratio type) pair draws the same share of the
+tables, 10 each, and the hand-worked tables of HAND_CASES run beside them.
+Each command runs through main in process, and records its exit code as
+an event for --hypothesis-show-statistics. The row-wise oracles of
+tests/oracles.py compute each label's exact Fraction total from the raw
+cell texts; xdfn and weighted ivw rank each category's score instead, its
+exact total over its mean or variance rounded once (scores()), and raw
+ivw's ratio at rank r is its exact total over its variance times r,
+rounded once, and its value the exact first crossing (raw_ivw()). ivw
+divides by the variance the stats file prints, or by the exact sample
+variance rounded once (variances()). A table that does not read must fail
+as the reference reader does, and a stats check as its rule says. The
 report must carry the index value that the brute-force oracles give over
 those exact totals;
 rows ranked by the floats the totals round to, ties by label, so adjacent
@@ -44,7 +46,8 @@ import pathlib
 from fractions import Fraction
 
 import jsonschema
-from hypothesis import event, example, given, settings, strategies as st
+import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from xindices import IngestConfig
 from xindices.cli import main
@@ -84,8 +87,8 @@ COMMANDS = [("compute", "--index", index) for index in (*COMPUTE_VIEWS, "xo")] +
     ("compute", "--index", "ivw", "--rank-basis", "weighted", "--ref-stats", STATS_FILE),
 ]
 
-#: The command of one example, drawn once and shared by its table.
-COMMAND = st.shared(st.sampled_from(COMMANDS), key="command")
+#: Each (command, ratio type) pair, drawn its own share of the tables.
+PAIRS = [(command, ratio_type) for command in COMMANDS for ratio_type in ("h", "g")]
 
 #: Citation cells of which half are 0 or 1.
 FEW_COUNTS = st.sampled_from(["0", "1"]) | citation_cells()
@@ -166,14 +169,15 @@ def scores(argv: list[str], views: dict) -> list[tuple[str, Fraction]]:
 
 def raw_ivw(argv: list[str], views: dict) -> tuple[int, list[list]]:
     """Raw ivw's value and rows: categories by rounded total descending,
-    ties by label; each ratio the rounded total over the category's
-    variance (variances()) times the rank; the value the number of ratios
-    before the first below 1."""
+    ties by label; each ratio the exact total over the category's variance
+    (variances()) times the rank, rounded once; the value the number of
+    exact ratios before the first below 1."""
     variance = variances(argv, views)
-    rows = []
+    rows, ratios = [], []
     for r, (label, total) in enumerate(sorted(views["categories"], key=lambda item: (-rounded(item[1]), item[0])), 1):
-        rows.append([label, rounded(total), rounded(total) / (variance[label] * r)])
-    return next((r for r, row in enumerate(rows) if row[2] < 1), len(rows)), rows
+        ratios.append(total / (Fraction(variance[label]) * r))
+        rows.append([label, rounded(total), rounded(ratios[-1])])
+    return next((r for r, ratio in enumerate(ratios) if ratio < 1), len(rows)), rows
 
 
 def rule(weights: list[Fraction], ratio_type: str) -> int:
@@ -268,55 +272,108 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=300, deadline=None)
-@example(  # pairs whose labels coincide stay two items
-    (b"id,citations,keywords,categories\np1,0.1,a@b,c\np2,0.2,a,b@c\np3,0.3,a@b,c\n", IngestConfig()),
-    ("compute", "--index", "xc"),
-    "g",
-)
-@example(  # 4.02 + 3.03 + 1.95 is exactly 3**2, though their floats sum below it: g is 3
-    (b"id,citations,categories\np1,4.02,a\np2,3.03,b\np3,1.95,c\n", IngestConfig()),
-    ("compute", "--index", "xd"),
-    "g",
-)
-@example(  # 0.1 over the mean stats writes, the float 0.1, lies below 1 but rounds to 1: h is 1
-    (b"id,citations,categories\np1,0.1,a\n", IngestConfig()),
-    ("compute", "--index", "xdfn", "--ref-stats", STATS_FILE),
-    "h",
-)
-@example(  # categories both weighted and grouped by: one split, its repeats dropped
-    (b"id,citations,categories\np1,3,A;a;B\np2,2,b\np3,1,\n", IngestConfig()),
-    ("nested", "--group-col", "categories", "--inner", "xd"),
-    "g",
-)
-@example(  # c and a are cited 0 times; strict xdfn names a, the first in label order
-    (b"id,citations,categories\np1,1,b\np2,0,c\np3,0,a\n", IngestConfig()),
-    ("compute", "--index", "xdfn", "--internal-stats"),
-    "h",
-)
-@example(  # the stats file loads before raw ivw rejects g, so its mean 0 is named
-    (b"id,citations,categories\np1,1,b\np2,0,a\n", IngestConfig()),
-    ("compute", "--index", "ivw", "--ref-stats", STATS_FILE, "--variance-floor", "0.5"),
-    "g",
-)
-@example(  # ratios 9/(0.5*1) and 7/(0.5*2), undefined variances floored, then 5/(4.5*3),
-    # which prints ...35, where 5/4.5/3 prints ...4: h is 2
-    (b"id,citations,categories\np1,9,a\np2,7,b\np3,1,c\np4,4,c\n", IngestConfig()),
-    ("compute", "--index", "ivw", "--ref-stats", STATS_FILE, "--variance-floor", "0.5"),
-    "h",
-)
-@example(  # a's total 1.7 over its variance 1.445, rounded once, prints ...42; 1.7 / 1.445 prints ...4
-    (b"id,citations,categories\np1,0,a\np2,1.7,a\n", IngestConfig()),
-    ("compute", "--index", "ivw", "--rank-basis", "weighted", "--internal-stats", "--variance-floor", "0.5"),
-    "h",
-)
-@example(  # no floor, every variance 2: ratios 6/(2*1) and 4/(2*2), h is 2
-    (b"id,citations,categories\np1,3,a\np2,1,a\np3,2,b\np4,4,b\n", IngestConfig()),
-    ("compute", "--index", "ivw", "--ref-stats", STATS_FILE),
-    "h",
-)
-@given(COMMAND.flatmap(command_tables), COMMAND, st.sampled_from(["h", "g"]))
-def test_reports_carry_exact_totals_in_any_row_order(tmp_path_factory, table, command, ratio_type):
+def hand_case(case_id: str, data: bytes, command: tuple[str, ...], ratio_type: str):
+    return pytest.param((data, IngestConfig()), command, ratio_type, id=case_id)
+
+
+#: Hand-worked tables, each with the command and ratio type it runs under.
+HAND_CASES = [
+    # pairs whose labels coincide stay two items
+    hand_case(
+        "xc-coinciding-pairs",
+        b"id,citations,keywords,categories\np1,0.1,a@b,c\np2,0.2,a,b@c\np3,0.3,a@b,c\n",
+        ("compute", "--index", "xc"),
+        "g",
+    ),
+    # 4.02 + 3.03 + 1.95 is exactly 3**2, though their floats sum below it: g is 3
+    hand_case(
+        "xd-exact-cumulative-total",
+        b"id,citations,categories\np1,4.02,a\np2,3.03,b\np3,1.95,c\n",
+        ("compute", "--index", "xd"),
+        "g",
+    ),
+    # 0.1 over the mean stats writes, the float 0.1, lies below 1 but rounds to 1: h is 1
+    hand_case(
+        "xdfn-written-mean",
+        b"id,citations,categories\np1,0.1,a\n",
+        ("compute", "--index", "xdfn", "--ref-stats", STATS_FILE),
+        "h",
+    ),
+    # categories both weighted and grouped by: one split, its repeats dropped
+    hand_case(
+        "nested-by-categories",
+        b"id,citations,categories\np1,3,A;a;B\np2,2,b\np3,1,\n",
+        ("nested", "--group-col", "categories", "--inner", "xd"),
+        "g",
+    ),
+    # c and a are cited 0 times; strict xdfn names a, the first in label order
+    hand_case(
+        "xdfn-strict-mean-0",
+        b"id,citations,categories\np1,1,b\np2,0,c\np3,0,a\n",
+        ("compute", "--index", "xdfn", "--internal-stats"),
+        "h",
+    ),
+    # the stats file loads before raw ivw rejects g, so its mean 0 is named
+    hand_case(
+        "ivw-raw-g-mean-0",
+        b"id,citations,categories\np1,1,b\np2,0,a\n",
+        ("compute", "--index", "ivw", "--ref-stats", STATS_FILE, "--variance-floor", "0.5"),
+        "g",
+    ),
+    # ratios 9/(0.5*1) and 7/(0.5*2), undefined variances floored, then
+    # 5/(4.5*3), which prints ...35, where 5/4.5/3 prints ...4: h is 2
+    hand_case(
+        "ivw-raw-floored",
+        b"id,citations,categories\np1,9,a\np2,7,b\np3,1,c\np4,4,c\n",
+        ("compute", "--index", "ivw", "--ref-stats", STATS_FILE, "--variance-floor", "0.5"),
+        "h",
+    ),
+    # a's total 1.7 over its variance 1.445, rounded once, prints ...42; 1.7 / 1.445 prints ...4
+    hand_case(
+        "ivw-weighted-score",
+        b"id,citations,categories\np1,0,a\np2,1.7,a\n",
+        ("compute", "--index", "ivw", "--rank-basis", "weighted", "--internal-stats", "--variance-floor", "0.5"),
+        "h",
+    ),
+    # a's exact total 7.3 over its variance, rounded once, prints ...887;
+    # the float 7.3 over the variance prints ...88
+    hand_case(
+        "ivw-raw-ratio",
+        b"id,citations,categories\np1,0.3,a\np2,7,a\n",
+        ("compute", "--index", "ivw", "--ref-stats", STATS_FILE, "--variance-floor", "0.5"),
+        "h",
+    ),
+    # no floor, every variance 2: ratios 6/(2*1) and 4/(2*2), h is 2
+    hand_case(
+        "ivw-raw-no-floor",
+        b"id,citations,categories\np1,3,a\np2,1,a\np3,2,b\np4,4,b\n",
+        ("compute", "--index", "ivw", "--ref-stats", STATS_FILE),
+        "h",
+    ),
+]
+
+
+def pair_id(command: tuple[str, ...], ratio_type: str) -> str:
+    """The test id of a pair: its arguments without leading dashes, joined by _."""
+    return "_".join(arg.lstrip("-") for arg in (*command, ratio_type))
+
+
+@pytest.mark.parametrize(("command", "ratio_type"), PAIRS, ids=[pair_id(*pair) for pair in PAIRS])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_reports_carry_exact_totals_in_any_row_order(tmp_path_factory, data, command, ratio_type):
+    code = check_report(tmp_path_factory, data.draw(command_tables(command), label="table"), command, ratio_type)
+    event(f"exit {code}")
+
+
+@pytest.mark.parametrize(("table", "command", "ratio_type"), HAND_CASES)
+def test_hand_worked_tables_carry_exact_totals(tmp_path_factory, table, command, ratio_type):
+    check_report(tmp_path_factory, table, command, ratio_type)
+
+
+def check_report(tmp_path_factory, table: tuple[bytes, IngestConfig], command: tuple[str, ...], ratio_type: str) -> int:
+    """command at ratio_type on table against expected(), in json, csv and
+    table format, and with its data rows reversed; its exit code."""
     data, config = table
     path = tmp_path_factory.mktemp("table") / "in.csv"
     flags = cli_flags(config)
@@ -335,11 +392,10 @@ def test_reports_carry_exact_totals_in_any_row_order(tmp_path_factory, table, co
         outputs.append(run([*argv, "--input", str(path)]))
     assert outputs[0] == outputs[-1]
     code, out, err = outputs[0]
-    event(f"{' '.join(command)} --type {ratio_type}: exit {code}")
     assert code == want_code
     if code:
         assert err == want
-        return
+        return code
     report = json.loads(out)
     validate_report(report)
     assert (report["value"], [[row["label"], row["weight"], row["ratio"]] for row in report["table"]]) == want
@@ -356,6 +412,7 @@ def test_reports_carry_exact_totals_in_any_row_order(tmp_path_factory, table, co
             width = max((len(row[1]) for row in rows), default=0)
             rows = [[rank, label.ljust(max(width, len("label"))), weight, ratio] for rank, label, weight, ratio in rows]
         assert fmt_rows == rows
+    return code
 
 
 @settings(max_examples=100, deadline=None)

@@ -399,6 +399,58 @@ def test_ivw_non_monotone_crossing_ignores_recovery():
     assert result.value == 0
 
 
+def test_raw_ivw_crossing_is_decided_on_the_exact_ratio():
+    # c's variance is the float just above 5/3, so 5 over 3 times it lies
+    # below 1 by less than half an ulp: its ratio prints as 1, yet c is
+    # where the ratios first fall below 1, and the value is 2
+    corpus = build_corpus(
+        columns_of(
+            [
+                record("p1", 9, categories=("a",)),
+                record("p2", 8, categories=("b",)),
+                record("p3", 5, categories=("c",)),
+            ]
+        )
+    )
+    stats = ReferenceStats(
+        [
+            StatsEntry("a", 1.0, 1.0, 1),
+            StatsEntry("b", 1.0, 1.0, 1),
+            StatsEntry("c", 1.0, 5 / 3, 1),
+        ]
+    )
+    assert Fraction(5) / (3 * Fraction(5 / 3)) < 1
+    result = ivw_xd_index(corpus, "h", stats)
+    assert [row.ratio for row in result.table.rows] == [9.0, 4.0, 1.0]
+    assert result.value == 2
+
+
+@pytest.mark.parametrize("rank_basis", ["raw", "weighted"])
+def test_ivw_overflowing_ratios_name_the_smallest_label(rank_basis):
+    # b and c overflow over their variances; c ranks first on totals, yet
+    # the error names b, the smaller label
+    corpus = build_corpus(
+        columns_of(
+            [
+                record("p1", 1, categories=("a",)),
+                record("p2", 3, categories=("b",)),
+                record("p3", 5, categories=("c",)),
+            ]
+        )
+    )
+    stats = ReferenceStats(
+        [
+            StatsEntry("a", 1.0, 1.0, 1),
+            StatsEntry("b", 1.0, 1e-320, 1),
+            StatsEntry("c", 1.0, 1e-320, 1),
+        ]
+    )
+    with pytest.raises(NonFiniteWeight) as err:
+        ivw_xd_index(corpus, "h", stats, rank_basis)
+    assert err.value.label == "b"
+    assert "citation total over variance overflows" in str(err.value)
+
+
 def test_ivw_zero_variance_rejected_without_floor():
     corpus = build_corpus(
         columns_of(

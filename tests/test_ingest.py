@@ -153,6 +153,22 @@ def test_parse_ambiguous_header():
 
 
 @pytest.mark.parametrize(
+    ("lf_table", "keywords"),
+    [
+        (b"id,citations,keywords\np1,3,a\tb\np2,2,b\n", ("a b",)),  # a tab in a cell of a comma table
+        (b"id\tcitations\tkeywords\np1\t3\ta,b\np2\t2\tb\n", ("a,b",)),  # a comma in a cell of a tab table
+    ],
+)
+def test_header_line_ends_at_a_lone_cr(lf_table, keywords):
+    # csv ends a row at a lone CR too, so the header is detected on its first row
+    cr_table = lf_table.replace(b"\n", b"\r")
+    table = read_bytes(cr_table, IngestConfig())
+    assert table == read_bytes(lf_table, IngestConfig())
+    assert records_of(table.columns)[0].keywords == keywords
+    assert reference_read_table(cr_table) == reference_read_table(lf_table) == table
+
+
+@pytest.mark.parametrize(
     ("header", "repeated", "config"),
     [
         ("id,citations,keywords,keywords", "keywords", IngestConfig()),
