@@ -252,7 +252,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             )
 
     warnings = _absent_warnings(table, config, fields) + _warnings(result, args.variance_floor)
-    report = Report(__version__, "compute", result, echo, warnings)
+    report = Report(result, echo, warnings)
     _emit(args.out, lambda fh: report.write(fh, args.format))
     return 0
 
@@ -276,7 +276,7 @@ def cmd_nested(args: argparse.Namespace) -> int:
             "strict_groups": args.strict_groups,
         }
     )
-    report = Report(__version__, "nested", result, echo, _absent_warnings(table, config, fields))
+    report = Report(result, echo, _absent_warnings(table, config, fields))
     _emit(args.out, lambda fh: report.write(fh, args.format))
     return 0
 

@@ -27,7 +27,7 @@ class IngestError(XIndicesError):
 
 class BadEncoding(IngestError):
     """The input bytes are not UTF-8. Line is 1-based and counts physical
-    lines, the header included."""
+    lines, the header included, each ended by CRLF, a lone CR or a lone LF."""
 
     def __init__(self, line: int, byte: int):
         self.line = line

@@ -182,7 +182,8 @@ def read_rows(
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         at = exc.start + len(data) - len(exc.object)  # exc.start counts from after a BOM
-        raise BadEncoding(data.count(b"\n", 0, at) + 1, data[at]) from None
+        # csv ends a row at CRLF, a lone CR or a lone LF, and so does splitlines
+        raise BadEncoding(len(data[: at + 1].splitlines()), data[at]) from None
     if separator is None:
         header_line = text.partition("\n")[0].partition("\r")[0]  # csv ends a row at either
         if "," in header_line and "\t" in header_line:

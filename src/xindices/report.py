@@ -23,15 +23,14 @@ index, ratio_type, value, table, config, warnings) with indent=2 and
 ensure_ascii=False, plus a newline, except that each table row takes one
 line: four spaces, then json.dumps(row, ensure_ascii=False). So rows can
 be grepped and diffed line by line, and each takes 30 bytes less than at
-indent=2. The report is laid out by hand rather than through json's
-encoder. Each table row is one f-string of the row's texts: labels
-through the C string encoder json.encoder.encode_basestring, and numbers
-from format_column, which print integral values without ".0", as
-json.dumps prints the ints numfmt.canonical_json_value gives. The
-envelope is laid out the same way, with every scalar encoded by json's C
-encoder; the small config and warnings go through json.dumps,
-re-indented. No RankRow or per-row dict is built. Only the json format
-imports json, so a csv or table run never loads it.
+indent=2. The envelope is json.dumps of that data with an empty table,
+split at its first '"table": []': json escapes every '"' inside a
+string, so that match is the key. The rows go in between, each one
+f-string of the row's texts: labels through the C string encoder
+json.encoder.encode_basestring, and numbers from format_column, which
+print integral values without ".0", as json.dumps prints the ints
+numfmt.canonical_json_value gives. No RankRow or per-row dict is built.
+Only the json format imports json, so a csv or table run never loads it.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from itertools import chain, compress, count, repeat
 from operator import ne, sub
 from typing import Any, Iterator, Sequence, TextIO
 
+from . import __version__
 from .kernel import IndexResult
 from .numfmt import format_column
 from .value import FrozenValue
@@ -68,19 +68,19 @@ def _weight_texts(weights: Sequence[float]) -> list[str]:
 
 
 class Report(FrozenValue):
-    """Everything one command run emits: result, provenance, warnings."""
+    """Everything one command run emits: result, provenance, warnings. The
+    report names the package's __version__, and the command "nested" for
+    a nested result and "compute" for any other."""
 
-    __slots__ = _fields = ("version", "command", "result", "config", "warnings")
+    __slots__ = _fields = ("result", "config", "warnings")
 
     def __init__(
         self,
-        version: str,
-        command: str,
         result: IndexResult,
         config: dict[str, Any] | None = None,
         warnings: list[str] | None = None,
     ) -> None:
-        self._set(version, command, result, {} if config is None else config, [] if warnings is None else warnings)
+        self._set(result, {} if config is None else config, [] if warnings is None else warnings)
 
     def write(self, fh: TextIO, fmt: str) -> None:
         """Write the report in fmt ("json", "csv" or "table") to the text
@@ -117,22 +117,19 @@ class Report(FrozenValue):
         import json  # imported only by the runs that render json
         from json.encoder import encode_basestring
 
-        scalar = json.JSONEncoder(ensure_ascii=False).encode
-
-        def nested(value: Any) -> str:
-            # json escapes every newline inside a string, so only layout
-            # newlines are re-indented to depth 1
-            return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
-
-        fh.write(
-            "{\n"
-            f'  "version": {scalar(self.version)},\n'
-            f'  "command": {scalar(self.command)},\n'
-            f'  "index": {scalar(self.result.kind)},\n'
-            f'  "ratio_type": {scalar(self.result.ratio_type)},\n'
-            f'  "value": {scalar(self.result.value)},\n'
-            '  "table": '
-        )
+        result = self.result
+        data = {
+            "version": __version__,
+            "command": "nested" if result.kind == "nested" else "compute",
+            "index": result.kind,
+            "ratio_type": result.ratio_type,
+            "value": result.value,
+            "table": [],
+            "config": self.config,
+            "warnings": self.warnings,
+        }
+        head, tail = json.dumps(data, indent=2, ensure_ascii=False).split('"table": []', 1)
+        fh.write(head + '"table": ')
         separator = "[\n"
         for ranks, labels, weights, ratios in self._row_blocks():
             fh.write(separator)
@@ -149,12 +146,7 @@ class Report(FrozenValue):
                 )
             )
             separator = ",\n"
-        fh.write(
-            ("\n  ]" if len(self.result.table) else "[]")
-            + f',\n  "config": {nested(self.config)},\n'
-            f'  "warnings": {nested(list(self.warnings))}\n'
-            "}\n"
-        )
+        fh.write(("\n  ]" if len(result.table) else "[]") + tail + "\n")
 
     def _write_csv(self, fh: TextIO) -> None:
         # csv.writer writes each row on its own; gathering a block first

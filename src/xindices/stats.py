@@ -16,7 +16,7 @@ import math
 from itertools import chain
 from typing import IO, Iterable
 
-from .corpus import Corpus
+from .corpus import Corpus, _finite
 from .errors import BadStatsRow, MissingColumn, NonFiniteStats, NonPositiveMean
 from .ingest import read_rows
 from .numfmt import format_number
@@ -32,12 +32,16 @@ class StatsEntry(FrozenValue):
     category total by its own mean reproduces the publication count without
     float double-rounding; means loaded from a file are plain floats.
     variance is None when undefined (sample variance of a single
-    observation); consumers decide whether that is an error.
+    observation); consumers decide whether that is an error. A mean or
+    variance that is NaN or does not round to a finite float raises
+    ValueError.
     """
 
     __slots__ = _fields = ("category", "mean", "variance", "n")
 
     def __init__(self, category: str, mean: float | Fraction, variance: float | None, n: int) -> None:
+        if not _finite(mean) or variance is not None and not _finite(variance):
+            raise ValueError(f"stats category {category!r} has a mean or variance that is not a finite number")
         self._set(category, mean, variance, n)
 
 

@@ -27,6 +27,7 @@ from xindices import (
     Corpus,
     IndexResult,
     IngestConfig,
+    __version__,
     build_corpus,
     normalize_label,
 )
@@ -134,7 +135,7 @@ def reference_read_table(data: bytes, config: IngestConfig | None = None) -> Tab
     except UnicodeDecodeError as exc:
         # the codec drops a leading BOM before it decodes, so exc.start counts from there
         bad = exc.start + 3 * data.startswith(b"\xef\xbb\xbf")
-        raise BadEncoding(data[:bad].count(b"\n") + 1, data[bad]) from None
+        raise BadEncoding(len(re.split(rb"\r\n|\r|\n", data[:bad])), data[bad]) from None
     header = re.split("[\r\n]", text, maxsplit=1)[0]
     if "," in header and "\t" in header:
         raise AmbiguousSeparator()
@@ -338,8 +339,8 @@ def report_dict(report: Report) -> dict[str, Any]:
     report_json lays it out."""
     result = report.result
     return {
-        "version": report.version,
-        "command": report.command,
+        "version": __version__,
+        "command": "nested" if result.kind == "nested" else "compute",
         "index": result.kind,
         "ratio_type": result.ratio_type,
         "value": result.value,

@@ -43,6 +43,7 @@ import io
 import json
 import math
 import pathlib
+import re
 from fractions import Fraction
 
 import jsonschema
@@ -251,7 +252,7 @@ def printed(fmt: str, out: str) -> tuple[str | None, list[list[str]]]:
 def reversed_rows(data: bytes) -> bytes:
     """The table with its data rows in reverse order."""
     text = data.decode("utf-8")
-    separator = "\t" if "\t" in text.split("\n", 1)[0] else ","
+    separator = "\t" if "\t" in re.split("[\r\n]", text, maxsplit=1)[0] else ","
     rows = list(csv.reader(io.StringIO(text, newline=""), delimiter=separator))
     out = io.StringIO()
     csv.writer(out, delimiter=separator, lineterminator="\n").writerows([rows[0], *reversed(rows[1:])])

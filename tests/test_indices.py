@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -484,6 +485,22 @@ def test_ivw_variance_floor_must_be_positive():
     corpus, stats = ivw_fixture()
     with pytest.raises(ValueError):
         ivw_xd_index(corpus, "h", stats, variance_floor=0.0)
+
+
+def test_ivw_rejects_an_unknown_rank_basis():
+    corpus, stats = ivw_fixture()
+    with pytest.raises(ValueError, match="unknown rank basis 'bogus'"):
+        ivw_xd_index(corpus, "h", stats, rank_basis="bogus")
+
+
+@pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("rank_basis", ["raw", "weighted"])
+def test_ivw_never_reads_a_non_finite_variance(rank_basis, variance):
+    # StatsEntry rejects it, so ivw_xd_index cannot meet it in its exact
+    # arithmetic, where float.as_integer_ratio would raise a bare error
+    corpus, _ = ivw_fixture()
+    with pytest.raises(ValueError, match="^stats category 'c' has a mean or variance that is not a finite number$"):
+        ivw_xd_index(corpus, "h", ReferenceStats([StatsEntry("c", 1.0, variance, 5)]), rank_basis)
 
 
 def test_ivw_raw_g_type_unsupported():

@@ -86,14 +86,18 @@ def test_parse_non_utf8_bytes_rejected():
     assert str(err.value) == "line 3: input is not UTF-8 text (byte 0xff)"
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
-def test_non_utf8_byte_after_a_bom_names_its_own_line_and_byte(bom):
-    # the codec counts offsets from after a leading BOM; the error counts from the first byte
+def test_non_utf8_byte_after_a_bom_names_its_own_line_and_byte(bom, end):
+    # the codec counts offsets from after a leading BOM; the error counts
+    # from the first byte, and csv ends a row (a line) at CRLF, CR or LF
     message = "line 3: input is not UTF-8 text (byte 0xff)"
+    table = bom + end.join([b"id,citations", b"p1,1", b"\xff2,1", b""])
     with pytest.raises(BadEncoding, match=f"^{re.escape(message)}$"):
-        read_table(io.BytesIO(bom + b"id,citations\np1,1\n\xff2,1\n"))
+        read_table(io.BytesIO(table))
+    assert outcome(reference_read_table, table, IngestConfig()) == (BadEncoding, message)
     with pytest.raises(BadEncoding, match=f"^{re.escape(message)}$"):
-        load_reference_stats(io.BytesIO(bom + b"category,mean,variance,n\na,1,1,3\n\xff,1,1,3\n"))
+        load_reference_stats(io.BytesIO(bom + end.join([b"category,mean,variance,n", b"a,1,1,3", b"\xff,1,1,3", b""])))
 
 
 def test_parse_decimal_citations_allowed():
@@ -123,6 +127,12 @@ def test_parse_explicitly_required_column_missing():
     with pytest.raises(MissingColumn) as err:
         parse("id,citations\np1,7\n", config)
     assert err.value.name == "DE"
+
+
+def test_parse_required_group_column_missing():
+    with pytest.raises(MissingColumn) as err:
+        parse("id,citations\np1,7\n", IngestConfig(required_columns=frozenset({"group"})))
+    assert err.value.name == "group"
 
 
 def test_parse_arity_mismatch():
@@ -310,8 +320,9 @@ def tables(draw, part=st.text(alphabet=LABEL_CHARS, max_size=4), required=(), ci
     made of drawn parts, which by default repeat before or only after
     normalisation, citation cells drawn from citations (by default
     decimals), and a group column that is absent, the institutions column
-    or a column of its own. The table may start with a BOM, and rarely
-    (one choice in 16) a cell of its last row is over csv.field_size_limit()."""
+    or a column of its own. Lines end in LF, CRLF or a lone CR. The table
+    may start with a BOM, and rarely (one choice in 16) a cell of its last
+    row is over csv.field_size_limit()."""
     delimiter = draw(st.sampled_from(CELL_DELIMITERS))
     group = draw(st.sampled_from([None, "institutions", "country"]))
     config = IngestConfig(
@@ -336,10 +347,14 @@ def tables(draw, part=st.text(alphabet=LABEL_CHARS, max_size=4), required=(), ci
     if rows and draw(st.sampled_from([False] * 15 + [True])):
         rows[-1][draw(st.integers(0, len(columns) - 1))] = "k" * (csv.field_size_limit() + 1)
     out = io.StringIO()
-    writer = csv.writer(out, delimiter=draw(st.sampled_from([",", "\t"])), lineterminator="\n")
+    # a CRLF terminator makes csv quote a cell holding CR or LF, which
+    # the other two do not; no drawn cell holds a CR, so each CRLF is a
+    # line end and can become any of the three
+    writer = csv.writer(out, delimiter=draw(st.sampled_from([",", "\t"])), lineterminator="\r\n")
     writer.writerow(columns)
     writer.writerows(rows)
-    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + out.getvalue().encode("utf-8"), config
+    text = out.getvalue().replace("\r\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode("utf-8"), config
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from xindices import (
+    IndexResult,
     NonFiniteWeight,
     RankedTable,
     RankRow,
@@ -307,6 +308,13 @@ def test_ranked_table_rejects_ragged_columns():
         RankedTable(("a", "b"), (2.0, 1.0), (2.0,))
 
 
+def test_index_result_rejects_a_value_above_its_table_length():
+    table = RankedTable(("a",), (2.0,), (2.0,))
+    assert IndexResult("x", "h", 1, table).value == 1
+    with pytest.raises(ValueError, match="out of range"):
+        IndexResult("x", "h", 2, table)
+
+
 @pytest.mark.parametrize(
     "weights",
     [
@@ -386,8 +394,8 @@ def test_rank_items_equals_two_sorts_on_either_path(entries, rng):
     rng.shuffle(shuffled)
     for index in (h_type_index, g_type_index):
         assert index(shuffled).table == index(finite).table
-        csv = Report("0", "compute", index(finite)).render("csv")
-        assert Report("0", "compute", index(shuffled)).render("csv") == csv
+        csv = Report(index(finite)).render("csv")
+        assert Report(index(shuffled)).render("csv") == csv
 
 
 # --- NaN weights ----------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import xindices.report
-from xindices import g_type_index, h_type_index
+from xindices import IndexResult, RankedTable, g_type_index, h_type_index
 from xindices.cli import main
 from xindices.kernel import INDEX_KINDS
 from xindices.numfmt import format_number
@@ -149,8 +149,6 @@ def reports(draw):
     kernel = draw(st.sampled_from((h_type_index, g_type_index)))
     result = kernel(entries, draw(st.sampled_from(INDEX_KINDS)))
     return Report(
-        draw(awkward_labels),
-        draw(st.sampled_from(("compute", "nested"))),
         result,
         draw(st.dictionaries(awkward_labels, json_values, max_size=4)),
         draw(st.lists(awkward_labels, max_size=3)),
@@ -206,12 +204,23 @@ def test_csv_and_table_equal_row_wise_rendering(report):
 
 
 def test_empty_table_and_envelope_layout():
-    report = Report("0.1.0", "compute", h_type_index([]), {}, [])
+    report = Report(h_type_index([]), {}, [])
     assert report.render("json") == (
         '{\n  "version": "0.1.0",\n  "command": "compute",\n  "index": "x",\n'
         '  "ratio_type": "h",\n  "value": 0,\n  "table": [],\n  "config": {},\n'
         '  "warnings": []\n}\n'
     )
+
+
+def test_int_and_fraction_weights_print_as_format_number():
+    # the kernel hands a report float weights; a hand-built table keeps
+    # its ints and Fractions, equal runs included
+    weights = (3, 3, Fraction(5, 2), Fraction(5, 2), 2, Fraction(1, 3))
+    table = RankedTable("abcdef", weights, (3.0, 1.5, 0.5, 0.25, 0.2, 0.01))
+    report = Report(IndexResult("xc", "h", 2, table))
+    assert report.render("csv") == _csv_from_rows(report)
+    assert report.render("table") == _table_from_rows(report)
+    assert [row["weight"] for row in json.loads(report.render("json"))["table"]] == [3, 3, 2.5, 2.5, 2, 1 / 3]
 
 
 # Reports that carry warnings: xdfn with a category its stats lack, and ivw
@@ -326,7 +335,7 @@ def _streamed_report(n_rows, kernel, ties="none"):
     """A report whose n_rows labels each carry the marker "row-", with the
     weights of _streamed_weights."""
     entries = [(f"row-{i:03d}", w) for i, w in enumerate(_streamed_weights(n_rows, ties))]
-    return Report("0.1.0", "compute", kernel(entries, "xc"), {"input": "t.csv"}, ["one warning"])
+    return Report(kernel(entries, "xc"), {"input": "t.csv"}, ["one warning"])
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])

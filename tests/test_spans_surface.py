@@ -71,7 +71,7 @@ def test_read_table_records_count_the_publications(tmp_path):
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_render_equals_write_and_rows_match_the_columns(fmt):
     result = xc_index(build_corpus(read_table(io.BytesIO(TABLE.encode())).columns), "h")
-    report = Report("v", "compute", result, {"index": "xc"}, ["a warning"])
+    report = Report(result, {"index": "xc"}, ["a warning"])
     written = io.StringIO()
     report.write(written, fmt)
     rendered = report.render(fmt)

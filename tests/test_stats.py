@@ -273,6 +273,17 @@ def test_dump_of_estimates_is_stable_after_one_load():
     assert dump(load(text)) == text
 
 
+def test_membership_reads_the_categories():
+    stats = ReferenceStats([StatsEntry("a", 1.0, 1.0, 1)])
+    assert "a" in stats and "b" not in stats
+
+
+@pytest.mark.parametrize("mean", [math.nan, math.inf, Fraction(10**400, 3)], ids=["nan", "inf", "huge-fraction"])
+def test_entry_rejects_a_non_finite_mean(mean):
+    with pytest.raises(ValueError, match="not a finite number"):
+        StatsEntry("a", mean, 1.0, 1)
+
+
 def test_duplicate_categories_rejected():
     with pytest.raises(ValueError):
         ReferenceStats([StatsEntry("a", 1.0, 1.0, 1), StatsEntry("a", 2.0, 1.0, 1)])

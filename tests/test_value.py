@@ -84,8 +84,6 @@ CASES = [
     (
         Report,
         [
-            ("version", NO_DEFAULT, "0.1.0"),
-            ("command", NO_DEFAULT, "compute"),
             ("result", NO_DEFAULT, RESULT),
             ("config", dataclasses.field(default_factory=dict), {"input": "in.csv"}),
             ("warnings", _list(), ["dropped 1 categories"]),
@@ -161,7 +159,7 @@ def test_mutable_defaults_are_not_shared():
     first, second = ValidationReport(), ValidationReport()
     first.duplicate_ids.append("p1")
     assert second.duplicate_ids == []
-    assert Report("v", "compute", RESULT).warnings is not Report("v", "compute", RESULT).warnings
+    assert Report(RESULT).warnings is not Report(RESULT).warnings
 
 
 def test_table_data_equality_ignores_built_records():
